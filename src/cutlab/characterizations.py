@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CenterTooLarge, HypothesisViolated
 from .group_core import (
     FiniteGroup,
-    _closure_members,
+    _is_power_of,
     center,
     commutator_of_element,
     direct_product,
@@ -57,12 +57,6 @@ class TheoremReport:
 
 def _power_class(G: FiniteGroup, x: int, k: int) -> int:
     return int(G.conjugacy.class_of[G.power(x, k)])
-
-
-def _is_power_of(m: int, q: int) -> bool:
-    while m % q == 0:
-        m //= q
-    return m == 1
 
 
 def _two_group_clause(G: FiniteGroup) -> tuple[bool, list[TraceEntry]]:
@@ -209,6 +203,32 @@ def cor_class2(G: FiniteGroup) -> TheoremReport:
     return TheoremReport("cor_class2", True, ok_all, tuple(trace))
 
 
+def _cyclic_subgroups(A: FiniteGroup) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Every cyclic subgroup of A once, and the one each element generates.
+
+    Returns ``(cyclic_of, cyclics)``: ``cyclics[cyclic_of[x]]`` holds the
+    sorted members of <x>.  Each <x> is built by doubling, x^0..x^(2^(k+1)-1)
+    = S ∪ S·x^(2^k), in log o(x) products, and every generator x^k with
+    gcd(k, o(x)) = 1 is mapped to it at once.
+    """
+    orders = A.element_orders
+    cyclic_of = np.full(A.order, -1, dtype=np.int64)
+    cyclics: list[np.ndarray] = []
+    for x in range(A.order):
+        if cyclic_of[x] >= 0:
+            continue
+        m = int(orders[x])
+        powers = np.array([0], dtype=np.int32)
+        step = x
+        while len(powers) < m:
+            powers = np.concatenate([powers, A.mul_vec(powers, step).astype(np.int32)])
+            step = A.mul(step, step)
+        powers = powers[:m]
+        cyclic_of[powers[np.gcd(np.arange(m), m) == 1]] = len(cyclics)
+        cyclics.append(np.sort(powers))
+    return cyclic_of, cyclics
+
+
 def _central_subgroup_families(A: FiniteGroup, cap: int) -> list[np.ndarray]:
     """All subgroups of an abelian group, as sorted member arrays.
 
@@ -216,20 +236,27 @@ def _central_subgroup_families(A: FiniteGroup, cap: int) -> list[np.ndarray]:
     outside element and closing.  Every subgroup is reached through the
     chain that always adjoins its smallest missing element; along such a
     chain the adjoined elements strictly increase, so extensions are
-    restricted to elements larger than the last one adjoined.  Raises
-    CenterTooLarge past ``cap``.
+    restricted to elements larger than the last one adjoined.  Because A
+    is abelian, <H, x> = H·<x> is already a subgroup, so closing is one
+    product of H with the cyclic subgroup <x>; elements generating a
+    cyclic subgroup already joined with H give the same H·<x> and are
+    skipped.  Raises CenterTooLarge past ``cap``.
     """
+    cyclic_of, cyclics = _cyclic_subgroups(A)
     seen = {(0,)}
     queue: list[tuple[np.ndarray, int]] = [(np.array([0], dtype=np.int32), 0)]
     out = [queue[0][0]]
     while queue:
         H, last = queue.pop()
-        inside = set(int(v) for v in H)
-        for x in range(last + 1, A.order):
-            if x in inside:
-                continue
-            new = _closure_members(A, inside | {x})
-            key = tuple(int(v) for v in new)
+        inside = np.zeros(A.order, dtype=bool)
+        inside[H] = True
+        candidates = np.arange(last + 1, A.order)
+        candidates = candidates[~inside[candidates]]
+        _, first = np.unique(cyclic_of[candidates], return_index=True)
+        for x in candidates[np.sort(first)].tolist():
+            C = cyclics[cyclic_of[x]]
+            new = np.unique(A.mul_vec(H[:, None], C[None, :])).astype(np.int32)
+            key = tuple(new.tolist())
             if key in seen:
                 continue
             seen.add(key)

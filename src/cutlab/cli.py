@@ -44,7 +44,7 @@ from .errors import (
     OrderCapExceeded,
     ParseError,
 )
-from .group_core import FiniteGroup, prime_factors
+from .group_core import FiniteGroup, max_order_cap, prime_factors
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 2
@@ -61,7 +61,7 @@ def _require(payload: dict, key: str, types, kind: str):
     if key not in payload:
         raise InvalidParameters(f"{kind} spec is missing the {key!r} field")
     value = payload[key]
-    if not isinstance(value, types):
+    if not isinstance(value, types) or isinstance(value, bool):
         raise InvalidParameters(
             f"{kind} spec field {key!r} has the wrong type ({type(value).__name__})"
         )
@@ -69,7 +69,9 @@ def _require(payload: dict, key: str, types, kind: str):
 
 
 def _int_list(values, what: str) -> tuple[int, ...]:
-    if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+    if not isinstance(values, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in values
+    ):
         raise InvalidParameters(f"{what} must be a list of integers")
     return tuple(values)
 
@@ -128,8 +130,12 @@ def _descriptor_from_dict(payload) -> GroupSpecDescriptor:
     raise InvalidParameters(f"unknown group kind {kind!r}")
 
 
-def _validate_descriptor(spec: GroupSpecDescriptor) -> None:
-    """Check constructor invariants eagerly, with informative diagnostics."""
+def _validate_descriptor(spec: GroupSpecDescriptor, cap: int) -> None:
+    """Check constructor invariants eagerly, with informative diagnostics.
+
+    The order cap is checked before primality, so a huge prime parameter
+    is rejected at once instead of being factored.
+    """
     kind = spec.kind
     if kind in ("cyclic", "dicyclic") and spec.n < 1:
         raise InvalidParameters(f"{kind} parameter n must be positive, got {spec.n}")
@@ -150,6 +156,8 @@ def _validate_descriptor(spec: GroupSpecDescriptor) -> None:
             )
     if kind == "heisenberg":
         p = spec.p
+        if p ** 3 > cap:
+            raise OrderCapExceeded(f"order {p}^3 exceeds the cap {cap}")
         pf = prime_factors(p) if p > 1 else {}
         if p < 3 or list(pf.items()) != [(p, 1)]:
             raise InvalidParameters(f"heisenberg parameter must be an odd prime, got {p}")
@@ -173,19 +181,23 @@ def _validate_descriptor(spec: GroupSpecDescriptor) -> None:
             )
     if kind == "product":
         for part in spec.parts:
-            _validate_descriptor(part)
+            _validate_descriptor(part, cap)
     if kind == "quotient":
-        _validate_descriptor(spec.group)
+        _validate_descriptor(spec.group, cap)
 
 
-def parse_group_spec(text: str) -> GroupSpecDescriptor:
-    """Parse and validate a group-spec JSON document."""
+def parse_group_spec(text: str, max_order: int | None = None) -> GroupSpecDescriptor:
+    """Parse and validate a group-spec JSON document.
+
+    ``max_order`` is the order cap the spec will be built under (default:
+    the configured cap).
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", position=exc.pos) from exc
     spec = _descriptor_from_dict(payload)
-    _validate_descriptor(spec)
+    _validate_descriptor(spec, max_order if max_order is not None else max_order_cap())
     return spec
 
 
@@ -408,16 +420,16 @@ def _classification_dict(cls: Classification | None):
 # verbs
 # ---------------------------------------------------------------------------
 
-def _load_spec(path: str) -> GroupSpecDescriptor:
+def _load_spec(path: str, max_order: int | None) -> GroupSpecDescriptor:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_group_spec(fh.read())
+        return parse_group_spec(fh.read(), max_order)
 
 
 def _cmd_analyze(args) -> int:
-    spec = _load_spec(args.specfile)
+    spec = _load_spec(args.specfile, args.max_order)
     started = time.perf_counter()
     G = construct(spec, args.max_order)
-    verdict = decide_cut(G, collect_residues=True)
+    verdict = decide_cut(G)
     cls = classify(G, verdict)
     reports = verify_equivalences(G)
     doc = build_report_document(
@@ -434,7 +446,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec = _load_spec(args.specfile)
+    spec = _load_spec(args.specfile, args.max_order)
     G = construct(spec, args.max_order)
     reports = verify_equivalences(G)
     disagreement = False
@@ -474,7 +486,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    spec = _load_spec(args.specfile)
+    spec = _load_spec(args.specfile, args.max_order)
     G = construct(spec, args.max_order)
     if args.emit_table:
         payload = {

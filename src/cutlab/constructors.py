@@ -278,10 +278,12 @@ def _build_dicyclic(n: int, cap: int) -> FiniteGroup:
 
 
 def _build_heisenberg(p: int, cap: int) -> FiniteGroup:
-    if p < 3 or len(prime_factors(p)) != 1 or list(prime_factors(p).values()) != [1]:
+    if p < 3:
         raise NotAPrime(f"heisenberg parameter must be an odd prime, got {p}")
     order = p ** 3
-    _check_cap(order, cap)
+    _check_cap(order, cap)  # before factoring: trial division of a huge p takes hours
+    if list(prime_factors(p).items()) != [(p, 1)]:
+        raise NotAPrime(f"heisenberg parameter must be an odd prime, got {p}")
     idx = np.arange(order)
     x, rem = np.divmod(idx, p * p)
     y, z = np.divmod(rem, p)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .characterizations import (
     TheoremReport,
@@ -364,13 +364,7 @@ def run_corpus(entries: list[CorpusEntry] | None = None, config: RunConfig | Non
     if config is None:
         config = RunConfig()
     if config.max_order is None:
-        config = RunConfig(
-            max_order=max_order_cap(),
-            parallelism=config.parallelism,
-            check_oracle=config.check_oracle,
-            remark_pairs=config.remark_pairs,
-            remark_product_limit=config.remark_product_limit,
-        )
+        config = replace(config, max_order=max_order_cap())
     started = time.perf_counter()
     if config.parallelism > 1:
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:

@@ -20,35 +20,16 @@ from .group_core import FiniteGroup
 
 
 @dataclass(frozen=True)
-class ClassPowerResidues:
-    """Coprime power residues of one class representative x.
-
-    ``self_residues`` holds the canonical residues j mod o(x) (coprime to
-    o(x)) with x^j conjugate to x; it always contains 1 mod o(x) and is
-    closed under multiplication, i.e. a subgroup of the units mod o(x).
-    ``hits_inverse`` records whether some coprime j lands in the class of
-    x^-1.
-    """
-
-    representative: int
-    order: int
-    self_residues: tuple[int, ...]
-    hits_inverse: bool
-
-
-@dataclass(frozen=True)
 class CutVerdict:
     """Outcome of a cut-property scan.
 
     ``witnesses`` holds (element, exponent) pairs where the power escapes
     both the element's class and its inverse's class; empty iff the group
-    has the property.  ``per_class`` is populated only when residue
-    collection was requested.
+    has the property.
     """
 
     has_cut: bool
     witnesses: tuple[tuple[int, int], ...]
-    per_class: tuple[ClassPowerResidues, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -62,50 +43,29 @@ class Classification:
     central_height_label: int | None
 
 
-def decide_cut(G: FiniteGroup, collect_residues: bool = False) -> CutVerdict:
+def decide_cut(G: FiniteGroup) -> CutVerdict:
     """Scan class representatives for coprime powers escaping x and x^-1.
 
     Scanning representatives only is sound: conjugate elements have
     conjugate powers.  Witnesses are reported as the first failing
     exponent per failing representative, in ascending representative
-    order.  With ``collect_residues`` the scan does not short-circuit and
-    records the full residue data per class.
+    order; the scan of a representative stops at its first failure.
     """
     part = G.conjugacy
     witnesses: list[tuple[int, int]] = []
-    per_class: list[ClassPowerResidues] = []
     for c in range(part.num_classes):
         x = int(part.representatives[c])
         m = G.element_order(x)
         inv_c = int(part.inverse_class[c])
-        first_fail = None
-        residues = {1 % m}
-        hits_inverse = inv_c == c
         y = x
         for j in range(2, m):
             y = G.mul(y, x)
             if math.gcd(j, m) != 1:
                 continue
-            cls = int(part.class_of[y])
-            if cls == c:
-                residues.add(j)
-            elif cls == inv_c:
-                hits_inverse = True
-            elif first_fail is None:
-                first_fail = j
-                if not collect_residues:
-                    break
-        if first_fail is not None:
-            witnesses.append((x, first_fail))
-        if collect_residues:
-            per_class.append(
-                ClassPowerResidues(x, m, tuple(sorted(residues)), hits_inverse)
-            )
-    return CutVerdict(
-        has_cut=not witnesses,
-        witnesses=tuple(witnesses),
-        per_class=tuple(per_class) if collect_residues else None,
-    )
+            if int(part.class_of[y]) not in (c, inv_c):
+                witnesses.append((x, j))
+                break
+    return CutVerdict(has_cut=not witnesses, witnesses=tuple(witnesses))
 
 
 def decide_cut_bruteforce(G: FiniteGroup) -> CutVerdict:
@@ -120,7 +80,7 @@ def decide_cut_bruteforce(G: FiniteGroup) -> CutVerdict:
     inv = np.argmax(table == 0, axis=1).astype(np.int32)
     wx, wj = _kernels.cut_witness_scan(table, inv)
     witnesses = tuple((int(x), int(j)) for x, j in zip(wx, wj))
-    return CutVerdict(has_cut=not witnesses, witnesses=witnesses, per_class=None)
+    return CutVerdict(has_cut=not witnesses, witnesses=witnesses)
 
 
 def classify(G: FiniteGroup, verdict: CutVerdict | None = None) -> Classification:

@@ -1,8 +1,12 @@
 """Each published characterization against the decision engine."""
 
+import numpy as np
 import pytest
 
+from cutlab import group_core
 from cutlab.characterizations import (
+    _central_subgroup_families,
+    _class2_applicable,
     cor_class2,
     prop_class2_factor,
     remark_two_group_sum,
@@ -21,9 +25,10 @@ from cutlab.constructors import (
     product,
     symmetric,
 )
+from cutlab.corpus import builtin_corpus
 from cutlab.cut_engine import decide_cut
 from cutlab.errors import CenterTooLarge, HypothesisViolated
-from cutlab.group_core import direct_product
+from cutlab.group_core import center, direct_product
 
 
 def test_thm_odd_examples():
@@ -133,6 +138,59 @@ def test_prop_class2_factor_center_cap():
     r = prop_class2_factor(construct(abelian([2] * 5)), "central_subgroups")
     assert r.applicable and r.predicted
     assert sum(1 for t in r.trace if t.subject.startswith("N of order")) == 374
+
+
+def _reference_walk(A, cap):
+    """The subgroup walk that re-closes every extension from scratch."""
+    seen = {(0,)}
+    queue = [(np.array([0], dtype=np.int32), 0)]
+    out = [queue[0][0]]
+    while queue:
+        H, last = queue.pop()
+        inside = set(int(v) for v in H)
+        for x in range(last + 1, A.order):
+            if x in inside:
+                continue
+            new = group_core._closure_members(A, inside | {x})
+            key = tuple(int(v) for v in new)
+            if key in seen:
+                continue
+            seen.add(key)
+            if len(seen) > cap:
+                raise CenterTooLarge(f"more than {cap} subgroups")
+            queue.append((new, x))
+            out.append(new)
+    out.sort(key=lambda arr: (len(arr), tuple(arr.tolist())))
+    return out
+
+
+def test_central_subgroup_walk_matches_reference():
+    groups = [construct(e.spec) for e in builtin_corpus()]
+    groups = [G for G in groups if _class2_applicable(G)]
+    groups += [construct(cyclic(64)), construct(abelian([2, 4, 8]))]
+    for G in groups:
+        A = center(G).as_group(name="center")
+        try:
+            want = _reference_walk(A, 1024)
+        except CenterTooLarge:
+            with pytest.raises(CenterTooLarge):
+                _central_subgroup_families(A, 1024)
+            continue
+        got = _central_subgroup_families(A, 1024)
+        assert [a.tolist() for a in got] == [b.tolist() for b in want], G.name
+
+
+def test_central_subgroup_walk_cap_boundary():
+    A = construct(abelian([2] * 5))
+    assert len(_central_subgroup_families(A, 374)) == 374
+    with pytest.raises(CenterTooLarge):
+        _central_subgroup_families(A, 373)
+
+
+def test_prop_class2_factor_large_cyclic():
+    r = prop_class2_factor(construct(cyclic(1024)), "central_subgroups")
+    assert r.applicable and r.predicted is False
+    assert sum(1 for t in r.trace if t.subject.startswith("N of order")) == 11
 
 
 def test_prop_class2_factor_rejects_unknown_mode():

@@ -1,8 +1,14 @@
 """CLI verbs, spec parsing, report rendering, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import cutlab
 
 from cutlab.cli import (
     EXIT_DISAGREEMENT,
@@ -131,6 +137,32 @@ def test_order_cap_exit_code(tmp_path, capsys):
     path = spec_file(tmp_path, {"kind": "cyclic", "n": 500})
     assert main(["analyze", path, "--max-order", "100"]) == EXIT_ORDER_CAP
     capsys.readouterr()
+
+
+def test_bool_is_not_an_integer(tmp_path, capsys):
+    for payload in (
+        {"kind": "cyclic", "n": True},
+        {"kind": "abelian", "factors": [2, True]},
+    ):
+        path = spec_file(tmp_path, payload)
+        assert main(["analyze", path]) == EXIT_PARSE
+        assert "invalid parameters" in capsys.readouterr().err
+
+
+def test_huge_heisenberg_prime_hits_cap_before_factoring(tmp_path):
+    # 2^61 - 1 is prime; trial division of it would run for hours
+    path = spec_file(tmp_path, {"kind": "heisenberg", "p": 2305843009213693951})
+    env = dict(os.environ, PYTHONPATH=str(Path(cutlab.__file__).parents[1]))
+    env.pop("CUTLAB_MAX_ORDER", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cutlab.cli", "analyze", path],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == EXIT_ORDER_CAP
+    assert "order cap exceeded" in proc.stderr
 
 
 # -- verify -------------------------------------------------------------------

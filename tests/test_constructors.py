@@ -115,6 +115,12 @@ def test_heisenberg_rejects_non_prime():
         construct(heisenberg(2))
 
 
+def test_heisenberg_checks_cap_before_primality():
+    # 45 is not prime, but 45^3 exceeds the cap, which is checked first
+    with pytest.raises(OrderCapExceeded):
+        construct(heisenberg(45), max_order=65_536)
+
+
 def test_abelian_factors():
     G = construct(abelian([4, 2]))
     assert G.order == 8 and G.is_abelian

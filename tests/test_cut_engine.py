@@ -98,55 +98,6 @@ def test_oracle_equivalence(spec):
     assert fast.has_cut == naive_ok
 
 
-def test_per_class_residues_structure():
-    """H_x contains 1, is closed under multiplication, and the coverage
-    of the units mod o(x) by H_x and one inverse-hitting coset decides cut."""
-    for spec in (
-        cyclic(5),
-        cyclic(12),
-        metacyclic(7, 3, 2),
-        metacyclic(9, 9, 4),
-        dicyclic(2),
-        symmetric(4),
-    ):
-        G = construct(spec)
-        verdict = decide_cut(G, collect_residues=True)
-        assert verdict.per_class is not None
-        covered_all = True
-        for rec in verdict.per_class:
-            m = rec.order
-            residues = set(rec.self_residues)
-            assert (1 % m) in residues
-            for a in residues:
-                for b in residues:
-                    assert (a * b) % m in residues
-            units = {j % m for j in range(1, m + 1) if math.gcd(j, m) == 1}
-            if m == 1:
-                units = {0}
-            covered = set(residues)
-            if rec.hits_inverse:
-                x = rec.representative
-                inv_class = G.conjugacy.class_of[G.inverse(x)]
-                j0 = next(
-                    (
-                        j
-                        for j in range(1, m + 1)
-                        if math.gcd(j, m) == 1
-                        and G.conjugacy.class_of[G.power(x, j)] == inv_class
-                    ),
-                    None,
-                )
-                if j0 is not None:
-                    covered |= {(j0 * h) % m for h in residues}
-            if covered != units:
-                covered_all = False
-        assert covered_all == verdict.has_cut
-
-
-def test_per_class_skipped_by_default():
-    assert decide_cut(construct(cyclic(6))).per_class is None
-
-
 def test_classify_examples():
     s3 = classify(construct(metacyclic(3, 2, 2)))
     assert s3.real_group and s3.cut and s3.rational
