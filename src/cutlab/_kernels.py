@@ -1,42 +1,26 @@
-"""Hot integer kernels with numba and pure-numpy implementations.
+"""Hot integer kernels, vectorized with numpy.
 
 Three operations dominate runtime on large groups: orbit closure under a
 set of permutations (conjugacy classes), the full associativity scan of a
 Cayley table, and the exhaustive power-map scan used by the brute-force
-cut decider.  Each has a numba ``@njit`` version and a vectorized numpy
-fallback.  The backend is chosen once at import time: set ``CUTLAB_NUMBA=0``
-to force the numpy path (the default is numba whenever it imports).
-
-The numpy implementations are always defined, so tests and benchmarks can
-exercise both paths regardless of the active backend.
+cut decider.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-
-def _env_wants_numba() -> bool:
-    flag = os.environ.get("CUTLAB_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-USE_NUMBA = _env_wants_numba()
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
+# There is one backend; perfbench/run.py:stamp records this flag in every result.
+USE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
 # orbit closure: connected components of x ~ p[x] over a stack of permutations
 # ---------------------------------------------------------------------------
 
-def orbit_labels_numpy(perms: np.ndarray) -> np.ndarray:
+def orbit_labels(perms: np.ndarray) -> np.ndarray:
     """Label every index with the smallest index reachable via ``perms``.
 
     ``perms`` is a (k, n) int array of permutations of 0..n-1; indices x and
@@ -44,8 +28,10 @@ def orbit_labels_numpy(perms: np.ndarray) -> np.ndarray:
     with path compression; labels only decrease, so the fixpoint assigns each
     component its minimum element.
     """
-    n = perms.shape[1] if perms.ndim == 2 else len(perms)
-    labels = np.arange(n, dtype=np.int32)
+    perms = np.ascontiguousarray(perms, dtype=np.int32)
+    if perms.ndim != 2:
+        perms = perms.reshape(1, -1)
+    labels = np.arange(perms.shape[1], dtype=np.int32)
     if perms.size == 0:
         return labels
     while True:
@@ -60,49 +46,13 @@ def orbit_labels_numpy(perms: np.ndarray) -> np.ndarray:
             return labels
 
 
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _orbit_labels_nb(perms: np.ndarray) -> np.ndarray:  # pragma: no cover
-        k, n = perms.shape
-        parent = np.arange(n, dtype=np.int32)
-        for t in range(k):
-            for x in range(n):
-                a = x
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                b = perms[t, x]
-                while parent[b] != b:
-                    parent[b] = parent[parent[b]]
-                    b = parent[b]
-                if a < b:
-                    parent[b] = a
-                elif b < a:
-                    parent[a] = b
-        for x in range(n):
-            r = x
-            while parent[r] != r:
-                r = parent[r]
-            parent[x] = r
-        return parent
-
-
-def orbit_labels(perms: np.ndarray) -> np.ndarray:
-    perms = np.ascontiguousarray(perms, dtype=np.int32)
-    if perms.ndim != 2:
-        perms = perms.reshape(1, -1)
-    if USE_NUMBA:
-        return _orbit_labels_nb(perms)
-    return orbit_labels_numpy(perms)
-
-
 # ---------------------------------------------------------------------------
 # full associativity scan of a Cayley table
 # ---------------------------------------------------------------------------
 
-def first_bad_triple_numpy(table: np.ndarray):
+def first_bad_triple(table: np.ndarray):
     """Return the lexicographically first (i, j, k) with (ij)k != i(jk)."""
+    table = np.ascontiguousarray(table, dtype=np.int32)
     n = table.shape[0]
     for i in range(n):
         lhs = table[table[i], :]
@@ -113,39 +63,11 @@ def first_bad_triple_numpy(table: np.ndarray):
     return None
 
 
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _first_bad_triple_nb(table: np.ndarray) -> np.ndarray:  # pragma: no cover
-        n = table.shape[0]
-        out = np.full(3, -1, dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                ij = table[i, j]
-                for k in range(n):
-                    if table[ij, k] != table[i, table[j, k]]:
-                        out[0] = i
-                        out[1] = j
-                        out[2] = k
-                        return out
-        return out
-
-
-def first_bad_triple(table: np.ndarray):
-    table = np.ascontiguousarray(table, dtype=np.int32)
-    if USE_NUMBA:
-        out = _first_bad_triple_nb(table)
-        if out[0] < 0:
-            return None
-        return int(out[0]), int(out[1]), int(out[2])
-    return first_bad_triple_numpy(table)
-
-
 # ---------------------------------------------------------------------------
 # brute-force cut scan over a dense table
 # ---------------------------------------------------------------------------
 
-def cut_witness_scan_numpy(table: np.ndarray, inv: np.ndarray):
+def cut_witness_scan(table: np.ndarray, inv: np.ndarray):
     """Exhaustive power-map scan of every element of a Cayley table.
 
     For each x (ascending) and each exponent j coprime to the order of x
@@ -154,6 +76,8 @@ def cut_witness_scan_numpy(table: np.ndarray, inv: np.ndarray):
     every group element.  Returns (witness_elements, witness_exponents):
     the first failing exponent per failing element.
     """
+    table = np.ascontiguousarray(table, dtype=np.int32)
+    inv = np.ascontiguousarray(inv, dtype=np.int32)
     n = table.shape[0]
     wx, wj = [], []
     for x in range(1, n):
@@ -176,70 +100,3 @@ def cut_witness_scan_numpy(table: np.ndarray, inv: np.ndarray):
                 wj.append(j)
                 break
     return (np.asarray(wx, dtype=np.int32), np.asarray(wj, dtype=np.int32))
-
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _cut_witness_scan_nb(table, inv):  # pragma: no cover
-        n = table.shape[0]
-        wx = np.empty(n, dtype=np.int32)
-        wj = np.empty(n, dtype=np.int32)
-        count = 0
-        mask = np.zeros(n, dtype=np.bool_)
-        for x in range(1, n):
-            mask[:] = False
-            xi = inv[x]
-            for g in range(n):
-                gi = inv[g]
-                mask[table[table[g, x], gi]] = True
-                mask[table[table[g, xi], gi]] = True
-            m = 1
-            y = x
-            while y != 0:
-                y = table[y, x]
-                m += 1
-            y = x
-            for j in range(2, m):
-                y = table[y, x]
-                # gcd(j, m)
-                a, b = j, m
-                while b:
-                    a, b = b, a % b
-                if a == 1 and not mask[y]:
-                    wx[count] = x
-                    wj[count] = j
-                    count += 1
-                    break
-        return wx[:count].copy(), wj[:count].copy()
-
-
-def cut_witness_scan(table: np.ndarray, inv: np.ndarray):
-    table = np.ascontiguousarray(table, dtype=np.int32)
-    inv = np.ascontiguousarray(inv, dtype=np.int32)
-    if USE_NUMBA:
-        return _cut_witness_scan_nb(table, inv)
-    return cut_witness_scan_numpy(table, inv)
-
-
-def implementations() -> dict:
-    """Backend name -> kernel triple, for benchmarks and equivalence tests."""
-    impls = {
-        "numpy": (orbit_labels_numpy, first_bad_triple_numpy, cut_witness_scan_numpy),
-    }
-    if USE_NUMBA:
-        def _orbit_nb(p):
-            return _orbit_labels_nb(np.ascontiguousarray(p, dtype=np.int32))
-
-        def _triple_nb(t):
-            out = _first_bad_triple_nb(np.ascontiguousarray(t, dtype=np.int32))
-            return None if out[0] < 0 else (int(out[0]), int(out[1]), int(out[2]))
-
-        def _scan_nb(t, i):
-            return _cut_witness_scan_nb(
-                np.ascontiguousarray(t, dtype=np.int32),
-                np.ascontiguousarray(i, dtype=np.int32),
-            )
-
-        impls["numba"] = (_orbit_nb, _triple_nb, _scan_nb)
-    return impls

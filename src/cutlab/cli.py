@@ -15,36 +15,33 @@ Group-spec files are JSON documents with a ``kind`` field::
 
 Reports are canonical JSON (fixed key order; timing is the only
 run-dependent field) or a human-readable text table.  Exit codes:
-0 analysis completed, 2 expectation mismatch, 64 parse error, 65 order
-cap exceeded, 70 internal theorem disagreement.
+0 analysis completed; 1 the spec names no group (``NotAGroup``: a table
+breaks a group axiom; ``NotNormal``: a quotient by a non-normal
+subgroup); 2 expectation mismatch; 64 unreadable spec file, malformed
+JSON or invalid parameters; 65 order cap exceeded; 70 internal theorem
+disagreement.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .characterizations import TheoremReport, verify_equivalences
 from .constructors import (
     GroupSpecDescriptor,
     construct,
+    descriptor_from_dict,
+    validate_spec,
 )
 from .corpus import CorpusResult, RunConfig, builtin_corpus, run_corpus
 from .cut_engine import Classification, CutVerdict, classify, decide_cut
-from .errors import (
-    CutlabError,
-    InvalidMetacyclicParameters,
-    InvalidParameters,
-    NotAPrime,
-    OrderCapExceeded,
-    ParseError,
-)
-from .group_core import FiniteGroup, max_order_cap, prime_factors
+from .errors import CutlabError, InvalidParameters, OrderCapExceeded, ParseError
+from .group_core import FiniteGroup
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 2
@@ -57,147 +54,19 @@ EXIT_DISAGREEMENT = 70
 # spec parsing
 # ---------------------------------------------------------------------------
 
-def _require(payload: dict, key: str, types, kind: str):
-    if key not in payload:
-        raise InvalidParameters(f"{kind} spec is missing the {key!r} field")
-    value = payload[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise InvalidParameters(
-            f"{kind} spec field {key!r} has the wrong type ({type(value).__name__})"
-        )
-    return value
-
-
-def _int_list(values, what: str) -> tuple[int, ...]:
-    if not isinstance(values, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in values
-    ):
-        raise InvalidParameters(f"{what} must be a list of integers")
-    return tuple(values)
-
-
-def _descriptor_from_dict(payload) -> GroupSpecDescriptor:
-    if not isinstance(payload, dict):
-        raise InvalidParameters("group spec must be a JSON object")
-    kind = payload.get("kind")
-    if kind == "cyclic":
-        return GroupSpecDescriptor("cyclic", n=_require(payload, "n", int, kind))
-    if kind == "abelian":
-        factors = _int_list(_require(payload, "factors", list, kind), "factors")
-        return GroupSpecDescriptor("abelian", factors=factors)
-    if kind == "metacyclic":
-        return GroupSpecDescriptor(
-            "metacyclic",
-            m=_require(payload, "m", int, kind),
-            n=_require(payload, "n", int, kind),
-            r=_require(payload, "r", int, kind),
-        )
-    if kind == "dicyclic":
-        return GroupSpecDescriptor("dicyclic", n=_require(payload, "n", int, kind))
-    if kind == "heisenberg":
-        return GroupSpecDescriptor("heisenberg", p=_require(payload, "p", int, kind))
-    if kind == "symmetric":
-        return GroupSpecDescriptor("symmetric", degree=_require(payload, "degree", int, kind))
-    if kind == "permutation":
-        gens = _require(payload, "generators", list, kind)
-        return GroupSpecDescriptor(
-            "permutation",
-            degree=_require(payload, "degree", int, kind),
-            generators=tuple(_int_list(g, "each generator") for g in gens),
-        )
-    if kind == "table":
-        rows = _require(payload, "table", list, kind)
-        return GroupSpecDescriptor(
-            "table",
-            order=_require(payload, "order", int, kind),
-            table=tuple(_int_list(row, "each table row") for row in rows),
-        )
-    if kind == "product":
-        parts = _require(payload, "parts", list, kind)
-        if not parts:
-            raise InvalidParameters("product spec needs at least one part")
-        return GroupSpecDescriptor(
-            "product", parts=tuple(_descriptor_from_dict(p) for p in parts)
-        )
-    if kind == "quotient":
-        return GroupSpecDescriptor(
-            "quotient",
-            group=_descriptor_from_dict(_require(payload, "group", dict, kind)),
-            normal_generators=_int_list(
-                _require(payload, "normal_generators", list, kind), "normal_generators"
-            ),
-        )
-    raise InvalidParameters(f"unknown group kind {kind!r}")
-
-
-def _validate_descriptor(spec: GroupSpecDescriptor, cap: int) -> None:
-    """Check constructor invariants eagerly, with informative diagnostics.
-
-    The order cap is checked before primality, so a huge prime parameter
-    is rejected at once instead of being factored.
-    """
-    kind = spec.kind
-    if kind in ("cyclic", "dicyclic") and spec.n < 1:
-        raise InvalidParameters(f"{kind} parameter n must be positive, got {spec.n}")
-    if kind == "abelian" and (not spec.factors or any(f < 1 for f in spec.factors)):
-        raise InvalidParameters(f"invariant factors must be positive, got {spec.factors}")
-    if kind == "metacyclic":
-        m, n, r = spec.m, spec.n, spec.r
-        if m < 1 or n < 1:
-            raise InvalidParameters(f"metacyclic orders must be positive, got m={m}, n={n}")
-        if math.gcd(r, m) != 1:
-            raise InvalidParameters(
-                f"gcd(r, m) = gcd({r}, {m}) = {math.gcd(r, m)}, expected 1"
-            )
-        residue = pow(r, n, m)
-        if residue != 1 % m:
-            raise InvalidParameters(
-                f"r^n = {r}^{n} ≡ {residue} ≢ 1 (mod {m})"
-            )
-    if kind == "heisenberg":
-        p = spec.p
-        if p ** 3 > cap:
-            raise OrderCapExceeded(f"order {p}^3 exceeds the cap {cap}")
-        pf = prime_factors(p) if p > 1 else {}
-        if p < 3 or list(pf.items()) != [(p, 1)]:
-            raise InvalidParameters(f"heisenberg parameter must be an odd prime, got {p}")
-    if kind in ("symmetric", "permutation") and spec.degree < 1:
-        raise InvalidParameters(f"degree must be positive, got {spec.degree}")
-    if kind == "permutation":
-        for g in spec.generators:
-            if sorted(g) != list(range(spec.degree)):
-                raise InvalidParameters(
-                    f"generator {list(g)} is not a permutation of 0..{spec.degree - 1}"
-                )
-    if kind == "table":
-        if spec.order < 1:
-            raise InvalidParameters(f"table order must be positive, got {spec.order}")
-        if len(spec.table) != spec.order or any(
-            len(row) != spec.order for row in spec.table
-        ):
-            raise InvalidParameters(
-                f"table must be {spec.order}x{spec.order}, got "
-                f"{len(spec.table)} rows"
-            )
-    if kind == "product":
-        for part in spec.parts:
-            _validate_descriptor(part, cap)
-    if kind == "quotient":
-        _validate_descriptor(spec.group, cap)
-
-
 def parse_group_spec(text: str, max_order: int | None = None) -> GroupSpecDescriptor:
     """Parse and validate a group-spec JSON document.
 
     ``max_order`` is the order cap the spec will be built under (default:
-    the configured cap).
+    the configured cap).  The checks are the ones ``construct`` runs.
     """
     try:
-        payload = json.loads(text)
+        spec = descriptor_from_dict(json.loads(text))
+        validate_spec(spec, max_order)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", position=exc.pos) from exc
-    spec = _descriptor_from_dict(payload)
-    _validate_descriptor(spec, max_order if max_order is not None else max_order_cap())
+    except RecursionError:
+        raise ParseError("group spec is nested too deeply") from None
     return spec
 
 
@@ -207,7 +76,10 @@ def parse_group_spec(text: str, max_order: int | None = None) -> GroupSpecDescri
 
 @dataclass
 class ReportDocument:
-    """Everything one analysis run reports about one group."""
+    """Everything one analysis run reports about one group.
+
+    The field order is the key order of the canonical JSON report.
+    """
 
     tool_version: str
     descriptor: dict
@@ -223,10 +95,19 @@ class ReportDocument:
     cut: bool
     inverse_semi_rational: bool
     rational: bool
-    central_height_label: int | None
+    central_height: int | None
     witnesses: list[dict]
     theorem_reports: list[dict]
     seconds: float
+
+
+def _theorem_report_dict(report: TheoremReport) -> dict:
+    return {
+        "name": report.name,
+        "applicable": report.applicable,
+        "predicted": report.predicted,
+        "agrees_with_decider": report.agrees_with_decider,
+    }
 
 
 def build_report_document(
@@ -253,19 +134,11 @@ def build_report_document(
         cut=cls.cut,
         inverse_semi_rational=cls.inverse_semi_rational,
         rational=cls.rational,
-        central_height_label=cls.central_height_label,
+        central_height=cls.central_height_label,
         witnesses=[
             {"element": G.label(x), "exponent": j} for x, j in verdict.witnesses
         ],
-        theorem_reports=[
-            {
-                "name": r.name,
-                "applicable": r.applicable,
-                "predicted": r.predicted,
-                "agrees_with_decider": r.agrees_with_decider,
-            }
-            for r in reports
-        ],
+        theorem_reports=[_theorem_report_dict(r) for r in reports],
         seconds=seconds,
     )
 
@@ -273,27 +146,7 @@ def build_report_document(
 def render_report(doc: ReportDocument, format: str = "text") -> str:
     """Serialize a report document canonically (json) or as a text table."""
     if format == "json":
-        payload = {
-            "tool_version": doc.tool_version,
-            "descriptor": doc.descriptor,
-            "group": doc.group,
-            "order": doc.order,
-            "pi": doc.pi,
-            "solvable": doc.solvable,
-            "nilpotent": doc.nilpotent,
-            "nilpotency_class": doc.nilpotency_class,
-            "eppo": doc.eppo,
-            "real_group": doc.real_group,
-            "exponent": doc.exponent,
-            "cut": doc.cut,
-            "inverse_semi_rational": doc.inverse_semi_rational,
-            "rational": doc.rational,
-            "central_height": doc.central_height_label,
-            "witnesses": doc.witnesses,
-            "theorem_reports": doc.theorem_reports,
-            "seconds": doc.seconds,
-        }
-        return json.dumps(payload, indent=2)
+        return json.dumps(asdict(doc), indent=2)
     lines = [
         f"group: {doc.group}",
         f"order: {doc.order}",
@@ -312,20 +165,22 @@ def render_report(doc: ReportDocument, format: str = "text") -> str:
     lines.append(cut_line)
     lines.append(f"inverse_semi_rational: {_yn(doc.inverse_semi_rational)}")
     lines.append(f"rational: {_yn(doc.rational)}")
-    if doc.central_height_label is not None:
-        lines.append(f"central_height: {doc.central_height_label}")
+    if doc.central_height is not None:
+        lines.append(f"central_height: {doc.central_height}")
     if doc.theorem_reports:
         lines.append("theorems:")
-        for r in doc.theorem_reports:
-            if r["applicable"]:
-                lines.append(
-                    f"  {r['name']}: predicted={_yn(r['predicted'])} "
-                    f"agrees={_yn(r['agrees_with_decider'])}"
-                )
-            else:
-                lines.append(f"  {r['name']}: not applicable")
+        lines += [_theorem_line(r) for r in doc.theorem_reports]
     lines.append(f"seconds: {doc.seconds:.3f}")
     return "\n".join(lines)
+
+
+def _theorem_line(r: dict) -> str:
+    if not r["applicable"]:
+        return f"  {r['name']}: not applicable"
+    return (
+        f"  {r['name']}: predicted={_yn(r['predicted'])} "
+        f"agrees={_yn(r['agrees_with_decider'])}"
+    )
 
 
 def _yn(flag) -> str:
@@ -344,15 +199,7 @@ def render_corpus_result(result: CorpusResult, format: str = "text") -> str:
                     "tags": list(r.tags),
                     "order": r.order,
                     "classification": _classification_dict(r.classification),
-                    "theorem_reports": [
-                        {
-                            "name": rep.name,
-                            "applicable": rep.applicable,
-                            "predicted": rep.predicted,
-                            "agrees_with_decider": rep.agrees_with_decider,
-                        }
-                        for rep in r.reports
-                    ],
+                    "theorem_reports": [_theorem_report_dict(rep) for rep in r.reports],
                     "oracle_agrees": r.oracle_agrees,
                     "expectation_ok": r.expectation_ok,
                     "structural_tags_ok": r.structural_tags_ok,
@@ -421,8 +268,12 @@ def _classification_dict(cls: Classification | None):
 # ---------------------------------------------------------------------------
 
 def _load_spec(path: str, max_order: int | None) -> GroupSpecDescriptor:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_group_spec(fh.read(), max_order)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return parse_group_spec(text, max_order)
 
 
 def _cmd_analyze(args) -> int:
@@ -449,34 +300,23 @@ def _cmd_verify(args) -> int:
     spec = _load_spec(args.specfile, args.max_order)
     G = construct(spec, args.max_order)
     reports = verify_equivalences(G)
-    disagreement = False
     if args.format == "json":
-        payload = []
-        for r in reports:
-            payload.append(
-                {
-                    "name": r.name,
-                    "applicable": r.applicable,
-                    "predicted": r.predicted,
-                    "agrees_with_decider": r.agrees_with_decider,
-                    "trace": [
-                        {"subject": t.subject, "clause": t.clause, "ok": t.ok}
-                        for t in r.trace
-                    ],
-                }
-            )
+        payload = [
+            {
+                **_theorem_report_dict(r),
+                "trace": [
+                    {"subject": t.subject, "clause": t.clause, "ok": t.ok}
+                    for t in r.trace
+                ],
+            }
+            for r in reports
+        ]
         print(json.dumps(payload, indent=2))
     else:
         print(f"group: {spec.describe()}  order: {G.order}")
         for r in reports:
-            if not r.applicable:
-                print(f"  {r.name}: not applicable")
-                continue
-            print(
-                f"  {r.name}: predicted={_yn(r.predicted)} "
-                f"agrees={_yn(r.agrees_with_decider)}"
-            )
-            for t in r.trace:
+            print(_theorem_line(_theorem_report_dict(r)))
+            for t in r.trace if r.applicable else ():
                 if not t.ok:
                     print(f"    fail: {t.subject}: {t.clause}")
     disagreement = any(
@@ -508,11 +348,7 @@ def _cmd_corpus_run(args) -> int:
     entries = builtin_corpus()
     if args.filter:
         entries = [e for e in entries if args.filter in e.tags]
-    config = RunConfig(
-        max_order=args.max_order,
-        parallelism=args.parallel,
-    )
-    result = run_corpus(entries, config)
+    result = run_corpus(entries, RunConfig(max_order=args.max_order))
     rendered = render_corpus_result(result, args.format)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -574,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     crun = corpus_sub.add_parser("run", help="analyze the corpus and check all invariants")
     crun.add_argument("--filter", help="keep only entries carrying this tag")
     crun.add_argument("--max-order", type=int, default=None)
-    crun.add_argument("--parallel", type=int, default=1)
     crun.add_argument("--format", choices=["json", "text"], default="text")
     crun.add_argument("--output", help="write the report to this file")
     crun.set_defaults(func=_cmd_corpus_run)
@@ -591,7 +426,7 @@ def main(argv=None) -> int:
         pos = f" (at offset {exc.position})" if exc.position is not None else ""
         print(f"parse error{pos}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (InvalidParameters, InvalidMetacyclicParameters, NotAPrime) as exc:
+    except InvalidParameters as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OrderCapExceeded as exc:

@@ -1,5 +1,10 @@
 """Declarative group recipes and their realizations.
 
+Every spec kind is one entry of ``KINDS``: its fields, how it is
+described, its one parameter check and its builder.  JSON reading
+(``descriptor_from_dict``), ``to_dict``/``describe``, validation
+(``validate_spec``) and ``construct`` all go through that entry.
+
 Presentation-style families (metacyclic, dicyclic) are realized by exact
 normal-form multiplication rather than coset enumeration; the defining
 relations are cheap to state and tests hold them as the ground truth.
@@ -9,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,22 +31,10 @@ from .group_core import (
     build_from_table,
     direct_product,
     max_order_cap,
+    permutation_images,
     prime_factors,
     quotient,
     subgroup_generated,
-)
-
-KINDS = (
-    "cyclic",
-    "abelian",
-    "metacyclic",
-    "dicyclic",
-    "heisenberg",
-    "symmetric",
-    "permutation",
-    "table",
-    "product",
-    "quotient",
 )
 
 
@@ -68,51 +62,12 @@ class GroupSpecDescriptor:
     def to_dict(self) -> dict:
         """JSON-ready form with a fixed key order (kind first)."""
         out: dict = {"kind": self.kind}
-        if self.kind in ("cyclic", "dicyclic"):
-            out["n"] = self.n
-        elif self.kind == "abelian":
-            out["factors"] = list(self.factors)
-        elif self.kind == "metacyclic":
-            out["m"], out["n"], out["r"] = self.m, self.n, self.r
-        elif self.kind == "heisenberg":
-            out["p"] = self.p
-        elif self.kind == "symmetric":
-            out["degree"] = self.degree
-        elif self.kind == "permutation":
-            out["degree"] = self.degree
-            out["generators"] = [list(g) for g in self.generators]
-        elif self.kind == "table":
-            out["order"] = self.order
-            out["table"] = [list(row) for row in self.table]
-        elif self.kind == "product":
-            out["parts"] = [part.to_dict() for part in self.parts]
-        elif self.kind == "quotient":
-            out["group"] = self.group.to_dict()
-            out["normal_generators"] = list(self.normal_generators)
+        for name, _ in _kind(self.kind).fields:
+            out[name] = _to_json(getattr(self, name))
         return out
 
     def describe(self) -> str:
-        if self.kind == "cyclic":
-            return f"cyclic({self.n})"
-        if self.kind == "abelian":
-            return "abelian(" + "x".join(map(str, self.factors)) + ")"
-        if self.kind == "metacyclic":
-            return f"metacyclic({self.m},{self.n},{self.r})"
-        if self.kind == "dicyclic":
-            return f"dicyclic({self.n})"
-        if self.kind == "heisenberg":
-            return f"heisenberg({self.p})"
-        if self.kind == "symmetric":
-            return f"symmetric({self.degree})"
-        if self.kind == "permutation":
-            return f"permutation(degree={self.degree})"
-        if self.kind == "table":
-            return f"table(order={self.order})"
-        if self.kind == "product":
-            return "product(" + ", ".join(p.describe() for p in self.parts) + ")"
-        if self.kind == "quotient":
-            return f"quotient({self.group.describe()})"
-        return self.kind
+        return _kind(self.kind).describe(self)
 
 
 # -- convenience descriptor builders ----------------------------------------
@@ -169,6 +124,184 @@ def quotient_spec(group: GroupSpecDescriptor, normal_generators) -> GroupSpecDes
     )
 
 
+# -- field shapes: int, GroupSpecDescriptor, or a one-element list of a shape --
+
+def _read(value, shape):
+    """A JSON value as a descriptor field of ``shape``, or None if it has another shape."""
+    if shape is int:
+        return value if type(value) is int else None  # JSON true/false load as bool
+    if shape is GroupSpecDescriptor:
+        return descriptor_from_dict(value) if isinstance(value, dict) else None
+    if not isinstance(value, list):
+        return None
+    if shape[0] is int:  # the common case, kept fast for large tables
+        return tuple(value) if all(type(v) is int for v in value) else None
+    items = tuple(_read(v, shape[0]) for v in value)
+    return None if None in items else items
+
+
+def _to_json(value):
+    if isinstance(value, GroupSpecDescriptor):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+@dataclass(frozen=True)
+class Kind:
+    """Everything known about one spec kind."""
+
+    fields: tuple[tuple[str, object], ...]  # (name, shape) in JSON key order
+    describe: Callable[[GroupSpecDescriptor], str]
+    # check(spec, cap) raises on invalid parameters and returns the group
+    # order when the parameters determine it (else None)
+    check: Callable[[GroupSpecDescriptor, int], "int | None"]
+    build: Callable[[GroupSpecDescriptor, int], FiniteGroup]
+
+
+def _kind(name) -> Kind:
+    if not isinstance(name, str) or name not in KINDS:
+        raise InvalidParameters(f"unknown group kind {name!r}")
+    return KINDS[name]
+
+
+def descriptor_from_dict(payload) -> GroupSpecDescriptor:
+    """Read a descriptor from its JSON form; checks field presence and types only."""
+    if not isinstance(payload, dict):
+        raise InvalidParameters("group spec must be a JSON object")
+    name = payload.get("kind")
+    values = {}
+    for key, shape in _kind(name).fields:
+        if key not in payload:
+            raise InvalidParameters(f"{name} spec is missing the {key!r} field")
+        values[key] = _read(payload[key], shape)
+        if values[key] is None:
+            raise InvalidParameters(f"{name} spec field {key!r} has the wrong type")
+    return GroupSpecDescriptor(name, **values)
+
+
+def validate_spec(spec: GroupSpecDescriptor, max_order: int | None = None) -> int | None:
+    """Check a descriptor's parameters against its kind; the one validator.
+
+    Cheap checks come first, then the order cap, then primality, so a huge
+    prime parameter is rejected at once instead of being factored.
+    Returns the group order when the parameters determine it, else None.
+    """
+    cap = max_order if max_order is not None else max_order_cap()
+    return _kind(spec.kind).check(spec, cap)
+
+
+def construct(spec: GroupSpecDescriptor, max_order: int | None = None) -> FiniteGroup:
+    """Validate a descriptor and realize it as a concrete group."""
+    cap = max_order if max_order is not None else max_order_cap()
+    validate_spec(spec, cap)
+    return KINDS[spec.kind].build(spec, cap)
+
+
+# -- parameter checks ----------------------------------------------------------
+
+def _positive(kind: str, **params):
+    for name, value in params.items():
+        if value < 1:
+            raise InvalidParameters(f"{kind} parameter {name} must be positive, got {value}")
+
+
+def _capped_product(values, cap: int, spec: GroupSpecDescriptor) -> int:
+    """Product of ``values``, raising as soon as a partial product passes the cap."""
+    order = 1
+    for v in values:
+        order *= v
+        if order > cap:
+            raise OrderCapExceeded(f"order of {spec.describe()} exceeds the cap {cap}")
+    return order
+
+
+def _check_element_indices(indices, order: int):
+    for i in indices:
+        if not 0 <= i < order:
+            raise InvalidParameters(
+                f"normal generator {i} is not an element of the parent group "
+                f"(indices 0..{order - 1})"
+            )
+
+
+def _check_cyclic(spec, cap):
+    _positive("cyclic", n=spec.n)
+    return _capped_product([spec.n], cap, spec)
+
+
+def _check_abelian(spec, cap):
+    if not spec.factors or any(f < 1 for f in spec.factors):
+        raise InvalidParameters(f"invariant factors must be positive, got {spec.factors}")
+    return _capped_product(spec.factors, cap, spec)
+
+
+def _check_metacyclic(spec, cap):
+    m, n, r = spec.m, spec.n, spec.r
+    _positive("metacyclic", m=m, n=n)
+    if math.gcd(r, m) != 1:
+        raise InvalidMetacyclicParameters(
+            f"gcd(r, m) = gcd({r}, {m}) = {math.gcd(r, m)}, expected 1"
+        )
+    residue = pow(r, n, m)
+    if residue != 1 % m:
+        raise InvalidMetacyclicParameters(
+            f"r^n = {r}^{n} ≡ {residue} (mod {m}), expected 1"
+        )
+    return _capped_product([m, n], cap, spec)
+
+
+def _check_dicyclic(spec, cap):
+    _positive("dicyclic", n=spec.n)
+    return _capped_product([4, spec.n], cap, spec)
+
+
+def _check_heisenberg(spec, cap):
+    p = spec.p
+    if p < 3:
+        raise NotAPrime(f"heisenberg parameter must be an odd prime, got {p}")
+    order = _capped_product([p, p, p], cap, spec)
+    if list(prime_factors(p).items()) != [(p, 1)]:
+        raise NotAPrime(f"heisenberg parameter must be an odd prime, got {p}")
+    return order
+
+
+def _check_symmetric(spec, cap):
+    _positive("symmetric", degree=spec.degree)
+    return _capped_product(range(2, spec.degree + 1), cap, spec)
+
+
+def _check_permutation(spec, cap):
+    permutation_images(spec.degree, spec.generators)  # raises NotAPermutation
+
+
+def _check_table(spec, cap):
+    _positive("table", order=spec.order)
+    order = _capped_product([spec.order], cap, spec)
+    if len(spec.table) != order or any(len(row) != order for row in spec.table):
+        raise InvalidParameters(
+            f"table must be {order}x{order}, got {len(spec.table)} rows"
+        )
+    return order
+
+
+def _check_product(spec, cap):
+    if not spec.parts:
+        raise InvalidParameters("product spec needs at least one part")
+    orders = [validate_spec(part, cap) for part in spec.parts]
+    if None in orders:
+        return None
+    return _capped_product(orders, cap, spec)
+
+
+def _check_quotient(spec, cap):
+    parent_order = validate_spec(spec.group, cap)
+    if parent_order is not None:
+        _check_element_indices(spec.normal_generators, parent_order)
+    return None
+
+
 # -- label helpers -----------------------------------------------------------
 
 def _pow_str(sym: str, e: int) -> str:
@@ -184,28 +317,19 @@ def _ab_label(i: int, j: int) -> str:
     return " ".join(parts) if parts else "1"
 
 
-# -- realizations ------------------------------------------------------------
+# -- realizations: each runs on a descriptor its kind's check accepted --------
 
-def _check_cap(order: int, cap: int):
-    if order > cap:
-        raise OrderCapExceeded(f"order {order} exceeds the cap {cap}")
-
-
-def _build_cyclic(n: int, cap: int) -> FiniteGroup:
-    if n < 1:
-        raise InvalidParameters(f"cyclic order must be positive, got {n}")
-    _check_cap(n, cap)
+def _build_cyclic(spec, cap) -> FiniteGroup:
+    n = spec.n
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     labels = tuple(_pow_str("g", i) or "1" for i in range(n))
-    return TableGroup(table, (1,) if n > 1 else (0,), labels, name=f"cyclic({n})")
+    return TableGroup(table, (1,) if n > 1 else (0,), labels, name=spec.describe())
 
 
-def _build_abelian(factors: tuple[int, ...], cap: int) -> FiniteGroup:
-    if not factors or any(f < 1 for f in factors):
-        raise InvalidParameters(f"invariant factors must be positive, got {factors}")
+def _build_abelian(spec, cap) -> FiniteGroup:
+    factors = spec.factors
     order = math.prod(factors)
-    _check_cap(order, cap)
     idx = np.arange(order)
     strides = []
     s = order
@@ -222,24 +346,12 @@ def _build_abelian(factors: tuple[int, ...], cap: int) -> FiniteGroup:
     labels = tuple(
         "(" + ",".join(str(int(r[i])) for r in residues) + ")" for i in range(order)
     )
-    name = "abelian(" + "x".join(map(str, factors)) + ")"
-    return TableGroup(table, gens or (0,), labels, name=name)
+    return TableGroup(table, gens or (0,), labels, name=spec.describe())
 
 
-def _build_metacyclic(m: int, n: int, r: int, cap: int) -> FiniteGroup:
-    if m < 1 or n < 1:
-        raise InvalidParameters(f"metacyclic orders must be positive, got m={m}, n={n}")
-    if math.gcd(r, m) != 1:
-        raise InvalidMetacyclicParameters(
-            f"gcd(r, m) = gcd({r}, {m}) = {math.gcd(r, m)}, expected 1"
-        )
-    residue = pow(r, n, m)
-    if residue != 1 % m:
-        raise InvalidMetacyclicParameters(
-            f"r^n = {r}^{n} ≡ {residue} (mod {m}), expected 1"
-        )
+def _build_metacyclic(spec, cap) -> FiniteGroup:
+    m, n, r = spec.m, spec.n, spec.r
     order = m * n
-    _check_cap(order, cap)
     # b a b^-1 = a^t with t*r = 1 (mod m) realizes the relation b^-1 a b = a^r
     t = pow(r, -1, m) if m > 1 else 0
     tpow = np.array([pow(t, j, m) if m > 1 else 0 for j in range(n)], dtype=np.int64)
@@ -255,14 +367,12 @@ def _build_metacyclic(m: int, n: int, r: int, cap: int) -> FiniteGroup:
     if n > 1:
         gens.append(m)
     labels = tuple(_ab_label(int(i), int(j)) for i, j in zip(i1, j1))
-    return TableGroup(table, gens or (0,), labels, name=f"metacyclic({m},{n},{r})")
+    return TableGroup(table, gens or (0,), labels, name=spec.describe())
 
 
-def _build_dicyclic(n: int, cap: int) -> FiniteGroup:
-    if n < 1:
-        raise InvalidParameters(f"dicyclic parameter must be positive, got {n}")
+def _build_dicyclic(spec, cap) -> FiniteGroup:
+    n = spec.n
     order = 4 * n
-    _check_cap(order, cap)
     two_n = 2 * n
     idx = np.arange(order)
     i1, j1 = (idx % two_n)[:, None], (idx // two_n)[:, None]
@@ -274,16 +384,12 @@ def _build_dicyclic(n: int, cap: int) -> FiniteGroup:
     jnew = jnew % 2
     table = jnew * two_n + inew
     labels = tuple(_ab_label(int(k % two_n), int(k // two_n)) for k in idx)
-    return TableGroup(table, (1, two_n), labels, name=f"dicyclic({n})")
+    return TableGroup(table, (1, two_n), labels, name=spec.describe())
 
 
-def _build_heisenberg(p: int, cap: int) -> FiniteGroup:
-    if p < 3:
-        raise NotAPrime(f"heisenberg parameter must be an odd prime, got {p}")
+def _build_heisenberg(spec, cap) -> FiniteGroup:
+    p = spec.p
     order = p ** 3
-    _check_cap(order, cap)  # before factoring: trial division of a huge p takes hours
-    if list(prime_factors(p).items()) != [(p, 1)]:
-        raise NotAPrime(f"heisenberg parameter must be an odd prime, got {p}")
     idx = np.arange(order)
     x, rem = np.divmod(idx, p * p)
     y, z = np.divmod(rem, p)
@@ -295,51 +401,85 @@ def _build_heisenberg(p: int, cap: int) -> FiniteGroup:
         + ((z1 + z2 + x1 * y2) % p)
     )
     labels = tuple(f"({a},{b},{c})" for a, b, c in zip(x, y, z))
-    return TableGroup(table, (p * p, p), labels, name=f"heisenberg({p})")
+    return TableGroup(table, (p * p, p), labels, name=spec.describe())
 
 
-def _build_symmetric(degree: int, cap: int) -> FiniteGroup:
-    if degree < 1:
-        raise InvalidParameters(f"symmetric degree must be positive, got {degree}")
+def _build_symmetric(spec, cap) -> FiniteGroup:
+    degree = spec.degree
     if degree == 1:
         G = build_from_permutations(1, [[0]], max_order=cap)
     else:
         swap = [1, 0] + list(range(2, degree))
         cycle = list(range(1, degree)) + [0]
         G = build_from_permutations(degree, [swap, cycle], max_order=cap)
-    G.name = f"symmetric({degree})"
+    G.name = spec.describe()
     return G
 
 
-def construct(spec: GroupSpecDescriptor, max_order: int | None = None) -> FiniteGroup:
-    """Realize a descriptor as a concrete group."""
-    cap = max_order if max_order is not None else max_order_cap()
-    kind = spec.kind
-    if kind == "cyclic":
-        return _build_cyclic(spec.n, cap)
-    if kind == "abelian":
-        return _build_abelian(spec.factors, cap)
-    if kind == "metacyclic":
-        return _build_metacyclic(spec.m, spec.n, spec.r, cap)
-    if kind == "dicyclic":
-        return _build_dicyclic(spec.n, cap)
-    if kind == "heisenberg":
-        return _build_heisenberg(spec.p, cap)
-    if kind == "symmetric":
-        return _build_symmetric(spec.degree, cap)
-    if kind == "permutation":
-        return build_from_permutations(spec.degree, spec.generators, max_order=cap)
-    if kind == "table":
-        return build_from_table(spec.order, spec.table, max_order=cap)
-    if kind == "product":
-        if not spec.parts:
-            raise InvalidParameters("product requires at least one part")
-        G = construct(spec.parts[0], cap)
-        for part in spec.parts[1:]:
-            G = direct_product(G, construct(part, cap), max_order=cap)
-        return G
-    if kind == "quotient":
-        parent = construct(spec.group, cap)
-        N = subgroup_generated(parent, spec.normal_generators)
-        return quotient(parent, N)
-    raise InvalidParameters(f"unknown group kind {kind!r}")
+def _build_product(spec, cap) -> FiniteGroup:
+    G = construct(spec.parts[0], cap)
+    for part in spec.parts[1:]:
+        G = direct_product(G, construct(part, cap), max_order=cap)
+    return G
+
+
+def _build_quotient(spec, cap) -> FiniteGroup:
+    parent = construct(spec.group, cap)
+    # the check could not bound the indices when the parent's order needs a build
+    _check_element_indices(spec.normal_generators, parent.order)
+    return quotient(parent, subgroup_generated(parent, spec.normal_generators))
+
+
+KINDS: dict[str, Kind] = {
+    "cyclic": Kind(
+        (("n", int),), lambda s: f"cyclic({s.n})", _check_cyclic, _build_cyclic
+    ),
+    "abelian": Kind(
+        (("factors", [int]),),
+        lambda s: "abelian(" + "x".join(map(str, s.factors)) + ")",
+        _check_abelian,
+        _build_abelian,
+    ),
+    "metacyclic": Kind(
+        (("m", int), ("n", int), ("r", int)),
+        lambda s: f"metacyclic({s.m},{s.n},{s.r})",
+        _check_metacyclic,
+        _build_metacyclic,
+    ),
+    "dicyclic": Kind(
+        (("n", int),), lambda s: f"dicyclic({s.n})", _check_dicyclic, _build_dicyclic
+    ),
+    "heisenberg": Kind(
+        (("p", int),), lambda s: f"heisenberg({s.p})", _check_heisenberg, _build_heisenberg
+    ),
+    "symmetric": Kind(
+        (("degree", int),),
+        lambda s: f"symmetric({s.degree})",
+        _check_symmetric,
+        _build_symmetric,
+    ),
+    "permutation": Kind(
+        (("degree", int), ("generators", [[int]])),
+        lambda s: f"permutation(degree={s.degree})",
+        _check_permutation,
+        lambda s, cap: build_from_permutations(s.degree, s.generators, max_order=cap),
+    ),
+    "table": Kind(
+        (("order", int), ("table", [[int]])),
+        lambda s: f"table(order={s.order})",
+        _check_table,
+        lambda s, cap: build_from_table(s.order, s.table, max_order=cap),
+    ),
+    "product": Kind(
+        (("parts", [GroupSpecDescriptor]),),
+        lambda s: "product(" + ", ".join(p.describe() for p in s.parts) + ")",
+        _check_product,
+        _build_product,
+    ),
+    "quotient": Kind(
+        (("group", GroupSpecDescriptor), ("normal_generators", [int])),
+        lambda s: f"quotient({s.group.describe()})",
+        _check_quotient,
+        _build_quotient,
+    ),
+}

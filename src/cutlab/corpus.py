@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .characterizations import (
@@ -108,13 +107,14 @@ class RemarkPairResult:
     agrees: bool
 
 
+# remark pairs H x K are checked only up to this product order
+REMARK_PRODUCT_LIMIT = 1024
+
+
 @dataclass
 class RunConfig:
     max_order: int | None = None
-    parallelism: int = 1
-    check_oracle: bool = True
     remark_pairs: bool = True
-    remark_product_limit: int = 1024
 
 
 @dataclass
@@ -305,13 +305,12 @@ def _analyze_entry(entry: CorpusEntry, config: RunConfig) -> EntryResult:
         cls = classify(G, verdict)
         result.classification = cls
         result.reports = verify_equivalences(G)
-        if config.check_oracle:
-            oracle = decide_cut_bruteforce(G)
-            result.oracle_agrees = oracle.has_cut == verdict.has_cut
-            if G.is_abelian:
-                exponent = G.profile.exponent
-                expected = 4 % exponent == 0 or 6 % exponent == 0
-                result.abelian_oracle_ok = oracle.has_cut == expected
+        oracle = decide_cut_bruteforce(G)
+        result.oracle_agrees = oracle.has_cut == verdict.has_cut
+        if G.is_abelian:
+            exponent = G.profile.exponent
+            expected = 4 % exponent == 0 or 6 % exponent == 0
+            result.abelian_oracle_ok = oracle.has_cut == expected
         if "cut-expected" in entry.tags and not cls.cut:
             result.expectation_ok = False
         if "noncut-expected" in entry.tags and cls.cut:
@@ -341,7 +340,7 @@ def _run_remark_pairs(
     out = []
     for left_id, H in eligible:
         for right_id, K in eligible:
-            if H.order * K.order > config.remark_product_limit:
+            if H.order * K.order > REMARK_PRODUCT_LIMIT:
                 continue
             report = remark_two_group_sum(H, K)
             out.append(
@@ -366,11 +365,7 @@ def run_corpus(entries: list[CorpusEntry] | None = None, config: RunConfig | Non
     if config.max_order is None:
         config = replace(config, max_order=max_order_cap())
     started = time.perf_counter()
-    if config.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            analyzed = list(pool.map(lambda e: _analyze_entry(e, config), entries))
-    else:
-        analyzed = [_analyze_entry(e, config) for e in entries]
+    analyzed = [_analyze_entry(e, config) for e in entries]
     analyzed.sort(key=lambda r: r.entry_id)
     by_id = {r.entry_id: r for r in analyzed}
 

@@ -12,19 +12,23 @@ class NotAGroup(CutlabError):
     """
 
 
-class NotAPermutation(CutlabError):
-    """A generator image sequence is not a bijection on 0..degree-1."""
-
-
 class OrderCapExceeded(CutlabError):
     """A construction would exceed the configured maximum group order."""
 
 
-class NotAPrime(CutlabError):
+class InvalidParameters(CutlabError):
+    """A group-spec document is well-formed but its parameters are invalid."""
+
+
+class NotAPermutation(InvalidParameters):
+    """A generator image sequence is not a bijection on 0..degree-1."""
+
+
+class NotAPrime(InvalidParameters):
     """A parameter that must be an (odd) prime is not."""
 
 
-class InvalidMetacyclicParameters(CutlabError):
+class InvalidMetacyclicParameters(InvalidParameters):
     """Metacyclic parameters fail gcd(r, m) = 1 or r^n = 1 (mod m)."""
 
 
@@ -51,6 +55,3 @@ class ParseError(CutlabError):
         super().__init__(message)
         self.position = position
 
-
-class InvalidParameters(CutlabError):
-    """A group-spec document is well-formed but its parameters are invalid."""

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import NotAGroup, NotAPermutation, NotNormal, OrderCapExceeded
+from .errors import InvalidParameters, NotAGroup, NotAPermutation, NotNormal, OrderCapExceeded
 
 DEFAULT_MAX_ORDER = 65_536
 ASSOC_FULL_LIMIT = 256
@@ -31,9 +31,12 @@ ASSOC_SAMPLE_SEED = 0xC07
 def max_order_cap() -> int:
     """Configured maximum group order (env CUTLAB_MAX_ORDER overrides)."""
     raw = os.environ.get("CUTLAB_MAX_ORDER")
-    if raw:
+    if not raw:
+        return DEFAULT_MAX_ORDER
+    try:
         return int(raw)
-    return DEFAULT_MAX_ORDER
+    except ValueError:
+        raise InvalidParameters(f"CUTLAB_MAX_ORDER must be an integer, got {raw!r}") from None
 
 
 def prime_factors(n: int) -> dict[int, int]:
@@ -534,13 +537,8 @@ def _perm_cycle_label(img: np.ndarray) -> str:
     return "".join(cycles) if cycles else "()"
 
 
-def build_from_permutations(degree: int, gens, max_order: int | None = None) -> FiniteGroup:
-    """Close a set of permutation generators under composition (BFS order).
-
-    Elements are indexed in breadth-first discovery order starting from the
-    identity; multiplication composes image sequences on demand.
-    """
-    cap = max_order if max_order is not None else max_order_cap()
+def permutation_images(degree: int, gens) -> list[np.ndarray]:
+    """Generator image arrays; raises NotAPermutation unless each is a bijection."""
     if degree < 1:
         raise NotAPermutation("degree must be positive")
     gen_imgs = []
@@ -551,7 +549,17 @@ def build_from_permutations(degree: int, gens, max_order: int | None = None) -> 
         gen_imgs.append(arr)
     if not gen_imgs:
         raise NotAPermutation("at least one generator is required")
+    return gen_imgs
 
+
+def build_from_permutations(degree: int, gens, max_order: int | None = None) -> FiniteGroup:
+    """Close a set of permutation generators under composition (BFS order).
+
+    Elements are indexed in breadth-first discovery order starting from the
+    identity; multiplication composes image sequences on demand.
+    """
+    cap = max_order if max_order is not None else max_order_cap()
+    gen_imgs = permutation_images(degree, gens)
     identity = np.arange(degree, dtype=np.int32)
     images = [identity]
     index = {identity.tobytes(): 0}

@@ -19,9 +19,42 @@ from cutlab.cli import (
     main,
     parse_group_spec,
 )
-from cutlab.constructors import metacyclic
+from cutlab.constructors import (
+    abelian,
+    construct,
+    cyclic,
+    dicyclic,
+    heisenberg,
+    metacyclic,
+    permutation,
+    product,
+    quotient_spec,
+    symmetric,
+    table_spec,
+)
 from cutlab.corpus import builtin_corpus
-from cutlab.errors import InvalidParameters, ParseError
+from cutlab.errors import CutlabError, InvalidParameters, ParseError
+
+# at least one invalid spec per kind with parameter checks: (spec, cap)
+INVALID_SPECS = [
+    (cyclic(0), None),
+    (cyclic(1000), 100),
+    (abelian([2, 0]), None),
+    (metacyclic(9, 2, 3), None),
+    (metacyclic(9, 2, 4), None),
+    (dicyclic(0), None),
+    (heisenberg(9), None),
+    (heisenberg(45), 65_536),
+    (symmetric(0), None),
+    (symmetric(9), None),
+    (permutation(3, [(0, 0, 2)]), None),
+    (permutation(3, []), None),
+    (table_spec(2, [[0, 1]]), None),
+    (product(), None),
+    (product(cyclic(50), cyclic(50)), 1000),
+    (quotient_spec(cyclic(4), [9]), None),
+    (quotient_spec(cyclic(4), [-1]), None),
+]
 
 
 def spec_file(tmp_path, payload, name="group.json"):
@@ -53,6 +86,14 @@ def test_parse_rejects_bad_json_with_position():
     assert err.value.position is not None
 
 
+def test_parse_rejects_deep_nesting():
+    text = '{"kind":"cyclic","n":2}'
+    for _ in range(1000):
+        text = '{"kind":"product","parts":[' + text + "]}"
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_group_spec(text)
+
+
 def test_parse_rejects_unknown_kind():
     with pytest.raises(InvalidParameters):
         parse_group_spec('{"kind":"simple","n":60}')
@@ -70,6 +111,28 @@ def test_parse_render_roundtrip_on_corpus_descriptors():
     for entry in builtin_corpus():
         echoed = json.dumps(entry.spec.to_dict())
         assert parse_group_spec(echoed) == entry.spec
+    # one validator: parsing and constructing reject a spec the same way
+    for spec, cap in INVALID_SPECS:
+        with pytest.raises(CutlabError) as parsed:
+            parse_group_spec(json.dumps(spec.to_dict()), cap)
+        with pytest.raises(CutlabError) as built:
+            construct(spec, cap)
+        assert type(parsed.value) is type(built.value), spec
+        assert str(parsed.value) == str(built.value), spec
+
+
+@pytest.mark.parametrize("index", [9, -1])
+def test_quotient_generator_index_out_of_range(tmp_path, capsys, index):
+    spec = {"kind": "quotient", "group": {"kind": "cyclic", "n": 4}, "normal_generators": [index]}
+    with pytest.raises(InvalidParameters, match="normal generator"):
+        parse_group_spec(json.dumps(spec))
+    with pytest.raises(InvalidParameters, match="normal generator"):
+        construct(quotient_spec(cyclic(4), [index]))
+    # a permutation parent has no order before it is built
+    with pytest.raises(InvalidParameters, match="normal generator"):
+        construct(quotient_spec(permutation(3, [(1, 2, 0)]), [index]))
+    assert main(["analyze", spec_file(tmp_path, spec)]) == EXIT_PARSE
+    assert "invalid parameters" in capsys.readouterr().err
 
 
 # -- analyze ------------------------------------------------------------------
@@ -149,20 +212,41 @@ def test_bool_is_not_an_integer(tmp_path, capsys):
         assert "invalid parameters" in capsys.readouterr().err
 
 
-def test_huge_heisenberg_prime_hits_cap_before_factoring(tmp_path):
-    # 2^61 - 1 is prime; trial division of it would run for hours
-    path = spec_file(tmp_path, {"kind": "heisenberg", "p": 2305843009213693951})
+def run_cli(*args, **env_overrides):
+    """Run ``python -m cutlab.cli`` in a subprocess with a clean order cap."""
     env = dict(os.environ, PYTHONPATH=str(Path(cutlab.__file__).parents[1]))
     env.pop("CUTLAB_MAX_ORDER", None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "cutlab.cli", "analyze", path],
+    env.update(env_overrides)
+    return subprocess.run(
+        [sys.executable, "-m", "cutlab.cli", *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=10,
     )
+
+
+def test_huge_heisenberg_prime_hits_cap_before_factoring(tmp_path):
+    # 2^61 - 1 is prime; trial division of it would run for hours
+    path = spec_file(tmp_path, {"kind": "heisenberg", "p": 2305843009213693951})
+    proc = run_cli("analyze", path)
     assert proc.returncode == EXIT_ORDER_CAP
     assert "order cap exceeded" in proc.stderr
+
+
+def test_non_integer_max_order_environment_exits_cleanly(tmp_path):
+    path = spec_file(tmp_path, {"kind": "cyclic", "n": 4})
+    proc = run_cli("analyze", path, CUTLAB_MAX_ORDER="abc")
+    assert proc.returncode == EXIT_PARSE
+    assert "CUTLAB_MAX_ORDER" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_missing_spec_file_exits_cleanly(tmp_path):
+    proc = run_cli("analyze", str(tmp_path / "missing.json"))
+    assert proc.returncode == EXIT_PARSE
+    assert "missing.json" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # -- verify -------------------------------------------------------------------

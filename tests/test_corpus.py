@@ -126,14 +126,3 @@ def test_run_corpus_agreement_counters(corpus_result):
     agg = corpus_result.aggregate
     assert agg["agreements"] + agg["disagreements"] == agg["applicable_reports"]
     assert agg["disagreements"] == 0
-
-
-def test_run_corpus_parallel_matches_serial():
-    entries = [e for e in builtin_corpus() if e.id.startswith("metacyclic")]
-    serial = run_corpus(entries, RunConfig(parallelism=1, remark_pairs=False))
-    threaded = run_corpus(entries, RunConfig(parallelism=4, remark_pairs=False))
-    strip = lambda res: [
-        (r.entry_id, r.order, r.classification, r.oracle_agrees, r.expectation_ok)
-        for r in res.entries
-    ]
-    assert strip(serial) == strip(threaded)

@@ -1,32 +1,23 @@
-"""Backend equivalence: every kernel's numba and numpy paths must agree."""
+"""The numpy kernels against brute-force references and known verdicts."""
 
 import numpy as np
 import pytest
 
-from cutlab import _kernels
+from cutlab._kernels import cut_witness_scan, first_bad_triple, orbit_labels
 from cutlab.constructors import construct, dicyclic, heisenberg, metacyclic
-
-IMPLS = _kernels.implementations()
-
-
-def test_envisaged_backends_present():
-    assert "numpy" in IMPLS
-    if _kernels.USE_NUMBA:
-        assert "numba" in IMPLS
+from cutlab.cut_engine import decide_cut
 
 
 def _random_perms(rng, k, n):
     return np.stack([rng.permutation(n) for _ in range(k)]).astype(np.int32)
 
 
-@pytest.mark.parametrize("name", sorted(IMPLS))
-def test_orbit_labels_matches_bruteforce_components(name):
-    orbit, _, _ = IMPLS[name]
+def test_orbit_labels_matches_bruteforce_components():
     rng = np.random.default_rng(7)
     for trial in range(5):
         n = int(rng.integers(2, 60))
         perms = _random_perms(rng, int(rng.integers(1, 4)), n)
-        labels = orbit(perms)
+        labels = orbit_labels(perms)
         # brute-force union-find for comparison
         parent = list(range(n))
 
@@ -50,24 +41,13 @@ def test_orbit_labels_matches_bruteforce_components(name):
         assert [minlab[expected[x]] for x in range(n)] == list(labels)
 
 
-def test_orbit_labels_backends_agree():
-    rng = np.random.default_rng(3)
-    perms = _random_perms(rng, 3, 200)
-    results = {name: impl[0](perms) for name, impl in IMPLS.items()}
-    baseline = results["numpy"]
-    for labels in results.values():
-        assert np.array_equal(labels, baseline)
-
-
-@pytest.mark.parametrize("name", sorted(IMPLS))
-def test_first_bad_triple(name):
-    _, triple, _ = IMPLS[name]
+def test_first_bad_triple():
     n = 7
     good = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    assert triple(good.astype(np.int32)) is None
+    assert first_bad_triple(good.astype(np.int32)) is None
     bad = good.copy()
     bad[2, 3] = (bad[2, 3] + 1) % n
-    found = triple(bad.astype(np.int32))
+    found = first_bad_triple(bad.astype(np.int32))
     assert found is not None
     i, j, k = found
     assert bad[bad[i, j], k] != bad[i, bad[j, k]]
@@ -83,14 +63,10 @@ def test_first_bad_triple(name):
     ],
 )
 def test_cut_witness_scan_backends_agree(spec, expect_cut):
+    """The brute-force scan kernel and the class-based decider give one verdict."""
     G = construct(spec)
     table = G.dense_table()
     inv = np.argmax(table == 0, axis=1).astype(np.int32)
-    outcomes = {}
-    for name, (_, _, scan) in IMPLS.items():
-        wx, wj = scan(table, inv)
-        outcomes[name] = (list(wx), list(wj))
-        assert (len(wx) == 0) == expect_cut
-    baseline = outcomes["numpy"]
-    for got in outcomes.values():
-        assert got == baseline
+    wx, wj = cut_witness_scan(table, inv)
+    assert (len(wx) == 0) == expect_cut == decide_cut(G).has_cut
+    assert len(wx) == len(wj)
