@@ -24,9 +24,8 @@ from .group_core import (
     center,
     commutator_of_element,
     direct_product,
-    quotient,
 )
-from .cut_engine import decide_cut
+from .cut_engine import central_subgroup_has_cut, decide_cut, quotient_has_cut
 
 
 @dataclass(frozen=True)
@@ -280,7 +279,9 @@ def prop_class2_factor(
     ``per_element``: every [x,G] and every G/[x,G] must have the
     cut-property.  ``central_subgroups``: every subgroup N of the center
     (all of them normal) and every G/N must have it; the subgroups of the
-    abelian center are enumerated exhaustively.
+    abelian center are enumerated exhaustively.  N and G/N are decided on
+    G's own elements; class <= 2 puts every [x,G] inside the center, so N
+    is central in both modes.
     """
     if mode not in ("per_element", "central_subgroups"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -300,9 +301,7 @@ def prop_class2_factor(
             _, sub = commutator_of_element(G, x)
             key = sub.members.tobytes()
             if key not in checked:
-                sub_ok = decide_cut(sub.as_group()).has_cut
-                quot_ok = decide_cut(quotient(G, sub)).has_cut
-                checked[key] = sub_ok and quot_ok
+                checked[key] = central_subgroup_has_cut(G, sub) and quotient_has_cut(G, sub)
             ok = checked[key]
             trace.append(
                 TraceEntry(G.label(x), f"[x,G] (order {sub.order}) and G/[x,G] have cut", ok)
@@ -314,9 +313,7 @@ def prop_class2_factor(
         for sub_members in _central_subgroup_families(A, max_center_subgroups):
             parent_members = Z.members[sub_members]
             N = G.subgroup(parent_members)
-            sub_ok = decide_cut(N.as_group()).has_cut
-            quot_ok = decide_cut(quotient(G, N)).has_cut
-            ok = sub_ok and quot_ok
+            ok = central_subgroup_has_cut(G, N) and quotient_has_cut(G, N)
             trace.append(
                 TraceEntry(
                     f"N of order {N.order}",

@@ -17,14 +17,15 @@ Reports are canonical JSON (fixed key order; timing is the only
 run-dependent field) or a human-readable text table.  Exit codes:
 0 analysis completed; 1 the spec names no group (``NotAGroup``: a table
 breaks a group axiom; ``NotNormal``: a quotient by a non-normal
-subgroup); 2 expectation mismatch; 64 unreadable spec file, malformed
-JSON or invalid parameters; 65 order cap exceeded; 70 internal theorem
+subgroup); 2 expectation mismatch; 64 unreadable spec file, unwritable
+report file, malformed JSON or invalid parameters; 65 order cap exceeded; 70 internal theorem
 disagreement.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -345,17 +346,23 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_corpus_run(args) -> int:
-    entries = builtin_corpus()
-    if args.filter:
-        entries = [e for e in entries if args.filter in e.tags]
-    result = run_corpus(entries, RunConfig(max_order=args.max_order))
-    rendered = render_corpus_result(result, args.format)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
-        print(f"report written to {args.output}")
-    else:
-        print(rendered)
+    # open the report file first, so a bad path fails before the corpus runs
+    try:
+        out = open(args.output, "w", encoding="utf-8") if args.output else None
+    except OSError as exc:
+        print(f"cannot write {args.output}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    with out or contextlib.nullcontext():
+        entries = builtin_corpus()
+        if args.filter:
+            entries = [e for e in entries if args.filter in e.tags]
+        result = run_corpus(entries, RunConfig(max_order=args.max_order))
+        rendered = render_corpus_result(result, args.format)
+        if out is None:
+            print(rendered)
+        else:
+            out.write(rendered + "\n")
+            print(f"report written to {args.output}")
     agg = result.aggregate
     errors = [r.error for r in result.entries if r.error]
     internal_bad = (

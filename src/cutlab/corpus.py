@@ -30,14 +30,20 @@ from .constructors import (
     product,
     symmetric,
 )
-from .cut_engine import Classification, classify, decide_cut, decide_cut_bruteforce
+from .cut_engine import (
+    Classification,
+    central_subgroup_has_cut,
+    classify,
+    decide_cut,
+    decide_cut_bruteforce,
+    quotient_has_cut,
+)
 from .group_core import (
     FiniteGroup,
     _derived_subgroup,
     center,
     max_order_cap,
     prime_factors,
-    quotient,
 )
 
 VALID_TAGS = frozenset(
@@ -250,7 +256,7 @@ def _closure_violations(G: FiniteGroup, has_cut: bool) -> list[str]:
         return []
     out = []
     cen = center(G)
-    if not decide_cut(cen.as_group()).has_cut:
+    if not central_subgroup_has_cut(G, cen):
         out.append("center-as-group")
     normals = {"center": cen, "derived": _derived_subgroup(G)}
     profile = G.profile
@@ -260,7 +266,7 @@ def _closure_violations(G: FiniteGroup, has_cut: bool) -> list[str]:
     for label, handle in normals.items():
         if not handle.is_normal:
             continue
-        if not decide_cut(quotient(G, handle)).has_cut:
+        if not quotient_has_cut(G, handle):
             out.append(f"quotient-by-{label}")
     return out
 
@@ -291,7 +297,10 @@ def _pi_ok(G: FiniteGroup, cls: Classification) -> bool:
     return True
 
 
-def _analyze_entry(entry: CorpusEntry, config: RunConfig) -> EntryResult:
+def _analyze_entry(
+    entry: CorpusEntry, config: RunConfig
+) -> tuple[EntryResult, FiniteGroup | None]:
+    """The entry's result, and the group it built (None if the entry failed)."""
     result = EntryResult(
         entry_id=entry.id,
         descriptor=entry.spec.to_dict(),
@@ -320,23 +329,13 @@ def _analyze_entry(entry: CorpusEntry, config: RunConfig) -> EntryResult:
         result.closure_violations = _closure_violations(G, cls.cut)
     except Exception as exc:  # captured, never aborts the batch
         result.error = f"{type(exc).__name__}: {exc}"
+        G = None
     result.seconds = time.perf_counter() - started
-    return result
+    return result, G
 
 
-def _run_remark_pairs(
-    entries: list[CorpusEntry],
-    results: dict[str, EntryResult],
-    config: RunConfig,
-) -> list[RemarkPairResult]:
-    eligible: list[tuple[str, FiniteGroup]] = []
-    for entry in entries:
-        res = results[entry.id]
-        if res.error or res.classification is None or not res.classification.cut:
-            continue
-        G = construct(entry.spec, config.max_order)
-        if G.profile.p == 2:
-            eligible.append((entry.id, G))
+def _run_remark_pairs(eligible: list[tuple[str, FiniteGroup]]) -> list[RemarkPairResult]:
+    """Check the direct-sum remark on every ordered pair of cut 2-groups."""
     out = []
     for left_id, H in eligible:
         for right_id, K in eligible:
@@ -365,13 +364,21 @@ def run_corpus(entries: list[CorpusEntry] | None = None, config: RunConfig | Non
     if config.max_order is None:
         config = replace(config, max_order=max_order_cap())
     started = time.perf_counter()
-    analyzed = [_analyze_entry(e, config) for e in entries]
+    analyzed = []
+    cut_two_groups: list[tuple[str, FiniteGroup]] = []
+    for entry in entries:
+        result, G = _analyze_entry(entry, config)
+        analyzed.append(result)
+        # the remark pairs reuse the cut 2-groups built here
+        if (
+            config.remark_pairs
+            and G is not None
+            and result.classification.cut
+            and G.profile.p == 2
+        ):
+            cut_two_groups.append((entry.id, G))
     analyzed.sort(key=lambda r: r.entry_id)
-    by_id = {r.entry_id: r for r in analyzed}
-
-    remark = (
-        _run_remark_pairs(entries, by_id, config) if config.remark_pairs else []
-    )
+    remark = _run_remark_pairs(cut_two_groups)
 
     aggregate = {
         "groups_analyzed": len(analyzed),

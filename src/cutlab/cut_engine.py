@@ -3,7 +3,10 @@
 A group has the cut-property exactly when, for every element x and every
 exponent j coprime to the order of x, x^j is conjugate to x or to x^-1.
 ``decide_cut`` scans class representatives using the eagerly built
-conjugacy partition; ``decide_cut_bruteforce`` is the independent oracle:
+conjugacy partition; the same scan decides a central subgroup N
+(``central_subgroup_has_cut``) and a quotient G/N (``quotient_has_cut``)
+on G's own elements, without building either as a group of its own.
+``decide_cut_bruteforce`` is the independent oracle:
 it scans every element and recomputes each conjugacy class from scratch,
 sharing no cached state with the fast path.
 """
@@ -16,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .group_core import FiniteGroup
+from .errors import HypothesisViolated
+from .group_core import FiniteGroup, SubgroupHandle, cosets
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,44 @@ class Classification:
     central_height_label: int | None
 
 
+def _power_map_witnesses(G: FiniteGroup, reps, labels, kernel=None):
+    """Yield the criterion's witnesses (x, j), one per failing representative.
+
+    The scanned group H is given on G's elements: G itself, a subgroup of
+    G (the powers of its elements stay in it) or a quotient G/N, which is
+    never built.  ``labels[y]`` is the class in H of y (of yN for a
+    quotient), ``reps`` holds one G element per class of H, ascending, and
+    ``kernel`` is N's membership mask over G (``None``: N = {identity}).
+    For each x of ``reps`` the order m of xN is the least k >= 1 with x^k
+    in N; the first exponent j in 2..m-1 coprime to m whose power x^j
+    lands outside the classes of x and x^-1 is yielded.
+    """
+    reps = np.asarray(reps)
+    orders = G.element_orders[reps] if kernel is None else _orders_modulo(G, reps, kernel)
+    for x, m in zip(reps.tolist(), orders.tolist()):
+        own, inv = int(labels[x]), int(labels[G.inv_vec[x]])
+        y = x
+        for j in range(2, m):
+            y = G.mul(y, x)
+            if math.gcd(j, m) != 1:
+                continue
+            if int(labels[y]) not in (own, inv):
+                yield x, j
+                break
+
+
+def _orders_modulo(G: FiniteGroup, xs: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Order of xN for each x of ``xs``: the least k >= 1 with x^k in N."""
+    orders = np.zeros(len(xs), dtype=np.int64)
+    y, k = xs, 1
+    while True:
+        orders[(orders == 0) & kernel[y]] = k
+        if orders.all():
+            return orders
+        y = G.mul_vec(y, xs)
+        k += 1
+
+
 def decide_cut(G: FiniteGroup) -> CutVerdict:
     """Scan class representatives for coprime powers escaping x and x^-1.
 
@@ -52,20 +94,40 @@ def decide_cut(G: FiniteGroup) -> CutVerdict:
     order; the scan of a representative stops at its first failure.
     """
     part = G.conjugacy
-    witnesses: list[tuple[int, int]] = []
-    for c in range(part.num_classes):
-        x = int(part.representatives[c])
-        m = G.element_order(x)
-        inv_c = int(part.inverse_class[c])
-        y = x
-        for j in range(2, m):
-            y = G.mul(y, x)
-            if math.gcd(j, m) != 1:
-                continue
-            if int(part.class_of[y]) not in (c, inv_c):
-                witnesses.append((x, j))
-                break
-    return CutVerdict(has_cut=not witnesses, witnesses=tuple(witnesses))
+    witnesses = tuple(_power_map_witnesses(G, part.representatives, part.class_of))
+    return CutVerdict(has_cut=not witnesses, witnesses=witnesses)
+
+
+def central_subgroup_has_cut(G: FiniteGroup, N: SubgroupHandle) -> bool:
+    """Whether a central subgroup N has the cut-property, decided inside G.
+
+    A central N is abelian, so each of its elements is a class of its
+    own and the criterion asks x^j in {x, x^-1}.  Centrality is checked,
+    not assumed: a non-central N raises HypothesisViolated.
+    """
+    for g in G.generators:
+        if not np.array_equal(G.mul_vec(g, N.members), G.mul_vec(N.members, g)):
+            raise HypothesisViolated(
+                f"subgroup of order {N.order} is not central in {G.name}"
+            )
+    return next(_power_map_witnesses(G, N.members, np.arange(G.order)), None) is None
+
+
+def quotient_has_cut(G: FiniteGroup, N: SubgroupHandle) -> bool:
+    """Whether G/N has the cut-property, decided on G's own elements.
+
+    The classes of G/N are the orbits of the cosets under conjugation by
+    G's generators, the same orbits ``quotient`` would find on its table.
+    """
+    reps, coset_id = cosets(G, N)
+    perms = np.stack([coset_id[G.conj_perm(g)[reps]] for g in G.generators])
+    coset_class = _kernels.orbit_labels(perms)
+    kernel = np.zeros(G.order, dtype=bool)
+    kernel[N.members] = True
+    witnesses = _power_map_witnesses(
+        G, reps[np.unique(coset_class)], coset_class[coset_id], kernel
+    )
+    return next(witnesses, None) is None
 
 
 def decide_cut_bruteforce(G: FiniteGroup) -> CutVerdict:

@@ -5,7 +5,8 @@ Three storage backends cover all constructions: a dense Cayley table, a
 permutation-image backend that composes images on demand (never
 materializing the n x n table), and a componentwise direct-product backend.
 Conjugacy classes are computed once at build time as orbits under
-conjugation by the generator set; all other structural computations
+conjugation by the generator set, as a class id per element; the member
+list of each class is built on demand.  All other structural computations
 (center, subgroup closure, quotients, series) are derived lazily.
 """
 
@@ -64,17 +65,26 @@ class ConjugacyPartition:
 
     Class ids are assigned by ascending smallest member, so the identity
     class is always id 0 and ``representatives[c]`` is the least element
-    of class c.
+    of class c.  The per-class member arrays are built on first access.
     """
 
     class_of: np.ndarray
     representatives: np.ndarray
-    class_members: tuple[np.ndarray, ...]
     inverse_class: np.ndarray
 
     @property
     def num_classes(self) -> int:
         return len(self.representatives)
+
+    @cached_property
+    def class_members(self) -> tuple[np.ndarray, ...]:
+        """Sorted member array of each class, by class id."""
+        by_class = np.argsort(self.class_of, kind="stable").astype(np.int32)
+        counts = np.bincount(self.class_of, minlength=self.num_classes)
+        members = tuple(np.split(by_class, np.cumsum(counts)[:-1]))
+        for arr in members:
+            arr.flags.writeable = False
+        return members
 
     def class_size(self, c: int) -> int:
         return len(self.class_members[c])
@@ -136,16 +146,10 @@ class FiniteGroup:
         labels = _kernels.orbit_labels(perms)
         reps = np.unique(labels)
         class_of = np.searchsorted(reps, labels).astype(np.int32)
-        order_by_class = np.argsort(class_of, kind="stable")
-        counts = np.bincount(class_of, minlength=len(reps))
-        members = tuple(
-            np.sort(m).astype(np.int32)
-            for m in np.split(order_by_class, np.cumsum(counts)[:-1])
-        )
         inverse_class = class_of[self.inv_vec[reps]].astype(np.int32)
-        for arr in (class_of, reps, inverse_class, *members):
+        for arr in (class_of, reps, inverse_class):
             arr.flags.writeable = False
-        return ConjugacyPartition(class_of, reps.astype(np.int32), members, inverse_class)
+        return ConjugacyPartition(class_of, reps.astype(np.int32), inverse_class)
 
     # -- generic operations -------------------------------------------------
 
@@ -631,15 +635,19 @@ def commutator_of_element(G: FiniteGroup, x: int):
     return comms.astype(np.int32), subgroup_generated(G, comms, normal_closure=True)
 
 
-def quotient(G: FiniteGroup, N: SubgroupHandle) -> FiniteGroup:
-    """Quotient group on cosets, each named by its smallest member."""
+def cosets(G: FiniteGroup, N: SubgroupHandle) -> tuple[np.ndarray, np.ndarray]:
+    """Cosets of a normal N: their smallest members, ascending, and each element's coset id."""
     if not N.is_normal:
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.name}")
     everyone = np.arange(G.order)
-    cosets = G.mul_vec(everyone[:, None], N.members[None, :])
-    rep_of = cosets.min(axis=1)
+    rep_of = G.mul_vec(everyone[:, None], N.members[None, :]).min(axis=1)
     reps = np.unique(rep_of)
-    coset_id = np.searchsorted(reps, rep_of)
+    return reps, np.searchsorted(reps, rep_of)
+
+
+def quotient(G: FiniteGroup, N: SubgroupHandle) -> FiniteGroup:
+    """Quotient group on cosets, each named by its smallest member."""
+    reps, coset_id = cosets(G, N)
     raw = G.mul_vec(reps[:, None], reps[None, :])
     table = coset_id[raw].astype(np.int32)
     labels = tuple(G.label(int(r)) for r in reps)

@@ -26,9 +26,15 @@ from cutlab.constructors import (
     symmetric,
 )
 from cutlab.corpus import builtin_corpus
-from cutlab.cut_engine import decide_cut
+from cutlab.cut_engine import central_subgroup_has_cut, decide_cut, quotient_has_cut
 from cutlab.errors import CenterTooLarge, HypothesisViolated
-from cutlab.group_core import center, direct_product
+from cutlab.group_core import (
+    _derived_subgroup,
+    center,
+    commutator_of_element,
+    direct_product,
+    quotient,
+)
 
 
 def test_thm_odd_examples():
@@ -178,6 +184,56 @@ def test_central_subgroup_walk_matches_reference():
             continue
         got = _central_subgroup_families(A, 1024)
         assert [a.tolist() for a in got] == [b.tolist() for b in want], G.name
+
+
+def _decided_normal_subgroups(G, Z):
+    """The normal subgroups of G whose N and G/N the package decides, by members."""
+    subs = [Z, _derived_subgroup(G), *G.profile.sylow_subgroups.values()]
+    if _class2_applicable(G):
+        subs += [commutator_of_element(G, int(x))[1] for x in G.conjugacy.representatives]
+        try:
+            families = _central_subgroup_families(Z.as_group(), 1024)
+        except CenterTooLarge:
+            families = []
+        subs += [G.subgroup(Z.members[m]) for m in families]
+    return {N.members.tobytes(): N for N in subs if N.is_normal}.values()
+
+
+def test_in_place_verdicts_match_table_groups():
+    """N and G/N decided in G agree with deciding them as groups of their own.
+
+    Covers every corpus group's center, derived subgroup and Sylow
+    subgroups, and for class <= 2 every [x,G] and every central subgroup;
+    V4 in S4 and the derived subgroups of the non-abelian entries are
+    normal but not central.
+    """
+    groups = [construct(e.spec) for e in builtin_corpus()]
+    S4 = construct(symmetric(4))
+    V4 = S4.subgroup(
+        [0] + [int(x) for m in S4.conjugacy.class_members if len(m) == 3 for x in m]
+    )
+    assert V4.order == 4 and V4.is_normal
+    outcomes = {"N": set(), "G/N": set(), "non-central": 0}
+    checked = 0
+    for G in groups + [S4]:
+        Z = center(G)
+        normals = [V4] if G is S4 else _decided_normal_subgroups(G, Z)
+        for N in normals:
+            quot_ok = decide_cut(quotient(G, N)).has_cut
+            assert quotient_has_cut(G, N) == quot_ok, (G.name, N.order)
+            outcomes["G/N"].add(quot_ok)
+            if np.isin(N.members, Z.members).all():
+                sub_ok = decide_cut(N.as_group()).has_cut
+                assert central_subgroup_has_cut(G, N) == sub_ok, (G.name, N.order)
+                outcomes["N"].add(sub_ok)
+            else:
+                with pytest.raises(HypothesisViolated):
+                    central_subgroup_has_cut(G, N)
+                outcomes["non-central"] += 1
+            checked += 1
+    assert outcomes["N"] == outcomes["G/N"] == {True, False}
+    assert outcomes["non-central"] > 10
+    assert checked > 2000
 
 
 def test_central_subgroup_walk_cap_boundary():

@@ -352,3 +352,13 @@ def test_corpus_run_output_file(tmp_path, capsys):
     assert "report written" in capsys.readouterr().out
     payload = json.loads(out_path.read_text())
     assert payload["aggregate"]["groups_analyzed"] == 2
+
+
+def test_corpus_run_unwritable_output_exits_before_running(tmp_path):
+    # the full corpus takes seconds; a bad path must fail before it starts
+    out_path = tmp_path / "no-such-dir" / "report.json"
+    proc = run_cli("corpus", "run", "--output", str(out_path))
+    assert proc.returncode == EXIT_PARSE
+    assert "report.json" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -32,6 +32,45 @@ def test_decide_cut_paper_negative():
     assert G.label(x) == "b" and j == 2
 
 
+def _reference_decide_cut(G):
+    """The class-representative loop with its own order walk, kept as a reference."""
+    part = G.conjugacy
+    witnesses = []
+    for c in range(part.num_classes):
+        x = int(part.representatives[c])
+        m = G.element_order(x)
+        y = x
+        for j in range(2, m):
+            y = G.mul(y, x)
+            if math.gcd(j, m) == 1 and part.class_of[y] not in (c, part.inverse_class[c]):
+                witnesses.append((x, j))
+                break
+    return tuple(witnesses)
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (
+            metacyclic(9, 9, 4),  # paper-noncut-81: (b, 2) first
+            ((9, 2), (10, 2), (11, 2), (18, 2), (19, 2), (20, 2), (36, 2), (37, 2), (38, 2),
+             (45, 2), (46, 2), (47, 2), (63, 2), (64, 2), (65, 2), (72, 2), (73, 2), (74, 2)),
+        ),
+        (cyclic(64), tuple((x, 3) for x in range(64) if x % 16)),
+        (
+            product(metacyclic(8, 2, 3), metacyclic(8, 2, 5)),
+            ((17, 3), (18, 3), (19, 3), (22, 3), (25, 3), (27, 3),
+             (81, 3), (82, 3), (83, 3), (86, 3), (89, 3), (91, 3)),
+        ),
+    ],
+)
+def test_decide_cut_witnesses_unchanged(spec, expected):
+    G = construct(spec)
+    v = decide_cut(G)
+    assert v.witnesses == expected == _reference_decide_cut(G)
+    assert not v.has_cut
+
+
 def test_decide_cut_trivial_and_cyclic5():
     assert decide_cut(construct(cyclic(1))).has_cut
     v = decide_cut(construct(cyclic(5)))

@@ -152,9 +152,13 @@ def test_conjugacy_abelian_singletons():
 def test_conjugacy_matches_naive_on_samples():
     for spec in (metacyclic(3, 2, 2), metacyclic(9, 9, 4), dicyclic(4), symmetric(4)):
         G = construct(spec)
-        ours = sorted(
-            tuple(sorted(int(v) for v in m)) for m in G.conjugacy.class_members
-        )
+        part = G.conjugacy
+        assert "class_members" not in vars(part)  # built on first access
+        members = part.class_members
+        for c, m in enumerate(members):
+            assert list(m) == sorted(m) and not m.flags.writeable
+            assert (part.class_of[m] == c).all() and m[0] == part.representatives[c]
+        ours = sorted(tuple(int(v) for v in m) for m in members)
         naive = sorted(tuple(sorted(c)) for c in naive_classes(table_of(G)))
         assert ours == naive
 
