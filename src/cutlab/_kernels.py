@@ -1,9 +1,9 @@
 """Hot integer kernels, vectorized with numpy.
 
 Three operations dominate runtime on large groups: orbit closure under a
-set of permutations (conjugacy classes), the full associativity scan of a
-Cayley table, and the exhaustive power-map scan used by the brute-force
-cut decider.
+set of permutations (conjugacy classes), Light's associativity test of a
+Cayley table over a generating set, and the exhaustive power-map scan used
+by the brute-force cut decider.
 """
 
 from __future__ import annotations
@@ -47,19 +47,24 @@ def orbit_labels(perms: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# full associativity scan of a Cayley table
+# Light's associativity test over a generating set
 # ---------------------------------------------------------------------------
 
-def first_bad_triple(table: np.ndarray):
-    """Return the lexicographically first (i, j, k) with (ij)k != i(jk)."""
+def first_bad_triple(table: np.ndarray, gens):
+    """Return the first (x, g, y) with g in ``gens`` and (xg)y != x(gy), or None.
+
+    Light's test (Clifford & Preston, *Algebraic Theory of Semigroups* I, §1.2):
+    the g with (xg)y = x(gy) for all x, y are closed under the product, so if
+    ``gens`` reach every element from the identity by right multiplication,
+    None means the table is associative.  Two n x n gathers per generator.
+    """
     table = np.ascontiguousarray(table, dtype=np.int32)
-    n = table.shape[0]
-    for i in range(n):
-        lhs = table[table[i], :]
-        rhs = table[i][table]
+    for g in gens:
+        lhs = table[table[:, g], :]
+        rhs = table[:, table[g, :]]
         if not np.array_equal(lhs, rhs):
-            j, k = np.argwhere(lhs != rhs)[0]
-            return int(i), int(j), int(k)
+            x, y = np.argwhere(lhs != rhs)[0]
+            return int(x), int(g), int(y)
     return None
 
 

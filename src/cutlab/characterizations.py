@@ -202,6 +202,9 @@ def cor_class2(G: FiniteGroup) -> TheoremReport:
     return TheoremReport("cor_class2", True, ok_all, tuple(trace))
 
 
+MAX_CENTER_SUBGROUPS = 1024  # larger centers are not enumerated (CenterTooLarge)
+
+
 def _cyclic_subgroups(A: FiniteGroup) -> tuple[np.ndarray, list[np.ndarray]]:
     """Every cyclic subgroup of A once, and the one each element generates.
 
@@ -269,11 +272,7 @@ def _central_subgroup_families(A: FiniteGroup, cap: int) -> list[np.ndarray]:
     return out
 
 
-def prop_class2_factor(
-    G: FiniteGroup,
-    mode: str = "per_element",
-    max_center_subgroups: int = 1024,
-) -> TheoremReport:
+def prop_class2_factor(G: FiniteGroup, mode: str = "per_element") -> TheoremReport:
     """Factor criterion for class-at-most-2 p-groups.
 
     ``per_element``: every [x,G] and every G/[x,G] must have the
@@ -310,7 +309,7 @@ def prop_class2_factor(
     else:
         Z = center(G)
         A = Z.as_group(name="center")
-        for sub_members in _central_subgroup_families(A, max_center_subgroups):
+        for sub_members in _central_subgroup_families(A, MAX_CENTER_SUBGROUPS):
             parent_members = Z.members[sub_members]
             N = G.subgroup(parent_members)
             ok = central_subgroup_has_cut(G, N) and quotient_has_cut(G, N)

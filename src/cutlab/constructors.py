@@ -273,7 +273,28 @@ def _check_symmetric(spec, cap):
 
 
 def _check_permutation(spec, cap):
-    permutation_images(spec.degree, spec.generators)  # raises NotAPermutation
+    imgs = [g.tolist() for g in permutation_images(spec.degree, spec.generators)]
+    # each generator's order and each orbit length divide |G|: bound it before the closure
+    bound = 1
+    for perms in [[g] for g in imgs] + [imgs]:
+        bound = math.lcm(bound, *_orbit_lengths(perms))
+        if bound > cap:
+            raise OrderCapExceeded(f"order of {spec.describe()} exceeds the cap {cap}")
+
+
+def _orbit_lengths(perms: list[list[int]]) -> list[int]:
+    """Sizes of the orbits of the points 0..degree-1 under the permutations."""
+    seen: set[int] = set()
+    lengths = []
+    for start in range(len(perms[0])):
+        if start not in seen:
+            frontier, size = {start}, len(seen)
+            seen.add(start)
+            while frontier:
+                frontier = {p[x] for x in frontier for p in perms} - seen
+                seen |= frontier
+            lengths.append(len(seen) - size)
+    return lengths
 
 
 def _check_table(spec, cap):

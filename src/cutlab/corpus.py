@@ -120,7 +120,6 @@ REMARK_PRODUCT_LIMIT = 1024
 @dataclass
 class RunConfig:
     max_order: int | None = None
-    remark_pairs: bool = True
 
 
 @dataclass
@@ -370,12 +369,7 @@ def run_corpus(entries: list[CorpusEntry] | None = None, config: RunConfig | Non
         result, G = _analyze_entry(entry, config)
         analyzed.append(result)
         # the remark pairs reuse the cut 2-groups built here
-        if (
-            config.remark_pairs
-            and G is not None
-            and result.classification.cut
-            and G.profile.p == 2
-        ):
+        if G is not None and result.classification.cut and G.profile.p == 2:
             cut_two_groups.append((entry.id, G))
     analyzed.sort(key=lambda r: r.entry_id)
     remark = _run_remark_pairs(cut_two_groups)

@@ -33,7 +33,7 @@ from cutlab.constructors import (
     table_spec,
 )
 from cutlab.corpus import builtin_corpus
-from cutlab.errors import CutlabError, InvalidParameters, ParseError
+from cutlab.errors import CutlabError, InvalidParameters, OrderCapExceeded, ParseError
 
 # at least one invalid spec per kind with parameter checks: (spec, cap)
 INVALID_SPECS = [
@@ -232,6 +232,25 @@ def test_huge_heisenberg_prime_hits_cap_before_factoring(tmp_path):
     proc = run_cli("analyze", path)
     assert proc.returncode == EXIT_ORDER_CAP
     assert "order cap exceeded" in proc.stderr
+
+
+def test_permutation_order_bound_hits_cap_before_closure():
+    # one 100000-cycle has order 100000; closing it up to the cap would store
+    # 65536 image arrays of degree 100000
+    cycle = list(range(1, 100_000)) + [0]
+    text = json.dumps({"kind": "permutation", "degree": 100_000, "generators": [cycle]})
+    with pytest.raises(OrderCapExceeded):
+        parse_group_spec(text, 65_536)
+    # S3 on three points: generator orders 2, 2 and one orbit of length 3
+    text = json.dumps({"kind": "permutation", "degree": 3, "generators": [[1, 0, 2], [0, 2, 1]]})
+    with pytest.raises(OrderCapExceeded):
+        parse_group_spec(text, 5)
+    assert parse_group_spec(text, 6).degree == 3
+    # S4 from (0 1 2) and (0 1 2 3): generator orders 3 and 4, one orbit of length 4
+    text = json.dumps({"kind": "permutation", "degree": 4, "generators": [[1, 2, 0, 3], [1, 2, 3, 0]]})
+    with pytest.raises(OrderCapExceeded):
+        parse_group_spec(text, 11)
+    assert parse_group_spec(text, 24).degree == 4
 
 
 def test_non_integer_max_order_environment_exits_cleanly(tmp_path):

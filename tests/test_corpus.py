@@ -95,14 +95,14 @@ def test_run_corpus_empty():
 
 def test_run_corpus_captures_entry_errors():
     entries = [CorpusEntry("too-big", cyclic(4096), frozenset())]
-    result = run_corpus(entries, RunConfig(max_order=100, remark_pairs=False))
+    result = run_corpus(entries, RunConfig(max_order=100))
     assert result.aggregate["errors"] == 1
     assert "OrderCapExceeded" in result.entries[0].error
 
 
 def test_run_corpus_flags_wrong_expectation():
     entries = [CorpusEntry("mislabeled", cyclic(5), frozenset({"cut-expected"}))]
-    result = run_corpus(entries, RunConfig(remark_pairs=False))
+    result = run_corpus(entries, RunConfig())
     assert result.aggregate["expectation_mismatches"] == 1
     assert result.aggregate["disagreements"] == 0
 

@@ -16,12 +16,14 @@ from cutlab.constructors import (
 )
 from cutlab.errors import NotAGroup, NotAPermutation, NotNormal, OrderCapExceeded
 from cutlab.group_core import (
+    TableGroup,
     build_from_permutations,
     build_from_table,
     center,
     commutator_of_element,
     direct_product,
     element_order,
+    greedy_generators,
     power,
     quotient,
     structural_profile,
@@ -83,6 +85,33 @@ def test_table_rejects_nonassociative():
     ]
     with pytest.raises(NotAGroup, match="associativity|identity"):
         build_from_table(5, table)
+
+
+def _cyclic1000_intercalate(a, c):
+    """cyclic(1000) with the intercalate on rows a, a+500 and columns c, c+500 swapped."""
+    idx = np.arange(1000)
+    table = (idx[:, None] + idx[None, :]) % 1000
+    rows = [a, a + 500]
+    table[rows, c], table[rows, c + 500] = table[rows, c + 500], table[rows, c]
+    return table
+
+
+# non-associative Latin squares of order 1000 that a 10,000-triple sample misses
+INTERCALATES_1000 = [(237, 256), (377, 475), (18, 72), (125, 156), (434, 212), (411, 474)]
+
+
+@pytest.mark.parametrize("a, c", INTERCALATES_1000)
+def test_table_rejects_nonassociative_order_1000(a, c):
+    with pytest.raises(NotAGroup, match="associativity fails on triple"):
+        build_from_table(1000, _cyclic1000_intercalate(a, c))
+
+
+@pytest.mark.parametrize("a, c", INTERCALATES_1000)
+def test_validate_group_axioms_rejects_nonassociative_order_1000(a, c):
+    table = _cyclic1000_intercalate(a, c)
+    G = TableGroup(table, greedy_generators(table))
+    with pytest.raises(NotAGroup, match="associativity fails on triple"):
+        validate_group_axioms(G)
 
 
 def test_table_rejects_out_of_range():
