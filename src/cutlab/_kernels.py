@@ -1,9 +1,11 @@
 """Hot integer kernels, vectorized with numpy.
 
 Three operations dominate runtime on large groups: orbit closure under a
-set of permutations (conjugacy classes), Light's associativity test of a
-Cayley table over a generating set, and the exhaustive power-map scan used
-by the brute-force cut decider.
+set of permutations (generator cover and conjugacy classes), Light's
+associativity test of a Cayley table over a generating set, and the
+exhaustive power-map scan used by the brute-force cut decider.  The orbit
+kernel is Shiloach-Vishkin hooking plus pointer jumping: O(log n) rounds of
+whole-array numpy operations, whatever the cycle lengths.
 """
 
 from __future__ import annotations
@@ -24,9 +26,13 @@ def orbit_labels(perms: np.ndarray) -> np.ndarray:
     """Label every index with the smallest index reachable via ``perms``.
 
     ``perms`` is a (k, n) int array of permutations of 0..n-1; indices x and
-    perms[i, x] land in the same component.  Iterated min-label propagation
-    with path compression; labels only decrease, so the fixpoint assigns each
-    component its minimum element.
+    perms[i, x] land in the same component.  Shiloach-Vishkin hooking plus
+    pointer jumping (*J. Algorithms* 3, 1982): while some edge x -- p[x]
+    joins two stars, each star's root hooks onto the smallest root across
+    its edges, then pointer jumping flattens the trees back into stars.
+    Every star merges each round, so there are O(log n) rounds.  A label
+    never exceeds its index and only decreases, so each component ends
+    labelled by its minimum element.
     """
     perms = np.ascontiguousarray(perms, dtype=np.int32)
     if perms.ndim != 2:
@@ -34,16 +40,21 @@ def orbit_labels(perms: np.ndarray) -> np.ndarray:
     labels = np.arange(perms.shape[1], dtype=np.int32)
     if perms.size == 0:
         return labels
+    src = np.tile(labels, perms.shape[0])
+    dst = perms.ravel()
     while True:
-        prev = labels
-        for p in perms:
-            labels = np.minimum(labels, labels[p])
-            pushed = labels.copy()
-            np.minimum.at(pushed, p, labels)
-            labels = pushed
-        labels = labels[labels]
-        if np.array_equal(labels, prev):
+        lu, lv = labels[src], labels[dst]
+        cross = lu != lv
+        if not cross.any():
             return labels
+        lu, lv = lu[cross], lv[cross]
+        np.minimum.at(labels, lu, lv)
+        np.minimum.at(labels, lv, lu)
+        while True:
+            up = labels[labels]
+            if np.array_equal(up, labels):
+                break
+            labels = up
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,10 @@ from .group_core import (
     TableGroup,
     build_from_permutations,
     build_from_table,
+    check_image_budget,
     direct_product,
     max_order_cap,
+    moved_points,
     permutation_images,
     prime_factors,
     quotient,
@@ -273,13 +275,17 @@ def _check_symmetric(spec, cap):
 
 
 def _check_permutation(spec, cap):
-    imgs = [g.tolist() for g in permutation_images(spec.degree, spec.generators)]
-    # each generator's order and each orbit length divide |G|: bound it before the closure
+    gen_imgs = permutation_images(spec.degree, spec.generators)
+    imgs = [g.tolist() for g in gen_imgs]
+    points = moved_points(gen_imgs).size
+    # each generator's order and each orbit length divide |G|: bound it, and the closure's
+    # |G| image rows of the moved points, before the closure
     bound = 1
     for perms in [[g] for g in imgs] + [imgs]:
         bound = math.lcm(bound, *_orbit_lengths(perms))
         if bound > cap:
             raise OrderCapExceeded(f"order of {spec.describe()} exceeds the cap {cap}")
+        check_image_budget(bound, points, f"permutation images of {spec.describe()}")
 
 
 def _orbit_lengths(perms: list[list[int]]) -> list[int]:

@@ -4,6 +4,12 @@ Every group is a set of element indices 0..n-1 with index 0 the identity.
 Three storage backends cover all constructions: a dense Cayley table, a
 permutation-image backend that composes images on demand (never
 materializing the n x n table), and a componentwise direct-product backend.
+The permutation backend maps a composed image row back to its element
+through one sorted index of fixed-width byte keys, so products, inverses
+and tables are whole-array numpy operations at every degree.  Its images
+are stored on the moved points only, and a closure whose images would pass
+PERMUTATION_BYTE_BUDGET bytes raises OrderCapExceeded, up front from the
+order bound of the spec and again while the closure grows.
 Conjugacy classes are computed once at build time as orbits under
 conjugation by the generator set, as a class id per element; the member
 list of each class is built on demand.  All other structural computations
@@ -14,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,6 +29,12 @@ from . import _kernels
 from .errors import InvalidParameters, NotAGroup, NotAPermutation, NotNormal, OrderCapExceeded
 
 DEFAULT_MAX_ORDER = 65_536
+
+# Most bytes of permutation images one closure may store (moved points only).
+PERMUTATION_BYTE_BUDGET = 1 << 30
+
+# Most bytes of composed image rows one PermutationGroup.mul_vec step holds.
+MUL_CHUNK_BYTES = 1 << 24
 
 
 def max_order_cap() -> int:
@@ -90,9 +101,9 @@ class ConjugacyPartition:
 class FiniteGroup:
     """A finite group on element indices 0..order-1 with identity 0.
 
-    Subclasses provide ``mul`` / ``mul_vec``; everything else (inverses,
-    powers, conjugacy, subgroups) is generic.  Instances are immutable
-    after construction and safe to share across threads.
+    Subclasses provide ``mul`` / ``mul_vec`` and ``_compute_inverses``;
+    everything else (powers, conjugacy, subgroups) is generic.  Instances
+    are immutable after construction and safe to share across threads.
     """
 
     identity = 0
@@ -114,11 +125,7 @@ class FiniteGroup:
         raise NotImplementedError
 
     def _compute_inverses(self) -> np.ndarray:
-        inv = np.empty(self.order, dtype=np.int32)
-        for x in range(self.order):
-            row = self.lmul_perm(x)
-            inv[x] = int(np.nonzero(row == 0)[0][0])
-        return inv
+        raise NotImplementedError
 
     # -- finalization (run once by every constructor) ----------------------
 
@@ -269,9 +276,16 @@ class TableGroup(FiniteGroup):
 
 
 class PermutationGroup(FiniteGroup):
-    """Group whose elements are permutation image tuples, composed on demand.
+    """Group whose elements are permutation image rows, composed on demand.
 
-    The Cayley table is never materialized; memory stays O(order * degree).
+    ``images[i]`` is the image row of element i.  Each row is read as one
+    fixed-width byte key (``np.void`` of ``degree * 4`` bytes), and the keys
+    are sorted once here; a composed row is mapped back to its element by
+    ``np.searchsorted`` on that index, with an exact equality check on the
+    key found.  Products, inverses and tables all go through that lookup,
+    so the Cayley table is never materialized and memory stays
+    O(order * degree).  ``build_from_permutations`` keeps ``images`` within
+    ``PERMUTATION_BYTE_BUDGET`` by storing only the moved points.
     """
 
     def __init__(self, images: np.ndarray, generators, labels=None, name="perm"):
@@ -279,29 +293,50 @@ class PermutationGroup(FiniteGroup):
         images.flags.writeable = False
         self.images = images
         self.degree = images.shape[1]
-        self._index = {images[i].tobytes(): i for i in range(images.shape[0])}
+        keys = _row_keys(images)
+        self._key_order = np.argsort(keys, kind="stable").astype(np.int32)
+        # a last key of all-0xff bytes (images of -1) sorts above every image and equals none,
+        # so a searchsorted miss past the end needs no clipping
+        self._sorted_keys = np.append(keys[self._key_order], _row_keys(np.full(self.degree, -1)))
+        if (self._sorted_keys[1:] == self._sorted_keys[:-1]).any():
+            raise NotAGroup("permutation images are not distinct")
         super().__init__(images.shape[0], generators, labels, name)
         self._finalize()
 
+    def _lookup(self, rows: np.ndarray) -> np.ndarray:
+        """Element index of each image row; NotAGroup if a row is not an element."""
+        keys = _row_keys(rows)
+        pos = np.searchsorted(self._sorted_keys, keys)
+        if not (self._sorted_keys[pos] == keys).all():
+            raise NotAGroup("a product of permutations is not an element of the group")
+        return self._key_order[pos]
+
     def mul(self, a: int, b: int) -> int:
-        composed = self.images[a][self.images[b]]
-        return self._index[np.ascontiguousarray(composed).tobytes()]
+        return int(self._lookup(self.images[a][self.images[b]]))
 
     def mul_vec(self, a, b) -> np.ndarray:
         a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-        out = np.empty(a.shape, dtype=np.int32)
-        for pos in np.ndindex(a.shape):
-            out[pos] = self.mul(int(a[pos]), int(b[pos]))
-        return out
+        flat_a, flat_b = a.ravel(), b.ravel()
+        out = np.empty(flat_a.size, dtype=np.int32)
+        step = max(1, MUL_CHUNK_BYTES // (4 * self.degree))
+        for start in range(0, out.size, step):
+            ia, ib = flat_a[start:start + step], flat_b[start:start + step]
+            # row r of the chunk is images[a][images[b]]
+            composed = self.images[ia][np.arange(ia.size)[:, None], self.images[ib]]
+            out[start:start + step] = self._lookup(composed)
+        return out.reshape(a.shape)
 
     def _compute_inverses(self) -> np.ndarray:
-        inv = np.empty(self.order, dtype=np.int32)
-        spots = np.arange(self.degree)
-        for i in range(self.order):
-            back = np.empty(self.degree, dtype=np.int32)
-            back[self.images[i]] = spots
-            inv[i] = self._index[back.tobytes()]
-        return inv
+        back = np.empty_like(self.images)
+        spots = np.broadcast_to(np.arange(self.degree, dtype=np.int32), self.images.shape)
+        np.put_along_axis(back, self.images, spots, axis=-1)
+        return self._lookup(back)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One fixed-width byte key per int32 image row."""
+    rows = np.ascontiguousarray(rows, dtype=np.int32)
+    return rows.view(np.dtype((np.void, 4 * rows.shape[-1]))).reshape(rows.shape[:-1])
 
 
 class ProductGroup(FiniteGroup):
@@ -524,7 +559,8 @@ def _check_group_table(table: np.ndarray, gens=None) -> tuple[int, ...]:
     return gens
 
 
-def _perm_cycle_label(img: np.ndarray) -> str:
+def _perm_cycle_label(img: np.ndarray, points: np.ndarray) -> str:
+    """Cycle notation of an image row on ``points`` (ascending), named by those points."""
     n = len(img)
     seen = [False] * n
     cycles = []
@@ -535,7 +571,7 @@ def _perm_cycle_label(img: np.ndarray) -> str:
         cur, cyc = start, []
         while not seen[cur]:
             seen[cur] = True
-            cyc.append(cur)
+            cyc.append(int(points[cur]))
             cur = int(img[cur])
         cycles.append("(" + " ".join(map(str, cyc)) + ")")
     return "".join(cycles) if cycles else "()"
@@ -556,39 +592,60 @@ def permutation_images(degree: int, gens) -> list[np.ndarray]:
     return gen_imgs
 
 
+def moved_points(gen_imgs) -> np.ndarray:
+    """Points moved by some generator, ascending (point 0 when none moves)."""
+    stack = np.stack(gen_imgs)
+    moved = np.nonzero((stack != np.arange(stack.shape[1])).any(axis=0))[0]
+    return moved if moved.size else np.zeros(1, dtype=np.int64)
+
+
+def check_image_budget(rows: int, points: int, what: str) -> None:
+    """Raise OrderCapExceeded when ``rows`` int32 image rows of ``points`` entries pass the budget."""
+    if rows * points * 4 > PERMUTATION_BYTE_BUDGET:
+        raise OrderCapExceeded(f"{what} exceed the byte budget {PERMUTATION_BYTE_BUDGET}")
+
+
 def build_from_permutations(degree: int, gens, max_order: int | None = None) -> FiniteGroup:
     """Close a set of permutation generators under composition (BFS order).
 
     Elements are indexed in breadth-first discovery order starting from the
-    identity; multiplication composes image sequences on demand.
+    identity: element i's products with the generators, in generator order,
+    are numbered before element i+1's.  Images are stored on the moved
+    points only, and the closure raises OrderCapExceeded when the element
+    count passes the cap or the stored images pass PERMUTATION_BYTE_BUDGET.
     """
     cap = max_order if max_order is not None else max_order_cap()
     gen_imgs = permutation_images(degree, gens)
-    identity = np.arange(degree, dtype=np.int32)
-    images = [identity]
-    index = {identity.tobytes(): 0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for garr in gen_imgs:
-            composed = np.ascontiguousarray(images[i][garr])
-            key = composed.tobytes()
-            if key not in index:
-                if len(images) >= cap:
-                    raise OrderCapExceeded(
-                        f"permutation closure exceeds the cap {cap}"
-                    )
-                index[key] = len(images)
-                images.append(composed)
-                queue.append(index[key])
+    points = moved_points(gen_imgs)
+    local = np.full(degree, -1, dtype=np.int32)
+    local[points] = np.arange(points.size, dtype=np.int32)
+    gen_stack = local[np.stack(gen_imgs)[:, points]]
+    step = max(1, MUL_CHUNK_BYTES // (4 * points.size * len(gen_imgs)))
 
-    stack = np.stack(images)
+    keys = [np.arange(points.size, dtype=np.int32).tobytes()]
+    index = {keys[0]: 0}
+    start = 0
+    while start < len(keys):
+        # the next frontier slice, each element times every generator, in BFS order
+        stop = min(len(keys), start + step)
+        frontier = np.frombuffer(b"".join(keys[start:stop]), dtype=np.int32)
+        composed = frontier.reshape(stop - start, points.size)[:, gen_stack]
+        for key in _row_keys(composed).ravel().tolist():
+            if key not in index:
+                if len(keys) >= cap:
+                    raise OrderCapExceeded(f"permutation closure exceeds the cap {cap}")
+                check_image_budget(len(keys) + 1, points.size, "permutation images")
+                index[key] = len(keys)
+                keys.append(key)
+        start = stop
+
     gen_idx = []
-    for garr in gen_imgs:
-        i = index[np.ascontiguousarray(garr).tobytes()]
+    for key in _row_keys(gen_stack).tolist():
+        i = index[key]
         if i != 0 and i not in gen_idx:
             gen_idx.append(i)
-    labels = tuple(_perm_cycle_label(im) for im in stack)
+    stack = np.frombuffer(b"".join(keys), dtype=np.int32).reshape(len(keys), points.size)
+    labels = tuple(_perm_cycle_label(im, points) for im in stack)
     return PermutationGroup(stack, gen_idx or (0,), labels, name=f"perm{len(stack)}")
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import cutlab
 
+from cutlab import group_core
 from cutlab.cli import (
     EXIT_DISAGREEMENT,
     EXIT_EXPECTATION,
@@ -250,6 +252,38 @@ def test_permutation_order_bound_hits_cap_before_closure():
     text = json.dumps({"kind": "permutation", "degree": 4, "generators": [[1, 2, 0, 3], [1, 2, 3, 0]]})
     with pytest.raises(OrderCapExceeded):
         parse_group_spec(text, 11)
+    assert parse_group_spec(text, 24).degree == 4
+
+
+def test_permutation_byte_budget_exits_before_closure(tmp_path):
+    # one 65536-cycle passes the order cap (its order is 65536), but its closure would
+    # store 65536 images of 65536 points, 16 GiB; under a 1 GiB address-space limit the
+    # CLI must still exit 65 at once, so it allocates nothing of that size
+    cycle = list(range(1, 65_536)) + [0]
+    path = spec_file(tmp_path, {"kind": "permutation", "degree": 65_536, "generators": [cycle]})
+    env = dict(os.environ, PYTHONPATH=str(Path(cutlab.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    env.pop("CUTLAB_MAX_ORDER", None)
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "cutlab.cli", "analyze", path],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == EXIT_ORDER_CAP
+    assert "byte budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_permutation_byte_budget_checked_at_parse_time(monkeypatch):
+    # S4 from (0 1 2) and (0 1 2 3): the order bound 12 times 4 points times 4 bytes is 192
+    text = json.dumps({"kind": "permutation", "degree": 4, "generators": [[1, 2, 0, 3], [1, 2, 3, 0]]})
+    monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 191)
+    with pytest.raises(OrderCapExceeded, match="byte budget 191"):
+        parse_group_spec(text, 24)
+    monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 192)
     assert parse_group_spec(text, 24).degree == 4
 
 

@@ -1,9 +1,12 @@
 """Core group machinery against the naive oracles and frozen values."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 from conftest import naive_center, naive_classes, naive_cut, naive_order, table_of
+from cutlab import group_core
 from cutlab.constructors import (
     abelian,
     construct,
@@ -16,6 +19,7 @@ from cutlab.constructors import (
 )
 from cutlab.errors import NotAGroup, NotAPermutation, NotNormal, OrderCapExceeded
 from cutlab.group_core import (
+    PermutationGroup,
     TableGroup,
     build_from_permutations,
     build_from_table,
@@ -146,6 +150,131 @@ def test_permutations_rejects_non_bijection():
 def test_permutations_order_cap():
     with pytest.raises(OrderCapExceeded):
         build_from_permutations(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], max_order=100)
+
+
+def _random_permutation_generators(rng, degree):
+    """Generators of a random group of order <= 120 acting diagonally on copies of m <= 5 points.
+
+    The degree // m copies sit on randomly chosen points of 0..degree-1; the rest are fixed.
+    """
+    m = int(rng.integers(3, min(degree, 5) + 1))
+    copies = degree // m
+    spots = rng.permutation(degree)
+    gens = []
+    for _ in range(2):
+        base = rng.permutation(m)
+        g = np.arange(degree)
+        for c in range(copies):
+            pts = spots[c * m:(c + 1) * m]
+            g[pts] = pts[base]
+        gens.append(g.tolist())
+    return gens
+
+
+def _reference_closure(degree, gens):
+    """Reference element order: a per-element BFS over full-degree images with a dict index."""
+    gen_imgs = [np.asarray(g, dtype=np.int32) for g in gens]
+    identity = np.arange(degree, dtype=np.int32)
+    images, index, queue = [identity], {identity.tobytes(): 0}, deque([0])
+    while queue:
+        i = queue.popleft()
+        for garr in gen_imgs:
+            composed = np.ascontiguousarray(images[i][garr])
+            if composed.tobytes() not in index:
+                index[composed.tobytes()] = len(images)
+                images.append(composed)
+                queue.append(len(images) - 1)
+    gen_idx = []
+    for garr in gen_imgs:
+        i = index[garr.tobytes()]
+        if i != 0 and i not in gen_idx:
+            gen_idx.append(i)
+    return np.stack(images), tuple(gen_idx or (0,))
+
+
+def _reference_cycle_label(img):
+    cycles, seen = [], set()
+    for start in range(len(img)):
+        if start in seen or img[start] == start:
+            continue
+        cyc, cur = [], start
+        while cur not in seen:
+            seen.add(cur)
+            cyc.append(cur)
+            cur = int(img[cur])
+        cycles.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(cycles) or "()"
+
+
+@pytest.mark.parametrize("degree", range(3, 21))
+def test_permutation_backend_matches_reference_composition(degree):
+    rng = np.random.default_rng(1000 + degree)
+    gens = _random_permutation_generators(rng, degree)
+    G = build_from_permutations(degree, gens)
+    stack, gen_idx = _reference_closure(degree, gens)
+    # same BFS element order, generators and labels; images kept on the moved points
+    points = group_core.moved_points([np.asarray(g) for g in gens])
+    assert G.degree == len(points)
+    full = np.tile(np.arange(degree), (G.order, 1))
+    full[:, points] = points[G.images]
+    assert np.array_equal(full, stack)
+    assert G.generators == gen_idx
+    assert G.labels == tuple(_reference_cycle_label(im) for im in stack)
+    # mul_vec and mul against images[a][images[b]], looked up by brute force
+    where = {row.tobytes(): i for i, row in enumerate(G.images)}
+    a, b = np.meshgrid(np.arange(G.order), np.arange(G.order), indexing="ij")
+    expect = np.array(
+        [[where[G.images[x][G.images[y]].tobytes()] for y in range(G.order)] for x in range(G.order)]
+    )
+    assert np.array_equal(G.mul_vec(a, b), expect)
+    for x, y in rng.integers(0, G.order, size=(20, 2)):
+        assert G.mul(int(x), int(y)) == expect[x, y]
+    # inv_vec is a two-sided inverse
+    everyone = np.arange(G.order)
+    assert (G.mul_vec(everyone, G.inv_vec) == 0).all()
+    assert (G.mul_vec(G.inv_vec, everyone) == 0).all()
+
+
+def test_permutation_backend_covers_wide_keys():
+    # the reference test above reaches more than 15 stored points (64-byte keys)
+    widths = []
+    for degree in range(3, 21):
+        gens = _random_permutation_generators(np.random.default_rng(1000 + degree), degree)
+        widths.append(group_core.moved_points([np.asarray(g) for g in gens]).size)
+    assert max(widths) > 15
+
+
+def test_permutation_mul_vec_chunks_match(monkeypatch):
+    G = construct(symmetric(5))
+    everyone = np.arange(G.order)
+    whole = G.mul_vec(everyone[:, None], everyone[None, :])
+    monkeypatch.setattr(group_core, "MUL_CHUNK_BYTES", 64)
+    assert np.array_equal(G.mul_vec(everyone[:, None], everyone[None, :]), whole)
+    assert np.array_equal(G.dense_table(), whole)
+    assert G.mul_vec(3, 7).shape == ()
+
+
+def test_permutation_group_rejects_images_that_are_not_a_group():
+    with pytest.raises(NotAGroup, match="not an element"):
+        PermutationGroup(np.array([[0, 1, 2], [1, 2, 0]]), (1,))
+    with pytest.raises(NotAGroup, match="not distinct"):
+        PermutationGroup(np.array([[0, 1, 2], [1, 0, 2], [1, 0, 2]]), (1,))
+
+
+def test_permutation_labels_name_the_original_points():
+    G = build_from_permutations(7, [(0, 3, 2, 5, 4, 1, 6), (0, 3, 2, 1, 4, 5, 6)])
+    assert G.degree == 3
+    assert sorted(G.labels) == sorted(["()", "(1 3 5)", "(1 5 3)", "(1 3)", "(1 5)", "(3 5)"])
+
+
+def test_permutation_closure_byte_budget(monkeypatch):
+    s4 = [(1, 2, 0, 3), (1, 2, 3, 0)]
+    # S4 stores 24 images of 4 points: 384 bytes
+    monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 384)
+    assert build_from_permutations(4, s4).order == 24
+    monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 383)
+    with pytest.raises(OrderCapExceeded, match="byte budget 383"):
+        build_from_permutations(4, s4)
 
 
 # -- power / element_order ----------------------------------------------------
@@ -415,6 +544,10 @@ def test_validate_group_axioms_on_samples():
         product(dicyclic(2), cyclic(3)),
     ):
         validate_group_axioms(construct(spec))
+
+
+def test_validate_group_axioms_symmetric_6():
+    validate_group_axioms(construct(symmetric(6)))
 
 
 def test_validate_group_axioms_large_group_sampled():

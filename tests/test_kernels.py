@@ -23,11 +23,31 @@ def _random_perms(rng, k, n):
     return np.stack([rng.permutation(n) for _ in range(k)]).astype(np.int32)
 
 
+def _long_cycles(rng, n, k):
+    """A random permutation of n points made of k cycles of random lengths in random order."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False))
+    order = rng.permutation(n)
+    perm = np.empty(n, dtype=np.int32)
+    for cyc in np.split(order, cuts):
+        perm[cyc] = np.roll(cyc, -1)
+    return perm
+
+
 def test_orbit_labels_matches_bruteforce_components():
     rng = np.random.default_rng(7)
+    stacks = []
     for trial in range(5):
         n = int(rng.integers(2, 60))
-        perms = _random_perms(rng, int(rng.integers(1, 4)), n)
+        stacks.append(_random_perms(rng, int(rng.integers(1, 4)), n))
+    # long cycles in random order: min-label propagation needed one round per step here
+    stacks += [
+        _long_cycles(rng, 4096, 1)[None, :],
+        _long_cycles(rng, 8192, 3)[None, :],
+        np.stack([_long_cycles(rng, 6000, 5), _long_cycles(rng, 6000, 40)]),
+        _random_perms(rng, 2, 5000),
+    ]
+    for perms in stacks:
+        n = perms.shape[1]
         labels = orbit_labels(perms)
         # brute-force union-find for comparison
         parent = list(range(n))
