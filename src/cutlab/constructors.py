@@ -8,6 +8,10 @@ described, its one parameter check and its builder.  JSON reading
 Presentation-style families (metacyclic, dicyclic) are realized by exact
 normal-form multiplication rather than coset enumeration; the defining
 relations are cheap to state and tests hold them as the ground truth.
+The five formula kinds (cyclic, abelian, metacyclic, dicyclic, heisenberg)
+evaluate their product formula into one int32 Cayley table, in row blocks,
+and their check refuses a table over the byte budget before any of it is
+allocated.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .errors import (
     OrderCapExceeded,
 )
 from .group_core import (
+    MUL_CHUNK_BYTES,
     FiniteGroup,
     TableGroup,
     build_from_permutations,
@@ -219,6 +224,12 @@ def _capped_product(values, cap: int, spec: GroupSpecDescriptor) -> int:
     return order
 
 
+def _table_order(order: int, spec: GroupSpecDescriptor) -> int:
+    """``order``, once its int32 Cayley table is known to fit the byte budget."""
+    check_image_budget(order, order, f"int32 table rows of {spec.describe()}")
+    return order
+
+
 def _check_element_indices(indices, order: int):
     for i in indices:
         if not 0 <= i < order:
@@ -230,13 +241,13 @@ def _check_element_indices(indices, order: int):
 
 def _check_cyclic(spec, cap):
     _positive("cyclic", n=spec.n)
-    return _capped_product([spec.n], cap, spec)
+    return _table_order(_capped_product([spec.n], cap, spec), spec)
 
 
 def _check_abelian(spec, cap):
     if not spec.factors or any(f < 1 for f in spec.factors):
         raise InvalidParameters(f"invariant factors must be positive, got {spec.factors}")
-    return _capped_product(spec.factors, cap, spec)
+    return _table_order(_capped_product(spec.factors, cap, spec), spec)
 
 
 def _check_metacyclic(spec, cap):
@@ -251,19 +262,19 @@ def _check_metacyclic(spec, cap):
         raise InvalidMetacyclicParameters(
             f"r^n = {r}^{n} ≡ {residue} (mod {m}), expected 1"
         )
-    return _capped_product([m, n], cap, spec)
+    return _table_order(_capped_product([m, n], cap, spec), spec)
 
 
 def _check_dicyclic(spec, cap):
     _positive("dicyclic", n=spec.n)
-    return _capped_product([4, spec.n], cap, spec)
+    return _table_order(_capped_product([4, spec.n], cap, spec), spec)
 
 
 def _check_heisenberg(spec, cap):
     p = spec.p
     if p < 3:
         raise NotAPrime(f"heisenberg parameter must be an odd prime, got {p}")
-    order = _capped_product([p, p, p], cap, spec)
+    order = _table_order(_capped_product([p, p, p], cap, spec), spec)
     if list(prime_factors(p).items()) != [(p, 1)]:
         raise NotAPrime(f"heisenberg parameter must be an odd prime, got {p}")
     return order
@@ -346,10 +357,24 @@ def _ab_label(i: int, j: int) -> str:
 
 # -- realizations: each runs on a descriptor its kind's check accepted --------
 
+def _formula_table(order: int, product) -> np.ndarray:
+    """The Cayley table of ``product(a, b)`` over broadcast index arrays.
+
+    One int32 table is filled in row blocks whose int64 intermediates each
+    stay within MUL_CHUNK_BYTES, so the table is the only order x order
+    allocation.
+    """
+    table = np.empty((order, order), dtype=np.int32)
+    idx = np.arange(order, dtype=np.int64)
+    step = max(1, MUL_CHUNK_BYTES // (8 * order))
+    for lo in range(0, order, step):
+        table[lo:lo + step] = product(idx[lo:lo + step, None], idx[None, :])
+    return table
+
+
 def _build_cyclic(spec, cap) -> FiniteGroup:
     n = spec.n
-    idx = np.arange(n)
-    table = (idx[:, None] + idx[None, :]) % n
+    table = _formula_table(n, lambda a, b: (a + b) % n)
     labels = tuple(_pow_str("g", i) or "1" for i in range(n))
     return TableGroup(table, (1,) if n > 1 else (0,), labels, name=spec.describe())
 
@@ -357,23 +382,22 @@ def _build_cyclic(spec, cap) -> FiniteGroup:
 def _build_abelian(spec, cap) -> FiniteGroup:
     factors = spec.factors
     order = math.prod(factors)
-    idx = np.arange(order)
     strides = []
     s = order
     for f in factors:
         s //= f
         strides.append(s)
-    table = np.zeros((order, order), dtype=np.int64)
-    residues = []
-    for f, s in zip(factors, strides):
-        res = (idx // s) % f
-        residues.append(res)
-        table += ((res[:, None] + res[None, :]) % f) * s
+
+    def product(a, b):
+        return sum(((a // s % f + b // s % f) % f) * s for f, s in zip(factors, strides))
+
+    idx = np.arange(order)
+    residues = [(idx // s) % f for f, s in zip(factors, strides)]
     gens = [s for f, s in zip(factors, strides) if f > 1]
     labels = tuple(
         "(" + ",".join(str(int(r[i])) for r in residues) + ")" for i in range(order)
     )
-    return TableGroup(table, gens or (0,), labels, name=spec.describe())
+    return TableGroup(_formula_table(order, product), gens or (0,), labels, name=spec.describe())
 
 
 def _build_metacyclic(spec, cap) -> FiniteGroup:
@@ -382,53 +406,52 @@ def _build_metacyclic(spec, cap) -> FiniteGroup:
     # b a b^-1 = a^t with t*r = 1 (mod m) realizes the relation b^-1 a b = a^r
     t = pow(r, -1, m) if m > 1 else 0
     tpow = np.array([pow(t, j, m) if m > 1 else 0 for j in range(n)], dtype=np.int64)
-    idx = np.arange(order)
-    i1, j1 = idx % m, idx // m
-    i2, j2 = i1, j1
-    inew = (i1[:, None] + i2[None, :] * tpow[j1][:, None]) % m
-    jnew = (j1[:, None] + j2[None, :]) % n
-    table = jnew * m + inew
+
+    def product(a, b):
+        i1, j1 = a % m, a // m
+        i2, j2 = b % m, b // m
+        return ((j1 + j2) % n) * m + (i1 + i2 * tpow[j1]) % m
+
     gens = []
     if m > 1:
         gens.append(1)
     if n > 1:
         gens.append(m)
-    labels = tuple(_ab_label(int(i), int(j)) for i, j in zip(i1, j1))
-    return TableGroup(table, gens or (0,), labels, name=spec.describe())
+    labels = tuple(_ab_label(k % m, k // m) for k in range(order))
+    return TableGroup(_formula_table(order, product), gens or (0,), labels, name=spec.describe())
 
 
 def _build_dicyclic(spec, cap) -> FiniteGroup:
     n = spec.n
     order = 4 * n
     two_n = 2 * n
-    idx = np.arange(order)
-    i1, j1 = (idx % two_n)[:, None], (idx // two_n)[:, None]
-    i2, j2 = (idx % two_n)[None, :], (idx // two_n)[None, :]
-    # j1 = 0: a^(i1+i2) b^j2 ; j1 = 1: b a^i2 = a^-i2 b, and b^2 = a^n
-    inew = np.where(j1 == 0, i1 + i2, i1 - i2)
-    jnew = j1 + j2
-    inew = np.where(jnew == 2, inew + n, inew) % two_n
-    jnew = jnew % 2
-    table = jnew * two_n + inew
-    labels = tuple(_ab_label(int(k % two_n), int(k // two_n)) for k in idx)
-    return TableGroup(table, (1, two_n), labels, name=spec.describe())
+
+    def product(a, b):
+        i1, j1 = a % two_n, a // two_n
+        i2, j2 = b % two_n, b // two_n
+        # j1 = 0: a^(i1+i2) b^j2 ; j1 = 1: b a^i2 = a^-i2 b, and b^2 = a^n
+        inew = np.where(j1 == 0, i1 + i2, i1 - i2)
+        jnew = j1 + j2
+        inew = np.where(jnew == 2, inew + n, inew) % two_n
+        return (jnew % 2) * two_n + inew
+
+    labels = tuple(_ab_label(k % two_n, k // two_n) for k in range(order))
+    return TableGroup(_formula_table(order, product), (1, two_n), labels, name=spec.describe())
 
 
 def _build_heisenberg(spec, cap) -> FiniteGroup:
     p = spec.p
     order = p ** 3
-    idx = np.arange(order)
-    x, rem = np.divmod(idx, p * p)
-    y, z = np.divmod(rem, p)
-    x1, y1, z1 = x[:, None], y[:, None], z[:, None]
-    x2, y2, z2 = x[None, :], y[None, :], z[None, :]
-    table = (
-        ((x1 + x2) % p) * p * p
-        + ((y1 + y2) % p) * p
-        + ((z1 + z2 + x1 * y2) % p)
-    )
-    labels = tuple(f"({a},{b},{c})" for a, b, c in zip(x, y, z))
-    return TableGroup(table, (p * p, p), labels, name=spec.describe())
+
+    def product(a, b):
+        x1, rem1 = np.divmod(a, p * p)
+        y1, z1 = np.divmod(rem1, p)
+        x2, rem2 = np.divmod(b, p * p)
+        y2, z2 = np.divmod(rem2, p)
+        return ((x1 + x2) % p) * p * p + ((y1 + y2) % p) * p + (z1 + z2 + x1 * y2) % p
+
+    labels = tuple(f"({k // (p * p)},{k // p % p},{k % p})" for k in range(order))
+    return TableGroup(_formula_table(order, product), (p * p, p), labels, name=spec.describe())
 
 
 def _build_symmetric(spec, cap) -> FiniteGroup:

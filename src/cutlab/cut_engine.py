@@ -3,7 +3,8 @@
 A group has the cut-property exactly when, for every element x and every
 exponent j coprime to the order of x, x^j is conjugate to x or to x^-1.
 ``decide_cut`` scans class representatives using the eagerly built
-conjugacy partition; the same scan decides a central subgroup N
+conjugacy partition, walking the powers of all of them at once with one
+whole-array product per exponent; the same scan decides a central subgroup N
 (``central_subgroup_has_cut``) and a quotient G/N (``quotient_has_cut``)
 on G's own elements, without building either as a group of its own.
 ``decide_cut_bruteforce`` is the independent oracle:
@@ -13,7 +14,6 @@ sharing no cached state with the fast path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,19 +58,41 @@ def _power_map_witnesses(G: FiniteGroup, reps, labels, kernel=None):
     For each x of ``reps`` the order m of xN is the least k >= 1 with x^k
     in N; the first exponent j in 2..m-1 coprime to m whose power x^j
     lands outside the classes of x and x^-1 is yielded.
+
+    The powers of all representatives are walked together, one ``mul_vec``
+    per exponent over the ones still open; a representative leaves the walk
+    at its first witness or when j + 1 reaches m.  A witness is yielded as
+    soon as every representative before it has left, so a caller that stops
+    at the first witness stops the walk there too.
     """
     reps = np.asarray(reps)
     orders = G.element_orders[reps] if kernel is None else _orders_modulo(G, reps, kernel)
-    for x, m in zip(reps.tolist(), orders.tolist()):
-        own, inv = int(labels[x]), int(labels[G.inv_vec[x]])
-        y = x
-        for j in range(2, m):
-            y = G.mul(y, x)
-            if math.gcd(j, m) != 1:
-                continue
-            if int(labels[y]) not in (own, inv):
-                yield x, j
-                break
+    live = (orders > 2).nonzero()[0]  # positions in reps still walking
+    if not live.size:
+        return
+    # the lesser of the classes of y and y^-1: equal for y and x exactly when y ~ x or y ~ x^-1
+    labels = np.asarray(labels)
+    pair = np.minimum(labels, labels[G.inv_vec])
+    xs = ys = reps[live]
+    own, m = pair[xs], orders[live]
+    ends = set(m.tolist())  # some walk may end after exponent j only when j + 1 is in here
+    first = np.zeros(len(reps), dtype=np.int64)  # witness exponent per representative, 0: none
+    settled, j = 0, 1  # reps[:settled] have left the walk and been yielded
+    while True:
+        upto = int(live[0]) if live.size else len(reps)
+        if upto > settled:
+            for pos in (settled + first[settled:upto].nonzero()[0]).tolist():
+                yield int(reps[pos]), int(first[pos])
+            settled = upto
+        if not live.size:
+            return
+        j += 1
+        ys = G.mul_vec(ys, xs)
+        hit = (pair[ys] != own) & (np.gcd(j, m) == 1)
+        if np.count_nonzero(hit) or j + 1 in ends:
+            first[live[hit]] = j
+            keep = ~hit & (j + 1 < m)
+            live, xs, ys, own, m = (a[keep] for a in (live, xs, ys, own, m))
 
 
 def _orders_modulo(G: FiniteGroup, xs: np.ndarray, kernel: np.ndarray) -> np.ndarray:

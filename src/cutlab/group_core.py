@@ -10,10 +10,16 @@ and tables are whole-array numpy operations at every degree.  Its images
 are stored on the moved points only, and a closure whose images would pass
 PERMUTATION_BYTE_BUDGET bytes raises OrderCapExceeded, up front from the
 order bound of the spec and again while the closure grows.
+Permutation elements are named in cycle notation only when a label is
+asked for.
 Conjugacy classes are computed once at build time as orbits under
 conjugation by the generator set, as a class id per element; the member
-list of each class is built on demand.  All other structural computations
-(center, subgroup closure, quotients, series) are derived lazily.
+list of each class is built on demand.  A direct product takes its classes
+and element orders from its factors instead.  Element orders come from a
+whole-array power walk, cut short where p-part powering by
+square-and-multiply needs fewer products.  All other structural
+computations (center, subgroup closure, quotients, series) are derived
+lazily.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from .errors import InvalidParameters, NotAGroup, NotAPermutation, NotNormal, Or
 
 DEFAULT_MAX_ORDER = 65_536
 
-# Most bytes of permutation images one closure may store (moved points only).
+# Most bytes of permutation images one closure may store (moved points only),
+# and of the int32 Cayley table a presentation kind may build.
 PERMUTATION_BYTE_BUDGET = 1 << 30
 
 # Most bytes of composed image rows one PermutationGroup.mul_vec step holds.
@@ -65,6 +72,23 @@ def prime_factors(n: int) -> dict[int, int]:
 def is_prime_power(n: int) -> bool:
     """True for 1 and for p^k, k >= 1."""
     return len(prime_factors(n)) <= 1
+
+
+def _power_products(k: int) -> int:
+    """Products ``FiniteGroup.power_vec`` spends on the exponent k >= 1."""
+    return k.bit_length() - 1 + bin(k).count("1")
+
+
+def _p_part_products(n: int) -> int:
+    """Products p-part powering spends on an element of a group of order n.
+
+    For each p^a exactly dividing n: one power x^(n/p^a), then at most a
+    powers by p.
+    """
+    return sum(
+        _power_products(n // p**a) + a * _power_products(p)
+        for p, a in prime_factors(n).items()
+    )
 
 
 @dataclass(frozen=True)
@@ -102,7 +126,8 @@ class FiniteGroup:
     """A finite group on element indices 0..order-1 with identity 0.
 
     Subclasses provide ``mul`` / ``mul_vec`` and ``_compute_inverses``;
-    everything else (powers, conjugacy, subgroups) is generic.  Instances
+    everything else (powers, orders, conjugacy, subgroups) is generic, and
+    ``ProductGroup`` overrides conjugacy and orders with factor data.  Instances
     are immutable after construction and safe to share across threads.
     """
 
@@ -149,11 +174,8 @@ class FiniteGroup:
         perms = np.stack([self.conj_perm(g) for g in self.generators])
         labels = _kernels.orbit_labels(perms)
         reps = np.unique(labels)
-        class_of = np.searchsorted(reps, labels).astype(np.int32)
-        inverse_class = class_of[self.inv_vec[reps]].astype(np.int32)
-        for arr in (class_of, reps, inverse_class):
-            arr.flags.writeable = False
-        return ConjugacyPartition(class_of, reps.astype(np.int32), inverse_class)
+        class_of = np.searchsorted(reps, labels)
+        return _frozen_partition(class_of, reps, class_of[self.inv_vec[reps]])
 
     # -- generic operations -------------------------------------------------
 
@@ -192,20 +214,67 @@ class FiniteGroup:
                 base = self.mul(base, base)
         return acc
 
+    def power_vec(self, xs, k) -> np.ndarray:
+        """x^k for every x of ``xs`` by square-and-multiply (Cohen, 1993, Alg. 1.4.3).
+
+        ``k`` is one exponent k >= 0 or one such exponent per element.
+        """
+        xs, k = np.broadcast_arrays(np.asarray(xs), np.asarray(k, dtype=np.int64))
+        base, k = xs.ravel(), k.ravel()
+        acc = np.zeros_like(base)
+        while True:
+            odd = (k & 1).astype(bool)
+            if odd.any():
+                acc[odd] = self.mul_vec(acc[odd], base[odd])
+            k = k >> 1
+            if not k.any():
+                return acc.reshape(xs.shape)
+            base = self.mul_vec(base, base)
+
     @cached_property
     def element_orders(self) -> np.ndarray:
+        """Order of every element.
+
+        The walk x, x^2, x^3, ... runs over all elements at once for at most
+        ``_p_part_products(order)`` steps, the products p-part powering needs.
+        That settles every element of a small exponent; the rest are finished
+        by ``_p_part_orders``.
+        """
         orders = np.zeros(self.order, dtype=np.int64)
         everyone = np.arange(self.order)
-        y = everyone.copy()
-        k = 1
+        steps = _p_part_products(self.order)
+        y, k = everyone, 1
         while True:
-            done = (y == 0) & (orders == 0)
-            orders[done] = k
-            if orders.all():
-                orders.flags.writeable = False
-                return orders
-            k += 1
+            orders[(y == 0) & (orders == 0)] = k
+            if orders.all() or k > steps:
+                break
             y = self.mul_vec(y, everyone)
+            k += 1
+        still_open = np.flatnonzero(orders == 0)
+        if still_open.size:
+            orders[still_open] = self._p_part_orders(still_open)
+        orders.flags.writeable = False
+        return orders
+
+    def _p_part_orders(self, xs: np.ndarray) -> np.ndarray:
+        """Exact orders of ``xs`` by p-part powering.
+
+        For each p^a exactly dividing |G|, y = x^(|G|/p^a) has order the
+        p-part of o(x): while y is not the identity, the order gains a
+        factor p and y is replaced by y^p.
+        """
+        orders = np.ones(len(xs), dtype=np.int64)
+        for p, a in prime_factors(self.order).items():
+            live = np.arange(len(xs))
+            y = self.power_vec(xs, self.order // p**a)
+            while True:
+                keep = y != 0
+                live, y = live[keep], y[keep]
+                if not live.size:
+                    break
+                orders[live] *= p
+                y = self.power_vec(y, p)
+        return orders
 
     def element_order(self, x: int) -> int:
         return int(self.element_orders[x])
@@ -278,21 +347,25 @@ class TableGroup(FiniteGroup):
 class PermutationGroup(FiniteGroup):
     """Group whose elements are permutation image rows, composed on demand.
 
-    ``images[i]`` is the image row of element i.  Each row is read as one
-    fixed-width byte key (``np.void`` of ``degree * 4`` bytes), and the keys
-    are sorted once here; a composed row is mapped back to its element by
-    ``np.searchsorted`` on that index, with an exact equality check on the
-    key found.  Products, inverses and tables all go through that lookup,
-    so the Cayley table is never materialized and memory stays
-    O(order * degree).  ``build_from_permutations`` keeps ``images`` within
-    ``PERMUTATION_BYTE_BUDGET`` by storing only the moved points.
+    ``images[i]`` is the image row of element i, on the points named by
+    ``points`` (default 0..degree-1); ``label`` writes it in cycle notation
+    of those names on demand, so building the group computes no label.
+    Each row is read as one fixed-width byte key (``np.void`` of
+    ``degree * 4`` bytes), and the keys are sorted once here; a composed row
+    is mapped back to its element by ``np.searchsorted`` on that index, with
+    an exact equality check on the key found.  Products, inverses and tables
+    all go through that lookup, so the Cayley table is never materialized and
+    memory stays O(order * degree).  ``build_from_permutations`` keeps
+    ``images`` within ``PERMUTATION_BYTE_BUDGET`` by storing only the moved
+    points.
     """
 
-    def __init__(self, images: np.ndarray, generators, labels=None, name="perm"):
+    def __init__(self, images: np.ndarray, generators, points=None, name="perm"):
         images = np.ascontiguousarray(images, dtype=np.int32)
         images.flags.writeable = False
         self.images = images
         self.degree = images.shape[1]
+        self.points = np.arange(self.degree) if points is None else np.asarray(points)
         keys = _row_keys(images)
         self._key_order = np.argsort(keys, kind="stable").astype(np.int32)
         # a last key of all-0xff bytes (images of -1) sorts above every image and equals none,
@@ -300,7 +373,7 @@ class PermutationGroup(FiniteGroup):
         self._sorted_keys = np.append(keys[self._key_order], _row_keys(np.full(self.degree, -1)))
         if (self._sorted_keys[1:] == self._sorted_keys[:-1]).any():
             raise NotAGroup("permutation images are not distinct")
-        super().__init__(images.shape[0], generators, labels, name)
+        super().__init__(images.shape[0], generators, None, name)
         self._finalize()
 
     def _lookup(self, rows: np.ndarray) -> np.ndarray:
@@ -313,6 +386,9 @@ class PermutationGroup(FiniteGroup):
 
     def mul(self, a: int, b: int) -> int:
         return int(self._lookup(self.images[a][self.images[b]]))
+
+    def label(self, x: int) -> str:
+        return _perm_cycle_label(self.images[x], self.points)
 
     def mul_vec(self, a, b) -> np.ndarray:
         a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
@@ -333,6 +409,14 @@ class PermutationGroup(FiniteGroup):
         return self._lookup(back)
 
 
+def _frozen_partition(class_of, reps, inverse_class) -> ConjugacyPartition:
+    """A read-only int32 ConjugacyPartition of the three arrays."""
+    arrays = [np.asarray(a, dtype=np.int32) for a in (class_of, reps, inverse_class)]
+    for arr in arrays:
+        arr.flags.writeable = False
+    return ConjugacyPartition(*arrays)
+
+
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One fixed-width byte key per int32 image row."""
     rows = np.ascontiguousarray(rows, dtype=np.int32)
@@ -340,7 +424,13 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 
 class ProductGroup(FiniteGroup):
-    """Direct product with componentwise multiplication; index = g*|H| + h."""
+    """Direct product with componentwise multiplication; index = g*|H| + h.
+
+    The factors' generators generate the product, and its classes and
+    element orders follow from theirs: the class of (g, h) is the pair of
+    classes, numbered c_g * k_H + c_h over the k_H classes of H (which keeps
+    the ascending-smallest-member order), and o(g, h) = lcm(o(g), o(h)).
+    """
 
     def __init__(self, left: FiniteGroup, right: FiniteGroup, name=None):
         self.left = left
@@ -369,11 +459,35 @@ class ProductGroup(FiniteGroup):
         return self.left.mul_vec(a1, b1) * self.right.order + self.right.mul_vec(a2, b2)
 
     def _compute_inverses(self) -> np.ndarray:
-        idx = np.arange(self.order)
-        a1, a2 = np.divmod(idx, self.right.order)
+        a1, a2 = self._factor_indices
         return (
             self.left.inv_vec[a1] * self.right.order + self.right.inv_vec[a2]
         ).astype(np.int32)
+
+    @cached_property
+    def _factor_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The factor elements (g, h) of every element, as two index arrays."""
+        return np.divmod(np.arange(self.order), self.right.order)
+
+    def _generators_cover(self) -> bool:
+        return True
+
+    def _build_conjugacy(self) -> ConjugacyPartition:
+        left, right = self.left.conjugacy, self.right.conjugacy
+        k = right.num_classes
+        a1, a2 = self._factor_indices
+        reps = left.representatives[:, None] * self.right.order + right.representatives[None, :]
+        inverse_class = left.inverse_class[:, None] * k + right.inverse_class[None, :]
+        return _frozen_partition(
+            left.class_of[a1] * k + right.class_of[a2], reps.ravel(), inverse_class.ravel()
+        )
+
+    @cached_property
+    def element_orders(self) -> np.ndarray:
+        a1, a2 = self._factor_indices
+        orders = np.lcm(self.left.element_orders[a1], self.right.element_orders[a2])
+        orders.flags.writeable = False
+        return orders
 
     def label(self, x: int) -> str:
         a1, a2 = divmod(int(x), self.right.order)
@@ -402,7 +516,8 @@ class SubgroupHandle:
         raw = self.parent.mul_vec(members[:, None], members[None, :])
         table = np.searchsorted(members, raw).astype(np.int32)
         labels = None
-        if self.parent.labels is not None or isinstance(self.parent, ProductGroup):
+        named = isinstance(self.parent, (ProductGroup, PermutationGroup))
+        if named or self.parent.labels is not None:
             labels = tuple(self.parent.label(int(m)) for m in members)
         return TableGroup(
             table,
@@ -645,8 +760,7 @@ def build_from_permutations(degree: int, gens, max_order: int | None = None) -> 
         if i != 0 and i not in gen_idx:
             gen_idx.append(i)
     stack = np.frombuffer(b"".join(keys), dtype=np.int32).reshape(len(keys), points.size)
-    labels = tuple(_perm_cycle_label(im, points) for im in stack)
-    return PermutationGroup(stack, gen_idx or (0,), labels, name=f"perm{len(stack)}")
+    return PermutationGroup(stack, gen_idx or (0,), points, name=f"perm{len(stack)}")
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, max_order: int | None = None) -> FiniteGroup:

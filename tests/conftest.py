@@ -2,11 +2,14 @@
 
 The naive helpers work on a raw Python list-of-lists multiplication table
 and use nothing from the package beyond ``mul`` to extract that table, so
-they stay independent of the code paths they check.
+they stay independent of the code paths they check.  The reference walks
+below work on a built group through ``mul`` and ``mul_vec`` only, one power
+at a time, for groups too large for a Python table.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from cutlab.corpus import builtin_corpus, run_corpus
@@ -40,6 +43,39 @@ def naive_order(t, x):
         y = t[y][x]
         k += 1
     return k
+
+
+def reference_orders(G):
+    """Every element's order by the walk x, x^2, x^3, ... over all elements at once."""
+    everyone = np.arange(G.order)
+    orders = np.zeros(G.order, dtype=np.int64)
+    y, k = everyone, 1
+    while True:
+        orders[(y == 0) & (orders == 0)] = k
+        if orders.all():
+            return orders
+        y = G.mul_vec(y, everyone)
+        k += 1
+
+
+def reference_witnesses(G):
+    """decide_cut's witnesses by a scalar walk over the class representatives.
+
+    For each representative x (ascending), of order m by ``reference_orders``,
+    the first j in 2..m-1 coprime to m with x^j outside the classes of x and
+    x^-1.
+    """
+    part = G.conjugacy
+    orders = reference_orders(G)
+    witnesses = []
+    for c, x in enumerate(part.representatives.tolist()):
+        m, y = int(orders[x]), x
+        for j in range(2, m):
+            y = G.mul(y, x)
+            if math.gcd(j, m) == 1 and part.class_of[y] not in (c, part.inverse_class[c]):
+                witnesses.append((x, j))
+                break
+    return tuple(witnesses)
 
 
 def naive_center(t):

@@ -277,6 +277,27 @@ def test_permutation_byte_budget_exits_before_closure(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_table_byte_budget_exits_before_allocation(tmp_path):
+    # cyclic(65536) passes the order cap, but its int32 Cayley table would take 16 GiB
+    # (and the int64 formula intermediates more); under a 1 GiB address-space limit
+    # the CLI must still exit 65 at once
+    path = spec_file(tmp_path, {"kind": "cyclic", "n": 65_536})
+    env = dict(os.environ, PYTHONPATH=str(Path(cutlab.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    env.pop("CUTLAB_MAX_ORDER", None)
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "cutlab.cli", "analyze", path],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == EXIT_ORDER_CAP
+    assert "byte budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_permutation_byte_budget_checked_at_parse_time(monkeypatch):
     # S4 from (0 1 2) and (0 1 2 3): the order bound 12 times 4 points times 4 bytes is 192
     text = json.dumps({"kind": "permutation", "degree": 4, "generators": [[1, 2, 0, 3], [1, 2, 3, 0]]})

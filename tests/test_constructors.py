@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cutlab import constructors, group_core
 from cutlab.constructors import (
     GroupSpecDescriptor,
     abelian,
@@ -16,6 +17,7 @@ from cutlab.constructors import (
     quotient_spec,
     symmetric,
     table_spec,
+    validate_spec,
 )
 from cutlab.errors import (
     InvalidMetacyclicParameters,
@@ -177,6 +179,32 @@ def test_order_cap_environment_override(monkeypatch):
     with pytest.raises(OrderCapExceeded):
         construct(cyclic(50))
     assert construct(cyclic(10)).order == 10
+
+
+FORMULA_SPECS = [cyclic(30), abelian([2, 6, 3]), metacyclic(9, 9, 4), dicyclic(5), heisenberg(5)]
+
+
+@pytest.mark.parametrize("spec", FORMULA_SPECS, ids=lambda s: s.describe())
+def test_formula_table_row_blocks(monkeypatch, spec):
+    whole = construct(spec).table
+    assert whole.dtype == np.int32
+    monkeypatch.setattr(constructors, "MUL_CHUNK_BYTES", 64)  # one row per block
+    assert np.array_equal(construct(spec).table, whole)
+
+
+def test_formula_tables_checked_against_the_byte_budget(monkeypatch):
+    # cyclic(16384) has a 1 GiB int32 table, the whole budget; only the checks run here
+    assert validate_spec(cyclic(16_384)) == 16_384
+    with pytest.raises(OrderCapExceeded, match="table rows of cyclic.16385. exceed the byte budget"):
+        validate_spec(cyclic(16_385))
+    with pytest.raises(OrderCapExceeded, match="exceeds the cap"):  # the cap comes first
+        validate_spec(cyclic(70_000))
+    # 4 * 100^2 bytes: order 100 fits, every formula kind above it is refused
+    monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 40_000)
+    assert construct(cyclic(100)).order == 100
+    for spec in (cyclic(101), abelian([101]), metacyclic(101, 1, 1), dicyclic(26), heisenberg(5)):
+        with pytest.raises(OrderCapExceeded, match="byte budget 40000"):
+            construct(spec)
 
 
 def test_invalid_kind():

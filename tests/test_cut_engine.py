@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import naive_cut, table_of
+from conftest import naive_cut, reference_orders, reference_witnesses, table_of
 from cutlab.constructors import (
     abelian,
     construct,
@@ -32,22 +32,6 @@ def test_decide_cut_paper_negative():
     assert G.label(x) == "b" and j == 2
 
 
-def _reference_decide_cut(G):
-    """The class-representative loop with its own order walk, kept as a reference."""
-    part = G.conjugacy
-    witnesses = []
-    for c in range(part.num_classes):
-        x = int(part.representatives[c])
-        m = G.element_order(x)
-        y = x
-        for j in range(2, m):
-            y = G.mul(y, x)
-            if math.gcd(j, m) == 1 and part.class_of[y] not in (c, part.inverse_class[c]):
-                witnesses.append((x, j))
-                break
-    return tuple(witnesses)
-
-
 @pytest.mark.parametrize(
     "spec, expected",
     [
@@ -67,7 +51,7 @@ def _reference_decide_cut(G):
 def test_decide_cut_witnesses_unchanged(spec, expected):
     G = construct(spec)
     v = decide_cut(G)
-    assert v.witnesses == expected == _reference_decide_cut(G)
+    assert v.witnesses == expected == reference_witnesses(G)
     assert not v.has_cut
 
 
@@ -186,3 +170,51 @@ def test_abelian_exponent_rule_bruteforce():
     for factors in ([5], [8], [9], [12], [2, 10], [7]):
         G = construct(abelian(factors))
         assert not decide_cut_bruteforce(G).has_cut
+
+
+def test_witnesses_and_orders_match_reference_on_corpus_and_remark_products(corpus_result):
+    from cutlab.corpus import builtin_corpus
+    from cutlab.group_core import direct_product
+
+    groups = {e.id: construct(e.spec) for e in builtin_corpus()}
+    products = [direct_product(groups[r.left_id], groups[r.right_id]) for r in corpus_result.remark_pairs]
+    assert (len(groups), len(products)) == (137, 360)
+    for G in [*groups.values(), *products]:
+        assert decide_cut(G).witnesses == reference_witnesses(G), G.name
+        assert np.array_equal(G.element_orders, reference_orders(G)), G.name
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        cyclic(2048),
+        metacyclic(2048, 2, 2047),  # dihedral of order 4096
+        symmetric(6),
+        abelian([2, 4, 8, 16]),
+        abelian([6, 6, 6]),  # not a p-group, exponent 6: the walk settles every order
+        cyclic(1800),  # not a p-group, exponent 1800: p-part powering finishes the walk
+        product(cyclic(5), symmetric(5)),  # witnesses settle while later representatives walk on
+    ],
+)
+def test_witnesses_and_orders_match_reference_on_stress_groups(spec):
+    G = construct(spec)
+    assert decide_cut(G).witnesses == reference_witnesses(G)
+    expected = reference_orders(G)
+    assert np.array_equal(G.element_orders, expected)
+    # p-part powering alone, on every element
+    assert np.array_equal(G._p_part_orders(np.arange(G.order)), expected)
+
+
+def test_first_witness_stops_the_joint_walk():
+    from cutlab.cut_engine import _power_map_witnesses
+
+    G = construct(product(cyclic(5), symmetric(5)))
+    part = G.conjugacy
+    products = []
+    real = G.mul_vec
+    G.mul_vec = lambda a, b: products.append(1) or real(a, b)
+    first = next(_power_map_witnesses(G, part.representatives, part.class_of))
+    early = len(products)
+    witnesses = tuple(_power_map_witnesses(G, part.representatives, part.class_of))
+    assert early < len(products) - early  # 4 of the full walk's 6 products
+    assert first == witnesses[0] == reference_witnesses(G)[0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import naive_center, naive_classes, naive_cut, naive_order, table_of
-from cutlab import group_core
+from cutlab import _kernels, group_core
 from cutlab.constructors import (
     abelian,
     construct,
@@ -14,6 +14,7 @@ from cutlab.constructors import (
     dicyclic,
     heisenberg,
     metacyclic,
+    permutation,
     product,
     symmetric,
 )
@@ -219,7 +220,7 @@ def test_permutation_backend_matches_reference_composition(degree):
     full[:, points] = points[G.images]
     assert np.array_equal(full, stack)
     assert G.generators == gen_idx
-    assert G.labels == tuple(_reference_cycle_label(im) for im in stack)
+    assert tuple(G.label(x) for x in range(G.order)) == tuple(_reference_cycle_label(im) for im in stack)
     # mul_vec and mul against images[a][images[b]], looked up by brute force
     where = {row.tobytes(): i for i, row in enumerate(G.images)}
     a, b = np.meshgrid(np.arange(G.order), np.arange(G.order), indexing="ij")
@@ -264,7 +265,51 @@ def test_permutation_group_rejects_images_that_are_not_a_group():
 def test_permutation_labels_name_the_original_points():
     G = build_from_permutations(7, [(0, 3, 2, 5, 4, 1, 6), (0, 3, 2, 1, 4, 5, 6)])
     assert G.degree == 3
-    assert sorted(G.labels) == sorted(["()", "(1 3 5)", "(1 5 3)", "(1 3)", "(1 5)", "(3 5)"])
+    labels = sorted(G.label(x) for x in range(G.order))
+    assert labels == sorted(["()", "(1 3 5)", "(1 5 3)", "(1 3)", "(1 5)", "(3 5)"])
+
+
+# the permutation specs of the test suite, besides the random ones above
+SUITE_PERMUTATIONS = [
+    permutation(3, [(1, 0, 2), (0, 2, 1)]),
+    permutation(4, [(1, 2, 3, 0)]),
+    permutation(3, [(0, 1, 2), (1, 0, 2)]),
+    permutation(7, [(0, 3, 2, 5, 4, 1, 6), (0, 3, 2, 1, 4, 5, 6)]),
+    permutation(3, [(1, 0, 2), (1, 2, 0)]),
+    permutation(3, [(1, 2, 0)]),
+    permutation(4, [(1, 2, 0, 3), (1, 2, 3, 0)]),
+    permutation(5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]),
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [symmetric(d) for d in range(1, 7)] + SUITE_PERMUTATIONS,
+    ids=lambda s: s.describe() + str(s.generators or ""),
+)
+def test_permutation_labels_on_demand_match_cycle_notation(spec):
+    G = construct(spec)
+    gens = spec.generators
+    if gens is None:  # the symmetric builder's generators
+        d = spec.degree
+        gens = [[0]] if d == 1 else [[1, 0] + list(range(2, d)), list(range(1, d)) + [0]]
+    degree = len(gens[0])
+    points = group_core.moved_points([np.asarray(g) for g in gens])
+    full = np.tile(np.arange(degree), (G.order, 1))
+    full[:, points] = points[G.images]
+    for x in range(G.order):
+        expected = group_core._perm_cycle_label(G.images[x], points)
+        assert G.label(x) == expected == _reference_cycle_label(full[x])
+
+
+def test_permutation_closure_computes_no_label(monkeypatch):
+    calls = []
+    real = group_core._perm_cycle_label
+    monkeypatch.setattr(group_core, "_perm_cycle_label", lambda *a: calls.append(a) or real(*a))
+    G = build_from_permutations(4096, [list(range(1, 4096)) + [0]])
+    assert G.order == 4096 and calls == []
+    assert G.label(1) == "(" + " ".join(map(str, range(4096))) + ")"
+    assert len(calls) == 1
 
 
 def test_permutation_closure_byte_budget(monkeypatch):
@@ -288,6 +333,22 @@ def test_power_examples():
     assert power(C12, 1, -(10 ** 9)) == (-(10 ** 9)) % 12
     M81 = construct(metacyclic(9, 9, 4))
     assert element_order(M81, power(M81, 9, 3)) == 3
+
+
+@pytest.mark.parametrize(
+    "spec", [cyclic(12), metacyclic(9, 9, 4), symmetric(5), product(dicyclic(3), cyclic(4))]
+)
+def test_power_vec_matches_power(spec):
+    G = construct(spec)
+    rng = np.random.default_rng(G.order)
+    xs = rng.integers(0, G.order, size=200)
+    ks = rng.integers(0, 140, size=200)
+    ks[:20] = 0
+    expected = [G.power(int(x), int(k)) for x, k in zip(xs, ks)]
+    assert G.power_vec(xs, ks).tolist() == expected  # one exponent per element
+    for k in (0, 1, 5, 64):  # one exponent for all
+        assert G.power_vec(xs, k).tolist() == [G.power(int(x), k) for x in xs]
+    assert G.power_vec(7 % G.order, 3).shape == ()
 
 
 def test_element_order_examples():
@@ -465,7 +526,12 @@ def test_direct_product_examples():
 
 
 def test_product_class_structure_on_corpus_pairs():
-    """Class sizes of a product are the pairwise products of factor sizes."""
+    """Classes and orders of a product, taken from its factors, against a recomputation.
+
+    The reference classes are the orbits of the product's own conjugation
+    permutations.  Each order o is certified exact on the product itself:
+    x^o is the identity and x^(o/p) is not, for every prime p dividing o.
+    """
     from cutlab.corpus import builtin_corpus
 
     groups = [construct(e.spec) for e in builtin_corpus()]
@@ -475,7 +541,19 @@ def test_product_class_structure_on_corpus_pairs():
             if G.order * H.order > 512:
                 continue
             P = direct_product(G, H)
-            sizes = sorted(len(m) for m in P.conjugacy.class_members)
+            labels = _kernels.orbit_labels(np.stack([P.conj_perm(g) for g in P.generators]))
+            reps = np.unique(labels)
+            class_of = np.searchsorted(reps, labels)
+            part = P.conjugacy
+            assert np.array_equal(part.class_of, class_of)
+            assert np.array_equal(part.representatives, reps)
+            assert np.array_equal(part.inverse_class, class_of[P.inv_vec[reps]])
+            orders, everyone = P.element_orders, np.arange(P.order)
+            assert (P.power_vec(everyone, orders) == 0).all()
+            for p in group_core.prime_factors(P.order):
+                divisible = orders % p == 0
+                assert (P.power_vec(everyone[divisible], orders[divisible] // p) != 0).all()
+            sizes = sorted(len(m) for m in part.class_members)
             expected = sorted(
                 len(a) * len(b)
                 for a in G.conjugacy.class_members
