@@ -61,13 +61,14 @@ def _power_map_witnesses(G: FiniteGroup, reps, labels, kernel=None):
 
     The powers of all representatives are walked together, one ``mul_vec``
     per exponent over the ones still open; a representative leaves the walk
-    at its first witness or when j + 1 reaches m.  A witness is yielded as
+    at its first witness or when j + 2 reaches m, since x^(m-1) = x^-1 never
+    escapes (so only m > 3 walks at all).  A witness is yielded as
     soon as every representative before it has left, so a caller that stops
     at the first witness stops the walk there too.
     """
     reps = np.asarray(reps)
     orders = G.element_orders[reps] if kernel is None else _orders_modulo(G, reps, kernel)
-    live = (orders > 2).nonzero()[0]  # positions in reps still walking
+    live = (orders > 3).nonzero()[0]  # positions in reps still walking
     if not live.size:
         return
     # the lesser of the classes of y and y^-1: equal for y and x exactly when y ~ x or y ~ x^-1
@@ -75,7 +76,7 @@ def _power_map_witnesses(G: FiniteGroup, reps, labels, kernel=None):
     pair = np.minimum(labels, labels[G.inv_vec])
     xs = ys = reps[live]
     own, m = pair[xs], orders[live]
-    ends = set(m.tolist())  # some walk may end after exponent j only when j + 1 is in here
+    ends = set(m.tolist())  # some walk may end after exponent j only when j + 2 is in here
     first = np.zeros(len(reps), dtype=np.int64)  # witness exponent per representative, 0: none
     settled, j = 0, 1  # reps[:settled] have left the walk and been yielded
     while True:
@@ -89,9 +90,9 @@ def _power_map_witnesses(G: FiniteGroup, reps, labels, kernel=None):
         j += 1
         ys = G.mul_vec(ys, xs)
         hit = (pair[ys] != own) & (np.gcd(j, m) == 1)
-        if np.count_nonzero(hit) or j + 1 in ends:
+        if np.count_nonzero(hit) or j + 2 in ends:
             first[live[hit]] = j
-            keep = ~hit & (j + 1 < m)
+            keep = ~hit & (j + 2 < m)
             live, xs, ys, own, m = (a[keep] for a in (live, xs, ys, own, m))
 
 

@@ -17,9 +17,12 @@ conjugation by the generator set, as a class id per element; the member
 list of each class is built on demand.  A direct product takes its classes
 and element orders from its factors instead.  Element orders come from a
 whole-array power walk, cut short where p-part powering by
-square-and-multiply needs fewer products.  All other structural
-computations (center, subgroup closure, quotients, series) are derived
-lazily.
+square-and-multiply needs fewer products.  Subgroups (the center, the
+Sylow subgroups, every term of the derived and lower central series) are
+derived lazily as sorted member sets of G.  A dense Cayley table is built
+only where a table is the input or the output (a table spec, a quotient,
+``dense_table``, and ``SubgroupHandle.as_group``, which serves the tests),
+each held to PERMUTATION_BYTE_BUDGET before it is allocated.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .errors import InvalidParameters, NotAGroup, NotAPermutation, NotNormal, Or
 DEFAULT_MAX_ORDER = 65_536
 
 # Most bytes of permutation images one closure may store (moved points only),
-# and of the int32 Cayley table a presentation kind may build.
+# and of any int32 Cayley table built from a spec, a subgroup or a quotient.
 PERMUTATION_BYTE_BUDGET = 1 << 30
 
 # Most bytes of composed image rows one PermutationGroup.mul_vec step holds.
@@ -304,7 +307,8 @@ class FiniteGroup:
         return _compute_profile(self)
 
     def dense_table(self) -> np.ndarray:
-        """Materialize the full Cayley table (rebuilt on every call)."""
+        """Materialize the full Cayley table (rebuilt on every call, within the byte budget)."""
+        check_image_budget(self.order, self.order, f"table rows of {self.name}")
         rows = np.empty((self.order, self.order), dtype=np.int32)
         everyone = np.arange(self.order)
         for g in range(self.order):
@@ -511,7 +515,9 @@ class SubgroupHandle:
         return bool(self._mask[x])
 
     def as_group(self, name=None) -> TableGroup:
-        """Re-index the members as a standalone group of their own."""
+        """Re-index the members as a standalone group of their own (a dense table)."""
+        name = name or f"{self.parent.name}-sub{self.order}"
+        check_image_budget(self.order, self.order, f"table rows of {name}")
         members = self.members
         raw = self.parent.mul_vec(members[:, None], members[None, :])
         table = np.searchsorted(members, raw).astype(np.int32)
@@ -519,12 +525,7 @@ class SubgroupHandle:
         named = isinstance(self.parent, (ProductGroup, PermutationGroup))
         if named or self.parent.labels is not None:
             labels = tuple(self.parent.label(int(m)) for m in members)
-        return TableGroup(
-            table,
-            greedy_generators(table),
-            labels,
-            name or f"{self.parent.name}-sub{len(members)}",
-        )
+        return TableGroup(table, greedy_generators(table), labels, name)
 
 
 @dataclass(frozen=True)
@@ -817,7 +818,9 @@ def cosets(G: FiniteGroup, N: SubgroupHandle) -> tuple[np.ndarray, np.ndarray]:
 
 
 def quotient(G: FiniteGroup, N: SubgroupHandle) -> FiniteGroup:
-    """Quotient group on cosets, each named by its smallest member."""
+    """Quotient group on cosets, each named by its smallest member (a dense table)."""
+    n = G.order // N.order
+    check_image_budget(n, n, f"table rows of {G.name}/N{N.order}")
     reps, coset_id = cosets(G, N)
     raw = G.mul_vec(reps[:, None], reps[None, :])
     table = coset_id[raw].astype(np.int32)
@@ -830,53 +833,59 @@ def quotient(G: FiniteGroup, N: SubgroupHandle) -> FiniteGroup:
     return TableGroup(table, gens or (0,), labels, name=f"{G.name}/N{N.order}")
 
 
+def _commutator_subgroup(G: FiniteGroup, xs, H: SubgroupHandle) -> SubgroupHandle:
+    """The normal closure in G of [x, h] = x h x^-1 h^-1 for x in ``xs`` and h in a normal H.
+
+    Conjugate commutators have the same normal closure, so it is seeded with
+    one class representative of G per class the commutators meet.
+    """
+    xs, hs = np.asarray(xs), H.members
+    hit = np.zeros(G.order, dtype=bool)
+    step = max(1, MUL_CHUNK_BYTES // (8 * hs.size))
+    for start in range(0, xs.size, step):
+        x = xs[start:start + step, None]
+        xhx = G.mul_vec(G.mul_vec(x, hs[None, :]), G.inv_vec[x])
+        hit[G.mul_vec(xhx, G.inv_vec[hs][None, :])] = True
+    part = G.conjugacy
+    seeds = part.representatives[np.unique(part.class_of[hit])]
+    return subgroup_generated(G, seeds, normal_closure=True)
+
+
 def _derived_subgroup(G: FiniteGroup) -> SubgroupHandle:
-    comms = set()
-    for g in G.generators:
-        for h in G.generators:
-            gh = G.mul(g, h)
-            hg = G.mul(h, g)
-            comms.add(G.mul(gh, int(G.inv_vec[hg])))
-    return subgroup_generated(G, comms, normal_closure=True)
-
-
-def _commutator_with_group(G: FiniteGroup, H: SubgroupHandle) -> SubgroupHandle:
-    """[G, H] for H normal: normal closure of generator-member commutators."""
-    comms: set[int] = set()
-    for g in G.generators:
-        conj = G.conj_perm(g)[H.members]
-        comms.update(int(c) for c in G.mul_vec(conj, G.inv_vec[H.members]))
-    return subgroup_generated(G, comms, normal_closure=True)
+    return _commutator_subgroup(G, G.generators, G.subgroup(np.arange(G.order)))
 
 
 def derived_series_orders(G: FiniteGroup) -> list[int]:
-    """Orders along the derived series, ending at 1 iff solvable."""
+    """Orders along the derived series, ending at 1 iff solvable.
+
+    Each term is a member set of G: D_{k+1} = [D_k, D_k] is the normal
+    closure of [r, d] over d in D_k and the class representatives r of G
+    inside D_k, whose conjugates generate D_k, as [r^g, d] = [r, d^(g^-1)]^g.
+    """
     orders = [G.order]
-    cur = G
-    while cur.order > 1:
-        d = _derived_subgroup(cur)
-        if d.order == cur.order:
-            orders.append(d.order)
+    if G.order == 1:
+        return orders
+    reps = G.conjugacy.representatives
+    D = _derived_subgroup(G)
+    while True:
+        orders.append(D.order)
+        if D.order in (1, orders[-2]):
             return orders
-        orders.append(d.order)
-        if d.order == 1:
-            return orders
-        cur = d.as_group()
-    return orders
+        D = _commutator_subgroup(G, reps[D._mask[reps]], D)
 
 
 def lower_central_series(G: FiniteGroup) -> list[SubgroupHandle]:
-    """G = gamma_1 >= gamma_2 >= ..., stopping at 1 or at stabilization."""
-    whole = G.subgroup(np.arange(G.order))
-    series = [whole]
-    if G.order == 1:
-        return series
-    cur = _derived_subgroup(G)
-    while True:
-        series.append(cur)
-        if cur.order == 1 or cur.order == series[-2].order:
-            return series
-        cur = _commutator_with_group(G, cur)
+    """G = gamma_1 >= gamma_2 >= ..., stopping at 1 or at stabilization.
+
+    gamma_{k+1} = [G, gamma_k] is the normal closure of the commutators of
+    G's generators with the members of gamma_k, computed inside G.
+    """
+    series = [G.subgroup(np.arange(G.order))]
+    while series[-1].order > 1:
+        series.append(_commutator_subgroup(G, G.generators, series[-1]))
+        if series[-1].order == series[-2].order:
+            break
+    return series
 
 
 def _compute_profile(G: FiniteGroup) -> StructuralProfile:

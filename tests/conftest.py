@@ -4,7 +4,9 @@ The naive helpers work on a raw Python list-of-lists multiplication table
 and use nothing from the package beyond ``mul`` to extract that table, so
 they stay independent of the code paths they check.  The reference walks
 below work on a built group through ``mul`` and ``mul_vec`` only, one power
-at a time, for groups too large for a Python table.
+at a time, for groups too large for a Python table.  The series references
+take a separate path: each derived term is rebuilt as a table group of its
+own, and each [G, H] comes from generator-member commutators.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from cutlab.corpus import builtin_corpus, run_corpus
+from cutlab.group_core import subgroup_generated
 
 
 def table_of(G):
@@ -76,6 +79,38 @@ def reference_witnesses(G):
                 witnesses.append((x, j))
                 break
     return tuple(witnesses)
+
+
+def reference_derived_series_orders(G):
+    """Orders along the derived series, each term rebuilt as a table group of its own.
+
+    D' is the normal closure in D of the commutators of D's generators.
+    """
+    orders, D = [G.order], G
+    while D.order > 1:
+        comms = {D.mul(D.mul(g, h), D.inverse(D.mul(h, g))) for g in D.generators for h in D.generators}
+        sub = subgroup_generated(D, comms, normal_closure=True)
+        orders.append(sub.order)
+        if sub.order == D.order:
+            break
+        D = sub.as_group()
+    return orders
+
+
+def reference_lower_central_series(G):
+    """Member arrays of G = gamma_1 >= gamma_2 >= ..., stopping at 1 or at stabilization.
+
+    [G, H] is the normal closure of g h g^-1 h^-1 over G's generators g and
+    the members h of H.
+    """
+    series = [np.arange(G.order)]
+    while len(series[-1]) > 1:
+        hs = series[-1]
+        comms = {int(c) for g in G.generators for c in G.mul_vec(G.conj_perm(g)[hs], G.inv_vec[hs])}
+        series.append(subgroup_generated(G, comms, normal_closure=True).members)
+        if len(series[-1]) == len(series[-2]):
+            break
+    return series
 
 
 def naive_center(t):

@@ -5,6 +5,7 @@ import pytest
 
 from cutlab import group_core
 from cutlab.characterizations import (
+    TraceEntry,
     _central_subgroup_families,
     _class2_applicable,
     cor_class2,
@@ -104,6 +105,59 @@ def test_thm_nilpotent_sylow_split():
     assert r.applicable and r.predicted
 
 
+def _sylow_table_reference(G):
+    """thm_nilpotent's (predicted, trace) for pi = {2, 3}, on Sylow subgroups rebuilt as table groups."""
+
+    def clause(P, k, either):
+        part, trace = P.conjugacy, []
+        for c, x in enumerate(part.representatives.tolist()):
+            k_class = int(part.class_of[P.power(x, k)])
+            ok = k_class == part.inverse_class[c] or (either and k_class == c)
+            trace.append(TraceEntry(P.label(x), f"x^{k} ~ x or x^-1" if either else f"x^{k} ~ x^-1", ok))
+        return trace
+
+    H = G.profile.sylow_subgroups[2].as_group(name="sylow2")
+    K = G.profile.sylow_subgroups[3].as_group(name="sylow3")
+    trace = [TraceEntry("sylow 2-subgroup", "is a real group", H.profile.is_real_group)]
+    trace += clause(H, 3, True) + clause(K, 2, False)
+    return all(t.ok for t in trace), tuple(trace)
+
+
+def test_thm_nilpotent_matches_sylow_table_groups():
+    corpus = {e.id: e.spec for e in builtin_corpus()}
+    groups = [construct(corpus["product-q8xc3"]), construct(corpus["product-d8xc3"])]
+    built = {name: construct(spec) for name, spec in corpus.items()}
+    for a in built.values():
+        for b in built.values():
+            if a.order * b.order <= 256 and a.profile.is_nilpotent and b.profile.is_nilpotent:
+                if set(a.profile.pi) | set(b.profile.pi) == {2, 3}:
+                    groups.append(direct_product(a, b))
+    assert len(groups) > 100
+    outcomes = set()
+    for G in groups:
+        r = thm_nilpotent(G)
+        assert r.applicable and (r.predicted, r.trace) == _sylow_table_reference(G), G.name
+        outcomes.add(r.predicted)
+    assert outcomes == {True, False}
+
+
+def test_analysis_builds_no_subgroup_table(monkeypatch):
+    def refuse(self, name=None):
+        raise AssertionError("a subgroup was copied into a table group")
+
+    monkeypatch.setattr(group_core.SubgroupHandle, "as_group", refuse)
+    for spec in (
+        product(dicyclic(2), cyclic(3)),
+        product(metacyclic(4, 2, 3), cyclic(3)),
+        heisenberg(3),
+        abelian([2, 4, 8]),
+        symmetric(5),
+        metacyclic(12, 2, 5),
+    ):
+        G = construct(spec)
+        assert all(r.agrees_with_decider is not False for r in verify_equivalences(G)), G.name
+
+
 def test_cor_class2_examples():
     r = cor_class2(construct(cyclic(4)))
     assert r.applicable and r.predicted
@@ -175,15 +229,16 @@ def test_central_subgroup_walk_matches_reference():
     groups = [G for G in groups if _class2_applicable(G)]
     groups += [construct(cyclic(64)), construct(abelian([2, 4, 8]))]
     for G in groups:
-        A = center(G).as_group(name="center")
+        Z = center(G)
+        A = Z.as_group(name="center")
         try:
             want = _reference_walk(A, 1024)
         except CenterTooLarge:
             with pytest.raises(CenterTooLarge):
-                _central_subgroup_families(A, 1024)
+                _central_subgroup_families(G, Z, 1024)
             continue
-        got = _central_subgroup_families(A, 1024)
-        assert [a.tolist() for a in got] == [b.tolist() for b in want], G.name
+        got = _central_subgroup_families(G, Z, 1024)
+        assert [a.tolist() for a in got] == [Z.members[b].tolist() for b in want], G.name
 
 
 def _decided_normal_subgroups(G, Z):
@@ -192,10 +247,10 @@ def _decided_normal_subgroups(G, Z):
     if _class2_applicable(G):
         subs += [commutator_of_element(G, int(x))[1] for x in G.conjugacy.representatives]
         try:
-            families = _central_subgroup_families(Z.as_group(), 1024)
+            families = _central_subgroup_families(G, Z, 1024)
         except CenterTooLarge:
             families = []
-        subs += [G.subgroup(Z.members[m]) for m in families]
+        subs += [G.subgroup(m) for m in families]
     return {N.members.tobytes(): N for N in subs if N.is_normal}.values()
 
 
@@ -238,9 +293,9 @@ def test_in_place_verdicts_match_table_groups():
 
 def test_central_subgroup_walk_cap_boundary():
     A = construct(abelian([2] * 5))
-    assert len(_central_subgroup_families(A, 374)) == 374
+    assert len(_central_subgroup_families(A, center(A), 374)) == 374
     with pytest.raises(CenterTooLarge):
-        _central_subgroup_families(A, 373)
+        _central_subgroup_families(A, center(A), 373)
 
 
 def test_prop_class2_factor_large_cyclic():

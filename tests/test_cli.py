@@ -298,6 +298,41 @@ def test_table_byte_budget_exits_before_allocation(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def _run_under_address_limit(*args, limit=1 << 30, timeout=60):
+    """Run ``python -m cutlab.cli`` in a subprocess under an address-space limit."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cutlab.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    env.pop("CUTLAB_MAX_ORDER", None)
+    return subprocess.run(
+        [sys.executable, "-m", "cutlab.cli", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
+def test_quotient_table_byte_budget_exits_before_allocation(tmp_path):
+    # the quotient of an order-65536 group by a subgroup of order 2 has a 4 GiB table
+    parent = product(abelian([2] * 12), cyclic(16))
+    path = spec_file(tmp_path, quotient_spec(parent, [8]).to_dict())
+    proc = _run_under_address_limit("construct", path)
+    assert proc.returncode == EXIT_ORDER_CAP
+    assert "byte budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_analyze_symmetric_8_within_a_small_address_space(tmp_path):
+    # A8, the derived subgroup of S8, is analyzed as a member set of S8: its own
+    # table would take 1.5 GiB
+    path = spec_file(tmp_path, {"kind": "symmetric", "degree": 8})
+    proc = _run_under_address_limit("analyze", path, "--format", "json", timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["cut"] is True and report["solvable"] is False
+    assert "Traceback" not in proc.stderr
+
+
 def test_permutation_byte_budget_checked_at_parse_time(monkeypatch):
     # S4 from (0 1 2) and (0 1 2 3): the order bound 12 times 4 points times 4 bytes is 192
     text = json.dumps({"kind": "permutation", "degree": 4, "generators": [[1, 2, 0, 3], [1, 2, 3, 0]]})
@@ -338,6 +373,38 @@ def test_verify_json(tmp_path, capsys):
     reports = json.loads(capsys.readouterr().out)
     names = {r["name"] for r in reports}
     assert "thm_nilpotent" in names and "cor_p6_products" in names
+
+
+def test_verify_table_sylow_subjects_name_elements_of_g(tmp_path, capsys):
+    # an unlabeled table of Q8 x C3: each thm_nilpotent subject is an element of G
+    G = construct(table_spec(24, construct(product(dicyclic(2), cyclic(3))).dense_table()))
+    path = spec_file(tmp_path, {"kind": "table", "order": 24, "table": G.dense_table().tolist()})
+    assert main(["verify", path, "--format", "json"]) == EXIT_OK
+    (report,) = [r for r in json.loads(capsys.readouterr().out) if r["name"] == "thm_nilpotent"]
+    assert report["predicted"] is True
+    subjects = {"x^3 ~ x or x^-1": [], "x^2 ~ x^-1": []}
+    for entry in report["trace"]:
+        if entry["clause"] in subjects:
+            subjects[entry["clause"]].append(int(entry["subject"]))
+    two_orders = {int(G.element_order(x)) for x in subjects["x^3 ~ x or x^-1"]}
+    three_orders = {int(G.element_order(x)) for x in subjects["x^2 ~ x^-1"]}
+    assert two_orders == {1, 2, 4} and three_orders == {1, 3}
+    assert len(subjects["x^3 ~ x or x^-1"]) == 5 and len(subjects["x^2 ~ x^-1"]) == 3
+
+
+def test_p6_products_past_the_cap_are_skipped(tmp_path, capsys):
+    # order 9216: the products with C2 and C2xC2 are within the cap, those with D8 and Q8 are not
+    spec = product(abelian([2] * 10), abelian([3, 3]))
+    path = spec_file(tmp_path, spec.to_dict())
+    assert main(["analyze", path]) == EXIT_OK
+    assert "cut: true" in capsys.readouterr().out
+    assert main(["verify", path, "--format", "json"]) == EXIT_OK
+    (report,) = [r for r in json.loads(capsys.readouterr().out) if r["name"] == "cor_p6_products"]
+    assert report["agrees_with_decider"] is True
+    clauses = {t["subject"]: t["clause"] for t in report["trace"]}
+    assert clauses["G x C2"] == clauses["G x C2xC2"] == "product keeps cut"
+    for name in ("G x D8", "G x Q8"):
+        assert clauses[name] == "skipped: product order 73728 exceeds the cap 65536"
 
 
 # -- construct ----------------------------------------------------------------

@@ -216,5 +216,17 @@ def test_first_witness_stops_the_joint_walk():
     first = next(_power_map_witnesses(G, part.representatives, part.class_of))
     early = len(products)
     witnesses = tuple(_power_map_witnesses(G, part.representatives, part.class_of))
-    assert early < len(products) - early  # 4 of the full walk's 6 products
+    assert early < len(products) - early  # 3 of the full walk's 6 products
     assert first == witnesses[0] == reference_witnesses(G)[0]
+
+
+def test_walk_stops_before_the_inverse_exponent():
+    # x^(m-1) = x^-1 never escapes; in C6 only the two elements of order 6 walk,
+    # over j = 2, 3, 4
+    G = construct(cyclic(6))
+    G.element_orders
+    products = []
+    real = G.mul_vec
+    G.mul_vec = lambda a, b: products.append(1) or real(a, b)
+    assert decide_cut(G).has_cut
+    assert len(products) == 3

@@ -5,7 +5,15 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import naive_center, naive_classes, naive_cut, naive_order, table_of
+from conftest import (
+    naive_center,
+    naive_classes,
+    naive_cut,
+    naive_order,
+    reference_derived_series_orders,
+    reference_lower_central_series,
+    table_of,
+)
 from cutlab import _kernels, group_core
 from cutlab.constructors import (
     abelian,
@@ -18,6 +26,7 @@ from cutlab.constructors import (
     product,
     symmetric,
 )
+from cutlab.corpus import builtin_corpus
 from cutlab.errors import NotAGroup, NotAPermutation, NotNormal, OrderCapExceeded
 from cutlab.group_core import (
     PermutationGroup,
@@ -26,9 +35,11 @@ from cutlab.group_core import (
     build_from_table,
     center,
     commutator_of_element,
+    derived_series_orders,
     direct_product,
     element_order,
     greedy_generators,
+    lower_central_series,
     power,
     quotient,
     structural_profile,
@@ -608,6 +619,70 @@ def test_profile_sylow_decomposition():
 def test_profile_s4_not_nilpotent():
     p = structural_profile(construct(symmetric(4)))
     assert p.is_solvable and not p.is_nilpotent and p.is_eppo
+
+
+# -- series inside G ----------------------------------------------------------
+
+A5 = permutation(5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]])
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        [e.spec for e in builtin_corpus()],
+        [symmetric(4), symmetric(6), A5, product(cyclic(5), symmetric(5)), metacyclic(2048, 2, 2047)],
+    ],
+    ids=["corpus", "stress"],
+)
+def test_series_match_table_group_reference(specs):
+    for spec in specs:
+        G = construct(spec)
+        assert derived_series_orders(G) == reference_derived_series_orders(G), G.name
+        got = [h.members.tolist() for h in lower_central_series(G)]
+        assert got == [m.tolist() for m in reference_lower_central_series(G)], G.name
+
+
+def test_series_examples():
+    assert derived_series_orders(construct(symmetric(4))) == [24, 12, 4, 1]
+    assert derived_series_orders(construct(A5)) == [60, 60]  # perfect, not solvable
+    assert derived_series_orders(construct(product(cyclic(5), symmetric(5)))) == [600, 60, 60]
+    assert derived_series_orders(construct(metacyclic(2048, 2, 2047))) == [4096, 1024, 1]
+    assert [h.order for h in lower_central_series(construct(dicyclic(4)))] == [16, 4, 2, 1]
+    assert [h.order for h in lower_central_series(construct(symmetric(4)))] == [24, 12, 12]
+    assert [h.order for h in lower_central_series(construct(cyclic(1)))] == [1]
+
+
+def test_subgroup_table_checked_against_the_byte_budget(monkeypatch):
+    S4 = construct(symmetric(4))
+    A4 = group_core._derived_subgroup(S4)  # 12 x 12 int32 entries: 576 bytes
+    monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 576)
+    assert A4.as_group().order == 12
+    monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 575)
+    with pytest.raises(OrderCapExceeded, match="byte budget 575"):
+        A4.as_group()
+
+
+def test_quotient_table_checked_against_the_byte_budget(monkeypatch):
+    S4 = construct(symmetric(4))
+    V4 = S4.subgroup([0] + [int(x) for m in S4.conjugacy.class_members if len(m) == 3 for x in m])
+    assert V4.order == 4 and V4.is_normal  # S4/V4 has 6 x 6 int32 entries: 144 bytes
+    monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 144)
+    assert quotient(S4, V4).order == 6
+    monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 143)
+    with pytest.raises(OrderCapExceeded, match="byte budget 143"):
+        quotient(S4, V4)
+
+
+def test_dense_table_checked_against_the_byte_budget(monkeypatch):
+    S4 = construct(symmetric(4))  # a permutation group: 24 x 24 int32 entries, 2304 bytes
+    C6 = construct(cyclic(6))  # a table group hands out the table it holds
+    monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 2304)
+    assert S4.dense_table().shape == (24, 24)
+    monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 2303)
+    with pytest.raises(OrderCapExceeded, match="byte budget 2303"):
+        S4.dense_table()
+    monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 1)
+    assert C6.dense_table() is C6.table
 
 
 # -- validation ---------------------------------------------------------------
