@@ -34,7 +34,7 @@ from .group_core import (
     build_from_permutations,
     build_from_table,
     center,
-    commutator_of_element,
+    commutator_subgroups,
     conjugacy_partition,
     direct_product,
     element_order,
@@ -81,7 +81,7 @@ __all__ = [
     "build_from_permutations",
     "build_from_table",
     "center",
-    "commutator_of_element",
+    "commutator_subgroups",
     "conjugacy_partition",
     "direct_product",
     "element_order",

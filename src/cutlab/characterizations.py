@@ -7,7 +7,8 @@ all predicates against the engine; a disagreement on an applicable group
 signals an implementation bug and is reported rather than raised.
 
 All per-element conditions are evaluated on class representatives only,
-which is equivalent because conjugate elements have conjugate powers.
+which is equivalent because conjugate elements have conjugate powers, and
+each clause takes its powers or commutator subgroups for all of them at once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .group_core import (
     SubgroupHandle,
     _is_power_of,
     center,
-    commutator_of_element,
+    commutator_subgroups,
     direct_product,
 )
 from .cut_engine import central_subgroup_has_cut, decide_cut, quotient_has_cut
@@ -55,8 +56,10 @@ class TheoremReport:
     agrees_with_decider: bool | None = None
 
 
-def _power_class(G: FiniteGroup, x: int, k: int) -> int:
-    return int(G.conjugacy.class_of[G.power(x, k)])
+def _power_classes(G: FiniteGroup, k: int, classes=slice(None)) -> list[int]:
+    """The class of x^k for the representative x of each of ``classes`` (default: all)."""
+    part = G.conjugacy
+    return part.class_of[G.power_vec(part.representatives[classes], k)].tolist()
 
 
 def _power_clause(G: FiniteGroup, classes, k: int, either: bool) -> tuple[bool, list[TraceEntry]]:
@@ -64,9 +67,8 @@ def _power_clause(G: FiniteGroup, classes, k: int, either: bool) -> tuple[bool, 
     part = G.conjugacy
     clause = f"x^{k} ~ x or x^-1" if either else f"x^{k} ~ x^-1"
     trace, ok_all = [], True
-    for c in classes:
+    for c, k_class in zip(classes, _power_classes(G, k, classes)):
         x = int(part.representatives[c])
-        k_class = _power_class(G, x, k)
         ok = k_class == int(part.inverse_class[c]) or (either and k_class == c)
         trace.append(TraceEntry(G.label(x), clause, ok))
         ok_all &= ok
@@ -78,11 +80,12 @@ def thm_odd(G: FiniteGroup) -> TheoremReport:
     if G.order % 2 == 0:
         return TheoremReport("thm_odd", False, None, ())
     part = G.conjugacy
+    fifth = _power_classes(G, 5)
     trace, ok_all = [], True
     for c in range(part.num_classes):
         x = int(part.representatives[c])
         m = G.element_order(x)
-        pow_ok = _power_class(G, x, 5) == int(part.inverse_class[c])
+        pow_ok = fifth[c] == int(part.inverse_class[c])
         ord_ok = m == 7 or _is_power_of(m, 3)
         if not ord_ok:
             clause = f"o(x)={m} is neither 7 nor a power of 3"
@@ -102,19 +105,20 @@ def thm_solvable_eppo(G: FiniteGroup) -> TheoremReport:
     if not (profile.is_solvable and profile.is_eppo):
         return TheoremReport("thm_solvable_eppo", False, None, ())
     part = G.conjugacy
+    third, fifth = _power_classes(G, 3), _power_classes(G, 5)
     trace, ok_all = [], True
     for c in range(part.num_classes):
         x = int(part.representatives[c])
         m = G.element_order(x)
         inv_c = int(part.inverse_class[c])
         if _is_power_of(m, 2):
-            ok = _power_class(G, x, 3) in (c, inv_c)
+            ok = third[c] in (c, inv_c)
             clause = "(i) o(x)=2^a and x^3 ~ x or x^-1"
         elif m == 7 or (m % 3 == 0 and _is_power_of(m, 3)):
-            ok = _power_class(G, x, 5) == inv_c
+            ok = fifth[c] == inv_c
             clause = "(ii) o(x)=7 or 3^b and x^5 ~ x^-1"
         elif m == 5:
-            ok = _power_class(G, x, 3) == inv_c
+            ok = third[c] == inv_c
             clause = "(iii) o(x)=5 and x^3 ~ x^-1"
         else:
             ok = False
@@ -169,6 +173,8 @@ def cor_class2(G: FiniteGroup) -> TheoremReport:
 
     The class-1 (abelian) case is admitted as the degenerate form: every
     [x,G] is trivial and the condition reduces to the exponent condition.
+    Under class <= 2, g -> [x,g] is a homomorphism into the center, so the
+    commutator set of x is already the subgroup [x,G].
     """
     if not _class2_applicable(G):
         return TheoremReport("cor_class2", False, None, ())
@@ -187,12 +193,11 @@ def cor_class2(G: FiniteGroup) -> TheoremReport:
     else:
         trace.append(TraceEntry("group", f"p={profile.p} not 2 or 3", False))
         return TheoremReport("cor_class2", True, False, tuple(trace))
-    part = G.conjugacy
+    reps = G.conjugacy.representatives
+    subs = commutator_subgroups(G, reps)
     ok_all = True
-    for c in range(part.num_classes):
-        x = int(part.representatives[c])
-        comm_set, _ = commutator_of_element(G, x)
-        ok = bool(np.isin(G.power(x, exponent), comm_set))
+    for x, sub, power in zip(reps.tolist(), subs, G.power_vec(reps, exponent).tolist()):
+        ok = sub.contains(power)
         trace.append(TraceEntry(G.label(x), f"x^{exponent} in [x,G]", ok))
         ok_all &= ok
     return TheoremReport("cor_class2", True, ok_all, tuple(trace))
@@ -284,11 +289,9 @@ def prop_class2_factor(G: FiniteGroup, mode: str = "per_element") -> TheoremRepo
         trace.append(TraceEntry("group", f"degenerate case: class {nc}", True))
     ok_all = True
     if mode == "per_element":
-        part = G.conjugacy
+        reps = G.conjugacy.representatives
         checked: dict[bytes, bool] = {}
-        for c in range(part.num_classes):
-            x = int(part.representatives[c])
-            _, sub = commutator_of_element(G, x)
+        for x, sub in zip(reps.tolist(), commutator_subgroups(G, reps)):
             key = sub.members.tobytes()
             if key not in checked:
                 checked[key] = central_subgroup_has_cut(G, sub) and quotient_has_cut(G, sub)
@@ -322,12 +325,10 @@ def remark_two_group_sum(H: FiniteGroup, K: FiniteGroup) -> TheoremReport:
 
     def split_nonreal(P: FiniteGroup):
         part = P.conjugacy
+        nonreal = (part.inverse_class != np.arange(part.num_classes)).nonzero()[0].tolist()
         cube_self, cube_inverse = [], []
-        for c in range(part.num_classes):
-            if int(part.inverse_class[c]) == c:
-                continue
+        for c, cube_class in zip(nonreal, _power_classes(P, 3, nonreal)):
             x = int(part.representatives[c])
-            cube_class = _power_class(P, x, 3)
             if cube_class == c:
                 cube_self.append(x)
             elif cube_class == int(part.inverse_class[c]):

@@ -111,6 +111,12 @@ def _theorem_report_dict(report: TheoremReport) -> dict:
     }
 
 
+def _verify_report_dict(report: TheoremReport) -> dict:
+    """One report of ``verify --format json``: the summary fields and the full trace."""
+    trace = [{"subject": t.subject, "clause": t.clause, "ok": t.ok} for t in report.trace]
+    return {**_theorem_report_dict(report), "trace": trace}
+
+
 def build_report_document(
     spec: GroupSpecDescriptor,
     G: FiniteGroup,
@@ -302,17 +308,7 @@ def _cmd_verify(args) -> int:
     G = construct(spec, args.max_order)
     reports = verify_equivalences(G)
     if args.format == "json":
-        payload = [
-            {
-                **_theorem_report_dict(r),
-                "trace": [
-                    {"subject": t.subject, "clause": t.clause, "ok": t.ok}
-                    for t in r.trace
-                ],
-            }
-            for r in reports
-        ]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps([_verify_report_dict(r) for r in reports], indent=2))
     else:
         print(f"group: {spec.describe()}  order: {G.order}")
         for r in reports:

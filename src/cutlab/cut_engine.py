@@ -4,9 +4,9 @@ A group has the cut-property exactly when, for every element x and every
 exponent j coprime to the order of x, x^j is conjugate to x or to x^-1.
 ``decide_cut`` scans class representatives using the eagerly built
 conjugacy partition, walking the powers of all of them at once with one
-whole-array product per exponent; the same scan decides a central subgroup N
-(``central_subgroup_has_cut``) and a quotient G/N (``quotient_has_cut``)
-on G's own elements, without building either as a group of its own.
+whole-array product per exponent; the same scan decides a quotient G/N
+on G's own elements, without building it (``quotient_has_cut``), and a
+central subgroup N needs only its element orders (``central_subgroup_has_cut``).
 ``decide_cut_bruteforce`` is the independent oracle:
 it scans every element and recomputes each conjugacy class from scratch,
 sharing no cached state with the fast path.
@@ -50,11 +50,10 @@ class Classification:
 def _power_map_witnesses(G: FiniteGroup, reps, labels, kernel=None):
     """Yield the criterion's witnesses (x, j), one per failing representative.
 
-    The scanned group H is given on G's elements: G itself, a subgroup of
-    G (the powers of its elements stay in it) or a quotient G/N, which is
-    never built.  ``labels[y]`` is the class in H of y (of yN for a
-    quotient), ``reps`` holds one G element per class of H, ascending, and
-    ``kernel`` is N's membership mask over G (``None``: N = {identity}).
+    The scanned group H is given on G's elements: G itself or a quotient
+    G/N, which is never built.  ``labels[y]`` is the class in H of y (of yN
+    for a quotient), ``reps`` holds one G element per class of H, ascending,
+    and ``kernel`` is N's membership mask over G (``None``: N = {identity}).
     For each x of ``reps`` the order m of xN is the least k >= 1 with x^k
     in N; the first exponent j in 2..m-1 coprime to m whose power x^j
     lands outside the classes of x and x^-1 is yielded.
@@ -124,16 +123,18 @@ def decide_cut(G: FiniteGroup) -> CutVerdict:
 def central_subgroup_has_cut(G: FiniteGroup, N: SubgroupHandle) -> bool:
     """Whether a central subgroup N has the cut-property, decided inside G.
 
-    A central N is abelian, so each of its elements is a class of its
-    own and the criterion asks x^j in {x, x^-1}.  Centrality is checked,
-    not assumed: a non-central N raises HypothesisViolated.
+    A central N is abelian, so each of its elements is a class of its own
+    and the criterion asks x^j in {x, x^-1} for j coprime to m = o(x), that
+    is (Z/m)^x = {1, -1}: m is 1, 2, 3, 4 or 6.  Centrality is checked, not
+    assumed: a non-central N raises HypothesisViolated.
     """
     for g in G.generators:
         if not np.array_equal(G.mul_vec(g, N.members), G.mul_vec(N.members, g)):
             raise HypothesisViolated(
                 f"subgroup of order {N.order} is not central in {G.name}"
             )
-    return next(_power_map_witnesses(G, N.members, np.arange(G.order)), None) is None
+    orders = G.element_orders[N.members]
+    return bool(((orders <= 4) | (orders == 6)).all())
 
 
 def quotient_has_cut(G: FiniteGroup, N: SubgroupHandle) -> bool:

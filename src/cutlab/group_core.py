@@ -1,9 +1,10 @@
 """Finite groups with 0-based indexed elements and eager conjugacy data.
 
 Every group is a set of element indices 0..n-1 with index 0 the identity.
-Three storage backends cover all constructions: a dense Cayley table, a
-permutation-image backend that composes images on demand (never
-materializing the n x n table), and a componentwise direct-product backend.
+Three storage backends cover all constructions, each through one
+whole-array product ``mul_vec``: a dense Cayley table, a permutation-image
+backend that composes images on demand (never materializing the n x n
+table), and a componentwise direct-product backend.
 The permutation backend maps a composed image row back to its element
 through one sorted index of fixed-width byte keys, so products, inverses
 and tables are whole-array numpy operations at every degree.  Its images
@@ -18,11 +19,12 @@ list of each class is built on demand.  A direct product takes its classes
 and element orders from its factors instead.  Element orders come from a
 whole-array power walk, cut short where p-part powering by
 square-and-multiply needs fewer products.  Subgroups (the center, the
-Sylow subgroups, every term of the derived and lower central series) are
-derived lazily as sorted member sets of G.  A dense Cayley table is built
-only where a table is the input or the output (a table spec, a quotient,
-``dense_table``, and ``SubgroupHandle.as_group``, which serves the tests),
-each held to PERMUTATION_BYTE_BUDGET before it is allocated.
+Sylow subgroups, the derived and lower central series, and [x, G] for many
+x at once) are derived lazily as sorted member sets of G.  A dense Cayley
+table is built only where a table is the input or the output (a table
+spec, a quotient, ``dense_table``, and ``SubgroupHandle.as_group``, which
+serves the tests), each held to PERMUTATION_BYTE_BUDGET before it is
+allocated.
 """
 
 from __future__ import annotations
@@ -128,10 +130,11 @@ class ConjugacyPartition:
 class FiniteGroup:
     """A finite group on element indices 0..order-1 with identity 0.
 
-    Subclasses provide ``mul`` / ``mul_vec`` and ``_compute_inverses``;
-    everything else (powers, orders, conjugacy, subgroups) is generic, and
-    ``ProductGroup`` overrides conjugacy and orders with factor data.  Instances
-    are immutable after construction and safe to share across threads.
+    Subclasses provide ``mul_vec`` and ``_compute_inverses``; everything
+    else (the scalar ``mul``, powers, orders, conjugacy, subgroups) is
+    generic, and ``ProductGroup`` overrides conjugacy and orders with factor
+    data.  Instances are immutable after construction and safe to share
+    across threads.
     """
 
     identity = 0
@@ -144,9 +147,6 @@ class FiniteGroup:
         self.labels = tuple(labels) if labels is not None else None
 
     # -- backend hooks -----------------------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
 
     def mul_vec(self, a, b) -> np.ndarray:
         """Elementwise product of broadcastable index arrays."""
@@ -181,6 +181,9 @@ class FiniteGroup:
         return _frozen_partition(class_of, reps, class_of[self.inv_vec[reps]])
 
     # -- generic operations -------------------------------------------------
+
+    def mul(self, a: int, b: int) -> int:
+        return int(self.mul_vec(a, b))
 
     def inverse(self, x: int) -> int:
         return int(self.inv_vec[x])
@@ -332,9 +335,6 @@ class TableGroup(FiniteGroup):
         super().__init__(table.shape[0], generators, labels, name)
         self._finalize()
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
     def mul_vec(self, a, b) -> np.ndarray:
         return self.table[a, b]
 
@@ -387,9 +387,6 @@ class PermutationGroup(FiniteGroup):
         if not (self._sorted_keys[pos] == keys).all():
             raise NotAGroup("a product of permutations is not an element of the group")
         return self._key_order[pos]
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self._lookup(self.images[a][self.images[b]]))
 
     def label(self, x: int) -> str:
         return _perm_cycle_label(self.images[x], self.points)
@@ -449,11 +446,6 @@ class ProductGroup(FiniteGroup):
             name or f"{left.name}x{right.name}",
         )
         self._finalize()
-
-    def mul(self, a: int, b: int) -> int:
-        a1, a2 = divmod(int(a), self.right.order)
-        b1, b2 = divmod(int(b), self.right.order)
-        return self.left.mul(a1, b1) * self.right.order + self.right.mul(a2, b2)
 
     def mul_vec(self, a, b) -> np.ndarray:
         a = np.asarray(a)
@@ -575,20 +567,15 @@ def subgroup_generated(G: FiniteGroup, seeds, normal_closure: bool = False) -> S
     if not gens:
         return G.subgroup([0])
     members = _closure_members(G, gens)
-    if normal_closure:
-        while True:
-            mask = np.zeros(G.order, dtype=bool)
-            mask[members] = True
-            added = False
-            for g in G.generators:
-                conj = G.conj_perm(g)[members]
-                outside = conj[~mask[conj]]
-                if outside.size:
-                    gens.update(int(c) for c in outside)
-                    added = True
-            if not added:
-                break
-            members = _closure_members(G, gens)
+    while normal_closure:
+        mask = np.zeros(G.order, dtype=bool)
+        mask[members] = True
+        conj = np.concatenate([G.conj_perm(g)[members] for g in G.generators])
+        outside = conj[~mask[conj]]
+        if not outside.size:
+            break
+        gens.update(outside.tolist())
+        members = _closure_members(G, gens)
     return G.subgroup(members)
 
 
@@ -798,21 +785,17 @@ def center(G: FiniteGroup) -> SubgroupHandle:
     return G.subgroup(np.nonzero(mask)[0])
 
 
-def commutator_of_element(G: FiniteGroup, x: int):
-    """The set {x g x^-1 g^-1 : g in G} and the subgroup it generates."""
-    everyone = np.arange(G.order)
-    xg = G.mul_vec(x, everyone)
-    xgx = G.mul_vec(xg, int(G.inv_vec[x]))
-    comms = np.unique(G.mul_vec(xgx, G.inv_vec))
-    return comms.astype(np.int32), subgroup_generated(G, comms, normal_closure=True)
-
-
 def cosets(G: FiniteGroup, N: SubgroupHandle) -> tuple[np.ndarray, np.ndarray]:
     """Cosets of a normal N: their smallest members, ascending, and each element's coset id."""
     if not N.is_normal:
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.name}")
+    # each coset's smallest member, from G x N in row blocks of at most MUL_CHUNK_BYTES
     everyone = np.arange(G.order)
-    rep_of = G.mul_vec(everyone[:, None], N.members[None, :]).min(axis=1)
+    step = max(1, MUL_CHUNK_BYTES // (8 * N.order))
+    rep_of = np.concatenate([
+        G.mul_vec(everyone[start:start + step, None], N.members[None, :]).min(axis=1)
+        for start in range(0, G.order, step)
+    ])
     reps = np.unique(rep_of)
     return reps, np.searchsorted(reps, rep_of)
 
@@ -833,8 +816,26 @@ def quotient(G: FiniteGroup, N: SubgroupHandle) -> FiniteGroup:
     return TableGroup(table, gens or (0,), labels, name=f"{G.name}/N{N.order}")
 
 
+def _commutators(G: FiniteGroup, xs, ys) -> np.ndarray:
+    """[x, y] = x y x^-1 y^-1 for broadcastable index arrays ``xs`` and ``ys``."""
+    return G.mul_vec(G.mul_vec(G.mul_vec(xs, ys), G.inv_vec[xs]), G.inv_vec[ys])
+
+
+def commutator_subgroups(G: FiniteGroup, xs) -> list[SubgroupHandle]:
+    """[x, G], the normal closure of {[x, g] : g in G}, for each x of ``xs``.
+
+    As [x, gh] = [x, g] g[x, h]g^-1, it is the normal closure of the
+    commutators of x with G's generators; elements with the same such
+    commutators share one closure.
+    """
+    rows = _commutators(G, np.asarray(xs)[:, None], np.asarray(G.generators)[None, :])
+    distinct, which = np.unique(rows, axis=0, return_inverse=True)
+    subs = [subgroup_generated(G, row, normal_closure=True) for row in distinct]
+    return [subs[i] for i in which.ravel().tolist()]
+
+
 def _commutator_subgroup(G: FiniteGroup, xs, H: SubgroupHandle) -> SubgroupHandle:
-    """The normal closure in G of [x, h] = x h x^-1 h^-1 for x in ``xs`` and h in a normal H.
+    """The normal closure in G of [x, h] for x in ``xs`` and h in a normal H.
 
     Conjugate commutators have the same normal closure, so it is seeded with
     one class representative of G per class the commutators meet.
@@ -843,9 +844,7 @@ def _commutator_subgroup(G: FiniteGroup, xs, H: SubgroupHandle) -> SubgroupHandl
     hit = np.zeros(G.order, dtype=bool)
     step = max(1, MUL_CHUNK_BYTES // (8 * hs.size))
     for start in range(0, xs.size, step):
-        x = xs[start:start + step, None]
-        xhx = G.mul_vec(G.mul_vec(x, hs[None, :]), G.inv_vec[x])
-        hit[G.mul_vec(xhx, G.inv_vec[hs][None, :])] = True
+        hit[_commutators(G, xs[start:start + step, None], hs[None, :])] = True
     part = G.conjugacy
     seeds = part.representatives[np.unique(part.class_of[hit])]
     return subgroup_generated(G, seeds, normal_closure=True)

@@ -6,7 +6,8 @@ they stay independent of the code paths they check.  The reference walks
 below work on a built group through ``mul`` and ``mul_vec`` only, one power
 at a time, for groups too large for a Python table.  The series references
 take a separate path: each derived term is rebuilt as a table group of its
-own, and each [G, H] comes from generator-member commutators.
+own, and each [G, H] comes from generator-member commutators.  The
+commutator set of an element is taken over every element of G.
 """
 
 import math
@@ -111,6 +112,18 @@ def reference_lower_central_series(G):
         if len(series[-1]) == len(series[-2]):
             break
     return series
+
+
+def reference_commutator_sets(G, xs):
+    """Membership masks over G of {x g x^-1 g^-1 : g in G}, one row per x of ``xs``.
+
+    Each set is taken from the products of x with every element g of G.
+    """
+    xs = np.asarray(xs)[:, None]
+    xgx = G.mul_vec(G.mul_vec(xs, np.arange(G.order)), G.inv_vec[xs])
+    masks = np.zeros((xs.size, G.order), dtype=bool)
+    masks[np.arange(xs.size)[:, None], G.mul_vec(xgx, G.inv_vec)] = True
+    return masks
 
 
 def naive_center(t):

@@ -32,7 +32,7 @@ from cutlab.errors import CenterTooLarge, HypothesisViolated
 from cutlab.group_core import (
     _derived_subgroup,
     center,
-    commutator_of_element,
+    commutator_subgroups,
     direct_product,
     quotient,
 )
@@ -177,6 +177,18 @@ def test_cor_class2_examples():
     assert not r.applicable
 
 
+def test_cor_class2_closes_each_distinct_commutator_row_once(monkeypatch):
+    # every [x, G] of an abelian group is trivial: one normal closure for all 256 classes
+    G = construct(abelian([2] * 8))
+    assert G.profile.nilpotency_class == 1  # the series are closed before counting
+    calls = []
+    closure = group_core.subgroup_generated
+    monkeypatch.setattr(group_core, "subgroup_generated", lambda *a, **k: calls.append(a) or closure(*a, **k))
+    r = cor_class2(G)
+    assert r.applicable and r.predicted
+    assert len(calls) == 1
+
+
 def test_prop_class2_factor_examples():
     r = prop_class2_factor(construct(heisenberg(3)), "per_element")
     assert r.applicable and r.predicted
@@ -245,7 +257,7 @@ def _decided_normal_subgroups(G, Z):
     """The normal subgroups of G whose N and G/N the package decides, by members."""
     subs = [Z, _derived_subgroup(G), *G.profile.sylow_subgroups.values()]
     if _class2_applicable(G):
-        subs += [commutator_of_element(G, int(x))[1] for x in G.conjugacy.representatives]
+        subs += commutator_subgroups(G, G.conjugacy.representatives)
         try:
             families = _central_subgroup_families(G, Z, 1024)
         except CenterTooLarge:

@@ -18,6 +18,7 @@ from cutlab.cli import (
     EXIT_OK,
     EXIT_ORDER_CAP,
     EXIT_PARSE,
+    _verify_report_dict,
     main,
     parse_group_spec,
 )
@@ -261,17 +262,7 @@ def test_permutation_byte_budget_exits_before_closure(tmp_path):
     # CLI must still exit 65 at once, so it allocates nothing of that size
     cycle = list(range(1, 65_536)) + [0]
     path = spec_file(tmp_path, {"kind": "permutation", "degree": 65_536, "generators": [cycle]})
-    env = dict(os.environ, PYTHONPATH=str(Path(cutlab.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
-    env.pop("CUTLAB_MAX_ORDER", None)
-    limit = 1 << 30
-    proc = subprocess.run(
-        [sys.executable, "-m", "cutlab.cli", "analyze", path],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=10,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+    proc = _run_under_address_limit("analyze", path, timeout=10)
     assert proc.returncode == EXIT_ORDER_CAP
     assert "byte budget" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -282,17 +273,7 @@ def test_table_byte_budget_exits_before_allocation(tmp_path):
     # (and the int64 formula intermediates more); under a 1 GiB address-space limit
     # the CLI must still exit 65 at once
     path = spec_file(tmp_path, {"kind": "cyclic", "n": 65_536})
-    env = dict(os.environ, PYTHONPATH=str(Path(cutlab.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
-    env.pop("CUTLAB_MAX_ORDER", None)
-    limit = 1 << 30
-    proc = subprocess.run(
-        [sys.executable, "-m", "cutlab.cli", "analyze", path],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=10,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+    proc = _run_under_address_limit("analyze", path, timeout=10)
     assert proc.returncode == EXIT_ORDER_CAP
     assert "byte budget" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -319,6 +300,17 @@ def test_quotient_table_byte_budget_exits_before_allocation(tmp_path):
     proc = _run_under_address_limit("construct", path)
     assert proc.returncode == EXIT_ORDER_CAP
     assert "byte budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_quotient_by_a_large_subgroup_within_a_small_address_space(tmp_path):
+    # N of order 4096 in a group of order 65536: the products of G with N take
+    # 2 GiB at once, so the coset representatives are found in row blocks
+    parent = product(abelian([2] * 12), cyclic(16))
+    path = spec_file(tmp_path, quotient_spec(parent, [16 << k for k in range(12)]).to_dict())
+    proc = _run_under_address_limit("construct", path, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert ": order 16," in proc.stdout
     assert "Traceback" not in proc.stderr
 
 
@@ -503,3 +495,21 @@ def test_corpus_run_unwritable_output_exits_before_running(tmp_path):
     assert "report.json" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_corpus_reports_hold_plain_python_values(corpus_result):
+    # a numpy bool in a report changes its repr and makes json.dumps of verify's payload fail
+    checked = 0
+    for entry in corpus_result.entries:
+        for r in entry.reports:
+            assert type(r.predicted) in (bool, type(None)), (entry.entry_id, r.name)
+            assert type(r.agrees_with_decider) in (bool, type(None)), (entry.entry_id, r.name)
+            assert all(type(t.ok) is bool for t in r.trace), (entry.entry_id, r.name)
+            json.dumps(_verify_report_dict(r))
+            checked += 1
+    assert checked > 500
+
+
+def test_public_names_resolve():
+    for name in cutlab.__all__:
+        assert hasattr(cutlab, name), name

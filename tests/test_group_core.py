@@ -10,6 +10,7 @@ from conftest import (
     naive_classes,
     naive_cut,
     naive_order,
+    reference_commutator_sets,
     reference_derived_series_orders,
     reference_lower_central_series,
     table_of,
@@ -34,7 +35,7 @@ from cutlab.group_core import (
     build_from_permutations,
     build_from_table,
     center,
-    commutator_of_element,
+    commutator_subgroups,
     derived_series_orders,
     direct_product,
     element_order,
@@ -486,16 +487,44 @@ def test_subgroup_lagrange_and_closure():
 
 def test_commutator_of_element():
     G = construct(metacyclic(9, 9, 4))
-    comm_set, handle = commutator_of_element(G, 9)  # x = b
+    handle, handle_id = commutator_subgroups(G, [9, 0])  # x = b, x = identity
+    comm_set = np.flatnonzero(reference_commutator_sets(G, [9])[0])
     assert list(comm_set) == [0, 3, 6]
     assert handle.order == 3 and handle.is_normal
     assert list(comm_set) == list(handle.members)
-    comm_id, _ = commutator_of_element(G, 0)
+    comm_id = handle_id.members
     assert list(comm_id) == [0]
     A = construct(abelian([4, 2]))
-    for x in range(A.order):
-        s, h = commutator_of_element(A, x)
+    everyone = np.arange(A.order)
+    for s, h in zip(reference_commutator_sets(A, everyone), commutator_subgroups(A, everyone)):
+        s = np.flatnonzero(s)
         assert list(s) == [0] and h.order == 1
+
+
+def test_commutator_subgroups_match_reference():
+    """[x, G] from generator commutators equals the normal closure of x's whole commutator set.
+
+    Over every class representative of the corpus groups, the stress groups
+    and the corpus pair products up to order 256; on class <= 2 the
+    commutator set is itself the subgroup.
+    """
+    groups = [construct(e.spec) for e in builtin_corpus()]
+    pairs = [direct_product(G, H) for i, G in enumerate(groups) for H in groups[i:] if G.order * H.order <= 256]
+    stress = [construct(s) for s in (symmetric(4), symmetric(6), A5, product(cyclic(5), symmetric(5)))]
+    class2 = 0
+    for G in groups + stress + pairs:
+        reps = G.conjugacy.representatives
+        sets = reference_commutator_sets(G, reps)
+        got = commutator_subgroups(G, reps)
+        closures = {}
+        for x, sub, s in zip(reps.tolist(), got, sets):
+            if s.tobytes() not in closures:
+                closures[s.tobytes()] = subgroup_generated(G, np.flatnonzero(s), normal_closure=True)
+            assert sub.members.tolist() == closures[s.tobytes()].members.tolist(), (G.name, x)
+        if center(G)._mask[sets.any(axis=0)].all():  # every commutator central: class <= 2
+            assert np.array_equal(np.stack([sub._mask for sub in got]), sets), G.name
+            class2 += 1
+    assert len(pairs) > 1000 and class2 > 1000
 
 
 # -- quotient / product -------------------------------------------------------
