@@ -29,7 +29,6 @@ import contextlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 from . import __version__
 from .characterizations import TheoremReport, verify_equivalences
@@ -75,33 +74,6 @@ def parse_group_spec(text: str, max_order: int | None = None) -> GroupSpecDescri
 # report documents
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ReportDocument:
-    """Everything one analysis run reports about one group.
-
-    The field order is the key order of the canonical JSON report.
-    """
-
-    tool_version: str
-    descriptor: dict
-    group: str
-    order: int
-    pi: list[int]
-    solvable: bool
-    nilpotent: bool
-    nilpotency_class: int | None
-    eppo: bool
-    real_group: bool
-    exponent: int
-    cut: bool
-    inverse_semi_rational: bool
-    rational: bool
-    central_height: int | None
-    witnesses: list[dict]
-    theorem_reports: list[dict]
-    seconds: float
-
-
 def _theorem_report_dict(report: TheoremReport) -> dict:
     return {
         "name": report.name,
@@ -124,60 +96,62 @@ def build_report_document(
     cls: Classification,
     reports: list[TheoremReport],
     seconds: float,
-) -> ReportDocument:
+) -> dict:
+    """Everything one analysis run reports about one group.
+
+    The key order is the key order of the canonical JSON report.
+    """
     profile = G.profile
-    return ReportDocument(
-        tool_version=__version__,
-        descriptor=spec.to_dict(),
-        group=spec.describe(),
-        order=G.order,
-        pi=list(profile.pi),
-        solvable=profile.is_solvable,
-        nilpotent=profile.is_nilpotent,
-        nilpotency_class=profile.nilpotency_class,
-        eppo=profile.is_eppo,
-        real_group=cls.real_group,
-        exponent=profile.exponent,
-        cut=cls.cut,
-        inverse_semi_rational=cls.inverse_semi_rational,
-        rational=cls.rational,
-        central_height=cls.central_height_label,
-        witnesses=[
-            {"element": G.label(x), "exponent": j} for x, j in verdict.witnesses
-        ],
-        theorem_reports=[_theorem_report_dict(r) for r in reports],
-        seconds=seconds,
-    )
+    return {
+        "tool_version": __version__,
+        "descriptor": spec.to_dict(),
+        "group": spec.describe(),
+        "order": G.order,
+        "pi": list(profile.pi),
+        "solvable": profile.is_solvable,
+        "nilpotent": profile.is_nilpotent,
+        "nilpotency_class": profile.nilpotency_class,
+        "eppo": profile.is_eppo,
+        "real_group": cls.real_group,
+        "exponent": profile.exponent,
+        "cut": cls.cut,
+        "inverse_semi_rational": cls.inverse_semi_rational,
+        "rational": cls.rational,
+        "central_height": cls.central_height_label,
+        "witnesses": [{"element": G.label(x), "exponent": j} for x, j in verdict.witnesses],
+        "theorem_reports": [_theorem_report_dict(r) for r in reports],
+        "seconds": seconds,
+    }
 
 
-def render_report(doc: ReportDocument, format: str = "text") -> str:
+def render_report(doc: dict, format: str = "text") -> str:
     """Serialize a report document canonically (json) or as a text table."""
     if format == "json":
-        return json.dumps(asdict(doc), indent=2)
+        return json.dumps(doc, indent=2)
     lines = [
-        f"group: {doc.group}",
-        f"order: {doc.order}",
-        "pi: {" + ",".join(map(str, doc.pi)) + "}",
-        f"exponent: {doc.exponent}",
-        f"solvable: {_yn(doc.solvable)}",
-        f"nilpotent: {_yn(doc.nilpotent)}"
-        + (f" (class {doc.nilpotency_class})" if doc.nilpotent else ""),
-        f"eppo: {_yn(doc.eppo)}",
-        f"real_group: {_yn(doc.real_group)}",
+        f"group: {doc['group']}",
+        f"order: {doc['order']}",
+        "pi: {" + ",".join(map(str, doc["pi"])) + "}",
+        f"exponent: {doc['exponent']}",
+        f"solvable: {_yn(doc['solvable'])}",
+        f"nilpotent: {_yn(doc['nilpotent'])}"
+        + (f" (class {doc['nilpotency_class']})" if doc["nilpotent"] else ""),
+        f"eppo: {_yn(doc['eppo'])}",
+        f"real_group: {_yn(doc['real_group'])}",
     ]
-    cut_line = f"cut: {_yn(doc.cut)}"
-    if doc.witnesses:
-        w = doc.witnesses[0]
+    cut_line = f"cut: {_yn(doc['cut'])}"
+    if doc["witnesses"]:
+        w = doc["witnesses"][0]
         cut_line += f"  witness: ({w['element']}, j={w['exponent']})"
     lines.append(cut_line)
-    lines.append(f"inverse_semi_rational: {_yn(doc.inverse_semi_rational)}")
-    lines.append(f"rational: {_yn(doc.rational)}")
-    if doc.central_height is not None:
-        lines.append(f"central_height: {doc.central_height}")
-    if doc.theorem_reports:
+    lines.append(f"inverse_semi_rational: {_yn(doc['inverse_semi_rational'])}")
+    lines.append(f"rational: {_yn(doc['rational'])}")
+    if doc["central_height"] is not None:
+        lines.append(f"central_height: {doc['central_height']}")
+    if doc["theorem_reports"]:
         lines.append("theorems:")
-        lines += [_theorem_line(r) for r in doc.theorem_reports]
-    lines.append(f"seconds: {doc.seconds:.3f}")
+        lines += [_theorem_line(r) for r in doc["theorem_reports"]]
+    lines.append(f"seconds: {doc['seconds']:.3f}")
     return "\n".join(lines)
 
 

@@ -9,9 +9,9 @@ Presentation-style families (metacyclic, dicyclic) are realized by exact
 normal-form multiplication rather than coset enumeration; the defining
 relations are cheap to state and tests hold them as the ground truth.
 The five formula kinds (cyclic, abelian, metacyclic, dicyclic, heisenberg)
-evaluate their product formula into one int32 Cayley table, in row blocks,
-and their check refuses a table over the byte budget before any of it is
-allocated.
+evaluate their product formula into one int32 Cayley table, in row blocks
+(``group_core.fill_table``), and their check refuses a table over the byte
+budget before any of it is allocated.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     InvalidMetacyclicParameters,
     InvalidParameters,
@@ -29,13 +30,13 @@ from .errors import (
     OrderCapExceeded,
 )
 from .group_core import (
-    MUL_CHUNK_BYTES,
     FiniteGroup,
     TableGroup,
     build_from_permutations,
     build_from_table,
     check_image_budget,
     direct_product,
+    fill_table,
     max_order_cap,
     moved_points,
     permutation_images,
@@ -287,31 +288,21 @@ def _check_symmetric(spec, cap):
 
 def _check_permutation(spec, cap):
     gen_imgs = permutation_images(spec.degree, spec.generators)
-    imgs = [g.tolist() for g in gen_imgs]
     points = moved_points(gen_imgs).size
     # each generator's order and each orbit length divide |G|: bound it, and the closure's
     # |G| image rows of the moved points, before the closure
     bound = 1
-    for perms in [[g] for g in imgs] + [imgs]:
+    for perms in [[g] for g in gen_imgs] + [gen_imgs]:
         bound = math.lcm(bound, *_orbit_lengths(perms))
         if bound > cap:
             raise OrderCapExceeded(f"order of {spec.describe()} exceeds the cap {cap}")
         check_image_budget(bound, points, f"permutation images of {spec.describe()}")
 
 
-def _orbit_lengths(perms: list[list[int]]) -> list[int]:
+def _orbit_lengths(perms) -> list[int]:
     """Sizes of the orbits of the points 0..degree-1 under the permutations."""
-    seen: set[int] = set()
-    lengths = []
-    for start in range(len(perms[0])):
-        if start not in seen:
-            frontier, size = {start}, len(seen)
-            seen.add(start)
-            while frontier:
-                frontier = {p[x] for x in frontier for p in perms} - seen
-                seen |= frontier
-            lengths.append(len(seen) - size)
-    return lengths
+    sizes = np.bincount(_kernels.orbit_labels(perms))
+    return sizes[sizes > 0].tolist()
 
 
 def _check_table(spec, cap):
@@ -357,24 +348,9 @@ def _ab_label(i: int, j: int) -> str:
 
 # -- realizations: each runs on a descriptor its kind's check accepted --------
 
-def _formula_table(order: int, product) -> np.ndarray:
-    """The Cayley table of ``product(a, b)`` over broadcast index arrays.
-
-    One int32 table is filled in row blocks whose int64 intermediates each
-    stay within MUL_CHUNK_BYTES, so the table is the only order x order
-    allocation.
-    """
-    table = np.empty((order, order), dtype=np.int32)
-    idx = np.arange(order, dtype=np.int64)
-    step = max(1, MUL_CHUNK_BYTES // (8 * order))
-    for lo in range(0, order, step):
-        table[lo:lo + step] = product(idx[lo:lo + step, None], idx[None, :])
-    return table
-
-
 def _build_cyclic(spec, cap) -> FiniteGroup:
     n = spec.n
-    table = _formula_table(n, lambda a, b: (a + b) % n)
+    table = fill_table(n, lambda a, b: (a + b) % n)
     labels = tuple(_pow_str("g", i) or "1" for i in range(n))
     return TableGroup(table, (1,) if n > 1 else (0,), labels, name=spec.describe())
 
@@ -397,7 +373,7 @@ def _build_abelian(spec, cap) -> FiniteGroup:
     labels = tuple(
         "(" + ",".join(str(int(r[i])) for r in residues) + ")" for i in range(order)
     )
-    return TableGroup(_formula_table(order, product), gens or (0,), labels, name=spec.describe())
+    return TableGroup(fill_table(order, product), gens or (0,), labels, name=spec.describe())
 
 
 def _build_metacyclic(spec, cap) -> FiniteGroup:
@@ -418,7 +394,7 @@ def _build_metacyclic(spec, cap) -> FiniteGroup:
     if n > 1:
         gens.append(m)
     labels = tuple(_ab_label(k % m, k // m) for k in range(order))
-    return TableGroup(_formula_table(order, product), gens or (0,), labels, name=spec.describe())
+    return TableGroup(fill_table(order, product), gens or (0,), labels, name=spec.describe())
 
 
 def _build_dicyclic(spec, cap) -> FiniteGroup:
@@ -436,7 +412,7 @@ def _build_dicyclic(spec, cap) -> FiniteGroup:
         return (jnew % 2) * two_n + inew
 
     labels = tuple(_ab_label(k % two_n, k // two_n) for k in range(order))
-    return TableGroup(_formula_table(order, product), (1, two_n), labels, name=spec.describe())
+    return TableGroup(fill_table(order, product), (1, two_n), labels, name=spec.describe())
 
 
 def _build_heisenberg(spec, cap) -> FiniteGroup:
@@ -451,7 +427,7 @@ def _build_heisenberg(spec, cap) -> FiniteGroup:
         return ((x1 + x2) % p) * p * p + ((y1 + y2) % p) * p + (z1 + z2 + x1 * y2) % p
 
     labels = tuple(f"({k // (p * p)},{k // p % p},{k % p})" for k in range(order))
-    return TableGroup(_formula_table(order, product), (p * p, p), labels, name=spec.describe())
+    return TableGroup(fill_table(order, product), (p * p, p), labels, name=spec.describe())
 
 
 def _build_symmetric(spec, cap) -> FiniteGroup:

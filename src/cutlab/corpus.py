@@ -263,8 +263,6 @@ def _closure_violations(G: FiniteGroup, has_cut: bool) -> list[str]:
         for p, handle in sorted(profile.sylow_subgroups.items()):
             normals[f"sylow-{p}"] = handle
     for label, handle in normals.items():
-        if not handle.is_normal:
-            continue
         if not quotient_has_cut(G, handle):
             out.append(f"quotient-by-{label}")
     return out

@@ -7,6 +7,8 @@ conjugacy partition, walking the powers of all of them at once with one
 whole-array product per exponent; the same scan decides a quotient G/N
 on G's own elements, without building it (``quotient_has_cut``), and a
 central subgroup N needs only its element orders (``central_subgroup_has_cut``).
+Every class fact comes from G's partition: the classes of G/N and the
+centrality of N are read off it, with no conjugation by generators.
 ``decide_cut_bruteforce`` is the independent oracle:
 it scans every element and recomputes each conjugacy class from scratch,
 sharing no cached state with the fast path.
@@ -126,26 +128,40 @@ def central_subgroup_has_cut(G: FiniteGroup, N: SubgroupHandle) -> bool:
     A central N is abelian, so each of its elements is a class of its own
     and the criterion asks x^j in {x, x^-1} for j coprime to m = o(x), that
     is (Z/m)^x = {1, -1}: m is 1, 2, 3, 4 or 6.  Centrality is checked, not
-    assumed: a non-central N raises HypothesisViolated.
+    assumed: N is central iff each of its members is a class of its own in
+    G, and a non-central N raises HypothesisViolated.
     """
-    for g in G.generators:
-        if not np.array_equal(G.mul_vec(g, N.members), G.mul_vec(N.members, g)):
-            raise HypothesisViolated(
-                f"subgroup of order {N.order} is not central in {G.name}"
-            )
+    part = G.conjugacy
+    if (part.sizes[part.class_of[N.members]] != 1).any():
+        raise HypothesisViolated(f"subgroup of order {N.order} is not central in {G.name}")
     orders = G.element_orders[N.members]
     return bool(((orders <= 4) | (orders == 6)).all())
+
+
+def _coset_classes(G: FiniteGroup, coset_id: np.ndarray, count: int) -> np.ndarray:
+    """The class of each of the ``count`` cosets of a normal N in G/N, as its least coset.
+
+    xN ~ yN in G/N exactly when some element of xN is conjugate in G to some
+    element of yN (if yn' = gxng^-1 then yN = gxg^-1 N, as N is normal).  So
+    the label of a coset is the least coset met by a class of G that meets it.
+    """
+    class_of = G.conjugacy.class_of
+    least = np.full(G.conjugacy.num_classes, count)  # least coset each class of G meets
+    np.minimum.at(least, class_of, coset_id)
+    labels = np.full(count, count)
+    np.minimum.at(labels, coset_id, least[class_of])
+    return labels
 
 
 def quotient_has_cut(G: FiniteGroup, N: SubgroupHandle) -> bool:
     """Whether G/N has the cut-property, decided on G's own elements.
 
-    The classes of G/N are the orbits of the cosets under conjugation by
-    G's generators, the same orbits ``quotient`` would find on its table.
+    The classes of G/N are read off G's classes (``_coset_classes``), each
+    labelled by its least coset, the same label ``quotient`` would find as
+    an orbit on its table.
     """
     reps, coset_id = cosets(G, N)
-    perms = np.stack([coset_id[G.conj_perm(g)[reps]] for g in G.generators])
-    coset_class = _kernels.orbit_labels(perms)
+    coset_class = _coset_classes(G, coset_id, len(reps))
     kernel = np.zeros(G.order, dtype=bool)
     kernel[N.members] = True
     witnesses = _power_map_witnesses(

@@ -14,8 +14,10 @@ order bound of the spec and again while the closure grows.
 Permutation elements are named in cycle notation only when a label is
 asked for.
 Conjugacy classes are computed once at build time as orbits under
-conjugation by the generator set, as a class id per element; the member
-list of each class is built on demand.  A direct product takes its classes
+conjugation by the generator set, as a class id per element; the class
+sizes and member lists are built on demand.  Every class fact is read off
+that partition: the center is the singleton classes and a subgroup is
+normal iff it is a union of classes.  A direct product takes its classes
 and element orders from its factors instead.  Element orders come from a
 whole-array power walk, cut short where p-part powering by
 square-and-multiply needs fewer products.  Subgroups (the center, the
@@ -24,7 +26,8 @@ x at once) are derived lazily as sorted member sets of G.  A dense Cayley
 table is built only where a table is the input or the output (a table
 spec, a quotient, ``dense_table``, and ``SubgroupHandle.as_group``, which
 serves the tests), each held to PERMUTATION_BYTE_BUDGET before it is
-allocated.
+allocated.  Formula, quotient and subgroup tables are filled by one
+row-block filler, ``fill_table``, so the table is their only n x n array.
 """
 
 from __future__ import annotations
@@ -102,7 +105,8 @@ class ConjugacyPartition:
 
     Class ids are assigned by ascending smallest member, so the identity
     class is always id 0 and ``representatives[c]`` is the least element
-    of class c.  The per-class member arrays are built on first access.
+    of class c.  The class sizes and the per-class member arrays are built
+    on first access.
     """
 
     class_of: np.ndarray
@@ -114,17 +118,23 @@ class ConjugacyPartition:
         return len(self.representatives)
 
     @cached_property
+    def sizes(self) -> np.ndarray:
+        """Size of each class, by class id."""
+        sizes = np.bincount(self.class_of, minlength=self.num_classes)
+        sizes.flags.writeable = False
+        return sizes
+
+    @cached_property
     def class_members(self) -> tuple[np.ndarray, ...]:
         """Sorted member array of each class, by class id."""
         by_class = np.argsort(self.class_of, kind="stable").astype(np.int32)
-        counts = np.bincount(self.class_of, minlength=self.num_classes)
-        members = tuple(np.split(by_class, np.cumsum(counts)[:-1]))
+        members = tuple(np.split(by_class, np.cumsum(self.sizes)[:-1]))
         for arr in members:
             arr.flags.writeable = False
         return members
 
     def class_size(self, c: int) -> int:
-        return len(self.class_members[c])
+        return int(self.sizes[c])
 
 
 class FiniteGroup:
@@ -295,14 +305,13 @@ class FiniteGroup:
         return str(int(x))
 
     def subgroup(self, members) -> "SubgroupHandle":
+        """The subgroup on ``members``; it is normal iff it is a union of classes."""
         members = np.unique(np.asarray(members, dtype=np.int32))
         mask = np.zeros(self.order, dtype=bool)
         mask[members] = True
-        is_normal = True
-        for g in self.generators:
-            if not mask[self.conj_perm(g)[members]].all():
-                is_normal = False
-                break
+        part = self.conjugacy
+        met = np.bincount(part.class_of[members], minlength=part.num_classes)
+        is_normal = bool(((met == 0) | (met == part.sizes)).all())
         return SubgroupHandle(self, members, mask, is_normal)
 
     @cached_property
@@ -510,9 +519,10 @@ class SubgroupHandle:
         """Re-index the members as a standalone group of their own (a dense table)."""
         name = name or f"{self.parent.name}-sub{self.order}"
         check_image_budget(self.order, self.order, f"table rows of {name}")
-        members = self.members
-        raw = self.parent.mul_vec(members[:, None], members[None, :])
-        table = np.searchsorted(members, raw).astype(np.int32)
+        members, mul_vec = self.members, self.parent.mul_vec
+        table = fill_table(
+            self.order, lambda a, b: np.searchsorted(members, mul_vec(members[a], members[b]))
+        )
         labels = None
         named = isinstance(self.parent, (ProductGroup, PermutationGroup))
         if named or self.parent.labels is not None:
@@ -580,24 +590,33 @@ def subgroup_generated(G: FiniteGroup, seeds, normal_closure: bool = False) -> S
 
 
 def greedy_generators(table: np.ndarray) -> tuple[int, ...]:
-    """Small generating set: repeatedly adopt the least uncovered element."""
-    n = table.shape[0]
-    if n == 1:
-        return (0,)
-    covered = np.zeros(n, dtype=bool)
-    covered[0] = True
+    """Small generating set: repeatedly adopt the least element not yet reached.
+
+    The table must be a Latin square, so each column g is a permutation and
+    the elements reached from the identity by right multiplication with the
+    chosen generators are the orbit of 0 under their columns.
+    """
     gens: list[int] = []
-    while not covered.all():
-        g = int(np.argmin(covered))
-        gens.append(g)
-        frontier = np.nonzero(covered)[0]
-        garr = np.asarray(gens, dtype=np.int32)
-        while frontier.size:
-            prod = np.unique(table[frontier[:, None], garr[None, :]])
-            new = prod[~covered[prod]]
-            covered[new] = True
-            frontier = new
-    return tuple(gens)
+    while True:
+        reached = _kernels.orbit_labels(table[:, gens].T) == 0
+        if reached.all():
+            return tuple(gens) or (0,)
+        gens.append(int(np.argmin(reached)))
+
+
+def fill_table(order: int, product) -> np.ndarray:
+    """The int32 Cayley table of ``product(a, b)`` over broadcast index arrays.
+
+    The table is filled in row blocks whose int64 intermediates each stay
+    within MUL_CHUNK_BYTES, so the table is the only order x order
+    allocation.
+    """
+    table = np.empty((order, order), dtype=np.int32)
+    idx = np.arange(order, dtype=np.int64)
+    step = max(1, MUL_CHUNK_BYTES // (8 * order))
+    for lo in range(0, order, step):
+        table[lo:lo + step] = product(idx[lo:lo + step, None], idx[None, :])
+    return table
 
 
 def build_from_table(n: int, table, max_order: int | None = None) -> FiniteGroup:
@@ -778,11 +797,9 @@ def conjugacy_partition(G: FiniteGroup) -> ConjugacyPartition:
 
 
 def center(G: FiniteGroup) -> SubgroupHandle:
-    """Elements commuting with every generator (hence with everything)."""
-    mask = np.ones(G.order, dtype=bool)
-    for g in G.generators:
-        mask &= G.lmul_perm(g) == G.rmul_perm(g)
-    return G.subgroup(np.nonzero(mask)[0])
+    """The elements that are conjugacy classes of their own."""
+    part = G.conjugacy
+    return G.subgroup(part.representatives[part.sizes == 1])
 
 
 def cosets(G: FiniteGroup, N: SubgroupHandle) -> tuple[np.ndarray, np.ndarray]:
@@ -805,8 +822,7 @@ def quotient(G: FiniteGroup, N: SubgroupHandle) -> FiniteGroup:
     n = G.order // N.order
     check_image_budget(n, n, f"table rows of {G.name}/N{N.order}")
     reps, coset_id = cosets(G, N)
-    raw = G.mul_vec(reps[:, None], reps[None, :])
-    table = coset_id[raw].astype(np.int32)
+    table = fill_table(n, lambda a, b: coset_id[G.mul_vec(reps[a], reps[b])])
     labels = tuple(G.label(int(r)) for r in reps)
     gens = []
     for g in G.generators:
@@ -910,9 +926,9 @@ def _compute_profile(G: FiniteGroup) -> StructuralProfile:
 
     sylow: dict[int, SubgroupHandle] = {}
     if nilpotent:
-        for q in pi:
-            members = [x for x in range(n) if _is_power_of(int(orders[x]), q)]
-            sylow[q] = G.subgroup(members)
+        # in a nilpotent group the q-elements form the Sylow q-subgroup
+        for q, a in sorted(prime_factors(n).items()):
+            sylow[q] = G.subgroup(np.flatnonzero(q**a % orders == 0))
     return StructuralProfile(
         order=n,
         pi=pi,

@@ -7,7 +7,10 @@ below work on a built group through ``mul`` and ``mul_vec`` only, one power
 at a time, for groups too large for a Python table.  The series references
 take a separate path: each derived term is rebuilt as a table group of its
 own, and each [G, H] comes from generator-member commutators.  The
-commutator set of an element is taken over every element of G.
+commutator set of an element is taken over every element of G.  The
+class-fact references (normality, the center, centrality, the classes of
+G/N) conjugate and multiply by G's generators instead of reading G's class
+partition, and the generator and orbit references close sets by BFS.
 """
 
 import math
@@ -15,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+from cutlab import _kernels
 from cutlab.corpus import builtin_corpus, run_corpus
 from cutlab.group_core import subgroup_generated
 
@@ -154,3 +158,77 @@ def naive_cut(t):
 def corpus_result():
     """One full corpus run shared by the corpus and acceptance tests."""
     return run_corpus(builtin_corpus())
+
+
+# -- generator-conjugation references for the facts read off the class partition --
+
+def reference_is_normal(G, members):
+    """Whether ``members`` is closed under conjugation by every generator of G."""
+    mask = np.zeros(G.order, dtype=bool)
+    mask[members] = True
+    return all(mask[G.conj_perm(g)[members]].all() for g in G.generators)
+
+
+def reference_center(G):
+    """The elements x with g*x == x*g for every generator g, ascending."""
+    mask = np.ones(G.order, dtype=bool)
+    for g in G.generators:
+        mask &= G.lmul_perm(g) == G.rmul_perm(g)
+    return np.nonzero(mask)[0]
+
+
+def reference_is_central(G, members):
+    """Whether every member commutes with every generator of G."""
+    members = np.asarray(members)
+    return all(np.array_equal(G.mul_vec(g, members), G.mul_vec(members, g)) for g in G.generators)
+
+
+def reference_coset_classes(G, reps, coset_id):
+    """The class of each coset in G/N: its orbit under conjugation by G's generators."""
+    perms = np.stack([coset_id[G.conj_perm(g)[reps]] for g in G.generators])
+    return _kernels.orbit_labels(perms)
+
+
+def reference_greedy_generators(table):
+    """Adopt the least uncovered element, then close the covered set by BFS."""
+    n = table.shape[0]
+    if n == 1:
+        return (0,)
+    covered = np.zeros(n, dtype=bool)
+    covered[0] = True
+    gens = []
+    while not covered.all():
+        gens.append(int(np.argmin(covered)))
+        frontier = np.nonzero(covered)[0]
+        garr = np.asarray(gens, dtype=np.int32)
+        while frontier.size:
+            prod = np.unique(table[frontier[:, None], garr[None, :]])
+            new = prod[~covered[prod]]
+            covered[new] = True
+            frontier = new
+    return tuple(gens)
+
+
+def reference_orbit_lengths(perms):
+    """Orbit sizes of the points under the permutations, by closing Python sets."""
+    perms = [list(map(int, p)) for p in perms]
+    seen, lengths = set(), []
+    for start in range(len(perms[0])):
+        if start not in seen:
+            frontier, size = {start}, len(seen)
+            seen.add(start)
+            while frontier:
+                frontier = {p[x] for x in frontier for p in perms} - seen
+                seen |= frontier
+            lengths.append(len(seen) - size)
+    return lengths
+
+
+@pytest.fixture(scope="session")
+def class_fact_groups():
+    """Every corpus group, then S4, S5, A5 and C5 x S5."""
+    from cutlab.constructors import construct, cyclic, permutation, product, symmetric
+
+    a5 = permutation(5, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]])
+    extra = (symmetric(4), symmetric(5), a5, product(cyclic(5), symmetric(5)))
+    return [construct(e.spec) for e in builtin_corpus()] + [construct(s) for s in extra]

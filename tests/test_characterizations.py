@@ -3,6 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import (
+    reference_center,
+    reference_coset_classes,
+    reference_is_central,
+    reference_is_normal,
+)
+
 from cutlab import group_core
 from cutlab.characterizations import (
     TraceEntry,
@@ -27,14 +34,21 @@ from cutlab.constructors import (
     symmetric,
 )
 from cutlab.corpus import builtin_corpus
-from cutlab.cut_engine import central_subgroup_has_cut, decide_cut, quotient_has_cut
+from cutlab.cut_engine import (
+    _coset_classes,
+    central_subgroup_has_cut,
+    decide_cut,
+    quotient_has_cut,
+)
 from cutlab.errors import CenterTooLarge, HypothesisViolated
 from cutlab.group_core import (
     _derived_subgroup,
     center,
     commutator_subgroups,
+    cosets,
     direct_product,
     quotient,
+    subgroup_generated,
 )
 
 
@@ -264,6 +278,36 @@ def _decided_normal_subgroups(G, Z):
             families = []
         subs += [G.subgroup(m) for m in families]
     return {N.members.tobytes(): N for N in subs if N.is_normal}.values()
+
+
+def test_class_facts_match_generator_references(class_fact_groups):
+    """Facts read off G's class partition agree with conjugating by G's generators.
+
+    The center, normality, centrality and the classes of G/N, on every
+    normal subgroup the package decides and on every cyclic <x> of S4 and
+    S5, most of which are not normal.
+    """
+    seen = {True: 0, False: 0}
+    for G in class_fact_groups:
+        Z = center(G)
+        assert Z.members.tolist() == reference_center(G).tolist(), G.name
+        subs = list(_decided_normal_subgroups(G, Z))
+        if G.name in ("symmetric(4)", "symmetric(5)"):
+            cyclic_subs = (subgroup_generated(G, [x]) for x in range(G.order))
+            subs += {N.members.tobytes(): N for N in cyclic_subs}.values()
+        for N in subs:
+            assert N.is_normal == reference_is_normal(G, N.members), (G.name, N.order)
+            seen[N.is_normal] += 1
+            if reference_is_central(G, N.members):
+                central_subgroup_has_cut(G, N)
+            else:
+                with pytest.raises(HypothesisViolated):
+                    central_subgroup_has_cut(G, N)
+            if N.is_normal:
+                reps, coset_id = cosets(G, N)
+                got = _coset_classes(G, coset_id, len(reps))
+                assert got.tolist() == reference_coset_classes(G, reps, coset_id).tolist()
+    assert seen[False] > 0 and seen[True] > 0
 
 
 def test_in_place_verdicts_match_table_groups():

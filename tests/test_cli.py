@@ -314,6 +314,18 @@ def test_quotient_by_a_large_subgroup_within_a_small_address_space(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_order_8192_quotient_table_within_a_small_address_space(tmp_path):
+    # N of order 8 in a group of order 65536: the quotient's int32 table takes 256 MiB,
+    # and all its 8192^2 products at once would take 512 MiB per int64 array, so the
+    # table is filled in row blocks
+    parent = product(abelian([2] * 12), cyclic(16))
+    path = spec_file(tmp_path, quotient_spec(parent, [2]).to_dict())
+    proc = _run_under_address_limit("construct", path, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert ": order 8192," in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
 def test_analyze_symmetric_8_within_a_small_address_space(tmp_path):
     # A8, the derived subgroup of S8, is analyzed as a member set of S8: its own
     # table would take 1.5 GiB

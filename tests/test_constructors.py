@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cutlab import constructors, group_core
+from cutlab import group_core
 from cutlab.constructors import (
     GroupSpecDescriptor,
     abelian,
@@ -188,7 +188,7 @@ FORMULA_SPECS = [cyclic(30), abelian([2, 6, 3]), metacyclic(9, 9, 4), dicyclic(5
 def test_formula_table_row_blocks(monkeypatch, spec):
     whole = construct(spec).table
     assert whole.dtype == np.int32
-    monkeypatch.setattr(constructors, "MUL_CHUNK_BYTES", 64)  # one row per block
+    monkeypatch.setattr(group_core, "MUL_CHUNK_BYTES", 64)  # one row per block
     assert np.array_equal(construct(spec).table, whole)
 
 

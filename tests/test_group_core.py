@@ -12,10 +12,12 @@ from conftest import (
     naive_order,
     reference_commutator_sets,
     reference_derived_series_orders,
+    reference_greedy_generators,
     reference_lower_central_series,
+    reference_orbit_lengths,
     table_of,
 )
-from cutlab import _kernels, group_core
+from cutlab import _kernels, constructors, cut_engine, group_core
 from cutlab.constructors import (
     abelian,
     construct,
@@ -30,12 +32,14 @@ from cutlab.constructors import (
 from cutlab.corpus import builtin_corpus
 from cutlab.errors import NotAGroup, NotAPermutation, NotNormal, OrderCapExceeded
 from cutlab.group_core import (
+    FiniteGroup,
     PermutationGroup,
     TableGroup,
     build_from_permutations,
     build_from_table,
     center,
     commutator_subgroups,
+    cosets,
     derived_series_orders,
     direct_product,
     element_order,
@@ -702,6 +706,39 @@ def test_quotient_table_checked_against_the_byte_budget(monkeypatch):
         quotient(S4, V4)
 
 
+def test_quotient_and_subgroup_tables_row_blocks(monkeypatch):
+    S4 = construct(symmetric(4))
+    V4 = S4.subgroup([0] + [int(x) for m in S4.conjugacy.class_members if len(m) == 3 for x in m])
+    A4 = group_core._derived_subgroup(S4)
+    reps, coset_id = cosets(S4, V4)
+    members = A4.members
+    whole = (
+        coset_id[S4.mul_vec(reps[:, None], reps[None, :])],
+        np.searchsorted(members, S4.mul_vec(members[:, None], members[None, :])),
+    )
+    monkeypatch.setattr(group_core, "MUL_CHUNK_BYTES", 64)  # one row per block
+    assert np.array_equal(quotient(S4, V4).table, whole[0])
+    assert np.array_equal(A4.as_group().table, whole[1])
+
+
+def test_quotient_has_cut_reads_the_class_partition(monkeypatch):
+    # G/N is decided from G's classes: no conjugation by generators, no orbit kernel
+    S4 = construct(symmetric(4))
+    V4 = S4.subgroup([0] + [int(x) for m in S4.conjugacy.class_members if len(m) == 3 for x in m])
+    pairs = [(S4, V4), (S4, group_core._derived_subgroup(S4))]
+    for spec in (metacyclic(9, 9, 4), heisenberg(3), product(cyclic(5), symmetric(4))):
+        G = construct(spec)
+        pairs.append((G, center(G)))
+    want = [cut_engine.decide_cut(quotient(G, N)).has_cut for G, N in pairs]
+
+    def refuse(*args):
+        raise AssertionError("quotient_has_cut recomputed a class fact")
+
+    monkeypatch.setattr(FiniteGroup, "conj_perm", refuse)
+    monkeypatch.setattr(_kernels, "orbit_labels", refuse)
+    assert [cut_engine.quotient_has_cut(G, N) for G, N in pairs] == want
+
+
 def test_dense_table_checked_against_the_byte_budget(monkeypatch):
     S4 = construct(symmetric(4))  # a permutation group: 24 x 24 int32 entries, 2304 bytes
     C6 = construct(cyclic(6))  # a table group hands out the table it holds
@@ -712,6 +749,15 @@ def test_dense_table_checked_against_the_byte_budget(monkeypatch):
         S4.dense_table()
     monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 1)
     assert C6.dense_table() is C6.table
+
+
+def test_greedy_generators_and_orbit_lengths_match_bfs_references(class_fact_groups):
+    for G in class_fact_groups:
+        table = G.dense_table()
+        assert greedy_generators(table) == reference_greedy_generators(table), G.name
+        perms = [G.conj_perm(g) for g in G.generators]
+        for stack in [[p] for p in perms] + [perms]:
+            assert constructors._orbit_lengths(stack) == reference_orbit_lengths(stack), G.name
 
 
 # -- validation ---------------------------------------------------------------
