@@ -35,12 +35,8 @@ from .group_core import (
     build_from_table,
     center,
     commutator_subgroups,
-    conjugacy_partition,
     direct_product,
-    element_order,
-    power,
     quotient,
-    structural_profile,
     subgroup_generated,
 )
 from .characterizations import (
@@ -82,12 +78,8 @@ __all__ = [
     "build_from_table",
     "center",
     "commutator_subgroups",
-    "conjugacy_partition",
     "direct_product",
-    "element_order",
-    "power",
     "quotient",
-    "structural_profile",
     "subgroup_generated",
     "TheoremReport",
     "cor_class2",

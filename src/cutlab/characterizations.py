@@ -55,6 +55,17 @@ class TheoremReport:
     trace: tuple[TraceEntry, ...]
     agrees_with_decider: bool | None = None
 
+    @property
+    def disagrees(self) -> bool:
+        """Applicable, and the prediction disagrees with the decider."""
+        return self.applicable and self.agrees_with_decider is False
+
+
+def _conjunction(name: str, trace) -> TheoremReport:
+    """An applicable report predicting the cut-property iff every traced clause holds."""
+    trace = tuple(trace)
+    return TheoremReport(name, True, all(t.ok for t in trace), trace)
+
 
 def _power_classes(G: FiniteGroup, k: int, classes=slice(None)) -> list[int]:
     """The class of x^k for the representative x of each of ``classes`` (default: all)."""
@@ -62,17 +73,16 @@ def _power_classes(G: FiniteGroup, k: int, classes=slice(None)) -> list[int]:
     return part.class_of[G.power_vec(part.representatives[classes], k)].tolist()
 
 
-def _power_clause(G: FiniteGroup, classes, k: int, either: bool) -> tuple[bool, list[TraceEntry]]:
+def _power_clause(G: FiniteGroup, classes, k: int, either: bool) -> list[TraceEntry]:
     """x^k ~ x^-1 (or x^k ~ x, when ``either``) for the representative x of each class."""
     part = G.conjugacy
     clause = f"x^{k} ~ x or x^-1" if either else f"x^{k} ~ x^-1"
-    trace, ok_all = [], True
+    trace = []
     for c, k_class in zip(classes, _power_classes(G, k, classes)):
         x = int(part.representatives[c])
         ok = k_class == int(part.inverse_class[c]) or (either and k_class == c)
         trace.append(TraceEntry(G.label(x), clause, ok))
-        ok_all &= ok
-    return ok_all, trace
+    return trace
 
 
 def thm_odd(G: FiniteGroup) -> TheoremReport:
@@ -81,7 +91,7 @@ def thm_odd(G: FiniteGroup) -> TheoremReport:
         return TheoremReport("thm_odd", False, None, ())
     part = G.conjugacy
     fifth = _power_classes(G, 5)
-    trace, ok_all = [], True
+    trace = []
     for c in range(part.num_classes):
         x = int(part.representatives[c])
         m = G.element_order(x)
@@ -93,10 +103,8 @@ def thm_odd(G: FiniteGroup) -> TheoremReport:
             clause = "x^5 !~ x^-1"
         else:
             clause = "x^5 ~ x^-1 and admissible order"
-        ok = pow_ok and ord_ok
-        trace.append(TraceEntry(G.label(x), clause, ok))
-        ok_all &= ok
-    return TheoremReport("thm_odd", True, ok_all, tuple(trace))
+        trace.append(TraceEntry(G.label(x), clause, pow_ok and ord_ok))
+    return _conjunction("thm_odd", trace)
 
 
 def thm_solvable_eppo(G: FiniteGroup) -> TheoremReport:
@@ -106,7 +114,7 @@ def thm_solvable_eppo(G: FiniteGroup) -> TheoremReport:
         return TheoremReport("thm_solvable_eppo", False, None, ())
     part = G.conjugacy
     third, fifth = _power_classes(G, 3), _power_classes(G, 5)
-    trace, ok_all = [], True
+    trace = []
     for c in range(part.num_classes):
         x = int(part.representatives[c])
         m = G.element_order(x)
@@ -124,8 +132,7 @@ def thm_solvable_eppo(G: FiniteGroup) -> TheoremReport:
             ok = False
             clause = f"o(x)={m} admitted by no clause"
         trace.append(TraceEntry(G.label(x), clause, ok))
-        ok_all &= ok
-    return TheoremReport("thm_solvable_eppo", True, ok_all, tuple(trace))
+    return _conjunction("thm_solvable_eppo", trace)
 
 
 def thm_nilpotent(G: FiniteGroup) -> TheoremReport:
@@ -141,22 +148,20 @@ def thm_nilpotent(G: FiniteGroup) -> TheoremReport:
         return TheoremReport("thm_nilpotent", False, None, ())
     pi = set(profile.pi)
     if not pi <= {2, 3}:
-        trace = (TraceEntry("group", f"pi={sorted(pi)} not within {{2,3}}", False),)
-        return TheoremReport("thm_nilpotent", True, False, trace)
+        trace = [TraceEntry("group", f"pi={sorted(pi)} not within {{2,3}}", False)]
+        return _conjunction("thm_nilpotent", trace)
     part = G.conjugacy
     rep_orders = G.element_orders[part.representatives].tolist()
     two, three = ([c for c, m in enumerate(rep_orders) if _is_power_of(m, p)] for p in (2, 3))
-    ok, trace = True, []
+    trace = []
     if pi == {2, 3}:
-        ok = all(int(part.inverse_class[c]) == c for c in two)
-        trace.append(TraceEntry("sylow 2-subgroup", "is a real group", ok))
+        real = bool(part.is_real[two].all())
+        trace.append(TraceEntry("sylow 2-subgroup", "is a real group", real))
     if pi != {3}:
-        two_ok, two_trace = _power_clause(G, two, 3, either=True)
-        ok, trace = ok and two_ok, trace + two_trace
+        trace += _power_clause(G, two, 3, either=True)
     if 3 in pi:
-        three_ok, three_trace = _power_clause(G, three, 2, either=False)
-        ok, trace = ok and three_ok, trace + three_trace
-    return TheoremReport("thm_nilpotent", True, ok, tuple(trace))
+        trace += _power_clause(G, three, 2, either=False)
+    return _conjunction("thm_nilpotent", trace)
 
 
 def _class2_applicable(G: FiniteGroup) -> bool:
@@ -166,6 +171,12 @@ def _class2_applicable(G: FiniteGroup) -> bool:
         and profile.nilpotency_class is not None
         and profile.nilpotency_class <= 2
     )
+
+
+def _degenerate_class(G: FiniteGroup) -> list[TraceEntry]:
+    """The trace entry admitting an abelian G (class 0 or 1) to a class-2 criterion."""
+    nc = G.profile.nilpotency_class
+    return [TraceEntry("group", f"degenerate case: class {nc}", True)] if nc < 2 else []
 
 
 def cor_class2(G: FiniteGroup) -> TheoremReport:
@@ -178,29 +189,18 @@ def cor_class2(G: FiniteGroup) -> TheoremReport:
     """
     if not _class2_applicable(G):
         return TheoremReport("cor_class2", False, None, ())
-    profile = G.profile
-    trace: list[TraceEntry] = []
-    if profile.nilpotency_class is not None and profile.nilpotency_class < 2:
-        trace.append(
-            TraceEntry("group", f"degenerate case: class {profile.nilpotency_class}", True)
-        )
+    trace = _degenerate_class(G)
     if G.order == 1:
-        return TheoremReport("cor_class2", True, True, tuple(trace))
-    if profile.p == 2:
-        exponent = 4
-    elif profile.p == 3:
-        exponent = 3
-    else:
-        trace.append(TraceEntry("group", f"p={profile.p} not 2 or 3", False))
-        return TheoremReport("cor_class2", True, False, tuple(trace))
+        return _conjunction("cor_class2", trace)
+    exponent = {2: 4, 3: 3}.get(G.profile.p)
+    if exponent is None:
+        trace.append(TraceEntry("group", f"p={G.profile.p} not 2 or 3", False))
+        return _conjunction("cor_class2", trace)
     reps = G.conjugacy.representatives
     subs = commutator_subgroups(G, reps)
-    ok_all = True
     for x, sub, power in zip(reps.tolist(), subs, G.power_vec(reps, exponent).tolist()):
-        ok = sub.contains(power)
-        trace.append(TraceEntry(G.label(x), f"x^{exponent} in [x,G]", ok))
-        ok_all &= ok
-    return TheoremReport("cor_class2", True, ok_all, tuple(trace))
+        trace.append(TraceEntry(G.label(x), f"x^{exponent} in [x,G]", sub.contains(power)))
+    return _conjunction("cor_class2", trace)
 
 
 MAX_CENTER_SUBGROUPS = 1024  # larger centers are not enumerated (CenterTooLarge)
@@ -283,11 +283,7 @@ def prop_class2_factor(G: FiniteGroup, mode: str = "per_element") -> TheoremRepo
     name = f"prop_class2_factor[{mode}]"
     if not _class2_applicable(G):
         return TheoremReport(name, False, None, ())
-    trace: list[TraceEntry] = []
-    nc = G.profile.nilpotency_class
-    if nc is not None and nc < 2:
-        trace.append(TraceEntry("group", f"degenerate case: class {nc}", True))
-    ok_all = True
+    trace = _degenerate_class(G)
     if mode == "per_element":
         reps = G.conjugacy.representatives
         checked: dict[bytes, bool] = {}
@@ -295,18 +291,14 @@ def prop_class2_factor(G: FiniteGroup, mode: str = "per_element") -> TheoremRepo
             key = sub.members.tobytes()
             if key not in checked:
                 checked[key] = central_subgroup_has_cut(G, sub) and quotient_has_cut(G, sub)
-            ok = checked[key]
-            trace.append(
-                TraceEntry(G.label(x), f"[x,G] (order {sub.order}) and G/[x,G] have cut", ok)
-            )
-            ok_all &= ok
+            clause = f"[x,G] (order {sub.order}) and G/[x,G] have cut"
+            trace.append(TraceEntry(G.label(x), clause, checked[key]))
     else:
         for members in _central_subgroup_families(G, center(G), MAX_CENTER_SUBGROUPS):
             N = G.subgroup(members)
             ok = central_subgroup_has_cut(G, N) and quotient_has_cut(G, N)
             trace.append(TraceEntry(f"N of order {N.order}", "N and G/N have cut", ok))
-            ok_all &= ok
-    return TheoremReport(name, True, ok_all, tuple(trace))
+    return _conjunction(name, trace)
 
 
 def remark_two_group_sum(H: FiniteGroup, K: FiniteGroup) -> TheoremReport:
@@ -325,7 +317,7 @@ def remark_two_group_sum(H: FiniteGroup, K: FiniteGroup) -> TheoremReport:
 
     def split_nonreal(P: FiniteGroup):
         part = P.conjugacy
-        nonreal = (part.inverse_class != np.arange(part.num_classes)).nonzero()[0].tolist()
+        nonreal = np.flatnonzero(~part.is_real).tolist()
         cube_self, cube_inverse = [], []
         for c, cube_class in zip(nonreal, _power_classes(P, 3, nonreal)):
             x = int(part.representatives[c])

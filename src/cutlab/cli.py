@@ -268,7 +268,7 @@ def _cmd_analyze(args) -> int:
         spec, G, verdict, cls, reports, time.perf_counter() - started
     )
     print(render_report(doc, args.format))
-    if any(r.applicable and r.agrees_with_decider is False for r in reports):
+    if any(r.disagrees for r in reports):
         return EXIT_DISAGREEMENT
     if args.expect == "cut" and not cls.cut:
         return EXIT_EXPECTATION
@@ -290,10 +290,7 @@ def _cmd_verify(args) -> int:
             for t in r.trace if r.applicable else ():
                 if not t.ok:
                     print(f"    fail: {t.subject}: {t.clause}")
-    disagreement = any(
-        r.applicable and r.agrees_with_decider is False for r in reports
-    )
-    return EXIT_DISAGREEMENT if disagreement else EXIT_OK
+    return EXIT_DISAGREEMENT if any(r.disagrees for r in reports) else EXIT_OK
 
 
 def _cmd_construct(args) -> int:

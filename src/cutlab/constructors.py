@@ -3,7 +3,8 @@
 Every spec kind is one entry of ``KINDS``: its fields, how it is
 described, its one parameter check and its builder.  JSON reading
 (``descriptor_from_dict``), ``to_dict``/``describe``, validation
-(``validate_spec``) and ``construct`` all go through that entry.
+(``validate_spec``) and ``construct`` all go through that entry, and
+``construct`` validates a spec tree once, its parts included.
 
 Presentation-style families (metacyclic, dicyclic) are realized by exact
 normal-form multiplication rather than coset enumeration; the defining
@@ -201,9 +202,14 @@ def validate_spec(spec: GroupSpecDescriptor, max_order: int | None = None) -> in
 
 
 def construct(spec: GroupSpecDescriptor, max_order: int | None = None) -> FiniteGroup:
-    """Validate a descriptor and realize it as a concrete group."""
+    """Validate a descriptor once, subtrees included, and realize it as a concrete group."""
     cap = max_order if max_order is not None else max_order_cap()
     validate_spec(spec, cap)
+    return _build(spec, cap)
+
+
+def _build(spec: GroupSpecDescriptor, cap: int) -> FiniteGroup:
+    """Realize a descriptor whose whole tree ``validate_spec`` accepted."""
     return KINDS[spec.kind].build(spec, cap)
 
 
@@ -292,17 +298,27 @@ def _check_permutation(spec, cap):
     # each generator's order and each orbit length divide |G|: bound it, and the closure's
     # |G| image rows of the moved points, before the closure
     bound = 1
-    for perms in [[g] for g in gen_imgs] + [gen_imgs]:
-        bound = math.lcm(bound, *_orbit_lengths(perms))
+    for lengths in _orbit_lengths(gen_imgs):
+        bound = math.lcm(bound, *lengths)
         if bound > cap:
             raise OrderCapExceeded(f"order of {spec.describe()} exceeds the cap {cap}")
         check_image_budget(bound, points, f"permutation images of {spec.describe()}")
 
 
-def _orbit_lengths(perms) -> list[int]:
-    """Sizes of the orbits of the points 0..degree-1 under the permutations."""
-    sizes = np.bincount(_kernels.orbit_labels(perms))
-    return sizes[sizes > 0].tolist()
+def _orbit_lengths(gen_imgs) -> list[list[int]]:
+    """Orbit sizes of the points 0..d-1 under each of the k generators alone, then under all.
+
+    One ``orbit_labels`` call on 2k copies of the points, copy c offset by c*d,
+    linear in k: generator c moves copies c and k+c, and a shift cycles copies
+    k..2k-1, which so hold each orbit of all the generators k times over.
+    """
+    k, d = len(gen_imgs), len(gen_imgs[0])
+    copies = np.arange(2 * k)[:, None]
+    moves = np.concatenate([gen_imgs, gen_imgs]) + d * copies
+    shifts = np.arange(d) + d * np.concatenate([copies[:k], np.roll(copies[k:], -1)])
+    sizes = np.bincount(_kernels.orbit_labels(np.stack([moves, shifts]).reshape(2, -1)))
+    per_copy = list(sizes[:k * d].reshape(k, d)) + [sizes[k * d:(k + 1) * d] // k]
+    return [s[s > 0].tolist() for s in per_copy]
 
 
 def _check_table(spec, cap):
@@ -443,14 +459,14 @@ def _build_symmetric(spec, cap) -> FiniteGroup:
 
 
 def _build_product(spec, cap) -> FiniteGroup:
-    G = construct(spec.parts[0], cap)
+    G = _build(spec.parts[0], cap)
     for part in spec.parts[1:]:
-        G = direct_product(G, construct(part, cap), max_order=cap)
+        G = direct_product(G, _build(part, cap), max_order=cap)
     return G
 
 
 def _build_quotient(spec, cap) -> FiniteGroup:
-    parent = construct(spec.group, cap)
+    parent = _build(spec.group, cap)
     # the check could not bound the indices when the parent's order needs a build
     _check_element_indices(spec.normal_generators, parent.order)
     return quotient(parent, subgroup_generated(parent, spec.normal_generators))

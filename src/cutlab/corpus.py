@@ -97,11 +97,7 @@ class EntryResult:
 
     @property
     def disagreements(self) -> int:
-        return sum(
-            1
-            for r in self.reports
-            if r.applicable and r.agrees_with_decider is False
-        )
+        return sum(r.disagrees for r in self.reports)
 
 
 @dataclass

@@ -7,8 +7,10 @@ conjugacy partition, walking the powers of all of them at once with one
 whole-array product per exponent; the same scan decides a quotient G/N
 on G's own elements, without building it (``quotient_has_cut``), and a
 central subgroup N needs only its element orders (``central_subgroup_has_cut``).
-Every class fact comes from G's partition: the classes of G/N and the
-centrality of N are read off it, with no conjugation by generators.
+The walk is handed its orders (of x in G, or of xN), so it knows nothing
+of N.  Every class fact comes from G's partition: the classes of G/N, the
+centrality of N and realness are read off it, with no conjugation by
+generators.
 ``decide_cut_bruteforce`` is the independent oracle:
 it scans every element and recomputes each conjugacy class from scratch,
 sharing no cached state with the fast path.
@@ -49,16 +51,16 @@ class Classification:
     central_height_label: int | None
 
 
-def _power_map_witnesses(G: FiniteGroup, reps, labels, kernel=None):
+def _power_map_witnesses(G: FiniteGroup, reps, labels, orders):
     """Yield the criterion's witnesses (x, j), one per failing representative.
 
     The scanned group H is given on G's elements: G itself or a quotient
     G/N, which is never built.  ``labels[y]`` is the class in H of y (of yN
     for a quotient), ``reps`` holds one G element per class of H, ascending,
-    and ``kernel`` is N's membership mask over G (``None``: N = {identity}).
-    For each x of ``reps`` the order m of xN is the least k >= 1 with x^k
-    in N; the first exponent j in 2..m-1 coprime to m whose power x^j
-    lands outside the classes of x and x^-1 is yielded.
+    and ``orders`` holds the order m in H of each of them (of xN for a
+    quotient).  For each x of ``reps`` the first exponent j in 2..m-1
+    coprime to m whose power x^j lands outside the classes of x and x^-1
+    is yielded.
 
     The powers of all representatives are walked together, one ``mul_vec``
     per exponent over the ones still open; a representative leaves the walk
@@ -68,7 +70,6 @@ def _power_map_witnesses(G: FiniteGroup, reps, labels, kernel=None):
     at the first witness stops the walk there too.
     """
     reps = np.asarray(reps)
-    orders = G.element_orders[reps] if kernel is None else _orders_modulo(G, reps, kernel)
     live = (orders > 3).nonzero()[0]  # positions in reps still walking
     if not live.size:
         return
@@ -118,7 +119,8 @@ def decide_cut(G: FiniteGroup) -> CutVerdict:
     order; the scan of a representative stops at its first failure.
     """
     part = G.conjugacy
-    witnesses = tuple(_power_map_witnesses(G, part.representatives, part.class_of))
+    reps = part.representatives
+    witnesses = tuple(_power_map_witnesses(G, reps, part.class_of, G.element_orders[reps]))
     return CutVerdict(has_cut=not witnesses, witnesses=witnesses)
 
 
@@ -162,12 +164,9 @@ def quotient_has_cut(G: FiniteGroup, N: SubgroupHandle) -> bool:
     """
     reps, coset_id = cosets(G, N)
     coset_class = _coset_classes(G, coset_id, len(reps))
-    kernel = np.zeros(G.order, dtype=bool)
-    kernel[N.members] = True
-    witnesses = _power_map_witnesses(
-        G, reps[np.unique(coset_class)], coset_class[coset_id], kernel
-    )
-    return next(witnesses, None) is None
+    reps = reps[np.unique(coset_class)]
+    orders = _orders_modulo(G, reps, N._mask)
+    return next(_power_map_witnesses(G, reps, coset_class[coset_id], orders), None) is None
 
 
 def decide_cut_bruteforce(G: FiniteGroup) -> CutVerdict:
@@ -196,8 +195,7 @@ def classify(G: FiniteGroup, verdict: CutVerdict | None = None) -> Classificatio
     if verdict is None:
         verdict = decide_cut(G)
     cut = verdict.has_cut
-    part = G.conjugacy
-    real = bool((part.inverse_class == np.arange(part.num_classes)).all())
+    real = bool(G.conjugacy.is_real.all())
     label = None
     if G.order % 2 == 1:
         has_order_seven = bool((G.element_orders == 7).any())

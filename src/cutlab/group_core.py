@@ -13,21 +13,23 @@ PERMUTATION_BYTE_BUDGET bytes raises OrderCapExceeded, up front from the
 order bound of the spec and again while the closure grows.
 Permutation elements are named in cycle notation only when a label is
 asked for.
-Conjugacy classes are computed once at build time as orbits under
-conjugation by the generator set, as a class id per element; the class
-sizes and member lists are built on demand.  Every class fact is read off
-that partition: the center is the singleton classes and a subgroup is
-normal iff it is a union of classes.  A direct product takes its classes
-and element orders from its factors instead.  Element orders come from a
-whole-array power walk, cut short where p-part powering by
-square-and-multiply needs fewer products.  Subgroups (the center, the
-Sylow subgroups, the derived and lower central series, and [x, G] for many
-x at once) are derived lazily as sorted member sets of G.  A dense Cayley
-table is built only where a table is the input or the output (a table
-spec, a quotient, ``dense_table``, and ``SubgroupHandle.as_group``, which
-serves the tests), each held to PERMUTATION_BYTE_BUDGET before it is
-allocated.  Formula, quotient and subgroup tables are filled by one
-row-block filler, ``fill_table``, so the table is their only n x n array.
+Conjugacy classes are computed once at build time as orbits under the
+generators' conjugations (one cached array, also read by normal closures),
+as a class id per element; class sizes, member lists and realness are
+built on demand.  Every class fact is read off that partition: the center
+is the singleton classes, a subgroup is normal iff it is a union of
+classes, and a class is real iff it is its own inverse class.  A direct
+product takes its classes and element orders from its factors instead.
+Element orders come from a whole-array power walk, cut short where p-part
+powering by square-and-multiply needs fewer products.  Subgroups (the
+center, the Sylow subgroups, the derived and lower central series, and
+[x, G] for many x at once) are derived lazily as sorted member sets of G.
+A dense Cayley table is built only where a table is the input or the
+output (a table spec, a quotient, ``dense_table``, and
+``SubgroupHandle.as_group``, which serves the tests), each held to
+PERMUTATION_BYTE_BUDGET before it is allocated.  Formula, quotient and
+subgroup tables are filled by one row-block filler, ``fill_table``, so the
+table is their only n x n array.
 """
 
 from __future__ import annotations
@@ -99,14 +101,14 @@ def _p_part_products(n: int) -> int:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugacyPartition:
     """Conjugacy classes of a group, indexed by class id.
 
     Class ids are assigned by ascending smallest member, so the identity
     class is always id 0 and ``representatives[c]`` is the least element
-    of class c.  The class sizes and the per-class member arrays are built
-    on first access.
+    of class c.  The class sizes, the per-class member arrays and the
+    realness of each class are built on first access.  Equal only to itself.
     """
 
     class_of: np.ndarray
@@ -132,6 +134,13 @@ class ConjugacyPartition:
         for arr in members:
             arr.flags.writeable = False
         return members
+
+    @cached_property
+    def is_real(self) -> np.ndarray:
+        """Whether each class is its own inverse class (x ~ x^-1), by class id."""
+        real = self.inverse_class == np.arange(self.num_classes)
+        real.flags.writeable = False
+        return real
 
     def class_size(self, c: int) -> int:
         return int(self.sizes[c])
@@ -170,7 +179,6 @@ class FiniteGroup:
     def _finalize(self):
         self.inv_vec = self._compute_inverses()
         self.inv_vec.flags.writeable = False
-        self._gen_conj_perms: dict[int, np.ndarray] = {}
         if not self._generators_cover():
             raise NotAGroup(
                 f"generators {self.generators} do not generate all "
@@ -184,8 +192,7 @@ class FiniteGroup:
         return bool((_kernels.orbit_labels(perms) == 0).all())
 
     def _build_conjugacy(self) -> ConjugacyPartition:
-        perms = np.stack([self.conj_perm(g) for g in self.generators])
-        labels = _kernels.orbit_labels(perms)
+        labels = _kernels.orbit_labels(self.generator_conjugations)
         reps = np.unique(labels)
         class_of = np.searchsorted(reps, labels)
         return _frozen_partition(class_of, reps, class_of[self.inv_vec[reps]])
@@ -207,15 +214,16 @@ class FiniteGroup:
         return self.mul_vec(np.arange(self.order), g)
 
     def conj_perm(self, g: int) -> np.ndarray:
-        """Permutation x -> g*x*g^-1 (cached for generators)."""
-        cached = getattr(self, "_gen_conj_perms", {}).get(g)
-        if cached is not None:
-            return cached
-        perm = self.mul_vec(self.lmul_perm(g), int(self.inv_vec[g]))
-        if g in self.generators:
-            perm.flags.writeable = False
-            self._gen_conj_perms[g] = perm
-        return perm
+        """Permutation x -> g*x*g^-1."""
+        return self.mul_vec(self.lmul_perm(g), int(self.inv_vec[g]))
+
+    @cached_property
+    def generator_conjugations(self) -> np.ndarray:
+        """Row i is the permutation x -> g*x*g^-1 of the i-th generator g."""
+        gens = np.asarray(self.generators)[:, None]
+        perms = self.mul_vec(self.mul_vec(gens, np.arange(self.order)), self.inv_vec[gens])
+        perms.flags.writeable = False
+        return perms
 
     def power(self, x: int, k: int) -> int:
         """x^k by square-and-multiply; k may be zero or negative."""
@@ -326,9 +334,6 @@ class FiniteGroup:
         for g in range(self.order):
             rows[g] = self.mul_vec(g, everyone)
         return rows
-
-    def __len__(self) -> int:
-        return self.order
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, order={self.order})"
@@ -457,11 +462,8 @@ class ProductGroup(FiniteGroup):
         self._finalize()
 
     def mul_vec(self, a, b) -> np.ndarray:
-        a = np.asarray(a)
-        b = np.asarray(b)
-        a1, a2 = np.divmod(a, self.right.order)
-        b1, b2 = np.divmod(b, self.right.order)
-        return self.left.mul_vec(a1, b1) * self.right.order + self.right.mul_vec(a2, b2)
+        g, h = self._factor_indices
+        return self.left.mul_vec(g[a], g[b]) * self.right.order + self.right.mul_vec(h[a], h[b])
 
     def _compute_inverses(self) -> np.ndarray:
         a1, a2 = self._factor_indices
@@ -499,9 +501,9 @@ class ProductGroup(FiniteGroup):
         return f"({self.left.label(a1)},{self.right.label(a2)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubgroupHandle:
-    """A subgroup of a parent group, kept as a sorted member-index array."""
+    """A subgroup of a parent group, kept as a sorted member-index array (equal only to itself)."""
 
     parent: FiniteGroup
     members: np.ndarray
@@ -580,7 +582,7 @@ def subgroup_generated(G: FiniteGroup, seeds, normal_closure: bool = False) -> S
     while normal_closure:
         mask = np.zeros(G.order, dtype=bool)
         mask[members] = True
-        conj = np.concatenate([G.conj_perm(g)[members] for g in G.generators])
+        conj = G.generator_conjugations[:, members].ravel()
         outside = conj[~mask[conj]]
         if not outside.size:
             break
@@ -781,20 +783,8 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, max_order: int | None = None)
 
 
 # ---------------------------------------------------------------------------
-# spec-level operations delegating to group internals
+# subgroups, quotients and series inside G
 # ---------------------------------------------------------------------------
-
-def power(G: FiniteGroup, x: int, k: int) -> int:
-    return G.power(x, k)
-
-
-def element_order(G: FiniteGroup, x: int) -> int:
-    return G.element_order(x)
-
-
-def conjugacy_partition(G: FiniteGroup) -> ConjugacyPartition:
-    return G.conjugacy
-
 
 def center(G: FiniteGroup) -> SubgroupHandle:
     """The elements that are conjugacy classes of their own."""
@@ -910,9 +900,7 @@ def _compute_profile(G: FiniteGroup) -> StructuralProfile:
     distinct = [int(v) for v in np.unique(orders)]
     exponent = math.lcm(*distinct) if distinct else 1
     eppo = all(is_prime_power(v) for v in distinct)
-    real = bool(
-        (G.conjugacy.inverse_class == np.arange(G.conjugacy.num_classes)).all()
-    )
+    real = bool(G.conjugacy.is_real.all())
 
     d_orders = derived_series_orders(G)
     solvable = d_orders[-1] == 1
@@ -948,10 +936,6 @@ def _is_power_of(m: int, q: int) -> bool:
     while m % q == 0:
         m //= q
     return m == 1
-
-
-def structural_profile(G: FiniteGroup) -> StructuralProfile:
-    return G.profile
 
 
 # ---------------------------------------------------------------------------

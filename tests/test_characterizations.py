@@ -12,6 +12,7 @@ from conftest import (
 
 from cutlab import group_core
 from cutlab.characterizations import (
+    TheoremReport,
     TraceEntry,
     _central_subgroup_families,
     _class2_applicable,
@@ -437,3 +438,41 @@ def test_verify_equivalences_handles_center_cap():
     r = reports["prop_class2_factor[central_subgroups]"]
     assert not r.applicable and r.predicted is None
     assert any("skipped" in t.clause for t in r.trace)
+
+
+# the predicates whose prediction is the conjunction of their traced clauses
+CONJUNCTIONS = (
+    "thm_odd",
+    "thm_solvable_eppo",
+    "thm_nilpotent",
+    "cor_class2",
+    "prop_class2_factor[per_element]",
+    "prop_class2_factor[central_subgroups]",
+)
+
+
+def test_predictions_are_read_off_their_traces(corpus_result, class_fact_groups):
+    reports = [r for entry in corpus_result.entries for r in entry.reports]
+    extra = class_fact_groups[-4:]  # S4, S5, A5, C5 x S5
+    reports += [fn(G) for G in extra for fn in (thm_odd, thm_solvable_eppo, thm_nilpotent)]
+    checked, clauses = 0, set()
+    for r in reports:
+        if r.applicable and r.name in CONJUNCTIONS:
+            assert r.predicted == all(t.ok for t in r.trace), r.name
+            checked += 1
+            clauses.update(t.clause for t in r.trace if t.subject == "group")
+    assert checked > 400
+    # the branches that answer before any per-class clause: pi outside {2,3}, p not 2 or 3,
+    # and the class-0 and class-1 degenerate entries
+    assert {"pi=[5] not within {2,3}", "p=5 not 2 or 3"} <= clauses
+    assert {"degenerate case: class 0", "degenerate case: class 1"} <= clauses
+
+
+def test_disagrees_is_an_applicable_report_against_the_decider(corpus_result):
+    for entry in corpus_result.entries:
+        for r in entry.reports:
+            assert r.disagrees == (r.applicable and r.agrees_with_decider is False)
+    assert TheoremReport("t", True, True, (), agrees_with_decider=False).disagrees
+    assert not TheoremReport("t", True, True, (), agrees_with_decider=True).disagrees
+    assert not TheoremReport("t", True, True, ()).disagrees
+    assert not TheoremReport("t", False, None, (), agrees_with_decider=False).disagrees

@@ -1,9 +1,11 @@
 """Family constructors: relation checks and frozen structural facts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cutlab import group_core
+from cutlab import _kernels, constructors, group_core
 from cutlab.constructors import (
     GroupSpecDescriptor,
     abelian,
@@ -224,3 +226,25 @@ def test_every_constructed_family_passes_axioms():
         symmetric(3),
     ):
         validate_group_axioms(construct(spec))
+
+
+def test_construct_validates_each_spec_tree_once(monkeypatch):
+    cyclic_kind = constructors.KINDS["cyclic"]
+    checked = []
+
+    def counted(spec, cap):
+        checked.append(spec.n)
+        return cyclic_kind.check(spec, cap)
+
+    monkeypatch.setitem(constructors.KINDS, "cyclic", dataclasses.replace(cyclic_kind, check=counted))
+    assert construct(product(product(cyclic(2), cyclic(3)), cyclic(5))).order == 30
+    assert sorted(checked) == [2, 3, 5]
+
+
+def test_permutation_check_makes_one_orbit_call(monkeypatch):
+    calls = []
+    orbit_labels = _kernels.orbit_labels
+    monkeypatch.setattr(_kernels, "orbit_labels", lambda perms: calls.append(1) or orbit_labels(perms))
+    spec = permutation(6, [[1, 2, 0, 3, 4, 5], [1, 0, 2, 3, 4, 5], [0, 1, 2, 4, 5, 3]])
+    validate_spec(spec)
+    assert len(calls) == 1

@@ -1,5 +1,9 @@
 """Corpus contents and the batch runner."""
 
+import hashlib
+import json
+
+from cutlab.cli import render_corpus_result
 from cutlab.corpus import (
     CorpusEntry,
     RunConfig,
@@ -126,3 +130,17 @@ def test_run_corpus_agreement_counters(corpus_result):
     agg = corpus_result.aggregate
     assert agg["agreements"] + agg["disagreements"] == agg["applicable_reports"]
     assert agg["disagreements"] == 0
+
+
+# copied from perfbench/workloads.py:CORPUS_DIGEST, the benchmark's check of the corpus report
+CORPUS_DIGEST = "699a9fe3c34f9421d646c93b15aaf0704b22634a76d3434ef1ee75bb368cd186"
+
+
+def test_corpus_report_bytes_match_the_benchmark_digest(corpus_result):
+    # hashed as perfbench/workloads.py:corpus_digest does: the timings popped, indent=2
+    payload = json.loads(render_corpus_result(corpus_result, "json"))
+    payload.pop("total_seconds")
+    for entry in payload["entries"]:
+        entry.pop("seconds")
+    digest = hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
+    assert digest == CORPUS_DIGEST

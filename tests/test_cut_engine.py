@@ -210,12 +210,13 @@ def test_first_witness_stops_the_joint_walk():
 
     G = construct(product(cyclic(5), symmetric(5)))
     part = G.conjugacy
+    orders = G.element_orders[part.representatives]
     products = []
     real = G.mul_vec
     G.mul_vec = lambda a, b: products.append(1) or real(a, b)
-    first = next(_power_map_witnesses(G, part.representatives, part.class_of))
+    first = next(_power_map_witnesses(G, part.representatives, part.class_of, orders))
     early = len(products)
-    witnesses = tuple(_power_map_witnesses(G, part.representatives, part.class_of))
+    witnesses = tuple(_power_map_witnesses(G, part.representatives, part.class_of, orders))
     assert early < len(products) - early  # 3 of the full walk's 6 products
     assert first == witnesses[0] == reference_witnesses(G)[0]
 

@@ -42,12 +42,9 @@ from cutlab.group_core import (
     cosets,
     derived_series_orders,
     direct_product,
-    element_order,
     greedy_generators,
     lower_central_series,
-    power,
     quotient,
-    structural_profile,
     subgroup_generated,
     validate_group_axioms,
 )
@@ -342,13 +339,13 @@ def test_permutation_closure_byte_budget(monkeypatch):
 
 def test_power_examples():
     C12 = construct(cyclic(12))
-    assert power(C12, 1, 0) == 0
-    assert power(C12, 1, -1) == 11
-    assert power(C12, 5, 7) == (5 * 7) % 12
-    assert power(C12, 1, 10 ** 9) == (10 ** 9) % 12
-    assert power(C12, 1, -(10 ** 9)) == (-(10 ** 9)) % 12
+    assert C12.power(1, 0) == 0
+    assert C12.power(1, -1) == 11
+    assert C12.power(5, 7) == (5 * 7) % 12
+    assert C12.power(1, 10 ** 9) == (10 ** 9) % 12
+    assert C12.power(1, -(10 ** 9)) == (-(10 ** 9)) % 12
     M81 = construct(metacyclic(9, 9, 4))
-    assert element_order(M81, power(M81, 9, 3)) == 3
+    assert M81.element_order(M81.power(9, 3)) == 3
 
 
 @pytest.mark.parametrize(
@@ -369,12 +366,12 @@ def test_power_vec_matches_power(spec):
 
 def test_element_order_examples():
     G = construct(metacyclic(12, 2, 5))
-    assert element_order(G, 0) == 1
-    assert element_order(G, 1) == 12
+    assert G.element_order(0) == 1
+    assert G.element_order(1) == 12
     H = construct(heisenberg(3))
-    assert all(element_order(H, x) == 3 for x in range(1, 27))
+    assert all(H.element_order(x) == 3 for x in range(1, 27))
     t = table_of(H)
-    assert all(naive_order(t, x) == element_order(H, x) for x in range(27))
+    assert all(naive_order(t, x) == H.element_order(x) for x in range(27))
 
 
 # -- conjugacy ----------------------------------------------------------------
@@ -438,6 +435,29 @@ def test_conjugation_equivariance():
             G.conjugacy.class_of[G.power(conj, j)]
             == G.conjugacy.class_of[G.power(x, j)]
         )
+
+
+def test_partition_realness_and_generator_conjugations(class_fact_groups):
+    for G in class_fact_groups:
+        part = G.conjugacy
+        assert np.array_equal(part.is_real, part.inverse_class == np.arange(part.num_classes))
+        assert cut_engine.classify(G).real_group == G.profile.is_real_group, G.name
+        conj = G.generator_conjugations
+        assert conj.shape == (len(G.generators), G.order)
+        for row, g in zip(conj, G.generators):
+            assert np.array_equal(row, G.conj_perm(g)), G.name
+        assert not part.is_real.flags.writeable and not conj.flags.writeable
+
+
+def test_handles_compare_and_hash_by_identity():
+    G = construct(dicyclic(2))
+    Z, again = center(G), center(G)
+    assert Z == Z and Z != again  # no elementwise comparison of the member arrays
+    assert np.array_equal(Z.members, again.members)
+    assert len({Z, again, Z}) == 2
+    part = G.conjugacy
+    assert part == part and part != construct(dicyclic(2)).conjugacy
+    assert {part: 1}[G.conjugacy] == 1
 
 
 # -- center / subgroups -------------------------------------------------------
@@ -611,32 +631,32 @@ def test_product_class_structure_on_corpus_pairs():
 # -- structural profile -------------------------------------------------------
 
 def test_profile_examples():
-    p = structural_profile(construct(metacyclic(12, 2, 5)))
+    p = construct(metacyclic(12, 2, 5)).profile
     assert p.is_solvable and not p.is_nilpotent
     assert p.pi == (2, 3) and not p.is_eppo
 
-    h = structural_profile(construct(heisenberg(3)))
+    h = construct(heisenberg(3)).profile
     assert h.is_p_group and h.p == 3
     assert h.nilpotency_class == 2 and h.exponent == 3
 
-    s = structural_profile(construct(metacyclic(3, 2, 2)))
+    s = construct(metacyclic(3, 2, 2)).profile
     assert s.is_solvable and not s.is_nilpotent
     assert s.is_eppo and s.is_real_group
 
-    t = structural_profile(construct(cyclic(1)))
+    t = construct(cyclic(1)).profile
     assert t.is_nilpotent and t.nilpotency_class == 0 and t.is_solvable
 
 
 def test_profile_nilpotency_class_values():
-    assert structural_profile(construct(cyclic(6))).nilpotency_class == 1
-    assert structural_profile(construct(dicyclic(2))).nilpotency_class == 2
-    assert structural_profile(construct(dicyclic(4))).nilpotency_class == 3
-    assert structural_profile(construct(metacyclic(9, 9, 4))).nilpotency_class == 2
+    assert construct(cyclic(6)).profile.nilpotency_class == 1
+    assert construct(dicyclic(2)).profile.nilpotency_class == 2
+    assert construct(dicyclic(4)).profile.nilpotency_class == 3
+    assert construct(metacyclic(9, 9, 4)).profile.nilpotency_class == 2
 
 
 def test_profile_sylow_decomposition():
     G = direct_product(construct(dicyclic(2)), construct(cyclic(3)))
-    p = structural_profile(G)
+    p = G.profile
     assert p.is_nilpotent
     orders = {q: h.order for q, h in p.sylow_subgroups.items()}
     assert orders == {2: 8, 3: 3}
@@ -650,7 +670,7 @@ def test_profile_sylow_decomposition():
 
 
 def test_profile_s4_not_nilpotent():
-    p = structural_profile(construct(symmetric(4)))
+    p = construct(symmetric(4)).profile
     assert p.is_solvable and not p.is_nilpotent and p.is_eppo
 
 
@@ -735,6 +755,7 @@ def test_quotient_has_cut_reads_the_class_partition(monkeypatch):
         raise AssertionError("quotient_has_cut recomputed a class fact")
 
     monkeypatch.setattr(FiniteGroup, "conj_perm", refuse)
+    monkeypatch.setattr(FiniteGroup, "generator_conjugations", property(refuse))
     monkeypatch.setattr(_kernels, "orbit_labels", refuse)
     assert [cut_engine.quotient_has_cut(G, N) for G, N in pairs] == want
 
@@ -756,8 +777,9 @@ def test_greedy_generators_and_orbit_lengths_match_bfs_references(class_fact_gro
         table = G.dense_table()
         assert greedy_generators(table) == reference_greedy_generators(table), G.name
         perms = [G.conj_perm(g) for g in G.generators]
-        for stack in [[p] for p in perms] + [perms]:
-            assert constructors._orbit_lengths(stack) == reference_orbit_lengths(stack), G.name
+        stacks = [[p] for p in perms] + [perms]
+        want = [reference_orbit_lengths(stack) for stack in stacks]
+        assert constructors._orbit_lengths(perms) == want, G.name
 
 
 # -- validation ---------------------------------------------------------------
