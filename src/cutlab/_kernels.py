@@ -35,8 +35,6 @@ def orbit_labels(perms: np.ndarray) -> np.ndarray:
     labelled by its minimum element.
     """
     perms = np.ascontiguousarray(perms, dtype=np.int32)
-    if perms.ndim != 2:
-        perms = perms.reshape(1, -1)
     labels = np.arange(perms.shape[1], dtype=np.int32)
     if perms.size == 0:
         return labels

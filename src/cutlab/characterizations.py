@@ -67,21 +67,14 @@ def _conjunction(name: str, trace) -> TheoremReport:
     return TheoremReport(name, True, all(t.ok for t in trace), trace)
 
 
-def _power_classes(G: FiniteGroup, k: int, classes=slice(None)) -> list[int]:
-    """The class of x^k for the representative x of each of ``classes`` (default: all)."""
-    part = G.conjugacy
-    return part.class_of[G.power_vec(part.representatives[classes], k)].tolist()
-
-
 def _power_clause(G: FiniteGroup, classes, k: int, either: bool) -> list[TraceEntry]:
     """x^k ~ x^-1 (or x^k ~ x, when ``either``) for the representative x of each class."""
-    part = G.conjugacy
+    part, k_classes = G.conjugacy, G.power_map(k).tolist()
     clause = f"x^{k} ~ x or x^-1" if either else f"x^{k} ~ x^-1"
     trace = []
-    for c, k_class in zip(classes, _power_classes(G, k, classes)):
-        x = int(part.representatives[c])
-        ok = k_class == int(part.inverse_class[c]) or (either and k_class == c)
-        trace.append(TraceEntry(G.label(x), clause, ok))
+    for c in classes:
+        ok = k_classes[c] == int(part.inverse_class[c]) or (either and k_classes[c] == c)
+        trace.append(TraceEntry(G.label(int(part.representatives[c])), clause, ok))
     return trace
 
 
@@ -90,7 +83,7 @@ def thm_odd(G: FiniteGroup) -> TheoremReport:
     if G.order % 2 == 0:
         return TheoremReport("thm_odd", False, None, ())
     part = G.conjugacy
-    fifth = _power_classes(G, 5)
+    fifth = G.power_map(5).tolist()
     trace = []
     for c in range(part.num_classes):
         x = int(part.representatives[c])
@@ -113,7 +106,7 @@ def thm_solvable_eppo(G: FiniteGroup) -> TheoremReport:
     if not (profile.is_solvable and profile.is_eppo):
         return TheoremReport("thm_solvable_eppo", False, None, ())
     part = G.conjugacy
-    third, fifth = _power_classes(G, 3), _power_classes(G, 5)
+    third, fifth = G.power_map(3).tolist(), G.power_map(5).tolist()
     trace = []
     for c in range(part.num_classes):
         x = int(part.representatives[c])
@@ -317,13 +310,13 @@ def remark_two_group_sum(H: FiniteGroup, K: FiniteGroup) -> TheoremReport:
 
     def split_nonreal(P: FiniteGroup):
         part = P.conjugacy
-        nonreal = np.flatnonzero(~part.is_real).tolist()
+        cubes = P.power_map(3).tolist()
         cube_self, cube_inverse = [], []
-        for c, cube_class in zip(nonreal, _power_classes(P, 3, nonreal)):
+        for c in np.flatnonzero(~part.is_real).tolist():
             x = int(part.representatives[c])
-            if cube_class == c:
+            if cubes[c] == c:
                 cube_self.append(x)
-            elif cube_class == int(part.inverse_class[c]):
+            elif cubes[c] == int(part.inverse_class[c]):
                 cube_inverse.append(x)
         return cube_self, cube_inverse
 
@@ -365,11 +358,12 @@ def remark_two_group_sum(H: FiniteGroup, K: FiniteGroup) -> TheoremReport:
 def _p6_check_set():
     from .constructors import abelian, construct, cyclic, dicyclic, metacyclic
 
+    # under a cap of their own, so that a small order cap skips the products with them
     return (
-        ("C2", construct(cyclic(2))),
-        ("C2xC2", construct(abelian([2, 2]))),
-        ("D8", construct(metacyclic(4, 2, 3))),
-        ("Q8", construct(dicyclic(2))),
+        ("C2", construct(cyclic(2), 8)),
+        ("C2xC2", construct(abelian([2, 2]), 8)),
+        ("D8", construct(metacyclic(4, 2, 3), 8)),
+        ("Q8", construct(dicyclic(2), 8)),
     )
 
 

@@ -389,7 +389,7 @@ def _build_abelian(spec, cap) -> FiniteGroup:
     labels = tuple(
         "(" + ",".join(str(int(r[i])) for r in residues) + ")" for i in range(order)
     )
-    return TableGroup(fill_table(order, product), gens or (0,), labels, name=spec.describe())
+    return TableGroup(fill_table(order, product), gens, labels, name=spec.describe())
 
 
 def _build_metacyclic(spec, cap) -> FiniteGroup:
@@ -410,7 +410,7 @@ def _build_metacyclic(spec, cap) -> FiniteGroup:
     if n > 1:
         gens.append(m)
     labels = tuple(_ab_label(k % m, k // m) for k in range(order))
-    return TableGroup(fill_table(order, product), gens or (0,), labels, name=spec.describe())
+    return TableGroup(fill_table(order, product), gens, labels, name=spec.describe())
 
 
 def _build_dicyclic(spec, cap) -> FiniteGroup:

@@ -109,7 +109,7 @@ class RemarkPairResult:
     agrees: bool
 
 
-# remark pairs H x K are checked only up to this product order
+# remark pairs H x K are checked only up to this product order (and the order cap)
 REMARK_PRODUCT_LIMIT = 1024
 
 
@@ -328,11 +328,12 @@ def _analyze_entry(
 
 
 def _run_remark_pairs(eligible: list[tuple[str, FiniteGroup]]) -> list[RemarkPairResult]:
-    """Check the direct-sum remark on every ordered pair of cut 2-groups."""
+    """Check the direct-sum remark on every ordered pair of cut 2-groups within the order cap."""
+    limit = min(REMARK_PRODUCT_LIMIT, max_order_cap())
     out = []
     for left_id, H in eligible:
         for right_id, K in eligible:
-            if H.order * K.order > REMARK_PRODUCT_LIMIT:
+            if H.order * K.order > limit:
                 continue
             report = remark_two_group_sum(H, K)
             out.append(

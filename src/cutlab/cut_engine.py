@@ -4,13 +4,15 @@ A group has the cut-property exactly when, for every element x and every
 exponent j coprime to the order of x, x^j is conjugate to x or to x^-1.
 ``decide_cut`` scans class representatives using the eagerly built
 conjugacy partition, walking the powers of all of them at once with one
-whole-array product per exponent; the same scan decides a quotient G/N
-on G's own elements, without building it (``quotient_has_cut``), and a
-central subgroup N needs only its element orders (``central_subgroup_has_cut``).
-The walk is handed its orders (of x in G, or of xN), so it knows nothing
-of N.  Every class fact comes from G's partition: the classes of G/N, the
-centrality of N and realness are read off it, with no conjugation by
-generators.
+whole-array product per exponent, and reads each one's first witness
+exponent off the walk; the same walk decides a quotient G/N on G's own
+elements, without building it (``quotient_has_cut``), and a central
+subgroup N needs only its element orders (``central_subgroup_has_cut``).
+The walk is handed its orders (of x in G, or of xN from
+``group_core.orders_modulo``), so it knows nothing of N.  Every class fact
+comes from G's partition: the class of xN in G/N (labelled by its least
+element), the centrality of N and realness are read off it, with no
+conjugation by generators.
 ``decide_cut_bruteforce`` is the independent oracle:
 it scans every element and recomputes each conjugacy class from scratch,
 sharing no cached state with the fast path.
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import HypothesisViolated
-from .group_core import FiniteGroup, SubgroupHandle, cosets
+from .group_core import FiniteGroup, SubgroupHandle, cosets, orders_modulo
 
 
 @dataclass(frozen=True)
@@ -51,44 +53,33 @@ class Classification:
     central_height_label: int | None
 
 
-def _power_map_witnesses(G: FiniteGroup, reps, labels, orders):
-    """Yield the criterion's witnesses (x, j), one per failing representative.
+def _power_map_witnesses(G: FiniteGroup, reps, labels, orders) -> np.ndarray:
+    """The first witness exponent of each representative, 0 where it has none.
 
     The scanned group H is given on G's elements: G itself or a quotient
     G/N, which is never built.  ``labels[y]`` is the class in H of y (of yN
-    for a quotient), ``reps`` holds one G element per class of H, ascending,
-    and ``orders`` holds the order m in H of each of them (of xN for a
-    quotient).  For each x of ``reps`` the first exponent j in 2..m-1
-    coprime to m whose power x^j lands outside the classes of x and x^-1
-    is yielded.
+    for a quotient), ``reps`` holds one G element per class of H, and
+    ``orders`` holds the order m in H of each of them (of xN for a
+    quotient).  For each x of ``reps`` the entry is the first exponent j in
+    2..m-1 coprime to m whose power x^j lands outside the classes of x and
+    x^-1.
 
     The powers of all representatives are walked together, one ``mul_vec``
     per exponent over the ones still open; a representative leaves the walk
     at its first witness or when j + 2 reaches m, since x^(m-1) = x^-1 never
-    escapes (so only m > 3 walks at all).  A witness is yielded as
-    soon as every representative before it has left, so a caller that stops
-    at the first witness stops the walk there too.
+    escapes (so only m > 3 walks at all).
     """
-    reps = np.asarray(reps)
+    first = np.zeros(len(reps), dtype=np.int64)
     live = (orders > 3).nonzero()[0]  # positions in reps still walking
     if not live.size:
-        return
+        return first
     # the lesser of the classes of y and y^-1: equal for y and x exactly when y ~ x or y ~ x^-1
-    labels = np.asarray(labels)
     pair = np.minimum(labels, labels[G.inv_vec])
     xs = ys = reps[live]
     own, m = pair[xs], orders[live]
     ends = set(m.tolist())  # some walk may end after exponent j only when j + 2 is in here
-    first = np.zeros(len(reps), dtype=np.int64)  # witness exponent per representative, 0: none
-    settled, j = 0, 1  # reps[:settled] have left the walk and been yielded
-    while True:
-        upto = int(live[0]) if live.size else len(reps)
-        if upto > settled:
-            for pos in (settled + first[settled:upto].nonzero()[0]).tolist():
-                yield int(reps[pos]), int(first[pos])
-            settled = upto
-        if not live.size:
-            return
+    j = 1
+    while live.size:
         j += 1
         ys = G.mul_vec(ys, xs)
         hit = (pair[ys] != own) & (np.gcd(j, m) == 1)
@@ -96,18 +87,7 @@ def _power_map_witnesses(G: FiniteGroup, reps, labels, orders):
             first[live[hit]] = j
             keep = ~hit & (j + 2 < m)
             live, xs, ys, own, m = (a[keep] for a in (live, xs, ys, own, m))
-
-
-def _orders_modulo(G: FiniteGroup, xs: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Order of xN for each x of ``xs``: the least k >= 1 with x^k in N."""
-    orders = np.zeros(len(xs), dtype=np.int64)
-    y, k = xs, 1
-    while True:
-        orders[(orders == 0) & kernel[y]] = k
-        if orders.all():
-            return orders
-        y = G.mul_vec(y, xs)
-        k += 1
+    return first
 
 
 def decide_cut(G: FiniteGroup) -> CutVerdict:
@@ -120,7 +100,9 @@ def decide_cut(G: FiniteGroup) -> CutVerdict:
     """
     part = G.conjugacy
     reps = part.representatives
-    witnesses = tuple(_power_map_witnesses(G, reps, part.class_of, G.element_orders[reps]))
+    first = _power_map_witnesses(G, reps, part.class_of, G.element_orders[reps])
+    failing = first.nonzero()[0]
+    witnesses = tuple(zip(reps[failing].tolist(), first[failing].tolist()))
     return CutVerdict(has_cut=not witnesses, witnesses=witnesses)
 
 
@@ -140,33 +122,30 @@ def central_subgroup_has_cut(G: FiniteGroup, N: SubgroupHandle) -> bool:
     return bool(((orders <= 4) | (orders == 6)).all())
 
 
-def _coset_classes(G: FiniteGroup, coset_id: np.ndarray, count: int) -> np.ndarray:
-    """The class of each of the ``count`` cosets of a normal N in G/N, as its least coset.
+def _quotient_labels(G: FiniteGroup, N: SubgroupHandle) -> np.ndarray:
+    """Label each x of G with the least element of the class of xN in G/N.
 
-    xN ~ yN in G/N exactly when some element of xN is conjugate in G to some
-    element of yN (if yn' = gxng^-1 then yN = gxg^-1 N, as N is normal).  So
-    the label of a coset is the least coset met by a class of G that meets it.
+    The cosets in that class are gxg^-1 N for g in G, so its least element
+    is the least coset minimum over the class of x in G.
     """
+    reps, coset_id = cosets(G, N)
     class_of = G.conjugacy.class_of
-    least = np.full(G.conjugacy.num_classes, count)  # least coset each class of G meets
-    np.minimum.at(least, class_of, coset_id)
-    labels = np.full(count, count)
-    np.minimum.at(labels, coset_id, least[class_of])
-    return labels
+    least = np.full(G.conjugacy.num_classes, G.order)
+    np.minimum.at(least, class_of, reps[coset_id])
+    return least[class_of]
 
 
 def quotient_has_cut(G: FiniteGroup, N: SubgroupHandle) -> bool:
     """Whether G/N has the cut-property, decided on G's own elements.
 
-    The classes of G/N are read off G's classes (``_coset_classes``), each
-    labelled by its least coset, the same label ``quotient`` would find as
-    an orbit on its table.
+    The classes of G/N are read off G's classes (``_quotient_labels``), each
+    labelled by its least element, the coset name ``quotient`` would give
+    the least coset of that class.
     """
-    reps, coset_id = cosets(G, N)
-    coset_class = _coset_classes(G, coset_id, len(reps))
-    reps = reps[np.unique(coset_class)]
-    orders = _orders_modulo(G, reps, N._mask)
-    return next(_power_map_witnesses(G, reps, coset_class[coset_id], orders), None) is None
+    labels = _quotient_labels(G, N)
+    reps = np.unique(labels)
+    orders = orders_modulo(G, reps, N._mask, G.order // N.order)
+    return not _power_map_witnesses(G, reps, labels, orders).any()
 
 
 def decide_cut_bruteforce(G: FiniteGroup) -> CutVerdict:

@@ -20,8 +20,10 @@ built on demand.  Every class fact is read off that partition: the center
 is the singleton classes, a subgroup is normal iff it is a union of
 classes, and a class is real iff it is its own inverse class.  A direct
 product takes its classes and element orders from its factors instead.
-Element orders come from a whole-array power walk, cut short where p-part
-powering by square-and-multiply needs fewer products.  Subgroups (the
+Element orders come from a whole-array power walk (``orders_modulo``, which
+also gives the orders of cosets xN), cut short where p-part powering by
+square-and-multiply needs fewer products; the class of x^k for each class
+representative is kept per k (``power_map``).  Subgroups (the
 center, the Sylow subgroups, the derived and lower central series, and
 [x, G] for many x at once) are derived lazily as sorted member sets of G.
 A dense Cayley table is built only where a table is the input or the
@@ -164,6 +166,7 @@ class FiniteGroup:
         gens = tuple(int(g) for g in generators)
         self.generators = gens if gens else (0,)
         self.labels = tuple(labels) if labels is not None else None
+        self._power_maps: dict[int, np.ndarray] = {}
 
     # -- backend hooks -----------------------------------------------------
 
@@ -259,21 +262,13 @@ class FiniteGroup:
     def element_orders(self) -> np.ndarray:
         """Order of every element.
 
-        The walk x, x^2, x^3, ... runs over all elements at once for at most
-        ``_p_part_products(order)`` steps, the products p-part powering needs.
+        ``orders_modulo`` (N the identity) walks x, x^2, ... over all elements
+        for the ``_p_part_products(order)`` products p-part powering needs.
         That settles every element of a small exponent; the rest are finished
         by ``_p_part_orders``.
         """
-        orders = np.zeros(self.order, dtype=np.int64)
         everyone = np.arange(self.order)
-        steps = _p_part_products(self.order)
-        y, k = everyone, 1
-        while True:
-            orders[(y == 0) & (orders == 0)] = k
-            if orders.all() or k > steps:
-                break
-            y = self.mul_vec(y, everyone)
-            k += 1
+        orders = orders_modulo(self, everyone, everyone == 0, _p_part_products(self.order) + 1)
         still_open = np.flatnonzero(orders == 0)
         if still_open.size:
             orders[still_open] = self._p_part_orders(still_open)
@@ -302,6 +297,16 @@ class FiniteGroup:
 
     def element_order(self, x: int) -> int:
         return int(self.element_orders[x])
+
+    def power_map(self, k: int) -> np.ndarray:
+        """The class of x^k for the representative x of each class (read-only, kept per k)."""
+        classes = self._power_maps.get(k)
+        if classes is None:
+            part = self.conjugacy
+            classes = part.class_of[self.power_vec(part.representatives, k)]
+            classes.flags.writeable = False
+            self._power_maps[k] = classes
+        return classes
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -424,6 +429,23 @@ class PermutationGroup(FiniteGroup):
         return self._lookup(back)
 
 
+def orders_modulo(G: FiniteGroup, xs: np.ndarray, kernel: np.ndarray, steps: int) -> np.ndarray:
+    """Order of xN for each x of ``xs``, where N is the member mask ``kernel``.
+
+    The walk x, x^2, x^3, ... over all of ``xs`` at once, one ``mul_vec`` per
+    step, gives the least k <= ``steps`` with x^k in N, or 0 where no such k
+    is reached.
+    """
+    orders = np.zeros(len(xs), dtype=np.int64)
+    y, k = xs, 1
+    while True:
+        orders[(orders == 0) & kernel[y]] = k
+        if orders.all() or k >= steps:
+            return orders
+        y = G.mul_vec(y, xs)
+        k += 1
+
+
 def _frozen_partition(class_of, reps, inverse_class) -> ConjugacyPartition:
     """A read-only int32 ConjugacyPartition of the three arrays."""
     arrays = [np.asarray(a, dtype=np.int32) for a in (class_of, reps, inverse_class)]
@@ -453,12 +475,7 @@ class ProductGroup(FiniteGroup):
         order = left.order * right.order
         gens = [g * right.order for g in left.generators if g != 0]
         gens += [h for h in right.generators if h != 0]
-        super().__init__(
-            order,
-            gens or (0,),
-            None,
-            name or f"{left.name}x{right.name}",
-        )
+        super().__init__(order, gens, None, name or f"{left.name}x{right.name}")
         self._finalize()
 
     def mul_vec(self, a, b) -> np.ndarray:
@@ -769,7 +786,7 @@ def build_from_permutations(degree: int, gens, max_order: int | None = None) -> 
         if i != 0 and i not in gen_idx:
             gen_idx.append(i)
     stack = np.frombuffer(b"".join(keys), dtype=np.int32).reshape(len(keys), points.size)
-    return PermutationGroup(stack, gen_idx or (0,), points, name=f"perm{len(stack)}")
+    return PermutationGroup(stack, gen_idx, points, name=f"perm{len(stack)}")
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, max_order: int | None = None) -> FiniteGroup:
@@ -819,7 +836,7 @@ def quotient(G: FiniteGroup, N: SubgroupHandle) -> FiniteGroup:
         c = int(coset_id[g])
         if c != 0 and c not in gens:
             gens.append(c)
-    return TableGroup(table, gens or (0,), labels, name=f"{G.name}/N{N.order}")
+    return TableGroup(table, gens, labels, name=f"{G.name}/N{N.order}")
 
 
 def _commutators(G: FiniteGroup, xs, ys) -> np.ndarray:

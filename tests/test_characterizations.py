@@ -36,7 +36,7 @@ from cutlab.constructors import (
 )
 from cutlab.corpus import builtin_corpus
 from cutlab.cut_engine import (
-    _coset_classes,
+    _quotient_labels,
     central_subgroup_has_cut,
     decide_cut,
     quotient_has_cut,
@@ -306,9 +306,26 @@ def test_class_facts_match_generator_references(class_fact_groups):
                     central_subgroup_has_cut(G, N)
             if N.is_normal:
                 reps, coset_id = cosets(G, N)
-                got = _coset_classes(G, coset_id, len(reps))
-                assert got.tolist() == reference_coset_classes(G, reps, coset_id).tolist()
+                want = reps[reference_coset_classes(G, reps, coset_id)][coset_id]
+                assert _quotient_labels(G, N).tolist() == want.tolist()
     assert seen[False] > 0 and seen[True] > 0
+
+
+def test_orders_modulo_match_cyclic_intersections(class_fact_groups):
+    """|xN| = |<x>| / |<x> ∩ N|, counted on x^0..x^(o(x)-1), for every decided normal N."""
+    checked = 0
+    for G in class_fact_groups:
+        everyone = np.arange(G.order)
+        orders = G.element_orders
+        exponents = np.arange(int(orders.max()))
+        powers = G.power_vec(everyone[:, None], exponents[None, :])
+        below = exponents[None, :] < orders[:, None]
+        for N in _decided_normal_subgroups(G, center(G)):
+            meets = (N._mask[powers] & below).sum(axis=1)
+            got = group_core.orders_modulo(G, everyone, N._mask, G.order // N.order)
+            assert got.tolist() == (orders // meets).tolist(), (G.name, N.order)
+            checked += 1
+    assert checked > 2000
 
 
 def test_in_place_verdicts_match_table_groups():

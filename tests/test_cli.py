@@ -12,6 +12,7 @@ import pytest
 import cutlab
 
 from cutlab import group_core
+from cutlab.characterizations import verify_equivalences
 from cutlab.cli import (
     EXIT_DISAGREEMENT,
     EXIT_EXPECTATION,
@@ -235,6 +236,33 @@ def test_huge_heisenberg_prime_hits_cap_before_factoring(tmp_path):
     proc = run_cli("analyze", path)
     assert proc.returncode == EXIT_ORDER_CAP
     assert "order cap exceeded" in proc.stderr
+
+
+def test_small_order_cap_skips_the_p6_products(tmp_path, monkeypatch):
+    # the four fixed 2-groups of the p6 check are built whatever the cap; the
+    # products with them past the cap are recorded as skipped
+    path = spec_file(tmp_path, {"kind": "cyclic", "n": 2})
+    proc = run_cli("analyze", path, "--format", "json", CUTLAB_MAX_ORDER="4")
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    p6 = next(r for r in json.loads(proc.stdout)["theorem_reports"] if r["name"] == "cor_p6_products")
+    assert p6["agrees_with_decider"]
+    monkeypatch.setenv("CUTLAB_MAX_ORDER", "4")
+    report = next(r for r in verify_equivalences(construct(cyclic(2))) if r.name == "cor_p6_products")
+    assert [t.clause.startswith("skipped") for t in report.trace] == [False, True, True, True]
+
+
+def test_small_order_cap_skips_remark_pairs_past_it(tmp_path):
+    out = tmp_path / "r.json"
+    proc = run_cli(
+        "corpus", "run", "--filter", "2-group", "--format", "json", "--output", str(out),
+        CUTLAB_MAX_ORDER="100",
+    )
+    assert proc.returncode == EXIT_ORDER_CAP  # the 2-groups of order 256 are past the cap
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(out.read_text())
+    orders = [pair["product_order"] for pair in payload["remark_pairs"]]
+    assert orders and max(orders) <= 100
+    assert payload["aggregate"]["remark_pairs_checked"] == len(orders)
 
 
 def test_permutation_order_bound_hits_cap_before_closure():

@@ -3,14 +3,18 @@
 import hashlib
 import json
 
+import numpy as np
+
 from cutlab.cli import render_corpus_result
 from cutlab.corpus import (
     CorpusEntry,
     RunConfig,
+    _run_remark_pairs,
     builtin_corpus,
     run_corpus,
 )
 from cutlab.constructors import construct, cyclic, metacyclic
+from cutlab.group_core import FiniteGroup
 
 
 def test_corpus_ids_unique_and_tags_valid():
@@ -144,3 +148,21 @@ def test_corpus_report_bytes_match_the_benchmark_digest(corpus_result):
         entry.pop("seconds")
     digest = hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
     assert digest == CORPUS_DIGEST
+
+
+def test_remark_pairs_cube_each_factor_once(corpus_result, monkeypatch):
+    by_id = {e.id: e for e in builtin_corpus()}
+    ids = sorted({r.left_id for r in corpus_result.remark_pairs})
+    eligible = [(i, construct(by_id[i].spec)) for i in ids]
+    cubes = []
+    power_vec = FiniteGroup.power_vec
+
+    def counting(G, xs, k):
+        if np.ndim(k) == 0 and k == 3:
+            cubes.append(G.name)
+        return power_vec(G, xs, k)
+
+    monkeypatch.setattr(FiniteGroup, "power_vec", counting)
+    pairs = _run_remark_pairs(eligible)
+    assert (len(eligible), len(pairs)) == (20, 360)
+    assert len(cubes) == 20  # one cube map per group, not two per pair

@@ -205,22 +205,6 @@ def test_witnesses_and_orders_match_reference_on_stress_groups(spec):
     assert np.array_equal(G._p_part_orders(np.arange(G.order)), expected)
 
 
-def test_first_witness_stops_the_joint_walk():
-    from cutlab.cut_engine import _power_map_witnesses
-
-    G = construct(product(cyclic(5), symmetric(5)))
-    part = G.conjugacy
-    orders = G.element_orders[part.representatives]
-    products = []
-    real = G.mul_vec
-    G.mul_vec = lambda a, b: products.append(1) or real(a, b)
-    first = next(_power_map_witnesses(G, part.representatives, part.class_of, orders))
-    early = len(products)
-    witnesses = tuple(_power_map_witnesses(G, part.representatives, part.class_of, orders))
-    assert early < len(products) - early  # 3 of the full walk's 6 products
-    assert first == witnesses[0] == reference_witnesses(G)[0]
-
-
 def test_walk_stops_before_the_inverse_exponent():
     # x^(m-1) = x^-1 never escapes; in C6 only the two elements of order 6 walk,
     # over j = 2, 3, 4

@@ -449,6 +449,17 @@ def test_partition_realness_and_generator_conjugations(class_fact_groups):
         assert not part.is_real.flags.writeable and not conj.flags.writeable
 
 
+def test_power_map_is_the_class_of_each_representative_power(class_fact_groups):
+    for G in class_fact_groups:
+        part = G.conjugacy
+        for k in (2, 3, 5):
+            classes = G.power_map(k)
+            want = [part.class_of[G.power(int(x), k)] for x in part.representatives]
+            assert classes.tolist() == want, (G.name, k)
+            assert not classes.flags.writeable
+            assert G.power_map(k) is classes
+
+
 def test_handles_compare_and_hash_by_identity():
     G = construct(dicyclic(2))
     Z, again = center(G), center(G)
@@ -573,6 +584,14 @@ def test_quotient_rejects_non_normal():
     assert flip.order == 2 and not flip.is_normal
     with pytest.raises(NotNormal):
         quotient(S3, flip)
+
+
+def test_an_empty_generating_set_is_the_identity():
+    T = construct(cyclic(1))
+    for G in (T, quotient(T, T.subgroup([0])), construct(product(cyclic(1), cyclic(1)))):
+        assert G.generators == (0,), G.name
+    S3 = construct(metacyclic(3, 2, 2))
+    assert quotient(S3, S3.subgroup(np.arange(S3.order))).generators == (0,)
 
 
 def test_direct_product_examples():
