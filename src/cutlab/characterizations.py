@@ -13,11 +13,13 @@ each clause takes its powers or commutator subgroups for all of them at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
+from . import group_core
 from .errors import CenterTooLarge, HypothesisViolated, OrderCapExceeded
 from .group_core import (
     FiniteGroup,
@@ -25,9 +27,11 @@ from .group_core import (
     _is_power_of,
     center,
     commutator_subgroups,
+    coset_minima,
     direct_product,
+    prime_factors,
 )
-from .cut_engine import central_subgroup_has_cut, decide_cut, quotient_has_cut
+from .cut_engine import central_factor_cuts, decide_cut
 
 
 @dataclass(frozen=True)
@@ -199,66 +203,167 @@ def cor_class2(G: FiniteGroup) -> TheoremReport:
 MAX_CENTER_SUBGROUPS = 1024  # larger centers are not enumerated (CenterTooLarge)
 
 
-def _cyclic_subgroups(G: FiniteGroup, members: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Every cyclic subgroup generated by one of ``members`` once, and the one each generates.
+def _gaussian_binomial(n: int, k: int, p: int) -> int:
+    """The number of k-dimensional subspaces of an n-dimensional space over GF(p)."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
 
-    Returns ``(cyclic_of, cyclics)``: ``cyclics[cyclic_of[x]]`` holds the
-    sorted members of <x> for each x of ``members`` (-1 elsewhere).  Each
-    <x> is x^0..x^(o(x)-1) from one ``power_vec``, and every generator x^k
-    with gcd(k, o(x)) = 1 is mapped to it at once.
+
+def _subgroup_count(orders: np.ndarray) -> int:
+    """The number of subgroups of a finite abelian group, from its element orders.
+
+    The group is the product of its Sylow parts, and so is the count.  The
+    type λ of the Sylow p-part is read off the orders: its Ω_k, the
+    elements of order dividing p^k, has p^(λ'_1 + ... + λ'_k) members.  It
+    has Π_i p^(ν'_{i+1}(λ'_i - ν'_i)) [λ'_i - ν'_{i+1}, ν'_i - ν'_{i+1}]_p
+    subgroups of type ν (Birkhoff-Delsarte; Butler, *Subgroup Lattices and
+    Symmetric Functions*, Mem. AMS 539, 1994), summed here over every
+    ν ⊆ λ one column ν'_i at a time, from the last.
     """
-    orders = G.element_orders
-    cyclic_of = np.full(G.order, -1, dtype=np.int64)
-    cyclics: list[np.ndarray] = []
-    for x in members.tolist():
-        if cyclic_of[x] >= 0:
-            continue
-        m = int(orders[x])
-        powers = G.power_vec(x, np.arange(m)).astype(np.int32)
-        cyclic_of[powers[np.gcd(np.arange(m), m) == 1]] = len(cyclics)
-        cyclics.append(np.sort(powers))
-    return cyclic_of, cyclics
-
-
-def _central_subgroup_families(G: FiniteGroup, Z: SubgroupHandle, cap: int) -> list[np.ndarray]:
-    """All subgroups of a central Z of G, as sorted member arrays of G.
-
-    Walk the subgroup lattice by extending each known subgroup with one
-    outside element of Z and closing.  Every subgroup is reached through
-    the chain that always adjoins its smallest missing element; along such
-    a chain the adjoined elements strictly increase, so extensions are
-    restricted to elements larger than the last one adjoined.  Because Z
-    is abelian, <H, x> = H·<x> is already a subgroup, so closing is one
-    product of H with the cyclic subgroup <x>; elements generating a
-    cyclic subgroup already joined with H give the same H·<x> and are
-    skipped.  Raises CenterTooLarge past ``cap``.
-    """
-    cyclic_of, cyclics = _cyclic_subgroups(G, Z.members)
-    seen = {(0,)}
-    queue: list[tuple[np.ndarray, int]] = [(np.array([0], dtype=np.int32), 0)]
-    out = [queue[0][0]]
-    while queue:
-        H, last = queue.pop()
-        inside = np.zeros(G.order, dtype=bool)
-        inside[H] = True
-        candidates = Z.members[Z.members > last]
-        candidates = candidates[~inside[candidates]]
-        _, first = np.unique(cyclic_of[candidates], return_index=True)
-        for x in candidates[np.sort(first)].tolist():
-            C = cyclics[cyclic_of[x]]
-            new = np.unique(G.mul_vec(H[:, None], C[None, :])).astype(np.int32)
-            key = tuple(new.tolist())
-            if key in seen:
-                continue
-            seen.add(key)
-            if len(seen) > cap:
-                raise CenterTooLarge(
-                    f"center has more than {cap} subgroups; raise the cap to enumerate"
+    total = 1
+    for p, a in prime_factors(int(np.lcm.reduce(orders))).items():
+        omega = [np.count_nonzero(p**k % orders == 0) for k in range(a + 1)]
+        conj = [round(math.log(big // small, p)) for small, big in zip(omega, omega[1:])]
+        below = {0: 1}  # the sum over the columns right of column i, by ν'_{i+1}
+        for lam in reversed(conj):
+            below = {
+                v: sum(
+                    p ** (w * (lam - v)) * _gaussian_binomial(lam - w, v - w, p) * f
+                    for w, f in below.items()
+                    if w <= v
                 )
-            queue.append((new, x))
-            out.append(new)
-    out.sort(key=lambda arr: (len(arr), tuple(arr.tolist())))
-    return out
+                for v in range(lam + 1)
+            }
+        total *= sum(below.values())
+    return total
+
+
+def _primitive_root(g: int, q: int, phi: int) -> bool:
+    """Whether g has order phi = |(Z/q)^x| modulo q."""
+    return all(pow(g, phi // r, q) != 1 for r in prime_factors(phi))
+
+
+def _unit_generators(e: int) -> list[int]:
+    """Generators of (Z/e)^x, each lifted by CRT from one prime power p^a of e.
+
+    For p = 2 they are -1 (when 4 | p^a) and 5 (when 8 | p^a); for odd p,
+    the least primitive root modulo p^a.
+    """
+    gens = []
+    for p, a in prime_factors(e).items():
+        q, rest = p**a, e // p**a
+        if p == 2:
+            local = [u for u, least in ((q - 1, 4), (5, 8)) if q >= least]
+        else:
+            phi = q - q // p
+            local = [next(g for g in range(2, q) if _primitive_root(g, q, phi))]
+        gens += [1 + rest * ((u - 1) * pow(rest, -1, q) % q) for u in local]
+    return gens
+
+
+def _least_generators(G: FiniteGroup, Z: SubgroupHandle) -> np.ndarray:
+    """The least generator of each nontrivial cyclic subgroup of an abelian Z, ascending.
+
+    The generators of <z> are the z^u for the units u modulo the exponent e
+    of Z, so they are z's orbit under the power maps z -> z^u of the
+    generators u of (Z/e)^x.  These maps commute, so the least member of an
+    orbit is taken one map at a time, each by pointer doubling along its
+    cycles.
+    """
+    members = Z.members
+    e = int(np.lcm.reduce(G.element_orders[members]))
+    least = np.arange(len(members))
+    for u in _unit_generators(e):
+        step = np.searchsorted(members, G.power_vec(members, u))
+        for _ in range(e.bit_length()):
+            least = np.minimum(least, least[step])
+            step = step[step]
+    return members[np.unique(least)[1:]]
+
+
+def _enumerate_subgroups(G: FiniteGroup, Z: SubgroupHandle) -> np.ndarray:
+    """Every subgroup N of a central Z once, as its row of coset minima over G.
+
+    The walk is a canonical augmentation (McKay, *J. Algorithms* 26, 1998).
+    Every subgroup K has one canonical chain 1 < H_1 < ... < K that always
+    adjoins the least missing element, x_i = min(K minus H_(i-1)); the x_i
+    strictly increase, and each H_i's chain is a prefix of K's.  So from a
+    subgroup H whose chain ends with x_i = last(H), the walk accepts
+    K = H·<x> (a subgroup, Z being abelian) exactly when
+    x = min(K minus H) > last(H), and reaches every subgroup once, with no
+    record of those it has seen.  min(K minus H) is the least generator of
+    its cyclic subgroup, since every generator of <x> is in K but not in H,
+    so the candidates x are those least generators, and the powers of all
+    of them come from one doubling walk.  The cosets of H in K are the
+    x^k H, so x is accepted iff every x^k outside H has a coset minimum of
+    at least x.
+
+    A row holds cm(g), the least member of gN for every g of G; N is the
+    g with cm(g) = 0.  K inherits its row from H's: cm_K(g) is the least
+    cm_H(g·x^k) over k, which doubling steps over k = 0, 1, 2, 4, ... reach
+    in about log2 [K : H] whole-row products.  The (H, x) pairs of each
+    level are evaluated in row blocks of at most MUL_CHUNK_BYTES.
+    """
+    xs = _least_generators(G, Z)
+    # powers[c, k] = xs[c]^k for k <= the largest order, each block of
+    # columns k = f..2f-1 the one before it times x^f
+    width = int(G.element_orders[xs].max(initial=1)) + 1
+    powers = np.zeros((len(xs), width), dtype=np.int32)
+    powers[:, 1] = xs
+    filled = 2
+    while filled < width:
+        half = powers[:, filled // 2, None]
+        block = powers[:, :min(filled, width - filled)]
+        powers[:, filled:filled + block.shape[1]] = G.mul_vec(block, G.mul_vec(half, half))
+        filled *= 2
+    everyone = np.arange(G.order)
+    level = everyone[None].astype(np.int32)  # the trivial subgroup
+    lasts = np.zeros(1, dtype=np.int64)
+    out = [level]
+    step = max(1, group_core.MUL_CHUNK_BYTES // (8 * max(G.order, powers.shape[1])))
+    while len(level):
+        # x > last(H), and x is the least of its coset xH (so outside H)
+        hs, cs = ((xs[None, :] > lasts[:, None]) & (level[:, xs] == xs)).nonzero()
+        children, child_lasts = [], []
+        for start in range(0, len(hs), step):
+            h, c = hs[start:start + step], cs[start:start + step]
+            minima = level[h[:, None], powers[c]]
+            accept = ((minima == 0) | (minima >= xs[c, None])).all(axis=1)
+            h, c, minima = h[accept], c[accept], minima[accept]
+            index = (minima[:, 1:] == 0).argmax(axis=1) + 1  # [K : H], the least k >= 1 with x^k in H
+            row = level[h]
+            live, span = np.arange(len(h)), 1
+            while live.size:
+                shifted = G.mul_vec(everyone[None, :], powers[c[live], span, None])
+                row[live] = np.minimum(row[live], row[live[:, None], shifted])
+                span *= 2
+                live = live[index[live] > span]
+            children.append(row)
+            child_lasts.append(xs[c])
+        level = np.concatenate(children) if children else level[:0]
+        lasts = np.concatenate(child_lasts) if child_lasts else lasts[:0]
+        out.append(level)
+    return np.concatenate(out)
+
+
+def _central_subgroup_families(
+    G: FiniteGroup, Z: SubgroupHandle, cap: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """All subgroups of a central Z of G: sorted member arrays, and a row of coset minima each.
+
+    They are ordered by size, then by members.  The subgroups are counted
+    first (``_subgroup_count``), and past ``cap`` CenterTooLarge is raised
+    before any is formed; then ``_enumerate_subgroups`` forms each once.
+    """
+    if _subgroup_count(G.element_orders[Z.members]) > cap:
+        raise CenterTooLarge(f"center has more than {cap} subgroups; raise the cap to enumerate")
+    minima = _enumerate_subgroups(G, Z)
+    families = [Z.members[row[Z.members] == 0] for row in minima]
+    order = sorted(range(len(families)), key=lambda i: (len(families[i]), families[i].tolist()))
+    return [families[i] for i in order], minima[order]
 
 
 def prop_class2_factor(G: FiniteGroup, mode: str = "per_element") -> TheoremReport:
@@ -267,9 +372,10 @@ def prop_class2_factor(G: FiniteGroup, mode: str = "per_element") -> TheoremRepo
     ``per_element``: every [x,G] and every G/[x,G] must have the
     cut-property.  ``central_subgroups``: every subgroup N of the center
     (all of them normal) and every G/N must have it; the subgroups of the
-    abelian center are enumerated exhaustively.  N and G/N are decided on
-    G's own elements; class <= 2 puts every [x,G] inside the center, so N
-    is central in both modes.
+    abelian center are enumerated exhaustively.  Class <= 2 puts every
+    [x,G] inside the center, so N is central in both modes, and the N of
+    one mode are decided together on G's own elements
+    (``central_factor_cuts``), each given by its coset minima.
     """
     if mode not in ("per_element", "central_subgroups"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -279,28 +385,30 @@ def prop_class2_factor(G: FiniteGroup, mode: str = "per_element") -> TheoremRepo
     trace = _degenerate_class(G)
     if mode == "per_element":
         reps = G.conjugacy.representatives
-        checked: dict[bytes, bool] = {}
-        for x, sub in zip(reps.tolist(), commutator_subgroups(G, reps)):
-            key = sub.members.tobytes()
-            if key not in checked:
-                checked[key] = central_subgroup_has_cut(G, sub) and quotient_has_cut(G, sub)
+        subs = commutator_subgroups(G, reps)
+        distinct = {sub.members.tobytes(): sub for sub in subs}
+        minima = np.stack([coset_minima(G, sub) for sub in distinct.values()])
+        ok = dict(zip(distinct, central_factor_cuts(G, minima).tolist()))
+        for x, sub in zip(reps.tolist(), subs):
             clause = f"[x,G] (order {sub.order}) and G/[x,G] have cut"
-            trace.append(TraceEntry(G.label(x), clause, checked[key]))
+            trace.append(TraceEntry(G.label(x), clause, ok[sub.members.tobytes()]))
     else:
-        for members in _central_subgroup_families(G, center(G), MAX_CENTER_SUBGROUPS):
-            N = G.subgroup(members)
-            ok = central_subgroup_has_cut(G, N) and quotient_has_cut(G, N)
-            trace.append(TraceEntry(f"N of order {N.order}", "N and G/N have cut", ok))
+        families, minima = _central_subgroup_families(G, center(G), MAX_CENTER_SUBGROUPS)
+        for members, good in zip(families, central_factor_cuts(G, minima).tolist()):
+            trace.append(TraceEntry(f"N of order {len(members)}", "N and G/N have cut", good))
     return _conjunction(name, trace)
 
 
-def remark_two_group_sum(H: FiniteGroup, K: FiniteGroup) -> TheoremReport:
+def remark_two_group_sum(
+    H: FiniteGroup, K: FiniteGroup, max_order: int | None = None
+) -> TheoremReport:
     """Failure criterion for a direct sum of two cut 2-groups.
 
     The sum loses the cut-property exactly when non-real elements h, k
     exist with h^3 ~ h and k^3 ~ k^-1 (or symmetrically).  The report's
     ``predicted`` is the predicted cut verdict of the product and the
-    agreement field compares it against the decider on the product.
+    agreement field compares it against the decider on the product, built
+    under ``max_order`` (default: the configured cap).
     """
     for part_name, P in (("H", H), ("K", K)):
         if P.profile.p != 2:
@@ -344,7 +452,7 @@ def remark_two_group_sum(H: FiniteGroup, K: FiniteGroup) -> TheoremReport:
         )
     if not predicted_failure:
         trace.append(TraceEntry("pairs", "no qualifying non-real pair exists", True))
-    actual = decide_cut(direct_product(H, K)).has_cut
+    actual = decide_cut(direct_product(H, K, max_order)).has_cut
     return TheoremReport(
         "remark_two_group_sum",
         True,
@@ -367,14 +475,15 @@ def _p6_check_set():
     )
 
 
-def verify_equivalences(G: FiniteGroup) -> list[TheoremReport]:
+def verify_equivalences(G: FiniteGroup, max_order: int | None = None) -> list[TheoremReport]:
     """Run every characterization on G and record agreement with the decider.
 
     When G is nilpotent with the cut-property, additionally checks that
     direct products with a fixed set of real cut 2-groups keep the
     property (the preservation corollary for trivial central units); a
-    product past the order cap is recorded as skipped, and agreement is
-    taken over the products checked.
+    product past the order cap (``max_order``, default: the configured
+    cap) is recorded as skipped, and agreement is taken over the products
+    checked.
     """
     actual = decide_cut(G).has_cut
     reports = []
@@ -396,7 +505,7 @@ def verify_equivalences(G: FiniteGroup) -> list[TheoremReport]:
         all_ok = True
         for rname, R in _p6_check_set():
             try:
-                ok = decide_cut(direct_product(G, R)).has_cut
+                ok = decide_cut(direct_product(G, R, max_order)).has_cut
             except OrderCapExceeded as exc:
                 trace.append(TraceEntry(f"G x {rname}", f"skipped: {exc}", True))
                 continue

@@ -263,7 +263,7 @@ def _cmd_analyze(args) -> int:
     G = construct(spec, args.max_order)
     verdict = decide_cut(G)
     cls = classify(G, verdict)
-    reports = verify_equivalences(G)
+    reports = verify_equivalences(G, args.max_order)
     doc = build_report_document(
         spec, G, verdict, cls, reports, time.perf_counter() - started
     )
@@ -280,7 +280,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_verify(args) -> int:
     spec = _load_spec(args.specfile, args.max_order)
     G = construct(spec, args.max_order)
-    reports = verify_equivalences(G)
+    reports = verify_equivalences(G, args.max_order)
     if args.format == "json":
         print(json.dumps([_verify_report_dict(r) for r in reports], indent=2))
     else:

@@ -306,7 +306,7 @@ def _analyze_entry(
         verdict = decide_cut(G)
         cls = classify(G, verdict)
         result.classification = cls
-        result.reports = verify_equivalences(G)
+        result.reports = verify_equivalences(G, config.max_order)
         oracle = decide_cut_bruteforce(G)
         result.oracle_agrees = oracle.has_cut == verdict.has_cut
         if G.is_abelian:
@@ -327,15 +327,18 @@ def _analyze_entry(
     return result, G
 
 
-def _run_remark_pairs(eligible: list[tuple[str, FiniteGroup]]) -> list[RemarkPairResult]:
+def _run_remark_pairs(
+    eligible: list[tuple[str, FiniteGroup]], max_order: int | None = None
+) -> list[RemarkPairResult]:
     """Check the direct-sum remark on every ordered pair of cut 2-groups within the order cap."""
-    limit = min(REMARK_PRODUCT_LIMIT, max_order_cap())
+    cap = max_order if max_order is not None else max_order_cap()
+    limit = min(REMARK_PRODUCT_LIMIT, cap)
     out = []
     for left_id, H in eligible:
         for right_id, K in eligible:
             if H.order * K.order > limit:
                 continue
-            report = remark_two_group_sum(H, K)
+            report = remark_two_group_sum(H, K, cap)
             out.append(
                 RemarkPairResult(
                     left_id=left_id,
@@ -367,7 +370,7 @@ def run_corpus(entries: list[CorpusEntry] | None = None, config: RunConfig | Non
         if G is not None and result.classification.cut and G.profile.p == 2:
             cut_two_groups.append((entry.id, G))
     analyzed.sort(key=lambda r: r.entry_id)
-    remark = _run_remark_pairs(cut_two_groups)
+    remark = _run_remark_pairs(cut_two_groups, config.max_order)
 
     aggregate = {
         "groups_analyzed": len(analyzed),

@@ -5,14 +5,17 @@ exponent j coprime to the order of x, x^j is conjugate to x or to x^-1.
 ``decide_cut`` scans class representatives using the eagerly built
 conjugacy partition, walking the powers of all of them at once with one
 whole-array product per exponent, and reads each one's first witness
-exponent off the walk; the same walk decides a quotient G/N on G's own
-elements, without building it (``quotient_has_cut``), and a central
-subgroup N needs only its element orders (``central_subgroup_has_cut``).
-The walk is handed its orders (of x in G, or of xN from
-``group_core.orders_modulo``), so it knows nothing of N.  Every class fact
-comes from G's partition: the class of xN in G/N (labelled by its least
-element), the centrality of N and realness are read off it, with no
-conjugation by generators.
+exponent off the walk.  The same walk decides quotients G/N on G's own
+elements, without building them: it takes one row of class labels per
+scanned group, so one stacked walk decides every N of a stack at once
+(``central_factor_cuts``), and ``quotient_has_cut`` is its one-row call.
+A central subgroup N needs only its element orders
+(``central_subgroup_has_cut``).  The walk is handed its orders (of x in
+G, or of xN from ``group_core.orders_modulo``), so it knows nothing of N.
+Every class fact comes from G's partition: the class of xN in G/N
+(labelled by its least element, the least coset minimum over x's class),
+the centrality of N and realness are read off it, with no conjugation by
+generators.
 ``decide_cut_bruteforce`` is the independent oracle:
 it scans every element and recomputes each conjugacy class from scratch,
 sharing no cached state with the fast path.
@@ -24,9 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, group_core
 from .errors import HypothesisViolated
-from .group_core import FiniteGroup, SubgroupHandle, cosets, orders_modulo
+from .group_core import (
+    FiniteGroup,
+    SubgroupHandle,
+    _p_part_products,
+    coset_minima,
+    orders_modulo,
+)
 
 
 @dataclass(frozen=True)
@@ -53,40 +62,41 @@ class Classification:
     central_height_label: int | None
 
 
-def _power_map_witnesses(G: FiniteGroup, reps, labels, orders) -> np.ndarray:
-    """The first witness exponent of each representative, 0 where it has none.
+def _power_map_witnesses(G: FiniteGroup, labels, rows, reps, orders) -> np.ndarray:
+    """The first witness exponent of each (row, representative) pair, 0 where it has none.
 
-    The scanned group H is given on G's elements: G itself or a quotient
-    G/N, which is never built.  ``labels[y]`` is the class in H of y (of yN
-    for a quotient), ``reps`` holds one G element per class of H, and
-    ``orders`` holds the order m in H of each of them (of xN for a
-    quotient).  For each x of ``reps`` the entry is the first exponent j in
-    2..m-1 coprime to m whose power x^j lands outside the classes of x and
-    x^-1.
+    Each row of ``labels`` is one scanned group H given on G's elements: G
+    itself or a quotient G/N, which is never built, so one walk decides many
+    quotients at once.  ``labels[r, y]`` is the class in H_r of y (of yN for
+    a quotient); the pair (``rows[i]``, ``reps[i]``) names an element x of G
+    whose class is scanned in H_r, and ``orders[i]`` is its order m in H_r
+    (of xN for a quotient).  For each pair the entry is the first exponent j
+    in 2..m-1 coprime to m whose power x^j lands outside the classes of x
+    and x^-1 in H_r.
 
-    The powers of all representatives are walked together, one ``mul_vec``
-    per exponent over the ones still open; a representative leaves the walk
-    at its first witness or when j + 2 reaches m, since x^(m-1) = x^-1 never
-    escapes (so only m > 3 walks at all).
+    The powers of all pairs are walked together, one ``mul_vec`` per exponent
+    over the ones still open; a pair leaves the walk at its first witness or
+    when j + 2 reaches m, since x^(m-1) = x^-1 never escapes (so only m > 3
+    walks at all).
     """
     first = np.zeros(len(reps), dtype=np.int64)
     live = (orders > 3).nonzero()[0]  # positions in reps still walking
     if not live.size:
         return first
     # the lesser of the classes of y and y^-1: equal for y and x exactly when y ~ x or y ~ x^-1
-    pair = np.minimum(labels, labels[G.inv_vec])
-    xs = ys = reps[live]
-    own, m = pair[xs], orders[live]
+    pair = np.minimum(labels, labels[:, G.inv_vec]).ravel()
+    at, xs = rows[live] * G.order, reps[live]  # pair[at + y] is the entry of y in the pair's row
+    ys, own, m = xs, pair[at + xs], orders[live]
     ends = set(m.tolist())  # some walk may end after exponent j only when j + 2 is in here
     j = 1
     while live.size:
         j += 1
         ys = G.mul_vec(ys, xs)
-        hit = (pair[ys] != own) & (np.gcd(j, m) == 1)
+        hit = (pair[at + ys] != own) & (np.gcd(j, m) == 1)
         if np.count_nonzero(hit) or j + 2 in ends:
             first[live[hit]] = j
             keep = ~hit & (j + 2 < m)
-            live, xs, ys, own, m = (a[keep] for a in (live, xs, ys, own, m))
+            live, at, xs, ys, own, m = (a[keep] for a in (live, at, xs, ys, own, m))
     return first
 
 
@@ -100,14 +110,15 @@ def decide_cut(G: FiniteGroup) -> CutVerdict:
     """
     part = G.conjugacy
     reps = part.representatives
-    first = _power_map_witnesses(G, reps, part.class_of, G.element_orders[reps])
+    rows = np.zeros(len(reps), dtype=np.int64)
+    first = _power_map_witnesses(G, part.class_of[None], rows, reps, G.element_orders[reps])
     failing = first.nonzero()[0]
     witnesses = tuple(zip(reps[failing].tolist(), first[failing].tolist()))
     return CutVerdict(has_cut=not witnesses, witnesses=witnesses)
 
 
-def central_subgroup_has_cut(G: FiniteGroup, N: SubgroupHandle) -> bool:
-    """Whether a central subgroup N has the cut-property, decided inside G.
+def _central_cuts(G: FiniteGroup, inside: np.ndarray) -> np.ndarray:
+    """Whether each central N, one member mask over G per row, has the cut-property.
 
     A central N is abelian, so each of its elements is a class of its own
     and the criterion asks x^j in {x, x^-1} for j coprime to m = o(x), that
@@ -116,36 +127,71 @@ def central_subgroup_has_cut(G: FiniteGroup, N: SubgroupHandle) -> bool:
     G, and a non-central N raises HypothesisViolated.
     """
     part = G.conjugacy
-    if (part.sizes[part.class_of[N.members]] != 1).any():
-        raise HypothesisViolated(f"subgroup of order {N.order} is not central in {G.name}")
-    orders = G.element_orders[N.members]
-    return bool(((orders <= 4) | (orders == 6)).all())
+    shared = inside[:, part.sizes[part.class_of] != 1].any(axis=1)
+    if shared.any():
+        order = int(np.count_nonzero(inside[shared.argmax()]))
+        raise HypothesisViolated(f"subgroup of order {order} is not central in {G.name}")
+    orders = G.element_orders
+    return ~inside[:, (orders > 4) & (orders != 6)].any(axis=1)
 
 
-def _quotient_labels(G: FiniteGroup, N: SubgroupHandle) -> np.ndarray:
+def central_subgroup_has_cut(G: FiniteGroup, N: SubgroupHandle) -> bool:
+    """Whether a central subgroup N has the cut-property, decided inside G (``_central_cuts``)."""
+    return bool(_central_cuts(G, N._mask[None])[0])
+
+
+def _quotient_labels(G: FiniteGroup, minima: np.ndarray) -> np.ndarray:
     """Label each x of G with the least element of the class of xN in G/N.
 
-    The cosets in that class are gxg^-1 N for g in G, so its least element
-    is the least coset minimum over the class of x in G.
+    ``minima`` holds the least member of each coset xN (one row per N, or
+    one 1-D row).  The cosets in the class of xN are gxg^-1 N for g in G,
+    so its least element is the least coset minimum over the class of x in
+    G.
     """
-    reps, coset_id = cosets(G, N)
-    class_of = G.conjugacy.class_of
-    least = np.full(G.conjugacy.num_classes, G.order)
-    np.minimum.at(least, class_of, reps[coset_id])
-    return least[class_of]
+    part = G.conjugacy
+    by_class = np.argsort(part.class_of, kind="stable")
+    starts = np.cumsum(part.sizes) - part.sizes
+    least = np.minimum.reduceat(minima[..., by_class], starts, axis=-1)
+    return least[..., part.class_of]
+
+
+def _quotient_cuts(G: FiniteGroup, minima: np.ndarray) -> np.ndarray:
+    """Whether G/N has the cut-property, for each normal N given by its row of coset minima.
+
+    The classes of G/N are read off G's classes (``_quotient_labels``), each
+    labelled by its least element, the coset name ``quotient`` would give
+    the least coset of that class, so its representatives are the x whose
+    label is x.  The orders of xN and the witnesses of every N of a row
+    block come from one order walk and one ``_power_map_witnesses`` walk;
+    a block holds at most MUL_CHUNK_BYTES of labels.
+    """
+    ok = np.ones(len(minima), dtype=bool)
+    step = max(1, group_core.MUL_CHUNK_BYTES // (8 * G.order))
+    for start in range(0, len(minima), step):
+        block = minima[start:start + step]
+        labels = _quotient_labels(G, block)
+        rows, reps = (labels == np.arange(G.order)).nonzero()
+        orders = orders_modulo(G, reps, block == 0, _p_part_products(G.order) + 1, rows)
+        first = _power_map_witnesses(G, labels, rows, reps, orders)
+        ok[start + rows[first.nonzero()[0]]] = False
+    return ok
 
 
 def quotient_has_cut(G: FiniteGroup, N: SubgroupHandle) -> bool:
     """Whether G/N has the cut-property, decided on G's own elements.
 
-    The classes of G/N are read off G's classes (``_quotient_labels``), each
-    labelled by its least element, the coset name ``quotient`` would give
-    the least coset of that class.
+    It is the one-row call of ``_quotient_cuts``.
     """
-    labels = _quotient_labels(G, N)
-    reps = np.unique(labels)
-    orders = orders_modulo(G, reps, N._mask, G.order // N.order)
-    return not _power_map_witnesses(G, reps, labels, orders).any()
+    return bool(_quotient_cuts(G, coset_minima(G, N)[None])[0])
+
+
+def central_factor_cuts(G: FiniteGroup, minima: np.ndarray) -> np.ndarray:
+    """Whether N and G/N both have the cut-property, for each central N given by its coset minima.
+
+    One row of ``minima`` per N, holding the least member of each coset xN;
+    N is the x with minimum 0.  Every N of the stack is decided together.
+    """
+    return _central_cuts(G, minima == 0) & _quotient_cuts(G, minima)
 
 
 def decide_cut_bruteforce(G: FiniteGroup) -> CutVerdict:

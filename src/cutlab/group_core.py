@@ -244,55 +244,34 @@ class FiniteGroup:
     def power_vec(self, xs, k) -> np.ndarray:
         """x^k for every x of ``xs`` by square-and-multiply (Cohen, 1993, Alg. 1.4.3).
 
-        ``k`` is one exponent k >= 0 or one such exponent per element.
+        ``k`` is one exponent k >= 0 or one such exponent per element.  Each
+        bit of the largest exponent costs one squaring, and one product over
+        the elements whose exponent has it set.
         """
-        xs, k = np.broadcast_arrays(np.asarray(xs), np.asarray(k, dtype=np.int64))
-        base, k = xs.ravel(), k.ravel()
-        acc = np.zeros_like(base)
-        while True:
-            odd = (k & 1).astype(bool)
-            if odd.any():
-                acc[odd] = self.mul_vec(acc[odd], base[odd])
-            k = k >> 1
-            if not k.any():
-                return acc.reshape(xs.shape)
-            base = self.mul_vec(base, base)
+        xs, k = np.asarray(xs), np.asarray(k, dtype=np.int64)
+        acc, base = np.zeros(np.broadcast_shapes(xs.shape, k.shape), dtype=xs.dtype), xs
+        for bit in range(int(k.max(initial=0)).bit_length()):
+            if bit:
+                base = self.mul_vec(base, base)
+            odd = (k >> bit) & 1 == 1
+            if odd.all():
+                acc = self.mul_vec(acc, base)
+            elif odd.any():
+                acc = np.where(odd, self.mul_vec(acc, base), acc)
+        return acc
 
     @cached_property
     def element_orders(self) -> np.ndarray:
-        """Order of every element.
+        """Order of every element (``orders_modulo`` with N the identity).
 
-        ``orders_modulo`` (N the identity) walks x, x^2, ... over all elements
-        for the ``_p_part_products(order)`` products p-part powering needs.
-        That settles every element of a small exponent; the rest are finished
-        by ``_p_part_orders``.
+        The walk x, x^2, ... over all elements runs for the
+        ``_p_part_products(order)`` products p-part powering needs; that
+        settles every element of a small exponent, and p-part powering
+        finishes the rest.
         """
         everyone = np.arange(self.order)
         orders = orders_modulo(self, everyone, everyone == 0, _p_part_products(self.order) + 1)
-        still_open = np.flatnonzero(orders == 0)
-        if still_open.size:
-            orders[still_open] = self._p_part_orders(still_open)
         orders.flags.writeable = False
-        return orders
-
-    def _p_part_orders(self, xs: np.ndarray) -> np.ndarray:
-        """Exact orders of ``xs`` by p-part powering.
-
-        For each p^a exactly dividing |G|, y = x^(|G|/p^a) has order the
-        p-part of o(x): while y is not the identity, the order gains a
-        factor p and y is replaced by y^p.
-        """
-        orders = np.ones(len(xs), dtype=np.int64)
-        for p, a in prime_factors(self.order).items():
-            live = np.arange(len(xs))
-            y = self.power_vec(xs, self.order // p**a)
-            while True:
-                keep = y != 0
-                live, y = live[keep], y[keep]
-                if not live.size:
-                    break
-                orders[live] *= p
-                y = self.power_vec(y, p)
         return orders
 
     def element_order(self, x: int) -> int:
@@ -429,21 +408,43 @@ class PermutationGroup(FiniteGroup):
         return self._lookup(back)
 
 
-def orders_modulo(G: FiniteGroup, xs: np.ndarray, kernel: np.ndarray, steps: int) -> np.ndarray:
+def orders_modulo(G: FiniteGroup, xs, kernel: np.ndarray, steps: int, rows=0) -> np.ndarray:
     """Order of xN for each x of ``xs``, where N is the member mask ``kernel``.
 
-    The walk x, x^2, x^3, ... over all of ``xs`` at once, one ``mul_vec`` per
-    step, gives the least k <= ``steps`` with x^k in N, or 0 where no such k
-    is reached.
+    ``kernel`` may also stack one mask per row, and ``rows`` names the row
+    each x is taken modulo.  The walk x, x^2, x^3, ... over all of ``xs`` at
+    once, one ``mul_vec`` per step over the x still open, settles each x
+    with x^k in N for some k <= ``steps``.  P-part powering finishes the
+    rest: for each p^a exactly dividing |G|, y = x^(|G|/p^a) has for yN the
+    order the p-part of o(xN), so while y is not in N the order gains a
+    factor p and y is replaced by y^p.
     """
+    xs = np.asarray(xs)
+    inside = np.atleast_2d(kernel).ravel()  # inside[at + y]: whether y is in the N of its row
+    at = np.broadcast_to(rows, xs.shape) * G.order
     orders = np.zeros(len(xs), dtype=np.int64)
-    y, k = xs, 1
-    while True:
-        orders[(orders == 0) & kernel[y]] = k
-        if orders.all() or k >= steps:
-            return orders
-        y = G.mul_vec(y, xs)
-        k += 1
+    live, x, y = np.arange(len(xs)), xs, xs
+    for k in range(1, steps + 1):
+        done = inside[at + y]
+        if done.any():
+            orders[live[done]] = k
+            keep = ~done
+            live, at, x, y = live[keep], at[keep], x[keep], y[keep]
+            if not live.size:
+                return orders
+        if k < steps:
+            y = G.mul_vec(y, x)
+    orders[live] = 1
+    for p, a in prime_factors(G.order).items():
+        open_, at_p, y = live, at, G.power_vec(x, G.order // p**a)
+        while True:
+            keep = ~inside[at_p + y]
+            open_, at_p, y = open_[keep], at_p[keep], y[keep]
+            if not open_.size:
+                break
+            orders[open_] *= p
+            y = G.power_vec(y, p)
+    return orders
 
 
 def _frozen_partition(class_of, reps, inverse_class) -> ConjugacyPartition:
@@ -809,17 +810,22 @@ def center(G: FiniteGroup) -> SubgroupHandle:
     return G.subgroup(part.representatives[part.sizes == 1])
 
 
-def cosets(G: FiniteGroup, N: SubgroupHandle) -> tuple[np.ndarray, np.ndarray]:
-    """Cosets of a normal N: their smallest members, ascending, and each element's coset id."""
+def coset_minima(G: FiniteGroup, N: SubgroupHandle) -> np.ndarray:
+    """The least member of each element's coset xN, for a normal N."""
     if not N.is_normal:
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.name}")
-    # each coset's smallest member, from G x N in row blocks of at most MUL_CHUNK_BYTES
+    # from G x N in row blocks of at most MUL_CHUNK_BYTES
     everyone = np.arange(G.order)
     step = max(1, MUL_CHUNK_BYTES // (8 * N.order))
-    rep_of = np.concatenate([
+    return np.concatenate([
         G.mul_vec(everyone[start:start + step, None], N.members[None, :]).min(axis=1)
         for start in range(0, G.order, step)
     ])
+
+
+def cosets(G: FiniteGroup, N: SubgroupHandle) -> tuple[np.ndarray, np.ndarray]:
+    """Cosets of a normal N: their smallest members, ascending, and each element's coset id."""
+    rep_of = coset_minima(G, N)
     reps = np.unique(rep_of)
     return reps, np.searchsorted(reps, rep_of)
 

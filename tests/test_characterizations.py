@@ -8,14 +8,16 @@ from conftest import (
     reference_coset_classes,
     reference_is_central,
     reference_is_normal,
+    reference_witnesses,
 )
 
-from cutlab import group_core
+from cutlab import characterizations, group_core
 from cutlab.characterizations import (
     TheoremReport,
     TraceEntry,
     _central_subgroup_families,
     _class2_applicable,
+    _subgroup_count,
     cor_class2,
     prop_class2_factor,
     remark_two_group_sum,
@@ -37,6 +39,7 @@ from cutlab.constructors import (
 from cutlab.corpus import builtin_corpus
 from cutlab.cut_engine import (
     _quotient_labels,
+    central_factor_cuts,
     central_subgroup_has_cut,
     decide_cut,
     quotient_has_cut,
@@ -46,6 +49,7 @@ from cutlab.group_core import (
     _derived_subgroup,
     center,
     commutator_subgroups,
+    coset_minima,
     cosets,
     direct_product,
     quotient,
@@ -264,7 +268,7 @@ def test_central_subgroup_walk_matches_reference():
             with pytest.raises(CenterTooLarge):
                 _central_subgroup_families(G, Z, 1024)
             continue
-        got = _central_subgroup_families(G, Z, 1024)
+        got = _central_subgroup_families(G, Z, 1024)[0]
         assert [a.tolist() for a in got] == [Z.members[b].tolist() for b in want], G.name
 
 
@@ -274,7 +278,7 @@ def _decided_normal_subgroups(G, Z):
     if _class2_applicable(G):
         subs += commutator_subgroups(G, G.conjugacy.representatives)
         try:
-            families = _central_subgroup_families(G, Z, 1024)
+            families = _central_subgroup_families(G, Z, 1024)[0]
         except CenterTooLarge:
             families = []
         subs += [G.subgroup(m) for m in families]
@@ -307,7 +311,7 @@ def test_class_facts_match_generator_references(class_fact_groups):
             if N.is_normal:
                 reps, coset_id = cosets(G, N)
                 want = reps[reference_coset_classes(G, reps, coset_id)][coset_id]
-                assert _quotient_labels(G, N).tolist() == want.tolist()
+                assert _quotient_labels(G, coset_minima(G, N)).tolist() == want.tolist()
     assert seen[False] > 0 and seen[True] > 0
 
 
@@ -367,9 +371,74 @@ def test_in_place_verdicts_match_table_groups():
 
 def test_central_subgroup_walk_cap_boundary():
     A = construct(abelian([2] * 5))
-    assert len(_central_subgroup_families(A, center(A), 374)) == 374
+    assert len(_central_subgroup_families(A, center(A), 374)[0]) == 374
     with pytest.raises(CenterTooLarge):
         _central_subgroup_families(A, center(A), 373)
+
+
+def test_subgroup_count_matches_the_reference_walk():
+    groups = [construct(e.spec) for e in builtin_corpus()]
+    groups = [G for G in groups if _class2_applicable(G)]
+    groups += [construct(cyclic(64)), construct(abelian([2, 4, 8]))]
+    counted = 0
+    for G in groups:
+        Z = center(G)
+        count = _subgroup_count(G.element_orders[Z.members])
+        try:
+            want = len(_reference_walk(Z.as_group(name="center"), 1024))
+        except CenterTooLarge:
+            assert count > 1024, G.name
+            continue
+        assert count == want, G.name
+        counted += 1
+    assert counted >= 64
+    for factors, want in (([2] * 5, 374), ([2] * 6, 2825), ([3, 3], 6), ([4, 4], 15), ([6], 4)):
+        A = construct(abelian(factors))
+        assert _subgroup_count(A.element_orders) == want, factors
+
+
+def test_center_too_large_is_refused_by_the_count_alone(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the subgroups were enumerated")
+
+    monkeypatch.setattr(characterizations, "_enumerate_subgroups", refuse)
+    with pytest.raises(CenterTooLarge, match="more than 1024 subgroups"):
+        prop_class2_factor(construct(abelian([2] * 6)), "central_subgroups")
+
+
+def test_central_walk_forms_few_products_on_a_large_cyclic_center(monkeypatch):
+    # one least generator per cyclic subgroup is a candidate, not every element of Z
+    G = construct(cyclic(512))
+    Z = center(G)
+    G.element_orders
+    formed = []
+    mul_vec = G.mul_vec
+    monkeypatch.setattr(G, "mul_vec", lambda a, b: formed.append(np.broadcast(a, b).size) or mul_vec(a, b))
+    families, _ = _central_subgroup_families(G, Z, 1024)
+    assert len(families) == 10
+    assert sum(formed) < Z.order**2 // 4
+
+
+def test_stacked_factor_cuts_match_the_references():
+    """Each row of one stacked walk is the reference N-cut and G/N-cut of its N."""
+    groups = [construct(e.spec) for e in builtin_corpus()]
+    groups = [G for G in groups if _class2_applicable(G)]
+    groups += [construct(cyclic(512)), construct(metacyclic(9, 9, 4))]
+    outcomes, checked = set(), 0
+    for G in groups:
+        try:
+            families, minima = _central_subgroup_families(G, center(G), 1024)
+        except CenterTooLarge:
+            continue
+        got = central_factor_cuts(G, minima)
+        for members, ok in zip(families, got.tolist()):
+            N = G.subgroup(members)
+            want = reference_witnesses(N.as_group()) == () and reference_witnesses(quotient(G, N)) == ()
+            assert ok == want, (G.name, N.order)
+            outcomes.add(ok)
+            checked += 1
+    assert outcomes == {True, False}
+    assert checked > 2000
 
 
 def test_prop_class2_factor_large_cyclic():

@@ -265,6 +265,26 @@ def test_small_order_cap_skips_remark_pairs_past_it(tmp_path):
     assert payload["aggregate"]["remark_pairs_checked"] == len(orders)
 
 
+def test_max_order_option_caps_the_remark_pairs_like_the_environment(tmp_path):
+    # --max-order reaches the remark pairs and the p6 products, as CUTLAB_MAX_ORDER does
+    payloads = []
+    for args, env in (((), {"CUTLAB_MAX_ORDER": "100"}), (("--max-order", "100"), {})):
+        out = tmp_path / f"r{len(payloads)}.json"
+        proc = run_cli(
+            "corpus", "run", "--filter", "2-group", "--format", "json", "--output", str(out),
+            *args, **env,
+        )
+        assert proc.returncode == EXIT_ORDER_CAP  # the 2-groups of order 256 are past the cap
+        assert "Traceback" not in proc.stderr
+        payloads.append(json.loads(out.read_text()))
+    env_run, option_run = payloads
+    assert option_run["aggregate"]["remark_pairs_checked"] == 91
+    assert option_run["remark_pairs"] == env_run["remark_pairs"]
+    assert [e["theorem_reports"] for e in option_run["entries"]] == [
+        e["theorem_reports"] for e in env_run["entries"]
+    ]
+
+
 def test_permutation_order_bound_hits_cap_before_closure():
     # one 100000-cycle has order 100000; closing it up to the cap would store
     # 65536 image arrays of degree 100000

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import naive_cut, reference_orders, reference_witnesses, table_of
+from cutlab import group_core
 from cutlab.constructors import (
     abelian,
     construct,
@@ -202,7 +203,8 @@ def test_witnesses_and_orders_match_reference_on_stress_groups(spec):
     expected = reference_orders(G)
     assert np.array_equal(G.element_orders, expected)
     # p-part powering alone, on every element
-    assert np.array_equal(G._p_part_orders(np.arange(G.order)), expected)
+    everyone = np.arange(G.order)
+    assert np.array_equal(group_core.orders_modulo(G, everyone, everyone == 0, 0), expected)
 
 
 def test_walk_stops_before_the_inverse_exponent():
