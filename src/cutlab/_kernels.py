@@ -5,17 +5,21 @@ set of permutations (generator cover and conjugacy classes), Light's
 associativity test of a Cayley table over a generating set, and the
 exhaustive power-map scan used by the brute-force cut decider.  The orbit
 kernel is Shiloach-Vishkin hooking plus pointer jumping: O(log n) rounds of
-whole-array numpy operations, whatever the cycle lengths.
+whole-array numpy operations, whatever the cycle lengths.  The scan is
+three whole-array passes over the table (classes in row blocks, then one
+order walk and one witness walk over all elements at once), each block
+within BLOCK_BYTES of intermediates.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 # There is one backend; perfbench/run.py:stamp records this flag in every result.
 USE_NUMBA = False
+
+# Most bytes of intermediates one block of a whole-array pass over a table holds.
+BLOCK_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -84,33 +88,53 @@ def first_bad_triple(table: np.ndarray, gens):
 def cut_witness_scan(table: np.ndarray, inv: np.ndarray):
     """Exhaustive power-map scan of every element of a Cayley table.
 
-    For each x (ascending) and each exponent j coprime to the order of x
-    (ascending), tests whether x^j lies in the conjugacy class of x or of
-    x^-1, with both classes recomputed from scratch by conjugating x with
-    every group element.  Returns (witness_elements, witness_exponents):
-    the first failing exponent per failing element.
+    For each x (ascending) and each exponent j coprime to the order m of x
+    (ascending, j = 2..m-1), tests whether x^j lies in the conjugacy class
+    of x or of x^-1.  Returns (witness_elements, witness_exponents): the
+    first failing exponent per failing element.  Only ``table`` and ``inv``
+    are read, in three whole-array passes:
+
+    - classes: every x is labelled by its least conjugate g*x*g^-1 over
+      every g, the conjugations formed afresh in row blocks of g;
+    - orders: one walk x, x^2, ... over all x at once, until each reaches 0;
+    - witnesses: one walk x^j over all x at once; x leaves it at its first
+      coprime j whose power is labelled neither as x nor as x^-1, or when
+      j + 1 reaches m.
+
+    A row block holds about BLOCK_BYTES of intermediates and the walks a
+    few arrays of n entries, so the table is the only order x order array.
     """
     table = np.ascontiguousarray(table, dtype=np.int32)
     inv = np.ascontiguousarray(inv, dtype=np.int32)
     n = table.shape[0]
-    wx, wj = [], []
-    for x in range(1, n):
-        gx = table[:, x]
-        mask = np.zeros(n, dtype=bool)
-        mask[table[gx, inv]] = True
-        ginvx = table[:, inv[x]]
-        mask[table[ginvx, inv]] = True
-        # order of x by repeated multiplication
-        m = 1
-        y = int(x)
-        while y != 0:
-            y = int(table[y, x])
-            m += 1
-        y = int(x)
-        for j in range(2, m):
-            y = int(table[y, x])
-            if math.gcd(j, m) == 1 and not mask[y]:
-                wx.append(x)
-                wj.append(j)
-                break
-    return (np.asarray(wx, dtype=np.int32), np.asarray(wj, dtype=np.int32))
+    least = np.arange(n, dtype=np.int32)
+    # each entry of a block is an int32 conjugate gathered through an int64 index
+    step = max(1, BLOCK_BYTES // (12 * n))
+    for lo in range(0, n, step):
+        conjugates = table[table[lo:lo + step], inv[lo:lo + step, None]]
+        np.minimum(least, conjugates.min(axis=0), out=least)
+
+    orders = np.ones(n, dtype=np.int64)
+    live = y = np.arange(1, n)
+    k = 1
+    while live.size:
+        k += 1
+        y = table[y, live]
+        done = y == 0
+        orders[live[done]] = k
+        live, y = live[~done], y[~done]
+
+    exponents = np.zeros(n, dtype=np.int32)
+    live = y = np.nonzero(orders > 2)[0]
+    m, own, other = orders[live], least[live], least[inv[live]]
+    j = 1
+    while live.size:
+        j += 1
+        y = table[y, live]
+        label = least[y]
+        escaped = (label != own) & (label != other) & (np.gcd(j, m) == 1)
+        exponents[live[escaped]] = j
+        keep = ~escaped & (j + 1 < m)
+        live, y, m, own, other = live[keep], y[keep], m[keep], own[keep], other[keep]
+    wx = np.nonzero(exponents)[0].astype(np.int32)
+    return wx, exponents[wx]

@@ -380,11 +380,16 @@ def _build_abelian(spec, cap) -> FiniteGroup:
         s //= f
         strides.append(s)
 
-    def product(a, b):
-        return sum(((a // s % f + b // s % f) % f) * s for f, s in zip(factors, strides))
-
     idx = np.arange(order)
-    residues = [(idx // s) % f for f, s in zip(factors, strides)]
+    residues = [((idx // s) % f).astype(np.int32) for f, s in zip(factors, strides)]
+
+    def product(a, b):
+        # digit i of a*b is r_i(a) + r_i(b) less f_i when it carries, so subtract f_i * s_i there
+        out = a + b
+        for f, s, r in zip(factors, strides, residues):
+            np.subtract(out, f * s, out=out, where=r[a] + r[b] >= f)
+        return out
+
     gens = [s for f, s in zip(factors, strides) if f > 1]
     labels = tuple(
         "(" + ",".join(str(int(r[i])) for r in residues) + ")" for i in range(order)

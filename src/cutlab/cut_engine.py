@@ -16,9 +16,13 @@ Every class fact comes from G's partition: the class of xN in G/N
 (labelled by its least element, the least coset minimum over x's class),
 the centrality of N and realness are read off it, with no conjugation by
 generators.
-``decide_cut_bruteforce`` is the independent oracle:
-it scans every element and recomputes each conjugacy class from scratch,
-sharing no cached state with the fast path.
+``decide_cut_bruteforce`` is the independent oracle: it reads only the
+dense table and the inverses derived from it, and scans every element in
+whole-array passes (``_kernels.cut_witness_scan``): each class recomputed
+from scratch by conjugating with every element in row blocks, then one
+order walk and one witness walk over all elements.  It shares no cached
+state with the fast path: no partition, element orders, generators,
+``orbit_labels`` or ``power_vec``.
 """
 
 from __future__ import annotations
@@ -198,9 +202,10 @@ def decide_cut_bruteforce(G: FiniteGroup) -> CutVerdict:
     """Oracle path: exhaustive scan over every element, no shared caches.
 
     Materializes the multiplication table, derives inverses from it, and
-    recomputes the conjugacy class of each element (and of its inverse) by
-    conjugating with all group elements.  Witnesses are the first failing
-    exponent per failing element in ascending element order.
+    recomputes the conjugacy class of each element by conjugating with all
+    group elements, in the whole-array passes of ``cut_witness_scan``.
+    Witnesses are the first failing exponent per failing element in
+    ascending element order.
     """
     table = G.dense_table()
     inv = np.argmax(table == 0, axis=1).astype(np.int32)

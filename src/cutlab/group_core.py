@@ -311,13 +311,15 @@ class FiniteGroup:
         return _compute_profile(self)
 
     def dense_table(self) -> np.ndarray:
-        """Materialize the full Cayley table (rebuilt on every call, within the byte budget)."""
+        """Materialize the full Cayley table (rebuilt on every call, within the byte budget).
+
+        The table is filled by one broadcast ``mul_vec`` call per row block.
+        Each int64 index array of a block holds an eighth of
+        ``_kernels.BLOCK_BYTES``, so the few arrays of that size a backend
+        forms per product stay within about ``BLOCK_BYTES`` together.
+        """
         check_image_budget(self.order, self.order, f"table rows of {self.name}")
-        rows = np.empty((self.order, self.order), dtype=np.int32)
-        everyone = np.arange(self.order)
-        for g in range(self.order):
-            rows[g] = self.mul_vec(g, everyone)
-        return rows
+        return fill_table(self.order, self.mul_vec, _kernels.BLOCK_BYTES // 8)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, order={self.order})"
@@ -624,16 +626,16 @@ def greedy_generators(table: np.ndarray) -> tuple[int, ...]:
         gens.append(int(np.argmin(reached)))
 
 
-def fill_table(order: int, product) -> np.ndarray:
+def fill_table(order: int, product, block_bytes: int = MUL_CHUNK_BYTES) -> np.ndarray:
     """The int32 Cayley table of ``product(a, b)`` over broadcast index arrays.
 
     The table is filled in row blocks whose int64 intermediates each stay
-    within MUL_CHUNK_BYTES, so the table is the only order x order
+    within ``block_bytes``, so the table is the only order x order
     allocation.
     """
     table = np.empty((order, order), dtype=np.int32)
     idx = np.arange(order, dtype=np.int64)
-    step = max(1, MUL_CHUNK_BYTES // (8 * order))
+    step = max(1, block_bytes // (8 * order))
     for lo in range(0, order, step):
         table[lo:lo + step] = product(idx[lo:lo + step, None], idx[None, :])
     return table

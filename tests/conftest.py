@@ -11,6 +11,8 @@ commutator set of an element is taken over every element of G.  The
 class-fact references (normality, the center, centrality, the classes of
 G/N) conjugate and multiply by G's generators instead of reading G's class
 partition, and the generator and orbit references close sets by BFS.
+The scalar witness scan is the oracle kernel's reference: it works on the
+table and its inverses one element and one power at a time.
 """
 
 import math
@@ -84,6 +86,40 @@ def reference_witnesses(G):
                 witnesses.append((x, j))
                 break
     return tuple(witnesses)
+
+
+def reference_witness_scan(table, inv):
+    """The brute-force scan one element and one power at a time.
+
+    For each x (ascending), its class and its inverse's class are marked by
+    conjugating with every element, its order m is found by repeated
+    multiplication, and the first j in 2..m-1 coprime to m with x^j in
+    neither class is its witness.
+    """
+    table = np.ascontiguousarray(table, dtype=np.int32)
+    inv = np.ascontiguousarray(inv, dtype=np.int32)
+    n = table.shape[0]
+    wx, wj = [], []
+    for x in range(1, n):
+        gx = table[:, x]
+        mask = np.zeros(n, dtype=bool)
+        mask[table[gx, inv]] = True
+        ginvx = table[:, inv[x]]
+        mask[table[ginvx, inv]] = True
+        # order of x by repeated multiplication
+        m = 1
+        y = int(x)
+        while y != 0:
+            y = int(table[y, x])
+            m += 1
+        y = int(x)
+        for j in range(2, m):
+            y = int(table[y, x])
+            if math.gcd(j, m) == 1 and not mask[y]:
+                wx.append(x)
+                wj.append(j)
+                break
+    return (np.asarray(wx, dtype=np.int32), np.asarray(wj, dtype=np.int32))
 
 
 def reference_derived_series_orders(G):

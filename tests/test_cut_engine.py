@@ -1,12 +1,19 @@
 """Decision engine: spec examples, oracle agreement, residue structure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import naive_cut, reference_orders, reference_witnesses, table_of
-from cutlab import group_core
+from conftest import (
+    naive_cut,
+    reference_orders,
+    reference_witness_scan,
+    reference_witnesses,
+    table_of,
+)
+from cutlab import _kernels, group_core
 from cutlab.constructors import (
     abelian,
     construct,
@@ -18,6 +25,7 @@ from cutlab.constructors import (
     symmetric,
 )
 from cutlab.cut_engine import classify, decide_cut, decide_cut_bruteforce
+from cutlab.group_core import FiniteGroup, ProductGroup
 
 
 def test_decide_cut_paper_positive():
@@ -120,6 +128,46 @@ def test_oracle_equivalence(spec):
     assert fast.has_cut == slow.has_cut
     naive_ok, _ = naive_cut(table_of(G)) if G.order <= 128 else (fast.has_cut, None)
     assert fast.has_cut == naive_ok
+
+
+def test_oracle_reads_only_the_table_and_its_inverses(monkeypatch):
+    """With every fast-path fact refusing, the oracle still finds the scalar scan's witnesses."""
+    specs = (metacyclic(9, 9, 4), symmetric(4), product(dicyclic(3), cyclic(5)), cyclic(1))
+    groups = [construct(spec) for spec in specs]
+    G = construct(metacyclic(8, 4, 3))
+    groups.append(group_core.quotient(G, group_core.center(G)))
+    want = []
+    for G in groups:
+        table = G.dense_table()
+        wx, wj = reference_witness_scan(table, np.argmax(table == 0, axis=1))
+        want.append(tuple(zip(wx.tolist(), wj.tolist())))
+    assert any(want) and not all(want)
+
+    def refuse(*args):
+        raise AssertionError("the oracle read a fact of the fast path")
+
+    monkeypatch.setattr(FiniteGroup, "conjugacy", property(refuse), raising=False)
+    monkeypatch.setattr(FiniteGroup, "element_orders", property(refuse))
+    monkeypatch.setattr(ProductGroup, "element_orders", property(refuse))
+    monkeypatch.setattr(FiniteGroup, "generator_conjugations", property(refuse))
+    monkeypatch.setattr(FiniteGroup, "power_vec", refuse)
+    monkeypatch.setattr(_kernels, "orbit_labels", refuse)
+    assert [decide_cut_bruteforce(G).witnesses for G in groups] == want
+
+
+def test_oracle_scan_allocates_less_than_its_table():
+    """The scan of an order-1024 table group works in blocks, not in table-sized arrays."""
+    G = construct(metacyclic(512, 2, 511))  # dihedral: its rotations of order 8 and up fail
+    table = G.dense_table()
+    assert table.nbytes == 4 << 20
+    tracemalloc.start()
+    try:
+        verdict = decide_cut_bruteforce(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.dense_table() is table and not verdict.has_cut
+    assert peak < table.nbytes
 
 
 def test_classify_examples():

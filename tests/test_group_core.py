@@ -1,5 +1,6 @@
 """Core group machinery against the naive oracles and frozen values."""
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -789,6 +790,27 @@ def test_dense_table_checked_against_the_byte_budget(monkeypatch):
         S4.dense_table()
     monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 1)
     assert C6.dense_table() is C6.table
+
+
+def test_dense_table_matches_a_row_by_row_reference():
+    """The row-block fill gives each backend's table and holds a few blocks beyond it."""
+    G = construct(metacyclic(8, 4, 3))
+    groups = [
+        construct(symmetric(6)),  # 720 rows, filled in blocks of 22
+        construct(product(symmetric(4), dicyclic(8))),
+        quotient(G, center(G)),
+    ]
+    for G in groups:
+        everyone = np.arange(G.order)
+        want = np.stack([G.mul_vec(g, everyone) for g in range(G.order)])
+        tracemalloc.start()
+        try:
+            table = G.dense_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.dtype == np.int32 and np.array_equal(table, want), G.name
+        assert peak - table.nbytes < 4 * _kernels.BLOCK_BYTES, G.name
 
 
 def test_greedy_generators_and_orbit_lengths_match_bfs_references(class_fact_groups):

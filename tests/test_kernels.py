@@ -1,9 +1,15 @@
 """The numpy kernels against brute-force references and known verdicts."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from conftest import reference_witness_scan
 from cutlab._kernels import cut_witness_scan, first_bad_triple, orbit_labels
+from cutlab.cli import parse_group_spec
 from cutlab.constructors import (
     abelian,
     construct,
@@ -14,6 +20,7 @@ from cutlab.constructors import (
     product,
     symmetric,
 )
+from cutlab.corpus import builtin_corpus
 from cutlab.cut_engine import decide_cut
 from cutlab.errors import NotAGroup
 from cutlab.group_core import build_from_table, greedy_generators
@@ -188,10 +195,67 @@ def test_first_bad_triple_matches_full_scan_on_random_latin_squares():
     ],
 )
 def test_cut_witness_scan_backends_agree(spec, expect_cut):
-    """The brute-force scan kernel and the class-based decider give one verdict."""
+    """The whole-array brute-force scan and the class-based decider give one verdict."""
     G = construct(spec)
     table = G.dense_table()
     inv = np.argmax(table == 0, axis=1).astype(np.int32)
     wx, wj = cut_witness_scan(table, inv)
     assert (len(wx) == 0) == expect_cut == decide_cut(G).has_cut
     assert len(wx) == len(wj)
+
+
+SWEEPGEN = Path(__file__).parents[1] / "perfbench" / "sweepgen.py"
+
+
+def _scan_inputs(G):
+    table = G.dense_table()
+    return table, np.argmax(table == 0, axis=1).astype(np.int32)
+
+
+def _sweep_groups(seed):
+    """Every group of one seeded benchmark sweep stream (the generator is only read)."""
+    spec = importlib.util.spec_from_file_location("perfbench_sweepgen", SWEEPGEN)
+    sweepgen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = sweepgen  # its dataclasses look their module up there
+    spec.loader.exec_module(sweepgen)
+    return [construct(parse_group_spec(item.text)) for item in sweepgen.generate(seed)]
+
+
+def test_cut_witness_scan_matches_the_scalar_reference():
+    """The same (elements, exponents) arrays as the one-element-at-a-time scan."""
+    groups = [construct(e.spec) for e in builtin_corpus()] + _sweep_groups(7)
+    groups += [construct(cyclic(1)), construct(cyclic(2))]
+    failing = 0
+    for G in groups:
+        table, inv = _scan_inputs(G)
+        got, want = cut_witness_scan(table, inv), reference_witness_scan(table, inv)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), G.name
+        failing += len(got[0]) > 0
+    assert len(groups) == 137 + 260 + 2
+    assert 0 < failing < len(groups)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [metacyclic(9, 9, 4), dicyclic(4), symmetric(4), product(symmetric(3), cyclic(5)), cyclic(30)],
+)
+def test_cut_witness_scan_follows_a_relabelling(spec):
+    """With sigma fixing 0, the witness exponent of sigma(x) in the relabelled table is that of x."""
+    table, inv = _scan_inputs(construct(spec))
+    n = len(table)
+    rng = np.random.default_rng(n)
+    sigma = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+    relabelled = np.empty_like(table)
+    relabelled[sigma[:, None], sigma[None, :]] = sigma[table]
+    relabelled_inv = np.empty_like(inv)
+    relabelled_inv[sigma] = sigma[inv]
+
+    def exponents(t, i):
+        wx, wj = cut_witness_scan(t, i)
+        out = np.zeros(n, dtype=np.int32)
+        out[wx] = wj
+        return out
+
+    before = exponents(table, inv)
+    assert np.array_equal(exponents(relabelled, relabelled_inv)[sigma], before)
