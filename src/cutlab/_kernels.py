@@ -1,4 +1,4 @@
-"""Hot integer kernels, vectorized with numpy.
+"""Hot integer kernels, vectorized with numpy, and the one row-block budget.
 
 Three operations dominate runtime on large groups: orbit closure under a
 set of permutations (generator cover and conjugacy classes), Light's
@@ -7,8 +7,8 @@ exhaustive power-map scan used by the brute-force cut decider.  The orbit
 kernel is Shiloach-Vishkin hooking plus pointer jumping: O(log n) rounds of
 whole-array numpy operations, whatever the cycle lengths.  The scan is
 three whole-array passes over the table (classes in row blocks, then one
-order walk and one witness walk over all elements at once), each block
-within BLOCK_BYTES of intermediates.
+order walk and one witness walk over all elements at once).  Every blocked
+pass of the package takes its rows from ``row_blocks``, one budget for all.
 """
 
 from __future__ import annotations
@@ -18,8 +18,14 @@ import numpy as np
 # There is one backend; perfbench/run.py:stamp records this flag in every result.
 USE_NUMBA = False
 
-# Most bytes of intermediates one block of a whole-array pass over a table holds.
+# Most bytes of intermediates one block of a whole-array pass holds.
 BLOCK_BYTES = 1 << 20
+
+
+def row_blocks(stop: int, row_bytes: int, start: int = 0):
+    """Slices of rows start..stop-1, >= 1 row and ~BLOCK_BYTES (read per call) at ``row_bytes`` each."""
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return (slice(lo, min(lo + step, stop)) for lo in range(start, stop, step))
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +115,8 @@ def cut_witness_scan(table: np.ndarray, inv: np.ndarray):
     n = table.shape[0]
     least = np.arange(n, dtype=np.int32)
     # each entry of a block is an int32 conjugate gathered through an int64 index
-    step = max(1, BLOCK_BYTES // (12 * n))
-    for lo in range(0, n, step):
-        conjugates = table[table[lo:lo + step], inv[lo:lo + step, None]]
+    for rows in row_blocks(n, 12 * n):
+        conjugates = table[table[rows], inv[rows, None]]
         np.minimum(least, conjugates.min(axis=0), out=least)
 
     orders = np.ones(n, dtype=np.int64)

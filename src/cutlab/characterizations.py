@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import group_core
+from . import _kernels
 from .errors import CenterTooLarge, HypothesisViolated, OrderCapExceeded
 from .group_core import (
     FiniteGroup,
@@ -305,7 +305,7 @@ def _enumerate_subgroups(G: FiniteGroup, Z: SubgroupHandle) -> np.ndarray:
     g with cm(g) = 0.  K inherits its row from H's: cm_K(g) is the least
     cm_H(g·x^k) over k, which doubling steps over k = 0, 1, 2, 4, ... reach
     in about log2 [K : H] whole-row products.  The (H, x) pairs of each
-    level are evaluated in row blocks of at most MUL_CHUNK_BYTES.
+    level are evaluated in row blocks (``_kernels.row_blocks``).
     """
     xs = _least_generators(G, Z)
     # powers[c, k] = xs[c]^k for k <= the largest order, each block of
@@ -323,13 +323,13 @@ def _enumerate_subgroups(G: FiniteGroup, Z: SubgroupHandle) -> np.ndarray:
     level = everyone[None].astype(np.int32)  # the trivial subgroup
     lasts = np.zeros(1, dtype=np.int64)
     out = [level]
-    step = max(1, group_core.MUL_CHUNK_BYTES // (8 * max(G.order, powers.shape[1])))
+    row_bytes = 8 * max(G.order, powers.shape[1])
     while len(level):
         # x > last(H), and x is the least of its coset xH (so outside H)
         hs, cs = ((xs[None, :] > lasts[:, None]) & (level[:, xs] == xs)).nonzero()
         children, child_lasts = [], []
-        for start in range(0, len(hs), step):
-            h, c = hs[start:start + step], cs[start:start + step]
+        for pairs in _kernels.row_blocks(len(hs), row_bytes):
+            h, c = hs[pairs], cs[pairs]
             minima = level[h[:, None], powers[c]]
             accept = ((minima == 0) | (minima >= xs[c, None])).all(axis=1)
             h, c, minima = h[accept], c[accept], minima[accept]

@@ -17,11 +17,11 @@ Every class fact comes from G's partition: the class of xN in G/N
 the centrality of N and realness are read off it, with no conjugation by
 generators.
 ``decide_cut_bruteforce`` is the independent oracle: it reads only the
-dense table and the inverses derived from it, and scans every element in
+dense table and the inverses read off it, and scans every element in
 whole-array passes (``_kernels.cut_witness_scan``): each class recomputed
 from scratch by conjugating with every element in row blocks, then one
-order walk and one witness walk over all elements.  It shares no cached
-state with the fast path: no partition, element orders, generators,
+order walk and one witness walk over all elements.  It shares only the
+row slicing with the fast path: no partition, element orders, generators,
 ``orbit_labels`` or ``power_vec``.
 """
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, group_core
+from . import _kernels
 from .errors import HypothesisViolated
 from .group_core import (
     FiniteGroup,
@@ -167,17 +167,15 @@ def _quotient_cuts(G: FiniteGroup, minima: np.ndarray) -> np.ndarray:
     the least coset of that class, so its representatives are the x whose
     label is x.  The orders of xN and the witnesses of every N of a row
     block come from one order walk and one ``_power_map_witnesses`` walk;
-    a block holds at most MUL_CHUNK_BYTES of labels.
+    a block (``_kernels.row_blocks``) holds about ``BLOCK_BYTES`` of labels.
     """
     ok = np.ones(len(minima), dtype=bool)
-    step = max(1, group_core.MUL_CHUNK_BYTES // (8 * G.order))
-    for start in range(0, len(minima), step):
-        block = minima[start:start + step]
-        labels = _quotient_labels(G, block)
+    for block in _kernels.row_blocks(len(minima), 8 * G.order):
+        labels = _quotient_labels(G, minima[block])
         rows, reps = (labels == np.arange(G.order)).nonzero()
-        orders = orders_modulo(G, reps, block == 0, _p_part_products(G.order) + 1, rows)
+        orders = orders_modulo(G, reps, minima[block] == 0, _p_part_products(G.order) + 1, rows)
         first = _power_map_witnesses(G, labels, rows, reps, orders)
-        ok[start + rows[first.nonzero()[0]]] = False
+        ok[block.start + rows[first.nonzero()[0]]] = False
     return ok
 
 
@@ -208,7 +206,8 @@ def decide_cut_bruteforce(G: FiniteGroup) -> CutVerdict:
     ascending element order.
     """
     table = G.dense_table()
-    inv = np.argmax(table == 0, axis=1).astype(np.int32)
+    blocks = _kernels.row_blocks(G.order, G.order)
+    inv = np.concatenate([np.argmax(table[rows] == 0, axis=1) for rows in blocks])
     wx, wj = _kernels.cut_witness_scan(table, inv)
     witnesses = tuple((int(x), int(j)) for x, j in zip(wx, wj))
     return CutVerdict(has_cut=not witnesses, witnesses=witnesses)

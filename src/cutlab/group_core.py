@@ -29,9 +29,9 @@ center, the Sylow subgroups, the derived and lower central series, and
 A dense Cayley table is built only where a table is the input or the
 output (a table spec, a quotient, ``dense_table``, and
 ``SubgroupHandle.as_group``, which serves the tests), each held to
-PERMUTATION_BYTE_BUDGET before it is allocated.  Formula, quotient and
-subgroup tables are filled by one row-block filler, ``fill_table``, so the
-table is their only n x n array.
+PERMUTATION_BYTE_BUDGET before it is allocated; all but a table spec's are
+filled by ``fill_table``, so the table is their only n x n array.  Every
+pass in row blocks is sliced by ``_kernels.row_blocks``, to one budget.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ DEFAULT_MAX_ORDER = 65_536
 # Most bytes of permutation images one closure may store (moved points only),
 # and of any int32 Cayley table built from a spec, a subgroup or a quotient.
 PERMUTATION_BYTE_BUDGET = 1 << 30
-
-# Most bytes of composed image rows one PermutationGroup.mul_vec step holds.
-MUL_CHUNK_BYTES = 1 << 24
 
 
 def max_order_cap() -> int:
@@ -313,13 +310,11 @@ class FiniteGroup:
     def dense_table(self) -> np.ndarray:
         """Materialize the full Cayley table (rebuilt on every call, within the byte budget).
 
-        The table is filled by one broadcast ``mul_vec`` call per row block.
-        Each int64 index array of a block holds an eighth of
-        ``_kernels.BLOCK_BYTES``, so the few arrays of that size a backend
-        forms per product stay within about ``BLOCK_BYTES`` together.
+        The table is filled by ``fill_table``, one broadcast ``mul_vec`` call
+        per row block.
         """
         check_image_budget(self.order, self.order, f"table rows of {self.name}")
-        return fill_table(self.order, self.mul_vec, _kernels.BLOCK_BYTES // 8)
+        return fill_table(self.order, self.mul_vec)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, order={self.order})"
@@ -339,7 +334,7 @@ class TableGroup(FiniteGroup):
         return self.table[a, b]
 
     def _compute_inverses(self) -> np.ndarray:
-        inv = np.argmax(self.table == 0, axis=1).astype(np.int32)
+        inv = _table_inverses(self.table)
         if not (self.table[inv, np.arange(self.order)] == 0).all():
             raise NotAGroup("table has one-sided inverses only")
         return inv
@@ -395,12 +390,11 @@ class PermutationGroup(FiniteGroup):
         a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
         flat_a, flat_b = a.ravel(), b.ravel()
         out = np.empty(flat_a.size, dtype=np.int32)
-        step = max(1, MUL_CHUNK_BYTES // (4 * self.degree))
-        for start in range(0, out.size, step):
-            ia, ib = flat_a[start:start + step], flat_b[start:start + step]
+        for chunk in _kernels.row_blocks(out.size, 4 * self.degree):
+            ia, ib = flat_a[chunk], flat_b[chunk]
             # row r of the chunk is images[a][images[b]]
             composed = self.images[ia][np.arange(ia.size)[:, None], self.images[ib]]
-            out[start:start + step] = self._lookup(composed)
+            out[chunk] = self._lookup(composed)
         return out.reshape(a.shape)
 
     def _compute_inverses(self) -> np.ndarray:
@@ -626,19 +620,24 @@ def greedy_generators(table: np.ndarray) -> tuple[int, ...]:
         gens.append(int(np.argmin(reached)))
 
 
-def fill_table(order: int, product, block_bytes: int = MUL_CHUNK_BYTES) -> np.ndarray:
+def fill_table(order: int, product) -> np.ndarray:
     """The int32 Cayley table of ``product(a, b)`` over broadcast index arrays.
 
-    The table is filled in row blocks whose int64 intermediates each stay
-    within ``block_bytes``, so the table is the only order x order
-    allocation.
+    Each int64 index array of a row block holds an eighth of BLOCK_BYTES,
+    so the few arrays of that size a product forms stay within about
+    BLOCK_BYTES together, and the table is the only order x order array.
     """
     table = np.empty((order, order), dtype=np.int32)
     idx = np.arange(order, dtype=np.int64)
-    step = max(1, block_bytes // (8 * order))
-    for lo in range(0, order, step):
-        table[lo:lo + step] = product(idx[lo:lo + step, None], idx[None, :])
+    for rows in _kernels.row_blocks(order, 64 * order):
+        table[rows] = product(idx[rows, None], idx[None, :])
     return table
+
+
+def _table_inverses(table: np.ndarray) -> np.ndarray:
+    """The column of the identity 0 in each row of a table, read in row blocks."""
+    blocks = _kernels.row_blocks(len(table), len(table))
+    return np.concatenate([np.argmax(table[rows] == 0, axis=1) for rows in blocks]).astype(np.int32)
 
 
 def build_from_table(n: int, table, max_order: int | None = None) -> FiniteGroup:
@@ -689,7 +688,7 @@ def _check_group_table(table: np.ndarray, gens=None) -> tuple[int, ...]:
             line = int(np.argmin(ok))
             raise NotAGroup(f"{word} {line} is not a permutation (Latin square fails)")
 
-    inv = np.argmax(table == 0, axis=1)
+    inv = _table_inverses(table)
     two_sided = table[inv, idx] == 0
     if not two_sided.all():
         x = int(np.argmin(two_sided))
@@ -764,16 +763,15 @@ def build_from_permutations(degree: int, gens, max_order: int | None = None) -> 
     local = np.full(degree, -1, dtype=np.int32)
     local[points] = np.arange(points.size, dtype=np.int32)
     gen_stack = local[np.stack(gen_imgs)[:, points]]
-    step = max(1, MUL_CHUNK_BYTES // (4 * points.size * len(gen_imgs)))
 
     keys = [np.arange(points.size, dtype=np.int32).tobytes()]
     index = {keys[0]: 0}
     start = 0
     while start < len(keys):
         # the next frontier slice, each element times every generator, in BFS order
-        stop = min(len(keys), start + step)
-        frontier = np.frombuffer(b"".join(keys[start:stop]), dtype=np.int32)
-        composed = frontier.reshape(stop - start, points.size)[:, gen_stack]
+        rows = next(_kernels.row_blocks(len(keys), 4 * points.size * len(gen_imgs), start))
+        frontier = np.frombuffer(b"".join(keys[rows]), dtype=np.int32)
+        composed = frontier.reshape(-1, points.size)[:, gen_stack]
         for key in _row_keys(composed).ravel().tolist():
             if key not in index:
                 if len(keys) >= cap:
@@ -781,7 +779,7 @@ def build_from_permutations(degree: int, gens, max_order: int | None = None) -> 
                 check_image_budget(len(keys) + 1, points.size, "permutation images")
                 index[key] = len(keys)
                 keys.append(key)
-        start = stop
+        start = rows.stop
 
     gen_idx = []
     for key in _row_keys(gen_stack).tolist():
@@ -816,12 +814,10 @@ def coset_minima(G: FiniteGroup, N: SubgroupHandle) -> np.ndarray:
     """The least member of each element's coset xN, for a normal N."""
     if not N.is_normal:
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.name}")
-    # from G x N in row blocks of at most MUL_CHUNK_BYTES
     everyone = np.arange(G.order)
-    step = max(1, MUL_CHUNK_BYTES // (8 * N.order))
     return np.concatenate([
-        G.mul_vec(everyone[start:start + step, None], N.members[None, :]).min(axis=1)
-        for start in range(0, G.order, step)
+        G.mul_vec(everyone[rows, None], N.members[None, :]).min(axis=1)
+        for rows in _kernels.row_blocks(G.order, 8 * N.order)
     ])
 
 
@@ -873,9 +869,8 @@ def _commutator_subgroup(G: FiniteGroup, xs, H: SubgroupHandle) -> SubgroupHandl
     """
     xs, hs = np.asarray(xs), H.members
     hit = np.zeros(G.order, dtype=bool)
-    step = max(1, MUL_CHUNK_BYTES // (8 * hs.size))
-    for start in range(0, xs.size, step):
-        hit[_commutators(G, xs[start:start + step, None], hs[None, :])] = True
+    for rows in _kernels.row_blocks(xs.size, 8 * hs.size):
+        hit[_commutators(G, xs[rows, None], hs[None, :])] = True
     part = G.conjugacy
     seeds = part.representatives[np.unique(part.class_of[hit])]
     return subgroup_generated(G, seeds, normal_closure=True)

@@ -20,9 +20,21 @@ import math
 import numpy as np
 import pytest
 
-from cutlab import _kernels
+from cutlab import _kernels, group_core
 from cutlab.corpus import builtin_corpus, run_corpus
 from cutlab.group_core import subgroup_generated
+
+
+def count_fill_rows(monkeypatch, module):
+    """Route ``module.fill_table`` through a recorder; returns the row count of every product call."""
+    rows = []
+    fill = group_core.fill_table
+
+    def recorded(order, product):
+        return fill(order, lambda a, b: rows.append(len(a)) or product(a, b))
+
+    monkeypatch.setattr(module, "fill_table", recorded)
+    return rows
 
 
 def table_of(G):

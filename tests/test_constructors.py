@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import count_fill_rows
 from cutlab import _kernels, constructors, group_core
 from cutlab.constructors import (
     GroupSpecDescriptor,
@@ -190,8 +191,10 @@ FORMULA_SPECS = [cyclic(30), abelian([2, 6, 3]), metacyclic(9, 9, 4), dicyclic(5
 def test_formula_table_row_blocks(monkeypatch, spec):
     whole = construct(spec).table
     assert whole.dtype == np.int32
-    monkeypatch.setattr(group_core, "MUL_CHUNK_BYTES", 64)  # one row per block
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)  # one row per block
+    rows = count_fill_rows(monkeypatch, constructors)
     assert np.array_equal(construct(spec).table, whole)
+    assert rows == [1] * len(whole)
 
 
 def test_formula_tables_checked_against_the_byte_budget(monkeypatch):

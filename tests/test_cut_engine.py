@@ -170,6 +170,21 @@ def test_oracle_scan_allocates_less_than_its_table():
     assert peak < table.nbytes
 
 
+def test_inverses_are_read_off_the_table_in_row_blocks():
+    """The oracle and a table group read the inverses of an order-2048 table within two blocks."""
+    G = construct(metacyclic(1024, 2, 1023))  # order 2048: a 16 MiB table, whose bool image is 4 MiB
+    table = G.dense_table()
+    for derive in (lambda: decide_cut_bruteforce(G).witnesses, G._compute_inverses):
+        tracemalloc.start()
+        try:
+            derive()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * _kernels.BLOCK_BYTES
+    assert G.dense_table() is table  # a table group hands out the table it holds
+
+
 def test_classify_examples():
     s3 = classify(construct(metacyclic(3, 2, 2)))
     assert s3.real_group and s3.cut and s3.rational

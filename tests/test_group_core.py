@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    count_fill_rows,
     naive_center,
     naive_classes,
     naive_cut,
@@ -18,7 +19,7 @@ from conftest import (
     reference_orbit_lengths,
     table_of,
 )
-from cutlab import _kernels, constructors, cut_engine, group_core
+from cutlab import _kernels, characterizations, constructors, cut_engine, group_core
 from cutlab.constructors import (
     abelian,
     construct,
@@ -263,7 +264,7 @@ def test_permutation_mul_vec_chunks_match(monkeypatch):
     G = construct(symmetric(5))
     everyone = np.arange(G.order)
     whole = G.mul_vec(everyone[:, None], everyone[None, :])
-    monkeypatch.setattr(group_core, "MUL_CHUNK_BYTES", 64)
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 64)
     assert np.array_equal(G.mul_vec(everyone[:, None], everyone[None, :]), whole)
     assert np.array_equal(G.dense_table(), whole)
     assert G.mul_vec(3, 7).shape == ()
@@ -756,9 +757,77 @@ def test_quotient_and_subgroup_tables_row_blocks(monkeypatch):
         coset_id[S4.mul_vec(reps[:, None], reps[None, :])],
         np.searchsorted(members, S4.mul_vec(members[:, None], members[None, :])),
     )
-    monkeypatch.setattr(group_core, "MUL_CHUNK_BYTES", 64)  # one row per block
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)  # one row per block
+    rows = count_fill_rows(monkeypatch, group_core)
     assert np.array_equal(quotient(S4, V4).table, whole[0])
+    assert rows == [1] * 6
     assert np.array_equal(A4.as_group().table, whole[1])
+    assert rows == [1] * (6 + 12)
+
+
+def _coset_minima_pass(spec):
+    G = construct(spec)
+    return tuple(group_core.coset_minima(G, N) for N in (center(G), group_core._derived_subgroup(G)))
+
+
+def _central_subgroups_and_cuts(spec):
+    G = construct(spec)
+    families, minima = characterizations._central_subgroup_families(G, center(G), 1024)
+    return np.concatenate(families), minima, cut_engine.central_factor_cuts(G, minima)
+
+
+def _commutator_pass(spec):
+    G = construct(spec)
+    return group_core._derived_subgroup(G).members, np.array(derived_series_orders(G))
+
+
+# every pass that works in row blocks, each on groups built afresh, as a tuple of arrays
+BLOCKED_PASSES = {
+    "PermutationGroup.mul_vec": lambda: (
+        construct(symmetric(5)).mul_vec(np.arange(120)[:, None], np.arange(120)[None, :]),
+    ),
+    "build_from_permutations": lambda: (
+        build_from_permutations(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]).images,
+    ),
+    "fill_table": lambda: tuple(
+        construct(s).table for s in (metacyclic(9, 9, 4), abelian([2, 6, 3]), heisenberg(3))
+    ),
+    "dense_table": lambda: tuple(
+        construct(s).dense_table() for s in (symmetric(4), product(symmetric(3), cyclic(4)))
+    ),
+    "table inverses": lambda: (
+        construct(dicyclic(5)).inv_vec,
+        np.array(build_from_table(20, construct(dicyclic(5)).table).generators),
+    ),
+    "coset_minima": lambda: _coset_minima_pass(product(symmetric(4), dicyclic(3))),
+    "_commutator_subgroup": lambda: _commutator_pass(product(symmetric(4), dicyclic(3))),
+    "_enumerate_subgroups and _quotient_cuts": lambda: _central_subgroups_and_cuts(abelian([4, 8])),
+    "cut_witness_scan": lambda: (
+        np.array(cut_engine.decide_cut_bruteforce(construct(metacyclic(16, 2, 15))).witnesses),
+        np.array(cut_engine.decide_cut_bruteforce(construct(symmetric(4))).witnesses),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCKED_PASSES))
+def test_blocked_passes_match_at_one_row_per_block(monkeypatch, name):
+    """Every blocked pass gives at one row per block exactly what it gives at the default budget."""
+    want = BLOCKED_PASSES[name]()
+    blocks = []
+    row_blocks = _kernels.row_blocks
+
+    def recorded(*args):
+        for rows in row_blocks(*args):
+            blocks.append(rows.stop - rows.start)
+            yield rows
+
+    monkeypatch.setattr(_kernels, "row_blocks", recorded)
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)
+    got = BLOCKED_PASSES[name]()
+    assert blocks and set(blocks) == {1}
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_quotient_has_cut_reads_the_class_partition(monkeypatch):
