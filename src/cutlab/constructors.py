@@ -10,9 +10,13 @@ Presentation-style families (metacyclic, dicyclic) are realized by exact
 normal-form multiplication rather than coset enumeration; the defining
 relations are cheap to state and tests hold them as the ground truth.
 The five formula kinds (cyclic, abelian, metacyclic, dicyclic, heisenberg)
-evaluate their product formula into one int32 Cayley table, in row blocks
-(``group_core.fill_table``), and their check refuses a table over the byte
-budget before any of it is allocated.
+each state one product formula over broadcast index arrays.  Up to order
+512, where the int32 Cayley table fits one row block, it is evaluated into
+that table (``group_core.fill_table``); past it the group keeps the formula
+itself (``group_core.FormulaGroup``) and holds no order x order array.
+Their check still refuses an order whose table would pass the byte budget,
+before anything is built, so ``dense_table`` (the oracle, ``--emit-table``)
+can always be formed.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .errors import (
 )
 from .group_core import (
     FiniteGroup,
+    FormulaGroup,
     TableGroup,
     build_from_permutations,
     build_from_table,
@@ -364,37 +369,57 @@ def _ab_label(i: int, j: int) -> str:
 
 # -- realizations: each runs on a descriptor its kind's check accepted --------
 
+def _formula_group(spec, order: int, product, gens, labels) -> FiniteGroup:
+    """A formula kind's group: its Cayley table while that fits one row block, else its formula.
+
+    A table product is one gather, far cheaper than a formula; past
+    4·order² bytes > BLOCK_BYTES (order 512) the table would be the only
+    order x order array of the group, so the formula is kept instead.
+    """
+    if 4 * order * order <= _kernels.BLOCK_BYTES:
+        return TableGroup(fill_table(order, product), gens, labels, name=spec.describe())
+    return FormulaGroup(order, product, gens, labels, name=spec.describe())
+
+
 def _build_cyclic(spec, cap) -> FiniteGroup:
     n = spec.n
-    table = fill_table(n, lambda a, b: (a + b) % n)
     labels = tuple(_pow_str("g", i) or "1" for i in range(n))
-    return TableGroup(table, (1,) if n > 1 else (0,), labels, name=spec.describe())
+    return _formula_group(spec, n, lambda a, b: (a + b) % n, (1,) if n > 1 else (0,), labels)
 
 
 def _build_abelian(spec, cap) -> FiniteGroup:
-    factors = spec.factors
-    order = math.prod(factors)
-    strides = []
-    s = order
-    for f in factors:
-        s //= f
-        strides.append(s)
-
-    idx = np.arange(order)
-    residues = [((idx // s) % f).astype(np.int32) for f, s in zip(factors, strides)]
+    factors = np.array(spec.factors, dtype=np.int64)
+    order, k = int(factors.prod()), len(factors)
+    strides = order // np.cumprod(factors)
+    # digits[x, i] is x's mixed-radix digit i, padded to whole words of 8 with digits that
+    # never carry; two digits of a factor up to 64 sum within int8
+    words = -(-k // 8)
+    dtype = np.int8 if factors.max() <= 64 else np.int32
+    digits = np.zeros((order, 8 * words), dtype=dtype)
+    digits[:, :k] = np.arange(order)[:, None] // strides % factors
+    bound = np.full(8 * words, np.iinfo(dtype).max, dtype=dtype)
+    bound[:k] = factors
+    # drop[w, m]: what the carries m of word w subtract, bit i of m the carry of digit 8w + i
+    drops = np.zeros(8 * words, dtype=np.int64)
+    drops[:k] = factors * strides
+    drop = drops.reshape(words, 8) @ (np.arange(256) >> np.arange(8)[:, None] & 1)
 
     def product(a, b):
-        # digit i of a*b is r_i(a) + r_i(b) less f_i when it carries, so subtract f_i * s_i there
+        # digit i of a*b is d_i(a) + d_i(b) less f_i when it carries, so subtract f_i * s_i
+        # there; the multiply gathers the 8 carry bytes of each word into its top byte
+        carries = (digits[a] + digits[b] >= bound).view("<u8") * _GATHER_BYTES >> np.uint64(56)
         out = a + b
-        for f, s, r in zip(factors, strides, residues):
-            np.subtract(out, f * s, out=out, where=r[a] + r[b] >= f)
+        for w in range(words):
+            out -= drop[w, carries[..., w]]
         return out
 
-    gens = [s for f, s in zip(factors, strides) if f > 1]
-    labels = tuple(
-        "(" + ",".join(str(int(r[i])) for r in residues) + ")" for i in range(order)
-    )
-    return TableGroup(fill_table(order, product), gens, labels, name=spec.describe())
+    gens = strides[factors > 1].tolist()
+    labels = tuple("(" + ",".join(map(str, row)) + ")" for row in digits[:, :k].tolist())
+    return _formula_group(spec, order, product, gens, labels)
+
+
+# byte i of a word (0 or 1) times this lands on bit 56 + i, and no other product does
+_GATHER_BYTES = np.uint64(0x0102040810204080)
 
 
 def _build_metacyclic(spec, cap) -> FiniteGroup:
@@ -415,7 +440,7 @@ def _build_metacyclic(spec, cap) -> FiniteGroup:
     if n > 1:
         gens.append(m)
     labels = tuple(_ab_label(k % m, k // m) for k in range(order))
-    return TableGroup(fill_table(order, product), gens, labels, name=spec.describe())
+    return _formula_group(spec, order, product, gens, labels)
 
 
 def _build_dicyclic(spec, cap) -> FiniteGroup:
@@ -433,7 +458,7 @@ def _build_dicyclic(spec, cap) -> FiniteGroup:
         return (jnew % 2) * two_n + inew
 
     labels = tuple(_ab_label(k % two_n, k // two_n) for k in range(order))
-    return TableGroup(fill_table(order, product), (1, two_n), labels, name=spec.describe())
+    return _formula_group(spec, order, product, (1, two_n), labels)
 
 
 def _build_heisenberg(spec, cap) -> FiniteGroup:
@@ -448,7 +473,7 @@ def _build_heisenberg(spec, cap) -> FiniteGroup:
         return ((x1 + x2) % p) * p * p + ((y1 + y2) % p) * p + (z1 + z2 + x1 * y2) % p
 
     labels = tuple(f"({k // (p * p)},{k // p % p},{k % p})" for k in range(order))
-    return TableGroup(fill_table(order, product), (p * p, p), labels, name=spec.describe())
+    return _formula_group(spec, order, product, (p * p, p), labels)
 
 
 def _build_symmetric(spec, cap) -> FiniteGroup:

@@ -1,10 +1,12 @@
 """Finite groups with 0-based indexed elements and eager conjugacy data.
 
 Every group is a set of element indices 0..n-1 with index 0 the identity.
-Three storage backends cover all constructions, each through one
-whole-array product ``mul_vec``: a dense Cayley table, a permutation-image
-backend that composes images on demand (never materializing the n x n
-table), and a componentwise direct-product backend.
+Four storage backends cover all constructions, each through one
+whole-array product ``mul_vec``: a dense Cayley table, a formula backend
+that evaluates a normal-form product on demand (``FormulaGroup``), a
+permutation-image backend that composes images on demand, and a
+componentwise direct-product backend.  Only the table backend holds an
+n x n array.
 The permutation backend maps a composed image row back to its element
 through one sorted index of fixed-width byte keys, so products, inverses
 and tables are whole-array numpy operations at every degree.  Its images
@@ -25,17 +27,24 @@ also gives the orders of cosets xN), cut short where p-part powering by
 square-and-multiply needs fewer products; the class of x^k for each class
 representative is kept per k (``power_map``).  Subgroups (the
 center, the Sylow subgroups, the derived and lower central series, and
-[x, G] for many x at once) are derived lazily as sorted member sets of G.
+[x, G] for many x at once) are derived lazily inside G, each as a sorted
+member set of G and a short generating list.  A closure still open after
+a few plain rounds adds every generator's powers, found by doubling, and a
+normal closure adds one outside conjugate of a generator at a time, so it
+keeps at most log2 |G| added generators; commutator subgroups, and the
+cosets of a quotient, are formed from generators, not from members.
 A dense Cayley table is built only where a table is the input or the
-output (a table spec, a quotient, ``dense_table``, and
-``SubgroupHandle.as_group``, which serves the tests), each held to
-PERMUTATION_BYTE_BUDGET before it is allocated; all but a table spec's are
-filled by ``fill_table``, so the table is their only n x n array.  Every
-pass in row blocks is sliced by ``_kernels.row_blocks``, to one budget.
+output (a table spec, a formula kind small enough, a quotient,
+``dense_table``, and ``SubgroupHandle.as_group``, which serves the tests),
+each held to PERMUTATION_BYTE_BUDGET before it is allocated; all but a
+table spec's are filled by ``fill_table``, so the table is their only
+n x n array.  Every pass in row blocks is sliced by ``_kernels.row_blocks``,
+to one budget.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -293,15 +302,18 @@ class FiniteGroup:
             return self.labels[x]
         return str(int(x))
 
-    def subgroup(self, members) -> "SubgroupHandle":
-        """The subgroup on ``members``; it is normal iff it is a union of classes."""
+    def subgroup(self, members, generators=None) -> "SubgroupHandle":
+        """The subgroup on ``members`` (generated by ``generators`` when given).
+
+        It is normal iff it is a union of classes.
+        """
         members = np.unique(np.asarray(members, dtype=np.int32))
         mask = np.zeros(self.order, dtype=bool)
         mask[members] = True
         part = self.conjugacy
         met = np.bincount(part.class_of[members], minlength=part.num_classes)
         is_normal = bool(((met == 0) | (met == part.sizes)).all())
-        return SubgroupHandle(self, members, mask, is_normal)
+        return SubgroupHandle(self, members, mask, is_normal, generators)
 
     @cached_property
     def profile(self) -> "StructuralProfile":
@@ -341,6 +353,27 @@ class TableGroup(FiniteGroup):
 
     def dense_table(self) -> np.ndarray:
         return self.table
+
+
+class FormulaGroup(FiniteGroup):
+    """Group whose product is a normal-form formula, evaluated on demand.
+
+    ``product(a, b)`` takes broadcastable int64 index arrays and returns the
+    index of each product, so memory stays O(order).  The inverse of x is
+    x^(order-1), so a formula needs no inverse of its own.
+    """
+
+    def __init__(self, order: int, product, generators, labels=None, name="formula"):
+        self.product = product
+        super().__init__(order, generators, labels, name)
+        self._finalize()
+
+    def mul_vec(self, a, b) -> np.ndarray:
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        return np.asarray(self.product(a, b), dtype=np.int32)
+
+    def _compute_inverses(self) -> np.ndarray:
+        return self.power_vec(np.arange(self.order, dtype=np.int32), self.order - 1)
 
 
 class PermutationGroup(FiniteGroup):
@@ -517,16 +550,40 @@ class ProductGroup(FiniteGroup):
 
 @dataclass(frozen=True, eq=False)
 class SubgroupHandle:
-    """A subgroup of a parent group, kept as a sorted member-index array (equal only to itself)."""
+    """A subgroup of a parent group: a sorted member-index array and a generating list.
+
+    ``closed_from`` is the generating list it was closed from, if any.
+    Equal only to itself.
+    """
 
     parent: FiniteGroup
     members: np.ndarray
     _mask: np.ndarray = field(repr=False)
     is_normal: bool
+    closed_from: tuple[int, ...] | None = field(default=None, repr=False)
 
     @property
     def order(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """``closed_from``, else least members adopted one at a time while outside the closure.
+
+        Each adopted member at least doubles the closure, so at most
+        log2 |H| are adopted.
+        """
+        if self.closed_from is not None:
+            return self.closed_from
+        gens: list[int] = []
+        reached = np.zeros(self.parent.order, dtype=bool)
+        reached[0] = True
+        while True:
+            missing = self.members[~reached[self.members]]
+            if not missing.size:
+                return tuple(gens)
+            gens.append(int(missing[0]))
+            reached[_closure_members(self.parent, gens, reached)] = True
 
     def contains(self, x: int) -> bool:
         return bool(self._mask[x])
@@ -567,42 +624,86 @@ class StructuralProfile:
 # construction
 # ---------------------------------------------------------------------------
 
-def _closure_members(G: FiniteGroup, gens) -> np.ndarray:
-    """Members of the subgroup generated by ``gens`` (right-mult BFS).
+# Rounds of plain search before a closure adds its generators' powers: on
+# the small groups of the corpus most closures end within them, and the
+# powers would cost more rounds than they save.
+PLAIN_ROUNDS = 8
 
-    Closure under multiplication alone suffices: inverses are positive
-    powers in a finite group.
+
+def _closure_members(G: FiniteGroup, gens, inside=None) -> np.ndarray:
+    """Members of the subgroup generated by ``gens``, ascending.
+
+    ``inside``, when given, is the member mask of a subgroup generated by
+    some of ``gens``, which the closure extends.  Closure under
+    multiplication alone suffices: inverses are positive powers in a finite
+    group.  Each round multiplies the elements new in the last one by every
+    generator (right-mult BFS), in row blocks (``_kernels.row_blocks``).  A
+    closure still open after PLAIN_ROUNDS rounds adds every generator's
+    powers (``_mark_powers``) and goes on from all it holds, so a cyclic
+    subgroup of order m closes in about log2 m rounds, not m.
     """
-    mask = np.zeros(G.order, dtype=bool)
-    mask[0] = True
     garr = np.unique(np.asarray(list(gens), dtype=np.int32))
-    if garr.size == 0:
-        return np.array([0], dtype=np.int32)
-    frontier = np.array([0], dtype=np.int32)
-    while frontier.size:
-        prod = np.unique(G.mul_vec(frontier[:, None], garr[None, :]))
-        new = prod[~mask[prod]]
-        mask[new] = True
-        frontier = new.astype(np.int32)
-    return np.nonzero(mask)[0].astype(np.int32)
+    if not garr.size:
+        return np.zeros(1, dtype=np.int32)
+    mask = np.zeros(G.order, dtype=bool) if inside is None else inside.copy()
+    mask[0] = True
+    frontier = np.flatnonzero(mask)
+    for done in itertools.count(1):
+        found = []
+        for rows in _kernels.row_blocks(frontier.size, 8 * garr.size):
+            prod = np.unique(G.mul_vec(frontier[rows, None], garr[None, :]))
+            new = prod[~mask[prod]]
+            mask[new] = True
+            found.append(new)
+        frontier = found[0] if len(found) == 1 else np.concatenate(found)
+        if not frontier.size:
+            return np.flatnonzero(mask).astype(np.int32)
+        if done == PLAIN_ROUNDS:
+            _mark_powers(G, garr, mask)
+            frontier = np.flatnonzero(mask)
+
+
+def _mark_powers(G: FiniteGroup, gens: np.ndarray, mask: np.ndarray) -> None:
+    """Mark every power of every generator in ``mask``, by doubling.
+
+    Block k of g's powers is g^(2^k)..g^(2^(k+1) - 1), the blocks before it
+    times g^(2^k); g is done once a block holds the identity, as every power
+    of g is then marked.
+    """
+    powers, step = np.zeros((gens.size, 1), dtype=np.int32), gens
+    while step.size:
+        block = G.mul_vec(powers, step[:, None])
+        mask[block] = True
+        open_ = (block != 0).all(axis=1)
+        powers = np.concatenate([powers, block], axis=1)[open_]
+        step = G.mul_vec(step, step)[open_]
 
 
 def subgroup_generated(G: FiniteGroup, seeds, normal_closure: bool = False) -> SubgroupHandle:
-    """Subgroup (or normal closure) generated by the given element indices."""
-    gens = {int(s) for s in seeds if int(s) != 0}
+    """Subgroup (or normal closure) generated by the given element indices.
+
+    A subgroup is normal iff every generator of G conjugates each of its
+    generators into it.  So the normal closure adds one conjugate g s g^-1
+    outside the subgroup at a time, for s a kept generator and g a generator
+    of G, and closes again.  Each addition at least doubles the order, so at
+    most log2 |G| generators are added (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, ch. 3).  The handle keeps the seeds
+    and the added conjugates as its generators.
+    """
+    gens = sorted({int(s) for s in seeds} - {0})
     if not gens:
-        return G.subgroup([0])
+        return G.subgroup([0], ())
     members = _closure_members(G, gens)
     while normal_closure:
         mask = np.zeros(G.order, dtype=bool)
         mask[members] = True
-        conj = G.generator_conjugations[:, members].ravel()
+        conj = G.generator_conjugations[:, gens].ravel()
         outside = conj[~mask[conj]]
         if not outside.size:
             break
-        gens.update(outside.tolist())
-        members = _closure_members(G, gens)
-    return G.subgroup(members)
+        gens.append(int(outside[0]))
+        members = _closure_members(G, gens, mask)
+    return G.subgroup(members, tuple(gens))
 
 
 def greedy_generators(table: np.ndarray) -> tuple[int, ...]:
@@ -810,10 +911,14 @@ def center(G: FiniteGroup) -> SubgroupHandle:
     return G.subgroup(part.representatives[part.sizes == 1])
 
 
-def coset_minima(G: FiniteGroup, N: SubgroupHandle) -> np.ndarray:
-    """The least member of each element's coset xN, for a normal N."""
+def _require_normal(G: FiniteGroup, N: SubgroupHandle) -> None:
     if not N.is_normal:
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.name}")
+
+
+def coset_minima(G: FiniteGroup, N: SubgroupHandle) -> np.ndarray:
+    """The least member of each element's coset xN, for a normal N (|G|·|N| products)."""
+    _require_normal(G, N)
     everyone = np.arange(G.order)
     return np.concatenate([
         G.mul_vec(everyone[rows, None], N.members[None, :]).min(axis=1)
@@ -822,8 +927,15 @@ def coset_minima(G: FiniteGroup, N: SubgroupHandle) -> np.ndarray:
 
 
 def cosets(G: FiniteGroup, N: SubgroupHandle) -> tuple[np.ndarray, np.ndarray]:
-    """Cosets of a normal N: their smallest members, ascending, and each element's coset id."""
-    rep_of = coset_minima(G, N)
+    """Cosets of a normal N: their smallest members, ascending, and each element's coset id.
+
+    The coset xN is the orbit of x under right multiplication by N's
+    generators, labelled by its least member (``orbit_labels``): |G| products
+    per generator, not |G|·|N|.
+    """
+    _require_normal(G, N)
+    gens = np.asarray(N.generators, dtype=np.int64)
+    rep_of = _kernels.orbit_labels(G.mul_vec(np.arange(G.order)[None, :], gens[:, None]))
     reps = np.unique(rep_of)
     return reps, np.searchsorted(reps, rep_of)
 
@@ -861,53 +973,51 @@ def commutator_subgroups(G: FiniteGroup, xs) -> list[SubgroupHandle]:
     return [subs[i] for i in which.ravel().tolist()]
 
 
-def _commutator_subgroup(G: FiniteGroup, xs, H: SubgroupHandle) -> SubgroupHandle:
-    """The normal closure in G of [x, h] for x in ``xs`` and h in a normal H.
+def _commutator_subgroup(G: FiniteGroup, xs, ys) -> SubgroupHandle:
+    """The normal closure in G of [x, y] for x in ``xs`` and y in ``ys``.
 
     Conjugate commutators have the same normal closure, so it is seeded with
     one class representative of G per class the commutators meet.
     """
-    xs, hs = np.asarray(xs), H.members
-    hit = np.zeros(G.order, dtype=bool)
-    for rows in _kernels.row_blocks(xs.size, 8 * hs.size):
-        hit[_commutators(G, xs[rows, None], hs[None, :])] = True
+    comms = _commutators(G, np.asarray(xs)[:, None], np.asarray(ys)[None, :])
     part = G.conjugacy
-    seeds = part.representatives[np.unique(part.class_of[hit])]
+    seeds = part.representatives[np.unique(part.class_of[comms])]
     return subgroup_generated(G, seeds, normal_closure=True)
 
 
 def _derived_subgroup(G: FiniteGroup) -> SubgroupHandle:
-    return _commutator_subgroup(G, G.generators, G.subgroup(np.arange(G.order)))
+    return _commutator_subgroup(G, G.generators, G.generators)
 
 
 def derived_series_orders(G: FiniteGroup) -> list[int]:
     """Orders along the derived series, ending at 1 iff solvable.
 
-    Each term is a member set of G: D_{k+1} = [D_k, D_k] is the normal
-    closure of [r, d] over d in D_k and the class representatives r of G
-    inside D_k, whose conjugates generate D_k, as [r^g, d] = [r, d^(g^-1)]^g.
+    Each term is a subgroup of G: D_{k+1} = [D_k, D_k] is the normal closure
+    in G of [s, t] over the generators s, t of D_k.  That closure lies in
+    [D_k, D_k], which is characteristic in D_k and so normal in G; and
+    modulo it the generators of D_k commute, so it holds [D_k, D_k].
     """
     orders = [G.order]
     if G.order == 1:
         return orders
-    reps = G.conjugacy.representatives
     D = _derived_subgroup(G)
     while True:
         orders.append(D.order)
         if D.order in (1, orders[-2]):
             return orders
-        D = _commutator_subgroup(G, reps[D._mask[reps]], D)
+        D = _commutator_subgroup(G, D.generators, D.generators)
 
 
 def lower_central_series(G: FiniteGroup) -> list[SubgroupHandle]:
     """G = gamma_1 >= gamma_2 >= ..., stopping at 1 or at stabilization.
 
-    gamma_{k+1} = [G, gamma_k] is the normal closure of the commutators of
-    G's generators with the members of gamma_k, computed inside G.
+    gamma_{k+1} = [G, gamma_k] is the normal closure in G of [g, s] over the
+    generators g of G and s of gamma_k: modulo that closure each s commutes
+    with all of G, so gamma_k is central there.
     """
-    series = [G.subgroup(np.arange(G.order))]
+    series = [G.subgroup(np.arange(G.order), G.generators)]
     while series[-1].order > 1:
-        series.append(_commutator_subgroup(G, G.generators, series[-1]))
+        series.append(_commutator_subgroup(G, G.generators, series[-1].generators))
         if series[-1].order == series[-2].order:
             break
     return series

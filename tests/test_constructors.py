@@ -22,12 +22,14 @@ from cutlab.constructors import (
     table_spec,
     validate_spec,
 )
+from cutlab.cut_engine import decide_cut
 from cutlab.errors import (
     InvalidMetacyclicParameters,
     InvalidParameters,
     NotAPrime,
     OrderCapExceeded,
 )
+from cutlab.group_core import FormulaGroup, TableGroup
 
 CORPUS_METACYCLICS = [
     (12, 2, 5),
@@ -191,10 +193,38 @@ FORMULA_SPECS = [cyclic(30), abelian([2, 6, 3]), metacyclic(9, 9, 4), dicyclic(5
 def test_formula_table_row_blocks(monkeypatch, spec):
     whole = construct(spec).table
     assert whole.dtype == np.int32
-    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)  # one row per block
-    rows = count_fill_rows(monkeypatch, constructors)
-    assert np.array_equal(construct(spec).table, whole)
+    # one row per block; no table then fits one block, so the group keeps its formula
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)
+    rows = count_fill_rows(monkeypatch, group_core)
+    assert np.array_equal(construct(spec).dense_table(), whole)
     assert rows == [1] * len(whole)
+
+
+# each formula kind on both sides of order 512, where its int32 table stops fitting one row block
+SIZE_PAIRS = [
+    (cyclic(512), cyclic(600)),
+    (abelian([2] * 9), abelian([2, 4, 80])),
+    (metacyclic(256, 2, 255), metacyclic(64, 16, 3)),
+    (dicyclic(128), dicyclic(130)),
+    (heisenberg(7), heisenberg(11)),
+]
+
+
+@pytest.mark.parametrize("small, large", SIZE_PAIRS, ids=lambda s: s.describe())
+def test_formula_groups_answer_as_the_table_groups_of_their_tables(small, large):
+    assert type(construct(small)) is TableGroup
+    F = construct(large)
+    assert type(F) is FormulaGroup and F.order > 512
+    T = TableGroup(F.dense_table(), F.generators, F.labels, F.name)
+    assert np.array_equal(F.inv_vec, T.inv_vec)
+    for name in ("class_of", "representatives", "inverse_class"):
+        assert np.array_equal(getattr(F.conjugacy, name), getattr(T.conjugacy, name)), name
+    assert np.array_equal(F.element_orders, T.element_orders)
+    assert decide_cut(F).witnesses == decide_cut(T).witnesses
+    plain = [dataclasses.replace(G.profile, sylow_subgroups={}) for G in (F, T)]
+    assert plain[0] == plain[1]
+    sylow = [{q: S.members.tolist() for q, S in G.profile.sylow_subgroups.items()} for G in (F, T)]
+    assert sylow[0] == sylow[1]
 
 
 def test_formula_tables_checked_against_the_byte_budget(monkeypatch):

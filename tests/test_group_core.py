@@ -1,5 +1,6 @@
 """Core group machinery against the naive oracles and frozen values."""
 
+import math
 import tracemalloc
 from collections import deque
 
@@ -35,6 +36,7 @@ from cutlab.corpus import builtin_corpus
 from cutlab.errors import NotAGroup, NotAPermutation, NotNormal, OrderCapExceeded
 from cutlab.group_core import (
     FiniteGroup,
+    FormulaGroup,
     PermutationGroup,
     TableGroup,
     build_from_permutations,
@@ -522,6 +524,61 @@ def test_subgroup_lagrange_and_closure():
                 assert G.mul(a, b) in members
 
 
+def _reference_normal_closure(G, seeds):
+    """Grow a set by all products of its members and their conjugates by G's generators until stable."""
+    members = np.unique(np.append(np.asarray(seeds, dtype=np.int64), 0))
+    while True:
+        products = G.mul_vec(members[:, None], members[None, :]).ravel()
+        grown = np.unique(np.concatenate([products, G.generator_conjugations[:, members].ravel()]))
+        if grown.size == members.size:
+            return members
+        members = grown
+
+
+def test_normal_closures_match_a_reference_and_keep_few_generators():
+    """Each conjugate added to the seed lies outside the closure of the generators before it.
+
+    So each at least doubles the subgroup, and at most log2 |G| are added.
+    """
+    groups = [construct(e.spec) for e in builtin_corpus()] + [construct(symmetric(5))]
+    for G in (G for G in groups if G.order <= 128):
+        for x in G.conjugacy.representatives[1:].tolist():
+            H = subgroup_generated(G, [x], normal_closure=True)
+            assert H.members.tolist() == _reference_normal_closure(G, [x]).tolist(), (G.name, x)
+            assert H.generators[0] == x and len(H.generators) - 1 <= math.log2(G.order), (G.name, x)
+            for i in range(1, len(H.generators)):
+                assert H.generators[i] not in group_core._closure_members(G, H.generators[:i]), (G.name, x)
+
+
+def test_a_cyclic_closure_takes_logarithmically_many_products(monkeypatch):
+    G = construct(cyclic(4096))
+    assert type(G) is FormulaGroup
+    calls = []
+    mul_vec = FormulaGroup.mul_vec
+    monkeypatch.setattr(FormulaGroup, "mul_vec", lambda self, a, b: calls.append(1) or mul_vec(self, a, b))
+    H = subgroup_generated(G, [2])
+    # the plain rounds, then two products per doubling of <2>'s powers, then one round over all
+    assert H.members.tolist() == list(range(0, 4096, 2)) and H.generators == (2,)
+    assert len(calls) <= group_core.PLAIN_ROUNDS + 2 * 12 + 2
+
+
+def test_cosets_and_member_generators_match_coset_minima():
+    """Cosets labelled as orbits of N's generators agree with the least member of each xN.
+
+    N is a normal closure (it keeps its generators) or a member set (its
+    generators are adopted greedily, each outside the closure of those before).
+    """
+    for spec in (product(symmetric(4), dicyclic(3)), heisenberg(5), metacyclic(64, 16, 3), abelian([2, 4, 8])):
+        G = construct(spec)
+        subs = [center(G), group_core._derived_subgroup(G), G.subgroup(np.arange(G.order))]
+        subs += [subgroup_generated(G, [x], normal_closure=True) for x in G.conjugacy.representatives[:6]]
+        for N in subs:
+            reps, coset_id = cosets(G, N)
+            assert reps[coset_id].tolist() == group_core.coset_minima(G, N).tolist(), (G.name, N.order)
+            assert group_core._closure_members(G, N.generators).tolist() == N.members.tolist()
+            assert len(N.generators) <= math.log2(G.order) + 1
+
+
 def test_commutator_of_element():
     G = construct(metacyclic(9, 9, 4))
     handle, handle_id = commutator_subgroups(G, [9, 0])  # x = b, x = identity
@@ -776,6 +833,16 @@ def _central_subgroups_and_cuts(spec):
     return np.concatenate(families), minima, cut_engine.central_factor_cuts(G, minima)
 
 
+def _closure_pass():
+    C = construct(cyclic(40))  # <3> is open after the plain rounds, so its powers are added
+    G = construct(product(symmetric(4), dicyclic(3)))
+    return (
+        group_core._closure_members(C, [3]),
+        group_core._closure_members(G, G.generators),
+        subgroup_generated(G, [5], normal_closure=True).members,
+    )
+
+
 def _commutator_pass(spec):
     G = construct(spec)
     return group_core._derived_subgroup(G).members, np.array(derived_series_orders(G))
@@ -790,15 +857,16 @@ BLOCKED_PASSES = {
         build_from_permutations(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]).images,
     ),
     "fill_table": lambda: tuple(
-        construct(s).table for s in (metacyclic(9, 9, 4), abelian([2, 6, 3]), heisenberg(3))
+        construct(s).dense_table() for s in (metacyclic(9, 9, 4), abelian([2, 6, 3]), heisenberg(3))
     ),
     "dense_table": lambda: tuple(
         construct(s).dense_table() for s in (symmetric(4), product(symmetric(3), cyclic(4)))
     ),
     "table inverses": lambda: (
-        construct(dicyclic(5)).inv_vec,
-        np.array(build_from_table(20, construct(dicyclic(5)).table).generators),
+        TableGroup(construct(dicyclic(5)).dense_table(), (1, 10)).inv_vec,
+        np.array(build_from_table(20, construct(dicyclic(5)).dense_table()).generators),
     ),
+    "_closure_members": _closure_pass,
     "coset_minima": lambda: _coset_minima_pass(product(symmetric(4), dicyclic(3))),
     "_commutator_subgroup": lambda: _commutator_pass(product(symmetric(4), dicyclic(3))),
     "_enumerate_subgroups and _quotient_cuts": lambda: _central_subgroups_and_cuts(abelian([4, 8])),
