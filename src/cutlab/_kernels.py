@@ -1,14 +1,16 @@
 """Hot integer kernels, vectorized with numpy, and the one row-block budget.
 
 Three operations dominate runtime on large groups: orbit closure under a
-set of permutations (generator cover and conjugacy classes), Light's
-associativity test of a Cayley table over a generating set, and the
-exhaustive power-map scan used by the brute-force cut decider.  The orbit
-kernel is Shiloach-Vishkin hooking plus pointer jumping: O(log n) rounds of
-whole-array numpy operations, whatever the cycle lengths.  The scan is
-three whole-array passes over the table (classes in row blocks, then one
-order walk and one witness walk over all elements at once).  Every blocked
-pass of the package takes its rows from ``row_blocks``, one budget for all.
+set of permutations (generator cover, cosets and conjugacy classes),
+Light's associativity test of a Cayley table over a generating set, and
+the exhaustive power-map scan used by the brute-force cut decider.  The
+orbit kernel is Shiloach-Vishkin hooking plus pointer jumping: O(log n)
+rounds of whole-array numpy operations, whatever the cycle lengths; it
+extends a labelling it is given, one generator at a time if need be.  The
+scan is three whole-array passes over the table (classes in row blocks,
+then one order walk and one witness walk over all elements at once).
+Every blocked pass of the package takes its rows from ``row_blocks``, one
+budget for all.
 """
 
 from __future__ import annotations
@@ -32,20 +34,22 @@ def row_blocks(stop: int, row_bytes: int, start: int = 0):
 # orbit closure: connected components of x ~ p[x] over a stack of permutations
 # ---------------------------------------------------------------------------
 
-def orbit_labels(perms: np.ndarray) -> np.ndarray:
+def orbit_labels(perms: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
     """Label every index with the smallest index reachable via ``perms``.
 
     ``perms`` is a (k, n) int array of permutations of 0..n-1; indices x and
-    perms[i, x] land in the same component.  Shiloach-Vishkin hooking plus
-    pointer jumping (*J. Algorithms* 3, 1982): while some edge x -- p[x]
-    joins two stars, each star's root hooks onto the smallest root across
-    its edges, then pointer jumping flattens the trees back into stars.
-    Every star merges each round, so there are O(log n) rounds.  A label
-    never exceeds its index and only decreases, so each component ends
-    labelled by its minimum element.
+    perms[i, x] land in the same component.  ``labels``, when given, is a
+    labelling to extend (each label the least member of its class, as
+    returned here), which gives what one call over both stacks gives.
+    Shiloach-Vishkin hooking plus pointer jumping (*J. Algorithms* 3, 1982):
+    while some edge x -- p[x] joins two stars, each star's root hooks onto
+    the smallest root across its edges, then pointer jumping flattens the
+    trees back into stars.  Every star merges each round, so there are
+    O(log n) rounds.  A label never exceeds its index and only decreases,
+    so each component ends labelled by its minimum element.
     """
     perms = np.ascontiguousarray(perms, dtype=np.int32)
-    labels = np.arange(perms.shape[1], dtype=np.int32)
+    labels = np.array(np.arange(perms.shape[1]) if labels is None else labels, dtype=np.int32)
     if perms.size == 0:
         return labels
     src = np.tile(labels, perms.shape[0])

@@ -10,10 +10,12 @@ Presentation-style families (metacyclic, dicyclic) are realized by exact
 normal-form multiplication rather than coset enumeration; the defining
 relations are cheap to state and tests hold them as the ground truth.
 The five formula kinds (cyclic, abelian, metacyclic, dicyclic, heisenberg)
-each state one product formula over broadcast index arrays.  Up to order
-512, where the int32 Cayley table fits one row block, it is evaluated into
-that table (``group_core.fill_table``); past it the group keeps the formula
-itself (``group_core.FormulaGroup``) and holds no order x order array.
+each state one product formula over broadcast index arrays; the abelian
+one adds mixed-radix digits, one pass per factor that can carry.  Up to
+order 512, where the int32 Cayley table fits one row block, it is
+evaluated into that table (``group_core.fill_table``); past it the group
+keeps the formula itself (``group_core.FormulaGroup``) and holds no
+order x order array.
 Their check still refuses an order whose table would pass the byte budget,
 before anything is built, so ``dense_table`` (the oracle, ``--emit-table``)
 can always be formed.
@@ -389,37 +391,26 @@ def _build_cyclic(spec, cap) -> FiniteGroup:
 
 def _build_abelian(spec, cap) -> FiniteGroup:
     factors = np.array(spec.factors, dtype=np.int64)
-    order, k = int(factors.prod()), len(factors)
+    order = int(factors.prod())
     strides = order // np.cumprod(factors)
-    # digits[x, i] is x's mixed-radix digit i, padded to whole words of 8 with digits that
-    # never carry; two digits of a factor up to 64 sum within int8
-    words = -(-k // 8)
+    # digits[x, i] is x's mixed-radix digit i; two digits of a factor up to 64 sum within int8
     dtype = np.int8 if factors.max() <= 64 else np.int32
-    digits = np.zeros((order, 8 * words), dtype=dtype)
-    digits[:, :k] = np.arange(order)[:, None] // strides % factors
-    bound = np.full(8 * words, np.iinfo(dtype).max, dtype=dtype)
-    bound[:k] = factors
-    # drop[w, m]: what the carries m of word w subtract, bit i of m the carry of digit 8w + i
-    drops = np.zeros(8 * words, dtype=np.int64)
-    drops[:k] = factors * strides
-    drop = drops.reshape(words, 8) @ (np.arange(256) >> np.arange(8)[:, None] & 1)
+    digits = (np.arange(order)[:, None] // strides % factors).astype(dtype)
+    carries = [
+        (np.ascontiguousarray(digits[:, i]), int(factors[i]), int(factors[i] * strides[i]))
+        for i in np.flatnonzero(factors > 1)
+    ]
 
     def product(a, b):
-        # digit i of a*b is d_i(a) + d_i(b) less f_i when it carries, so subtract f_i * s_i
-        # there; the multiply gathers the 8 carry bytes of each word into its top byte
-        carries = (digits[a] + digits[b] >= bound).view("<u8") * _GATHER_BYTES >> np.uint64(56)
+        # digit i of a*b is d_i(a) + d_i(b) less f_i when it carries, so subtract f_i * s_i there
         out = a + b
-        for w in range(words):
-            out -= drop[w, carries[..., w]]
+        for digit, f, drop in carries:
+            out -= drop * (digit[a] + digit[b] >= f)
         return out
 
     gens = strides[factors > 1].tolist()
-    labels = tuple("(" + ",".join(map(str, row)) + ")" for row in digits[:, :k].tolist())
+    labels = tuple("(" + ",".join(map(str, row)) + ")" for row in digits.tolist())
     return _formula_group(spec, order, product, gens, labels)
-
-
-# byte i of a word (0 or 1) times this lands on bit 56 + i, and no other product does
-_GATHER_BYTES = np.uint64(0x0102040810204080)
 
 
 def _build_metacyclic(spec, cap) -> FiniteGroup:

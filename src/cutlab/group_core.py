@@ -31,8 +31,11 @@ center, the Sylow subgroups, the derived and lower central series, and
 member set of G and a short generating list.  A closure still open after
 a few plain rounds adds every generator's powers, found by doubling, and a
 normal closure adds one outside conjugate of a generator at a time, so it
-keeps at most log2 |G| added generators; commutator subgroups, and the
-cosets of a quotient, are formed from generators, not from members.
+keeps at most log2 |G| added generators; commutator subgroups are formed
+from generators, not from members.  The cosets xH of a subgroup are the
+orbits of right multiplication by its generators, each labelled by its
+least member in one ``orbit_labels`` walk and kept on the subgroup; a
+subgroup given by its members adopts its generators in that walk.
 A dense Cayley table is built only where a table is the input or the
 output (a table spec, a formula kind small enough, a quotient,
 ``dense_table``, and ``SubgroupHandle.as_group``, which serves the tests),
@@ -197,8 +200,7 @@ class FiniteGroup:
         return self
 
     def _generators_cover(self) -> bool:
-        perms = np.stack([self.rmul_perm(g) for g in self.generators])
-        return bool((_kernels.orbit_labels(perms) == 0).all())
+        return bool((_coset_labels(self, self.generators) == 0).all())
 
     def _build_conjugacy(self) -> ConjugacyPartition:
         labels = _kernels.orbit_labels(self.generator_conjugations)
@@ -552,8 +554,9 @@ class ProductGroup(FiniteGroup):
 class SubgroupHandle:
     """A subgroup of a parent group: a sorted member-index array and a generating list.
 
-    ``closed_from`` is the generating list it was closed from, if any.
-    Equal only to itself.
+    ``closed_from`` is the generating list it was closed from, if any.  The
+    least member of every left coset xH is kept with the generators
+    (``_cosets``).  Equal only to itself.
     """
 
     parent: FiniteGroup
@@ -566,24 +569,25 @@ class SubgroupHandle:
     def order(self) -> int:
         return len(self.members)
 
-    @cached_property
+    @property
     def generators(self) -> tuple[int, ...]:
-        """``closed_from``, else least members adopted one at a time while outside the closure.
+        """``closed_from``, else the members ``_cosets`` adopts (at most log2 |H|)."""
+        return self._cosets[0] if self.closed_from is None else self.closed_from
 
-        Each adopted member at least doubles the closure, so at most
-        log2 |H| are adopted.
+    @cached_property
+    def _cosets(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """The generators and, by x, the least member of the left coset xH (read-only).
+
+        A handle closed from generators labels their orbits under right
+        multiplication; one built from members adopts them in the same walk.
         """
-        if self.closed_from is not None:
-            return self.closed_from
-        gens: list[int] = []
-        reached = np.zeros(self.parent.order, dtype=bool)
-        reached[0] = True
-        while True:
-            missing = self.members[~reached[self.members]]
-            if not missing.size:
-                return tuple(gens)
-            gens.append(int(missing[0]))
-            reached[_closure_members(self.parent, gens, reached)] = True
+        G = self.parent
+        if self.closed_from is None:
+            gens, minima = _adopt_generators(G.rmul_perm, self.members, G.order)
+        else:
+            gens, minima = self.closed_from, _coset_labels(G, self.closed_from)
+        minima.flags.writeable = False
+        return gens, minima
 
     def contains(self, x: int) -> bool:
         return bool(self._mask[x])
@@ -706,19 +710,33 @@ def subgroup_generated(G: FiniteGroup, seeds, normal_closure: bool = False) -> S
     return G.subgroup(members, tuple(gens))
 
 
-def greedy_generators(table: np.ndarray) -> tuple[int, ...]:
-    """Small generating set: repeatedly adopt the least element not yet reached.
+def _coset_labels(G: FiniteGroup, gens) -> np.ndarray:
+    """The least member of each left coset x<gens>: the orbits of right multiplication by ``gens``."""
+    gens = np.asarray(gens, dtype=np.int64)
+    return _kernels.orbit_labels(G.mul_vec(np.arange(G.order)[None, :], gens[:, None]))
 
-    The table must be a Latin square, so each column g is a permutation and
-    the elements reached from the identity by right multiplication with the
-    chosen generators are the orbit of 0 under their columns.
+
+def _adopt_generators(rmul, candidates: np.ndarray, order: int):
+    """Adopt the least candidate outside <gens> while one is; return gens and the labels of x<gens>.
+
+    ``rmul(g)`` is the permutation x -> x*g, and each adopted g extends the
+    labels (``orbit_labels``); <gens> is the coset of 0.  Each adopted g at
+    least doubles <gens>, so at most log2 ``order`` are adopted.
     """
     gens: list[int] = []
+    labels = np.arange(order, dtype=np.int32)
     while True:
-        reached = _kernels.orbit_labels(table[:, gens].T) == 0
-        if reached.all():
-            return tuple(gens) or (0,)
-        gens.append(int(np.argmin(reached)))
+        outside = candidates[labels[candidates] != 0]
+        if not outside.size:
+            return tuple(gens), labels
+        gens.append(int(outside[0]))
+        labels = _kernels.orbit_labels(rmul(gens[-1])[None], labels)
+
+
+def greedy_generators(table: np.ndarray) -> tuple[int, ...]:
+    """Small generating set of a Latin square's group: column g is x -> x*g (``_adopt_generators``)."""
+    n = len(table)
+    return _adopt_generators(lambda g: table[:, g], np.arange(n), n)[0] or (0,)
 
 
 def fill_table(order: int, product) -> np.ndarray:
@@ -917,34 +935,18 @@ def _require_normal(G: FiniteGroup, N: SubgroupHandle) -> None:
 
 
 def coset_minima(G: FiniteGroup, N: SubgroupHandle) -> np.ndarray:
-    """The least member of each element's coset xN, for a normal N (|G|·|N| products)."""
+    """The least member of each element's coset xN, for a normal N (kept on N: ``_cosets``)."""
     _require_normal(G, N)
-    everyone = np.arange(G.order)
-    return np.concatenate([
-        G.mul_vec(everyone[rows, None], N.members[None, :]).min(axis=1)
-        for rows in _kernels.row_blocks(G.order, 8 * N.order)
-    ])
-
-
-def cosets(G: FiniteGroup, N: SubgroupHandle) -> tuple[np.ndarray, np.ndarray]:
-    """Cosets of a normal N: their smallest members, ascending, and each element's coset id.
-
-    The coset xN is the orbit of x under right multiplication by N's
-    generators, labelled by its least member (``orbit_labels``): |G| products
-    per generator, not |G|·|N|.
-    """
-    _require_normal(G, N)
-    gens = np.asarray(N.generators, dtype=np.int64)
-    rep_of = _kernels.orbit_labels(G.mul_vec(np.arange(G.order)[None, :], gens[:, None]))
-    reps = np.unique(rep_of)
-    return reps, np.searchsorted(reps, rep_of)
+    return N._cosets[1]
 
 
 def quotient(G: FiniteGroup, N: SubgroupHandle) -> FiniteGroup:
-    """Quotient group on cosets, each named by its smallest member (a dense table)."""
+    """Quotient group on cosets, numbered and named by their least members (a dense table)."""
     n = G.order // N.order
     check_image_budget(n, n, f"table rows of {G.name}/N{N.order}")
-    reps, coset_id = cosets(G, N)
+    rep_of = coset_minima(G, N)
+    reps = np.flatnonzero(rep_of == np.arange(G.order))
+    coset_id = np.searchsorted(reps, rep_of)
     table = fill_table(n, lambda a, b: coset_id[G.mul_vec(reps[a], reps[b])])
     labels = tuple(G.label(int(r)) for r in reps)
     gens = []

@@ -237,6 +237,11 @@ def reference_coset_classes(G, reps, coset_id):
     return _kernels.orbit_labels(perms)
 
 
+def reference_coset_minima(G, N):
+    """The least member of each coset xN, the minimum over all |G|·|N| products x*n."""
+    return G.mul_vec(np.arange(G.order)[:, None], N.members[None, :]).min(axis=1)
+
+
 def reference_greedy_generators(table):
     """Adopt the least uncovered element, then close the covered set by BFS."""
     n = table.shape[0]

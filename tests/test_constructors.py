@@ -227,6 +227,21 @@ def test_formula_groups_answer_as_the_table_groups_of_their_tables(small, large)
     assert sylow[0] == sylow[1]
 
 
+@pytest.mark.parametrize(
+    "factors", [[2] * 14, [2] * 9 + [3], [1, 2, 1, 4], [2, 4, 80], [3, 130]], ids=str
+)
+def test_abelian_products_add_digits_modulo_their_factors(factors):
+    """Digit i of a*b is (d_i(a) + d_i(b)) mod f_i, in table groups and in formula groups."""
+    G = construct(abelian(factors))
+    assert (type(G) is TableGroup) == (G.order <= 512)
+    rng = np.random.default_rng(G.order)
+    a, b = (rng.integers(0, G.order, 20_000) for _ in range(2))
+    strides = G.order // np.cumprod(factors)
+    digits = [(x[:, None] // strides) % factors for x in (a, b)]
+    want = ((digits[0] + digits[1]) % factors * strides).sum(axis=1)
+    assert G.mul_vec(a, b).tolist() == want.tolist()
+
+
 def test_formula_tables_checked_against_the_byte_budget(monkeypatch):
     # cyclic(16384) has a 1 GiB int32 table, the whole budget; only the checks run here
     assert validate_spec(cyclic(16_384)) == 16_384

@@ -14,6 +14,7 @@ from conftest import (
     naive_cut,
     naive_order,
     reference_commutator_sets,
+    reference_coset_minima,
     reference_derived_series_orders,
     reference_greedy_generators,
     reference_lower_central_series,
@@ -43,7 +44,7 @@ from cutlab.group_core import (
     build_from_table,
     center,
     commutator_subgroups,
-    cosets,
+    coset_minima,
     derived_series_orders,
     direct_product,
     greedy_generators,
@@ -565,18 +566,23 @@ def test_a_cyclic_closure_takes_logarithmically_many_products(monkeypatch):
 def test_cosets_and_member_generators_match_coset_minima():
     """Cosets labelled as orbits of N's generators agree with the least member of each xN.
 
-    N is a normal closure (it keeps its generators) or a member set (its
-    generators are adopted greedily, each outside the closure of those before).
+    N is a normal closure (it keeps its generators), a member set (its
+    generators are adopted greedily, each outside the closure of those before)
+    or the whole group, by its members and closed from G's generators.
     """
     for spec in (product(symmetric(4), dicyclic(3)), heisenberg(5), metacyclic(64, 16, 3), abelian([2, 4, 8])):
         G = construct(spec)
-        subs = [center(G), group_core._derived_subgroup(G), G.subgroup(np.arange(G.order))]
+        everyone = np.arange(G.order)
+        subs = [center(G), group_core._derived_subgroup(G), G.subgroup(everyone)]
+        subs += [G.subgroup(everyone, G.generators)]
         subs += [subgroup_generated(G, [x], normal_closure=True) for x in G.conjugacy.representatives[:6]]
         for N in subs:
-            reps, coset_id = cosets(G, N)
-            assert reps[coset_id].tolist() == group_core.coset_minima(G, N).tolist(), (G.name, N.order)
+            assert coset_minima(G, N).tolist() == reference_coset_minima(G, N).tolist(), (G.name, N.order)
             assert group_core._closure_members(G, N.generators).tolist() == N.members.tolist()
             assert len(N.generators) <= math.log2(G.order) + 1
+        for N in (subs[0], subs[2]):  # built from members: the greedy generators of its own table
+            greedy = reference_greedy_generators(N.as_group().table)
+            assert N.generators == tuple(N.members[list(greedy)].tolist()), (G.name, N.order)
 
 
 def test_commutator_of_element():
@@ -808,7 +814,7 @@ def test_quotient_and_subgroup_tables_row_blocks(monkeypatch):
     S4 = construct(symmetric(4))
     V4 = S4.subgroup([0] + [int(x) for m in S4.conjugacy.class_members if len(m) == 3 for x in m])
     A4 = group_core._derived_subgroup(S4)
-    reps, coset_id = cosets(S4, V4)
+    reps, coset_id = np.unique(reference_coset_minima(S4, V4), return_inverse=True)
     members = A4.members
     whole = (
         coset_id[S4.mul_vec(reps[:, None], reps[None, :])],
@@ -820,11 +826,6 @@ def test_quotient_and_subgroup_tables_row_blocks(monkeypatch):
     assert rows == [1] * 6
     assert np.array_equal(A4.as_group().table, whole[1])
     assert rows == [1] * (6 + 12)
-
-
-def _coset_minima_pass(spec):
-    G = construct(spec)
-    return tuple(group_core.coset_minima(G, N) for N in (center(G), group_core._derived_subgroup(G)))
 
 
 def _central_subgroups_and_cuts(spec):
@@ -867,7 +868,6 @@ BLOCKED_PASSES = {
         np.array(build_from_table(20, construct(dicyclic(5)).dense_table()).generators),
     ),
     "_closure_members": _closure_pass,
-    "coset_minima": lambda: _coset_minima_pass(product(symmetric(4), dicyclic(3))),
     "_commutator_subgroup": lambda: _commutator_pass(product(symmetric(4), dicyclic(3))),
     "_enumerate_subgroups and _quotient_cuts": lambda: _central_subgroups_and_cuts(abelian([4, 8])),
     "cut_witness_scan": lambda: (

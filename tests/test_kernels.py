@@ -40,6 +40,36 @@ def _long_cycles(rng, n, k):
     return perm
 
 
+def _transpositions(rng, n, k):
+    """The identity on n points with k random pairs swapped."""
+    perm = np.arange(n, dtype=np.int32)
+    for x, y in rng.integers(0, n, (k, 2)):
+        perm[[x, y]] = perm[[y, x]]
+    return perm
+
+
+def test_orbit_labels_extends_a_starting_labelling():
+    """Extending the labelling of one stack by another labels what one call over both stacks labels."""
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = int(rng.integers(1, 300))
+        pool = [_transpositions(rng, n, int(rng.integers(1, n // 4 + 2))) for _ in range(3)]
+        pool += [rng.permutation(n).astype(np.int32), np.arange(n, dtype=np.int32)]
+        picks = [rng.choice(len(pool), int(rng.integers(0, 3))) for _ in range(2)]
+        first, second = (np.array([pool[i] for i in p], dtype=np.int32).reshape(-1, n) for p in picks)
+        start = orbit_labels(first)
+        start.flags.writeable = False  # the starting labelling is read, not written
+        want = orbit_labels(np.concatenate([first, second]))
+        assert orbit_labels(second, start).tolist() == want.tolist()
+    # one perm at a time, as a walk that adopts generators extends its labels
+    perms = np.stack([_transpositions(rng, 500, 60) for _ in range(6)])
+    labels = orbit_labels(perms[:0])
+    assert labels.tolist() == list(range(500))
+    for i in range(len(perms)):
+        labels = orbit_labels(perms[i:i + 1], labels)
+        assert labels.tolist() == orbit_labels(perms[:i + 1]).tolist()
+
+
 def test_orbit_labels_matches_bruteforce_components():
     rng = np.random.default_rng(7)
     stacks = []
