@@ -79,15 +79,18 @@ def first_bad_triple(table: np.ndarray, gens):
     Light's test (Clifford & Preston, *Algebraic Theory of Semigroups* I, §1.2):
     the g with (xg)y = x(gy) for all x, y are closed under the product, so if
     ``gens`` reach every element from the identity by right multiplication,
-    None means the table is associative.  Two n x n gathers per generator.
+    None means the table is associative.  Two gathers of the table per
+    generator, in row blocks.
     """
     table = np.ascontiguousarray(table, dtype=np.int32)
+    n = table.shape[0]
     for g in gens:
-        lhs = table[table[:, g], :]
-        rhs = table[:, table[g, :]]
-        if not np.array_equal(lhs, rhs):
-            x, y = np.argwhere(lhs != rhs)[0]
-            return int(x), int(g), int(y)
+        right, left = table[:, g], table[g]
+        for rows in row_blocks(n, 12 * n):
+            differ = table[right[rows]] != table[rows][:, left]
+            if differ.any():
+                x, y = np.argwhere(differ)[0]
+                return int(rows.start + x), int(g), int(y)
     return None
 
 

@@ -170,6 +170,11 @@ def _class2_applicable(G: FiniteGroup) -> bool:
     )
 
 
+def _class_commutators(G: FiniteGroup) -> list[SubgroupHandle]:
+    """[x, G] for the representative x of each class, by class id, kept on G."""
+    return commutator_subgroups(G, G.conjugacy.representatives)
+
+
 def _degenerate_class(G: FiniteGroup) -> list[TraceEntry]:
     """The trace entry admitting an abelian G (class 0 or 1) to a class-2 criterion."""
     nc = G.profile.nilpotency_class
@@ -194,7 +199,7 @@ def cor_class2(G: FiniteGroup) -> TheoremReport:
         trace.append(TraceEntry("group", f"p={G.profile.p} not 2 or 3", False))
         return _conjunction("cor_class2", trace)
     reps = G.conjugacy.representatives
-    subs = commutator_subgroups(G, reps)
+    subs = G.fact(_class_commutators)
     for x, sub, power in zip(reps.tolist(), subs, G.power_vec(reps, exponent).tolist()):
         trace.append(TraceEntry(G.label(x), f"x^{exponent} in [x,G]", sub.contains(power)))
     return _conjunction("cor_class2", trace)
@@ -385,7 +390,7 @@ def prop_class2_factor(G: FiniteGroup, mode: str = "per_element") -> TheoremRepo
     trace = _degenerate_class(G)
     if mode == "per_element":
         reps = G.conjugacy.representatives
-        subs = commutator_subgroups(G, reps)
+        subs = G.fact(_class_commutators)
         distinct = {sub.members.tobytes(): sub for sub in subs}
         minima = np.stack([coset_minima(G, sub) for sub in distinct.values()])
         ok = dict(zip(distinct, central_factor_cuts(G, minima).tolist()))
@@ -408,7 +413,9 @@ def remark_two_group_sum(
     exist with h^3 ~ h and k^3 ~ k^-1 (or symmetrically).  The report's
     ``predicted`` is the predicted cut verdict of the product and the
     agreement field compares it against the decider on the product, built
-    under ``max_order`` (default: the configured cap).
+    under ``max_order`` (default: the configured cap).  A factor's verdict,
+    profile and cube split are kept on it, so a factor of many pairs is
+    examined once.
     """
     for part_name, P in (("H", H), ("K", K)):
         if P.profile.p != 2:
@@ -416,20 +423,8 @@ def remark_two_group_sum(
         if not decide_cut(P).has_cut:
             raise HypothesisViolated(f"{part_name} does not have the cut-property")
 
-    def split_nonreal(P: FiniteGroup):
-        part = P.conjugacy
-        cubes = P.power_map(3).tolist()
-        cube_self, cube_inverse = [], []
-        for c in np.flatnonzero(~part.is_real).tolist():
-            x = int(part.representatives[c])
-            if cubes[c] == c:
-                cube_self.append(x)
-            elif cubes[c] == int(part.inverse_class[c]):
-                cube_inverse.append(x)
-        return cube_self, cube_inverse
-
-    h_self, h_inv = split_nonreal(H)
-    k_self, k_inv = split_nonreal(K)
+    h_self, h_inv = H.fact(_split_nonreal)
+    k_self, k_inv = K.fact(_split_nonreal)
     trace = []
     predicted_failure = False
     if h_self and k_inv:
@@ -460,6 +455,14 @@ def remark_two_group_sum(
         tuple(trace),
         agrees_with_decider=(not predicted_failure) == actual,
     )
+
+
+def _split_nonreal(P: FiniteGroup) -> tuple[list[int], list[int]]:
+    """The representatives x of P's non-real classes with x^3 ~ x, and those with x^3 ~ x^-1."""
+    part = P.conjugacy
+    nonreal = np.flatnonzero(~part.is_real)
+    cubes, reps = P.power_map(3)[nonreal], part.representatives[nonreal]
+    return reps[cubes == nonreal].tolist(), reps[cubes == part.inverse_class[nonreal]].tolist()
 
 
 @lru_cache(maxsize=1)

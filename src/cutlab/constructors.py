@@ -11,7 +11,9 @@ normal-form multiplication rather than coset enumeration; the defining
 relations are cheap to state and tests hold them as the ground truth.
 The five formula kinds (cyclic, abelian, metacyclic, dicyclic, heisenberg)
 each state one product formula over broadcast index arrays; the abelian
-one adds mixed-radix digits, one pass per factor that can carry.  Up to
+one adds mixed-radix digits, one pass per factor that can carry.  Each
+also states one naming function, which names an element only when its
+label is asked for, so building a group computes no label.  Up to
 order 512, where the int32 Cayley table fits one row block, it is
 evaluated into that table (``group_core.fill_table``); past it the group
 keeps the formula itself (``group_core.FormulaGroup``) and holds no
@@ -371,22 +373,27 @@ def _ab_label(i: int, j: int) -> str:
 
 # -- realizations: each runs on a descriptor its kind's check accepted --------
 
-def _formula_group(spec, order: int, product, gens, labels) -> FiniteGroup:
+def _formula_group(spec, order: int, product, gens, namer) -> FiniteGroup:
     """A formula kind's group: its Cayley table while that fits one row block, else its formula.
+
+    ``namer(x)`` names element x; it is called only when a label is asked for.
 
     A table product is one gather, far cheaper than a formula; past
     4·order² bytes > BLOCK_BYTES (order 512) the table would be the only
     order x order array of the group, so the formula is kept instead.
     """
     if 4 * order * order <= _kernels.BLOCK_BYTES:
-        return TableGroup(fill_table(order, product), gens, labels, name=spec.describe())
-    return FormulaGroup(order, product, gens, labels, name=spec.describe())
+        return TableGroup(fill_table(order, product), gens, namer, name=spec.describe())
+    return FormulaGroup(order, product, gens, namer, name=spec.describe())
 
 
 def _build_cyclic(spec, cap) -> FiniteGroup:
     n = spec.n
-    labels = tuple(_pow_str("g", i) or "1" for i in range(n))
-    return _formula_group(spec, n, lambda a, b: (a + b) % n, (1,) if n > 1 else (0,), labels)
+
+    def namer(i):
+        return _pow_str("g", i) or "1"
+
+    return _formula_group(spec, n, lambda a, b: (a + b) % n, (1,) if n > 1 else (0,), namer)
 
 
 def _build_abelian(spec, cap) -> FiniteGroup:
@@ -409,8 +416,12 @@ def _build_abelian(spec, cap) -> FiniteGroup:
         return out
 
     gens = strides[factors > 1].tolist()
-    labels = tuple("(" + ",".join(map(str, row)) + ")" for row in digits.tolist())
-    return _formula_group(spec, order, product, gens, labels)
+    places = list(zip(strides.tolist(), factors.tolist()))
+
+    def namer(x):
+        return "(" + ",".join(str(x // s % f) for s, f in places) + ")"
+
+    return _formula_group(spec, order, product, gens, namer)
 
 
 def _build_metacyclic(spec, cap) -> FiniteGroup:
@@ -430,8 +441,11 @@ def _build_metacyclic(spec, cap) -> FiniteGroup:
         gens.append(1)
     if n > 1:
         gens.append(m)
-    labels = tuple(_ab_label(k % m, k // m) for k in range(order))
-    return _formula_group(spec, order, product, gens, labels)
+
+    def namer(k):
+        return _ab_label(k % m, k // m)
+
+    return _formula_group(spec, order, product, gens, namer)
 
 
 def _build_dicyclic(spec, cap) -> FiniteGroup:
@@ -448,8 +462,10 @@ def _build_dicyclic(spec, cap) -> FiniteGroup:
         inew = np.where(jnew == 2, inew + n, inew) % two_n
         return (jnew % 2) * two_n + inew
 
-    labels = tuple(_ab_label(k % two_n, k // two_n) for k in range(order))
-    return _formula_group(spec, order, product, (1, two_n), labels)
+    def namer(k):
+        return _ab_label(k % two_n, k // two_n)
+
+    return _formula_group(spec, order, product, (1, two_n), namer)
 
 
 def _build_heisenberg(spec, cap) -> FiniteGroup:
@@ -463,8 +479,10 @@ def _build_heisenberg(spec, cap) -> FiniteGroup:
         y2, z2 = np.divmod(rem2, p)
         return ((x1 + x2) % p) * p * p + ((y1 + y2) % p) * p + (z1 + z2 + x1 * y2) % p
 
-    labels = tuple(f"({k // (p * p)},{k // p % p},{k % p})" for k in range(order))
-    return _formula_group(spec, order, product, (p * p, p), labels)
+    def namer(k):
+        return f"({k // (p * p)},{k // p % p},{k % p})"
+
+    return _formula_group(spec, order, product, (p * p, p), namer)
 
 
 def _build_symmetric(spec, cap) -> FiniteGroup:

@@ -36,11 +36,10 @@ from .cut_engine import (
     classify,
     decide_cut,
     decide_cut_bruteforce,
-    quotient_has_cut,
+    quotient_cuts,
 )
 from .group_core import (
     FiniteGroup,
-    _derived_subgroup,
     center,
     max_order_cap,
     prime_factors,
@@ -246,20 +245,23 @@ def builtin_corpus() -> list[CorpusEntry]:
 # ---------------------------------------------------------------------------
 
 def _closure_violations(G: FiniteGroup, has_cut: bool) -> list[str]:
-    """Quotient/centre closure: normal subgroups our analyses construct."""
+    """Quotient/centre closure: normal subgroups our analyses construct.
+
+    Every quotient is decided in one stacked walk (``quotient_cuts``).
+    """
     if not has_cut:
         return []
     out = []
     cen = center(G)
     if not central_subgroup_has_cut(G, cen):
         out.append("center-as-group")
-    normals = {"center": cen, "derived": _derived_subgroup(G)}
+    normals = {"center": cen, "derived": G.derived_subgroup}
     profile = G.profile
     if profile.is_nilpotent:
         for p, handle in sorted(profile.sylow_subgroups.items()):
             normals[f"sylow-{p}"] = handle
-    for label, handle in normals.items():
-        if not quotient_has_cut(G, handle):
+    for label, ok in zip(normals, quotient_cuts(G, normals.values())):
+        if not ok:
             out.append(f"quotient-by-{label}")
     return out
 

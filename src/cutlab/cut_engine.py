@@ -8,7 +8,8 @@ whole-array product per exponent, and reads each one's first witness
 exponent off the walk.  The same walk decides quotients G/N on G's own
 elements, without building them: it takes one row of class labels per
 scanned group, so one stacked walk decides every N of a stack at once
-(``central_factor_cuts``), and ``quotient_has_cut`` is its one-row call.
+(``central_factor_cuts``, and ``quotient_cuts`` for a list of normal
+subgroups, of which ``quotient_has_cut`` is the one-row call).
 A central subgroup N needs only its element orders
 (``central_subgroup_has_cut``).  The walk is handed its orders (of x in
 G, or of xN from ``group_core.orders_modulo``), so it knows nothing of N.
@@ -16,13 +17,17 @@ Every class fact comes from G's partition: the class of xN in G/N
 (labelled by its least element, the least coset minimum over x's class),
 the centrality of N and realness are read off it, with no conjugation by
 generators.
+The fast path reads the facts kept on the group (the class partition,
+the element orders, the coset minima kept on each N) and keeps one of its
+own there: ``decide_cut``'s verdict (``FiniteGroup.fact``), so a group is
+scanned once however often it is decided.
 ``decide_cut_bruteforce`` is the independent oracle: it reads only the
 dense table and the inverses read off it, and scans every element in
 whole-array passes (``_kernels.cut_witness_scan``): each class recomputed
 from scratch by conjugating with every element in row blocks, then one
 order walk and one witness walk over all elements.  It shares only the
 row slicing with the fast path: no partition, element orders, generators,
-``orbit_labels`` or ``power_vec``.
+``orbit_labels`` or ``power_vec``, and none of the facts kept on the group.
 """
 
 from __future__ import annotations
@@ -110,8 +115,14 @@ def decide_cut(G: FiniteGroup) -> CutVerdict:
     Scanning representatives only is sound: conjugate elements have
     conjugate powers.  Witnesses are reported as the first failing
     exponent per failing representative, in ascending representative
-    order; the scan of a representative stops at its first failure.
+    order; the scan of a representative stops at its first failure.  The
+    verdict is kept on G, so a second call returns the same object.
     """
+    return G.fact(_scan_classes)
+
+
+def _scan_classes(G: FiniteGroup) -> CutVerdict:
+    """``decide_cut``'s one walk over G's class representatives."""
     part = G.conjugacy
     reps = part.representatives
     rows = np.zeros(len(reps), dtype=np.int64)
@@ -179,12 +190,14 @@ def _quotient_cuts(G: FiniteGroup, minima: np.ndarray) -> np.ndarray:
     return ok
 
 
-def quotient_has_cut(G: FiniteGroup, N: SubgroupHandle) -> bool:
-    """Whether G/N has the cut-property, decided on G's own elements.
+def quotient_cuts(G: FiniteGroup, normals) -> np.ndarray:
+    """Whether G/N has the cut-property, for each normal N of ``normals``, in one stacked walk."""
+    return _quotient_cuts(G, np.stack([coset_minima(G, N) for N in normals]))
 
-    It is the one-row call of ``_quotient_cuts``.
-    """
-    return bool(_quotient_cuts(G, coset_minima(G, N)[None])[0])
+
+def quotient_has_cut(G: FiniteGroup, N: SubgroupHandle) -> bool:
+    """Whether G/N has the cut-property, decided on G's own elements (``quotient_cuts`` of one N)."""
+    return bool(quotient_cuts(G, [N])[0])
 
 
 def central_factor_cuts(G: FiniteGroup, minima: np.ndarray) -> np.ndarray:

@@ -22,6 +22,9 @@ built on demand.  Every class fact is read off that partition: the center
 is the singleton classes, a subgroup is normal iff it is a union of
 classes, and a class is real iff it is its own inverse class.  A direct
 product takes its classes and element orders from its factors instead.
+Each group fact is computed once and kept on the group (see
+``FiniteGroup``); the brute-force oracle of ``cut_engine`` reads none of
+them, and the center is formed afresh on each call.
 Element orders come from a whole-array power walk (``orders_modulo``, which
 also gives the orders of cosets xN), cut short where p-part powering by
 square-and-multiply needs fewer products; the class of x^k for each class
@@ -40,9 +43,9 @@ A dense Cayley table is built only where a table is the input or the
 output (a table spec, a formula kind small enough, a quotient,
 ``dense_table``, and ``SubgroupHandle.as_group``, which serves the tests),
 each held to PERMUTATION_BYTE_BUDGET before it is allocated; all but a
-table spec's are filled by ``fill_table``, so the table is their only
-n x n array.  Every pass in row blocks is sliced by ``_kernels.row_blocks``,
-to one budget.
+table spec's are filled by ``fill_table``, and a table spec is read and
+checked in row blocks, so the table is their only n x n array.  Every
+pass in row blocks is sliced by ``_kernels.row_blocks``, to one budget.
 """
 
 from __future__ import annotations
@@ -157,6 +160,18 @@ class ConjugacyPartition:
         return int(self.sizes[c])
 
 
+class _Names(dict):
+    """Element names by index, each formed by ``namer`` when first asked for, then kept."""
+
+    def __init__(self, namer):
+        super().__init__()
+        self.namer = namer
+
+    def __missing__(self, x: int) -> str:
+        name = self[x] = self.namer(x)
+        return name
+
+
 class FiniteGroup:
     """A finite group on element indices 0..order-1 with identity 0.
 
@@ -165,6 +180,20 @@ class FiniteGroup:
     generic, and ``ProductGroup`` overrides conjugacy and orders with factor
     data.  Instances are immutable after construction and safe to share
     across threads.
+
+    Each group fact is computed once, on first request, and kept on the
+    group.  The facts this module forms are cached attributes: the element
+    orders, the class power maps (``power_map``, kept per exponent), the
+    structural profile and the derived subgroup.  A fact that another
+    module computes is kept through ``fact``, keyed by the function that
+    computes it: the cut verdict of ``decide_cut``, and the [x, G] of every
+    class representative and the cube split read by the characterizations.
+    The center is formed afresh on each call.  The brute-force oracle reads
+    none of these.
+
+    ``labels`` names the elements: a sequence of names by index, or a
+    function naming one index, called only when ``label`` first asks for
+    that index (default: the index itself).
     """
 
     identity = 0
@@ -174,8 +203,13 @@ class FiniteGroup:
         self.name = name
         gens = tuple(int(g) for g in generators)
         self.generators = gens if gens else (0,)
-        self.labels = tuple(labels) if labels is not None else None
+        if callable(labels):
+            labels = _Names(labels)
+        elif labels is not None:
+            labels = tuple(labels)
+        self._labels = labels
         self._power_maps: dict[int, np.ndarray] = {}
+        self._facts: dict = {}
 
     # -- backend hooks -----------------------------------------------------
 
@@ -299,10 +333,26 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return self.conjugacy.num_classes == self.order
 
+    def fact(self, compute):
+        """``compute(self)``, computed on the first request and kept on G, keyed by ``compute``."""
+        if compute not in self._facts:
+            self._facts[compute] = compute(self)
+        return self._facts[compute]
+
+    @property
+    def labels(self) -> tuple[str, ...] | None:
+        """Every element's name by index, or None when the index is the name."""
+        if isinstance(self._labels, _Names):
+            self._labels = tuple(self._labels[x] for x in range(self.order))
+        return self._labels
+
+    @property
+    def is_named(self) -> bool:
+        """Whether ``label`` names an element other than by its index."""
+        return self._labels is not None
+
     def label(self, x: int) -> str:
-        if self.labels is not None:
-            return self.labels[x]
-        return str(int(x))
+        return str(int(x)) if self._labels is None else self._labels[int(x)]
 
     def subgroup(self, members, generators=None) -> "SubgroupHandle":
         """The subgroup on ``members`` (generated by ``generators`` when given).
@@ -320,6 +370,11 @@ class FiniteGroup:
     @cached_property
     def profile(self) -> "StructuralProfile":
         return _compute_profile(self)
+
+    @cached_property
+    def derived_subgroup(self) -> "SubgroupHandle":
+        """[G, G], the normal closure of the commutators of G's generators."""
+        return _commutator_subgroup(self, self.generators, self.generators)
 
     def dense_table(self) -> np.ndarray:
         """Materialize the full Cayley table (rebuilt on every call, within the byte budget).
@@ -417,6 +472,8 @@ class PermutationGroup(FiniteGroup):
         if not (self._sorted_keys[pos] == keys).all():
             raise NotAGroup("a product of permutations is not an element of the group")
         return self._key_order[pos]
+
+    is_named = True
 
     def label(self, x: int) -> str:
         return _perm_cycle_label(self.images[x], self.points)
@@ -545,6 +602,8 @@ class ProductGroup(FiniteGroup):
         orders.flags.writeable = False
         return orders
 
+    is_named = True
+
     def label(self, x: int) -> str:
         a1, a2 = divmod(int(x), self.right.order)
         return f"({self.left.label(a1)},{self.right.label(a2)})"
@@ -601,8 +660,7 @@ class SubgroupHandle:
             self.order, lambda a, b: np.searchsorted(members, mul_vec(members[a], members[b]))
         )
         labels = None
-        named = isinstance(self.parent, (ProductGroup, PermutationGroup))
-        if named or self.parent.labels is not None:
+        if self.parent.is_named:
             labels = tuple(self.parent.label(int(m)) for m in members)
         return TableGroup(table, greedy_generators(table), labels, name)
 
@@ -764,32 +822,47 @@ def build_from_table(n: int, table, max_order: int | None = None) -> FiniteGroup
 
     The identity is located and relabeled to index 0 if needed.  Raises
     NotAGroup naming the offending cell or triple on any axiom violation.
+    ``table`` (an array or a sequence of rows) is read into one int32 table
+    in row blocks, and every check runs in row blocks, so the int32 table is
+    the only n x n array.
     """
     cap = max_order if max_order is not None else max_order_cap()
     if n < 1:
         raise NotAGroup("order must be positive")
     if n > cap:
         raise OrderCapExceeded(f"order {n} exceeds the cap {cap}")
-    table = np.asarray(table, dtype=np.int64)
-    if table.shape != (n, n):
-        raise NotAGroup(f"table shape {table.shape} does not match order {n}")
-    if table.min() < 0 or table.max() >= n:
-        bad = np.argwhere((table < 0) | (table >= n))[0]
-        raise NotAGroup(f"entry out of range at cell ({bad[0]}, {bad[1]})")
-    table = table.astype(np.int32)
-
+    if isinstance(table, np.ndarray) or not len(table):
+        shape = np.shape(table)
+    else:  # the shape np.asarray would give, without converting every row
+        shape = (len(table),) + np.shape(table[0])
+    if shape != (n, n):
+        raise NotAGroup(f"table shape {shape} does not match order {n}")
     idx = np.arange(n)
-    is_id = (table == idx[None, :]).all(axis=1) & (table == idx[:, None]).all(axis=0)
-    hits = np.nonzero(is_id)[0]
+    out = np.empty((n, n), dtype=np.int32)
+    row_id, col_id = np.empty(n, dtype=bool), np.ones(n, dtype=bool)
+    for rows in _kernels.row_blocks(n, 8 * n):
+        block = np.asarray(table[rows], dtype=np.int64)
+        bad = (block < 0) | (block >= n)
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
+            raise NotAGroup(f"entry out of range at cell ({rows.start + r}, {c})")
+        out[rows] = block
+        row_id[rows] = (block == idx).all(axis=1)
+        col_id &= (block == idx[rows, None]).all(axis=0)
+    hits = np.nonzero(row_id & col_id)[0]
     if hits.size != 1:
         raise NotAGroup("table has no two-sided identity element")
     e = int(hits[0])
     if e != 0:
+        # swap the names 0 and e: rows, columns, then entries
         swap = idx.copy()
         swap[0], swap[e] = e, 0
-        table = swap[table[np.ix_(swap, swap)]]
+        out[[0, e]] = out[[e, 0]]
+        out[:, [0, e]] = out[:, [e, 0]]
+        for rows in _kernels.row_blocks(n, 8 * n):
+            out[rows] = swap[out[rows]]
 
-    return TableGroup(table, _check_group_table(table), name=f"table{n}")
+    return TableGroup(out, _check_group_table(out), name=f"table{n}")
 
 
 def _check_group_table(table: np.ndarray, gens=None) -> tuple[int, ...]:
@@ -797,15 +870,17 @@ def _check_group_table(table: np.ndarray, gens=None) -> tuple[int, ...]:
 
     Checks the Latin square, two-sided inverses and, by Light's test over
     ``gens`` (greedy when None; they must reach every element from 0 under
-    right multiplication), associativity.
+    right multiplication), associativity, each in row blocks.
     """
-    idx = np.arange(table.shape[0])
-    for axis, word in ((1, "row"), (0, "column")):
-        sorted_lines = np.sort(table, axis=axis)
-        ok = (sorted_lines == (idx[None, :] if axis == 1 else idx[:, None])).all(axis=axis)
-        if not ok.all():
-            line = int(np.argmin(ok))
-            raise NotAGroup(f"{word} {line} is not a permutation (Latin square fails)")
+    n = table.shape[0]
+    idx = np.arange(n)
+    for word in ("row", "column"):
+        for lines in _kernels.row_blocks(n, 12 * n):
+            chunk = table[lines] if word == "row" else table[:, lines].T
+            ok = (np.sort(chunk, axis=1) == idx).all(axis=1)
+            if not ok.all():
+                line = lines.start + int(np.argmin(ok))
+                raise NotAGroup(f"{word} {line} is not a permutation (Latin square fails)")
 
     inv = _table_inverses(table)
     two_sided = table[inv, idx] == 0
@@ -987,10 +1062,6 @@ def _commutator_subgroup(G: FiniteGroup, xs, ys) -> SubgroupHandle:
     return subgroup_generated(G, seeds, normal_closure=True)
 
 
-def _derived_subgroup(G: FiniteGroup) -> SubgroupHandle:
-    return _commutator_subgroup(G, G.generators, G.generators)
-
-
 def derived_series_orders(G: FiniteGroup) -> list[int]:
     """Orders along the derived series, ending at 1 iff solvable.
 
@@ -1002,7 +1073,7 @@ def derived_series_orders(G: FiniteGroup) -> list[int]:
     orders = [G.order]
     if G.order == 1:
         return orders
-    D = _derived_subgroup(G)
+    D = G.derived_subgroup
     while True:
         orders.append(D.order)
         if D.order in (1, orders[-2]):

@@ -12,17 +12,26 @@ class-fact references (normality, the center, centrality, the classes of
 G/N) conjugate and multiply by G's generators instead of reading G's class
 partition, and the generator and orbit references close sets by BFS.
 The scalar witness scan is the oracle kernel's reference: it works on the
-table and its inverses one element and one power at a time.
+table and its inverses one element and one power at a time.  The label
+reference names every element of a built spec by each kind's formula,
+evaluated for all elements up front.
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cutlab import _kernels, group_core
+from cutlab.cli import parse_group_spec
+from cutlab.constructors import construct, product
 from cutlab.corpus import builtin_corpus, run_corpus
 from cutlab.group_core import subgroup_generated
+
+SWEEPGEN = Path(__file__).parents[1] / "perfbench" / "sweepgen.py"
 
 
 def count_fill_rows(monkeypatch, module):
@@ -285,3 +294,70 @@ def class_fact_groups():
     a5 = permutation(5, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]])
     extra = (symmetric(4), symmetric(5), a5, product(cyclic(5), symmetric(5)))
     return [construct(e.spec) for e in builtin_corpus()] + [construct(s) for s in extra]
+
+
+def sweep_specs(seed):
+    """Every spec of one seeded benchmark sweep stream (the generator is only read)."""
+    spec = importlib.util.spec_from_file_location("perfbench_sweepgen", SWEEPGEN)
+    sweepgen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = sweepgen  # its dataclasses look their module up there
+    spec.loader.exec_module(sweepgen)
+    return [parse_group_spec(item.text) for item in sweepgen.generate(seed)]
+
+
+def _power_word(*powers):
+    """Like "a^2 b": each (symbol, exponent) with a nonzero exponent, "1" if none."""
+    word = [sym if e == 1 else f"{sym}^{e}" for sym, e in powers if e]
+    return " ".join(word) or "1"
+
+
+def _cycle_word(row):
+    """Cycle notation of a full image row, each cycle from its least point."""
+    seen, cycles = set(), []
+    for start in range(len(row)):
+        if start in seen or row[start] == start:
+            continue
+        cycle, x = [], start
+        while x not in seen:
+            seen.add(x)
+            cycle.append(x)
+            x = row[x]
+        cycles.append("(" + " ".join(map(str, cycle)) + ")")
+    return "".join(cycles) or "()"
+
+
+def reference_labels(spec, G):
+    """Every label of G, built from ``spec``, by index, each kind's names formed up front.
+
+    The formula kinds name x by its normal form; a product names (g, h) from
+    its factors; a quotient names each coset by its least member's name in
+    the parent; a permutation group writes each image row in cycle notation
+    of the original points; a table names each element by its index.
+    """
+    kind, idx = spec.kind, range(G.order)
+    if kind == "cyclic":
+        return [_power_word(("g", i)) for i in idx]
+    if kind == "abelian":
+        strides = [math.prod(spec.factors[i + 1:]) for i in range(len(spec.factors))]
+        digits = np.arange(G.order)[:, None] // np.array(strides) % np.array(spec.factors)
+        return ["(" + ",".join(map(str, row)) + ")" for row in digits.tolist()]
+    if kind in ("metacyclic", "dicyclic"):
+        m = spec.m if kind == "metacyclic" else 2 * spec.n
+        return [_power_word(("a", k % m), ("b", k // m)) for k in idx]
+    if kind == "heisenberg":
+        p = spec.p
+        return [f"({k // (p * p)},{k // p % p},{k % p})" for k in idx]
+    if kind == "product":
+        *rest, last = spec.parts
+        left = reference_labels(rest[0] if len(rest) == 1 else product(*rest), G.left)
+        return [f"({a},{b})" for a in left for b in reference_labels(last, G.right)]
+    if kind == "quotient":
+        P = construct(spec.group)
+        minima = reference_coset_minima(P, subgroup_generated(P, spec.normal_generators))
+        names = reference_labels(spec.group, P)
+        return [names[r] for r in np.unique(minima).tolist()]
+    if kind in ("symmetric", "permutation"):
+        full = np.tile(np.arange(int(G.points.max()) + 1), (G.order, 1))
+        full[:, G.points] = G.points[G.images]
+        return [_cycle_word(row) for row in full.tolist()]
+    return [str(x) for x in idx]

@@ -47,7 +47,6 @@ from cutlab.cut_engine import (
 )
 from cutlab.errors import CenterTooLarge, HypothesisViolated
 from cutlab.group_core import (
-    _derived_subgroup,
     center,
     commutator_subgroups,
     coset_minima,
@@ -208,6 +207,28 @@ def test_cor_class2_closes_each_distinct_commutator_row_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_class2_criteria_close_each_commutator_row_once_between_them(monkeypatch):
+    """cor_class2 and prop_class2_factor[per_element] share one [x, G] family.
+
+    Over the class-2 corpus groups, each distinct row of commutators [x, g]
+    (x a class representative, g a generator of G) is closed once.
+    """
+    groups = [construct(e.spec) for e in builtin_corpus()]
+    groups = [G for G in groups if _class2_applicable(G) and G.order > 1]
+    calls = []
+    closure = group_core.subgroup_generated
+    monkeypatch.setattr(group_core, "subgroup_generated", lambda *a, **k: calls.append(a) or closure(*a, **k))
+    for G in groups:
+        reps, gens = G.conjugacy.representatives, np.asarray(G.generators)
+        xg = G.mul_vec(reps[:, None], gens[None, :])
+        rows = G.mul_vec(G.mul_vec(xg, G.inv_vec[reps][:, None]), G.inv_vec[gens][None, :])
+        calls.clear()
+        cor_class2(G)
+        prop_class2_factor(G, "per_element")
+        assert len(calls) == len(np.unique(rows, axis=0)), G.name
+    assert len(groups) > 50 and not all(G.is_abelian for G in groups)
+
+
 def test_prop_class2_factor_examples():
     r = prop_class2_factor(construct(heisenberg(3)), "per_element")
     assert r.applicable and r.predicted
@@ -287,7 +308,7 @@ def test_central_subgroup_walk_matches_reference(center_reference_walks):
 
 def _decided_normal_subgroups(G, Z):
     """The normal subgroups of G whose N and G/N the package decides, by members."""
-    subs = [Z, _derived_subgroup(G), *G.profile.sylow_subgroups.values()]
+    subs = [Z, G.derived_subgroup, *G.profile.sylow_subgroups.values()]
     if _class2_applicable(G):
         subs += commutator_subgroups(G, G.conjugacy.representatives)
         try:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import count_fill_rows
+from conftest import count_fill_rows, reference_labels, sweep_specs
 from cutlab import _kernels, constructors, group_core
 from cutlab.constructors import (
     GroupSpecDescriptor,
@@ -22,6 +22,7 @@ from cutlab.constructors import (
     table_spec,
     validate_spec,
 )
+from cutlab.corpus import builtin_corpus
 from cutlab.cut_engine import decide_cut
 from cutlab.errors import (
     InvalidMetacyclicParameters,
@@ -296,3 +297,31 @@ def test_permutation_check_makes_one_orbit_call(monkeypatch):
     spec = permutation(6, [[1, 2, 0, 3, 4, 5], [1, 0, 2, 3, 4, 5], [0, 1, 2, 4, 5, 3]])
     validate_spec(spec)
     assert len(calls) == 1
+
+
+# the benchmark's analyze requests: the two paper examples, cyclic(512), dihedral(4096) and S6
+ANALYZE_SPECS = (
+    metacyclic(12, 2, 5), metacyclic(9, 9, 4), cyclic(512), metacyclic(2048, 2, 2047), symmetric(6)
+)
+
+
+def test_formula_builders_name_no_element_until_asked(monkeypatch):
+    calls = []
+    real = constructors._ab_label
+    monkeypatch.setattr(constructors, "_ab_label", lambda *a: calls.append(a) or real(*a))
+    G = construct(metacyclic(2048, 2, 2047))  # dihedral of order 4096
+    assert type(G) is FormulaGroup and G.is_named and calls == []
+    assert G.label(2049) == "a b" and len(calls) == 1
+
+
+def test_labels_match_the_names_formed_up_front():
+    """Every label of the corpus groups, the sweep streams of seeds 1 and 7 and the analyze specs."""
+    specs = [e.spec for e in builtin_corpus()] + sweep_specs(1) + sweep_specs(7) + list(ANALYZE_SPECS)
+    kinds = set()
+    for spec in specs:
+        G = construct(spec)
+        want = reference_labels(spec, G)
+        assert [G.label(x) for x in range(G.order)] == want, spec.describe()
+        assert G.labels is None or list(G.labels) == want, spec.describe()
+        kinds.add(spec.kind)
+    assert kinds == set(constructors.KINDS)

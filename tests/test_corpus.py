@@ -5,16 +5,19 @@ import json
 
 import numpy as np
 
+from cutlab import characterizations, cut_engine
 from cutlab.cli import render_corpus_result
 from cutlab.corpus import (
     CorpusEntry,
     RunConfig,
+    _closure_violations,
     _run_remark_pairs,
     builtin_corpus,
     run_corpus,
 )
 from cutlab.constructors import construct, cyclic, metacyclic
-from cutlab.group_core import FiniteGroup
+from cutlab.cut_engine import central_subgroup_has_cut, quotient_has_cut
+from cutlab.group_core import FiniteGroup, center
 
 
 def test_corpus_ids_unique_and_tags_valid():
@@ -166,3 +169,44 @@ def test_remark_pairs_cube_each_factor_once(corpus_result, monkeypatch):
     pairs = _run_remark_pairs(eligible)
     assert (len(eligible), len(pairs)) == (20, 360)
     assert len(cubes) == 20  # one cube map per group, not two per pair
+
+
+def test_remark_pairs_check_each_factor_once(corpus_result, monkeypatch):
+    """Each factor is scanned and split once, however many pairs it is in; each product once."""
+    by_id = {e.id: e for e in builtin_corpus()}
+    ids = sorted({r.left_id for r in corpus_result.remark_pairs})
+    eligible = [(i, construct(by_id[i].spec)) for i in ids]
+    scanned, split = [], []
+    scan, split_nonreal = cut_engine._scan_classes, characterizations._split_nonreal
+    monkeypatch.setattr(cut_engine, "_scan_classes", lambda G: scanned.append(G) or scan(G))
+    monkeypatch.setattr(characterizations, "_split_nonreal", lambda G: split.append(G) or split_nonreal(G))
+    pairs = _run_remark_pairs(eligible)
+    factors = [G for _, G in eligible]
+    assert len(pairs) == 360
+    assert sorted(map(id, split)) == sorted(map(id, factors))
+    assert sorted(map(id, (G for G in scanned if G in factors))) == sorted(map(id, factors))
+    assert len(scanned) == len(factors) + len(pairs)
+
+
+def test_closure_violations_decide_every_quotient_in_one_walk(monkeypatch):
+    """The same violations, in the same order, as one quotient_has_cut call per N; one stacked walk."""
+    walks = []
+    stacked = cut_engine._quotient_cuts
+
+    def counting(G, minima):
+        walks.append(len(minima))
+        return stacked(G, minima)
+
+    monkeypatch.setattr(cut_engine, "_quotient_cuts", counting)
+    seen = 0
+    for entry in builtin_corpus():
+        G = construct(entry.spec)
+        normals = {"center": center(G), "derived": G.derived_subgroup}
+        normals.update((f"sylow-{p}", S) for p, S in sorted(G.profile.sylow_subgroups.items()))
+        want = [] if central_subgroup_has_cut(G, normals["center"]) else ["center-as-group"]
+        want += [f"quotient-by-{label}" for label, N in normals.items() if not quotient_has_cut(G, N)]
+        walks.clear()
+        assert _closure_violations(G, True) == want, entry.id
+        assert walks == [len(normals)], entry.id
+        seen += len(want) > 0
+    assert seen > 10

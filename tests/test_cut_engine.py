@@ -13,7 +13,8 @@ from conftest import (
     reference_witnesses,
     table_of,
 )
-from cutlab import _kernels, group_core
+from cutlab import _kernels, cut_engine, group_core
+from cutlab.characterizations import verify_equivalences
 from cutlab.constructors import (
     abelian,
     construct,
@@ -24,7 +25,7 @@ from cutlab.constructors import (
     product,
     symmetric,
 )
-from cutlab.cut_engine import classify, decide_cut, decide_cut_bruteforce
+from cutlab.cut_engine import CutVerdict, classify, decide_cut, decide_cut_bruteforce
 from cutlab.group_core import FiniteGroup, ProductGroup, TableGroup
 
 
@@ -153,6 +154,54 @@ def test_oracle_reads_only_the_table_and_its_inverses(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "power_vec", refuse)
     monkeypatch.setattr(_kernels, "orbit_labels", refuse)
     assert [decide_cut_bruteforce(G).witnesses for G in groups] == want
+
+
+def test_oracle_ignores_the_facts_kept_on_the_group():
+    """A wrong verdict and wrong kept facts on G leave the oracle's witnesses as the scalar scan's."""
+    for spec in (metacyclic(9, 9, 4), dicyclic(4), symmetric(4), product(dicyclic(3), cyclic(5))):
+        G = construct(spec)
+        table = G.dense_table()
+        wx, wj = reference_witness_scan(table, np.argmax(table == 0, axis=1))
+        want = tuple(zip(wx.tolist(), wj.tolist()))
+        assert want == decide_cut_bruteforce(G).witnesses
+        wrong = CutVerdict(False, ((1, 5),)) if decide_cut(G).has_cut else CutVerdict(True, ())
+        G._facts[cut_engine._scan_classes] = wrong
+        for name in ("derived_subgroup", "profile", "element_orders"):
+            G.__dict__[name] = None
+        assert decide_cut(G) is wrong
+        assert decide_cut_bruteforce(G).witnesses == want, spec.describe()
+
+
+def test_decide_cut_keeps_its_verdict():
+    for spec in (metacyclic(9, 9, 4), symmetric(4), cyclic(1)):
+        G = construct(spec)
+        assert decide_cut(G) is decide_cut(G)
+        assert decide_cut(G).witnesses == reference_witnesses(G)
+
+
+def test_one_group_walks_its_own_classes_once(monkeypatch):
+    """decide_cut, classify and verify_equivalences on one group scan its classes in one walk.
+
+    Every other walk is over a quotient of G (its class labels are other
+    arrays) or over another group (a p6 product).
+    """
+    walks = []
+    walk = cut_engine._power_map_witnesses
+
+    def counting(G, labels, *args):
+        walks.append((G, np.shares_memory(labels, G.conjugacy.class_of)))
+        return walk(G, labels, *args)
+
+    monkeypatch.setattr(cut_engine, "_power_map_witnesses", counting)
+    for spec in (dicyclic(2), metacyclic(9, 9, 4), heisenberg(3), symmetric(4), abelian([2, 4])):
+        G = construct(spec)
+        verdict = decide_cut(G)
+        classify(G)
+        classify(G, verdict)
+        verify_equivalences(G)
+        assert decide_cut(G) is verdict
+        assert sum(H is G and own for H, own in walks) == 1, spec.describe()
+        walks.clear()
 
 
 def _table_group(spec):

@@ -32,6 +32,7 @@ from cutlab.constructors import (
     permutation,
     product,
     symmetric,
+    table_spec,
 )
 from cutlab.corpus import builtin_corpus
 from cutlab.errors import NotAGroup, NotAPermutation, NotNormal, OrderCapExceeded
@@ -140,6 +141,66 @@ def test_validate_group_axioms_rejects_nonassociative_order_1000(a, c):
 def test_table_rejects_out_of_range():
     with pytest.raises(NotAGroup, match="out of range"):
         build_from_table(2, [[0, 5], [1, 0]])
+
+
+def _cyclic_table(n):
+    idx = np.arange(n)
+    return (idx[:, None] + idx[None, :]) % n
+
+
+def _swap_names(table, e):
+    """The table with the element names 0 and e exchanged."""
+    s = np.arange(len(table))
+    s[0], s[e] = e, 0
+    out = np.empty_like(table)
+    out[s[:, None], s[None, :]] = s[table]
+    return out
+
+
+def _faulty_tables():
+    """(table, the NotAGroup message naming its first fault)."""
+    out_of_range, bad_row, bad_column = _cyclic_table(12), _cyclic_table(12), _cyclic_table(12)
+    out_of_range[7, 3], out_of_range[9, 1] = 12, -1
+    bad_row[5, 1] = bad_row[5, 2]
+    bad_column[5, [1, 2]] = bad_column[5, [2, 1]]
+    idx = np.arange(6)
+    mismatched = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+    return [
+        (out_of_range, "entry out of range at cell (7, 3)"),
+        ((idx[:, None] - idx[None, :]) % 6, "table has no two-sided identity element"),
+        (bad_row, "row 5 is not a permutation (Latin square fails)"),
+        (bad_column, "column 1 is not a permutation (Latin square fails)"),
+        (np.array(mismatched), "element 2 has mismatched left/right inverse"),
+        (_cyclic1000_intercalate(237, 256), "associativity fails on triple (236, 1, 256)"),
+        (_swap_names(_cyclic1000_intercalate(377, 475), 500), "associativity fails on triple (376, 1, 475)"),
+        ([[0, 1], [1, 0], [0, 1]], "table shape (3, 2) does not match order 3"),
+    ]
+
+
+@pytest.mark.parametrize("one_row", [False, True], ids=["default budget", "one row per block"])
+def test_table_faults_are_named_first_in_any_block_size(monkeypatch, one_row):
+    if one_row:
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)
+    for table, message in _faulty_tables():
+        with pytest.raises(NotAGroup) as info:
+            build_from_table(len(table), table)
+        assert str(info.value) == message
+    G = build_from_table(1000, _swap_names(_cyclic_table(1000), 321).tolist())
+    assert np.array_equal(G.table, _cyclic_table(1000))
+
+
+def test_an_order_1024_table_spec_builds_within_twice_its_table():
+    """The int32 table is the only order x order array: the checks and the read run in row blocks."""
+    dihedral = construct(metacyclic(512, 2, 511)).dense_table()
+    spec = table_spec(1024, _swap_names(dihedral, 5).tolist())  # its identity is element 5
+    tracemalloc.start()
+    try:
+        G = construct(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(G.table, dihedral)
+    assert peak < 2 * dihedral.nbytes, peak
 
 
 # -- build_from_permutations --------------------------------------------------
@@ -573,7 +634,7 @@ def test_cosets_and_member_generators_match_coset_minima():
     for spec in (product(symmetric(4), dicyclic(3)), heisenberg(5), metacyclic(64, 16, 3), abelian([2, 4, 8])):
         G = construct(spec)
         everyone = np.arange(G.order)
-        subs = [center(G), group_core._derived_subgroup(G), G.subgroup(everyone)]
+        subs = [center(G), G.derived_subgroup, G.subgroup(everyone)]
         subs += [G.subgroup(everyone, G.generators)]
         subs += [subgroup_generated(G, [x], normal_closure=True) for x in G.conjugacy.representatives[:6]]
         for N in subs:
@@ -791,7 +852,7 @@ def test_series_examples():
 
 def test_subgroup_table_checked_against_the_byte_budget(monkeypatch):
     S4 = construct(symmetric(4))
-    A4 = group_core._derived_subgroup(S4)  # 12 x 12 int32 entries: 576 bytes
+    A4 = S4.derived_subgroup  # 12 x 12 int32 entries: 576 bytes
     monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 576)
     assert A4.as_group().order == 12
     monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 575)
@@ -813,7 +874,7 @@ def test_quotient_table_checked_against_the_byte_budget(monkeypatch):
 def test_quotient_and_subgroup_tables_row_blocks(monkeypatch):
     S4 = construct(symmetric(4))
     V4 = S4.subgroup([0] + [int(x) for m in S4.conjugacy.class_members if len(m) == 3 for x in m])
-    A4 = group_core._derived_subgroup(S4)
+    A4 = S4.derived_subgroup
     reps, coset_id = np.unique(reference_coset_minima(S4, V4), return_inverse=True)
     members = A4.members
     whole = (
@@ -846,7 +907,7 @@ def _closure_pass():
 
 def _commutator_pass(spec):
     G = construct(spec)
-    return group_core._derived_subgroup(G).members, np.array(derived_series_orders(G))
+    return G.derived_subgroup.members, np.array(derived_series_orders(G))
 
 
 # every pass that works in row blocks, each on groups built afresh, as a tuple of arrays
@@ -902,7 +963,7 @@ def test_quotient_has_cut_reads_the_class_partition(monkeypatch):
     # G/N is decided from G's classes: no conjugation by generators, no orbit kernel
     S4 = construct(symmetric(4))
     V4 = S4.subgroup([0] + [int(x) for m in S4.conjugacy.class_members if len(m) == 3 for x in m])
-    pairs = [(S4, V4), (S4, group_core._derived_subgroup(S4))]
+    pairs = [(S4, V4), (S4, S4.derived_subgroup)]
     for spec in (metacyclic(9, 9, 4), heisenberg(3), product(cyclic(5), symmetric(4))):
         G = construct(spec)
         pairs.append((G, center(G)))

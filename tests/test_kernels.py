@@ -1,15 +1,10 @@
 """The numpy kernels against brute-force references and known verdicts."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from conftest import reference_witness_scan
+from conftest import reference_witness_scan, sweep_specs
 from cutlab._kernels import cut_witness_scan, first_bad_triple, orbit_labels
-from cutlab.cli import parse_group_spec
 from cutlab.constructors import (
     abelian,
     construct,
@@ -234,21 +229,14 @@ def test_cut_witness_scan_backends_agree(spec, expect_cut):
     assert len(wx) == len(wj)
 
 
-SWEEPGEN = Path(__file__).parents[1] / "perfbench" / "sweepgen.py"
-
-
 def _scan_inputs(G):
     table = G.dense_table()
     return table, np.argmax(table == 0, axis=1).astype(np.int32)
 
 
 def _sweep_groups(seed):
-    """Every group of one seeded benchmark sweep stream (the generator is only read)."""
-    spec = importlib.util.spec_from_file_location("perfbench_sweepgen", SWEEPGEN)
-    sweepgen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = sweepgen  # its dataclasses look their module up there
-    spec.loader.exec_module(sweepgen)
-    return [construct(parse_group_spec(item.text)) for item in sweepgen.generate(seed)]
+    """Every group of one seeded benchmark sweep stream."""
+    return [construct(spec) for spec in sweep_specs(seed)]
 
 
 def test_cut_witness_scan_matches_the_scalar_reference():
