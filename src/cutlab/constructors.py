@@ -14,10 +14,12 @@ each state one product formula over broadcast index arrays; the abelian
 one adds mixed-radix digits, one pass per factor that can carry.  Each
 also states one naming function, which names an element only when its
 label is asked for, so building a group computes no label.  Up to
-order 512, where the int32 Cayley table fits one row block, it is
-evaluated into that table (``group_core.fill_table``); past it the group
-keeps the formula itself (``group_core.FormulaGroup``) and holds no
-order x order array.
+order 512, where the int32 Cayley table fits one row block
+(``group_core.fits_one_block``, the rule permutation groups follow too),
+it is evaluated into that table (``group_core.fill_table``); past it the
+group keeps the formula itself (``group_core.FormulaGroup``) and holds
+no order x order array.  The abelian formula gathers through intp digit
+indices and the others compute in int32 (``_int32``).
 Their check still refuses an order whose table would pass the byte budget,
 before anything is built, so ``dense_table`` (the oracle, ``--emit-table``)
 can always be formed.
@@ -47,6 +49,7 @@ from .group_core import (
     check_image_budget,
     direct_product,
     fill_table,
+    fits_one_block,
     max_order_cap,
     moved_points,
     permutation_images,
@@ -152,8 +155,8 @@ def _read(value, shape):
         return descriptor_from_dict(value) if isinstance(value, dict) else None
     if not isinstance(value, list):
         return None
-    if shape[0] is int:  # the common case, kept fast for large tables
-        return tuple(value) if all(type(v) is int for v in value) else None
+    if shape[0] is int:  # the common case, checked at C speed for large tables
+        return tuple(value) if set(map(type, value)) <= {int} else None
     items = tuple(_read(v, shape[0]) for v in value)
     return None if None in items else items
 
@@ -373,16 +376,26 @@ def _ab_label(i: int, j: int) -> str:
 
 # -- realizations: each runs on a descriptor its kind's check accepted --------
 
+def _int32(a, b):
+    """Index arrays as int32, in which the formulas' arithmetic runs fastest.
+
+    A formula kind's table must fit the byte budget, so its order is at most
+    16384 and its largest intermediate, i*t^j < m^2 (metacyclic), stays
+    below 2^28.
+    """
+    return a.astype(np.int32, copy=False), b.astype(np.int32, copy=False)
+
+
 def _formula_group(spec, order: int, product, gens, namer) -> FiniteGroup:
     """A formula kind's group: its Cayley table while that fits one row block, else its formula.
 
     ``namer(x)`` names element x; it is called only when a label is asked for.
 
-    A table product is one gather, far cheaper than a formula; past
-    4·order² bytes > BLOCK_BYTES (order 512) the table would be the only
+    A table product is one gather, far cheaper than a formula; past one
+    block (``fits_one_block``, order 512) the table would be the only
     order x order array of the group, so the formula is kept instead.
     """
-    if 4 * order * order <= _kernels.BLOCK_BYTES:
+    if fits_one_block(order):
         return TableGroup(fill_table(order, product), gens, namer, name=spec.describe())
     return FormulaGroup(order, product, gens, namer, name=spec.describe())
 
@@ -393,7 +406,11 @@ def _build_cyclic(spec, cap) -> FiniteGroup:
     def namer(i):
         return _pow_str("g", i) or "1"
 
-    return _formula_group(spec, n, lambda a, b: (a + b) % n, (1,) if n > 1 else (0,), namer)
+    def product(a, b):
+        a, b = _int32(a, b)
+        return (a + b) % n
+
+    return _formula_group(spec, n, product, (1,) if n > 1 else (0,), namer)
 
 
 def _build_abelian(spec, cap) -> FiniteGroup:
@@ -409,6 +426,8 @@ def _build_abelian(spec, cap) -> FiniteGroup:
     ]
 
     def product(a, b):
+        # digit lookups gather fastest through intp indices
+        a, b = a.astype(np.intp, copy=False), b.astype(np.intp, copy=False)
         # digit i of a*b is d_i(a) + d_i(b) less f_i when it carries, so subtract f_i * s_i there
         out = a + b
         for digit, f, drop in carries:
@@ -429,9 +448,10 @@ def _build_metacyclic(spec, cap) -> FiniteGroup:
     order = m * n
     # b a b^-1 = a^t with t*r = 1 (mod m) realizes the relation b^-1 a b = a^r
     t = pow(r, -1, m) if m > 1 else 0
-    tpow = np.array([pow(t, j, m) if m > 1 else 0 for j in range(n)], dtype=np.int64)
+    tpow = np.array([pow(t, j, m) if m > 1 else 0 for j in range(n)], dtype=np.int32)
 
     def product(a, b):
+        a, b = _int32(a, b)
         i1, j1 = a % m, a // m
         i2, j2 = b % m, b // m
         return ((j1 + j2) % n) * m + (i1 + i2 * tpow[j1]) % m
@@ -454,6 +474,7 @@ def _build_dicyclic(spec, cap) -> FiniteGroup:
     two_n = 2 * n
 
     def product(a, b):
+        a, b = _int32(a, b)
         i1, j1 = a % two_n, a // two_n
         i2, j2 = b % two_n, b // two_n
         # j1 = 0: a^(i1+i2) b^j2 ; j1 = 1: b a^i2 = a^-i2 b, and b^2 = a^n
@@ -473,6 +494,7 @@ def _build_heisenberg(spec, cap) -> FiniteGroup:
     order = p ** 3
 
     def product(a, b):
+        a, b = _int32(a, b)
         x1, rem1 = np.divmod(a, p * p)
         y1, z1 = np.divmod(rem1, p)
         x2, rem2 = np.divmod(b, p * p)

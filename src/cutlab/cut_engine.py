@@ -222,7 +222,7 @@ def decide_cut_bruteforce(G: FiniteGroup) -> CutVerdict:
     blocks = _kernels.row_blocks(G.order, G.order)
     inv = np.concatenate([np.argmax(table[rows] == 0, axis=1) for rows in blocks])
     wx, wj = _kernels.cut_witness_scan(table, inv)
-    witnesses = tuple((int(x), int(j)) for x, j in zip(wx, wj))
+    witnesses = tuple(zip(wx.tolist(), wj.tolist()))
     return CutVerdict(has_cut=not witnesses, witnesses=witnesses)
 
 

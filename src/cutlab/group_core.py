@@ -4,15 +4,19 @@ Every group is a set of element indices 0..n-1 with index 0 the identity.
 Four storage backends cover all constructions, each through one
 whole-array product ``mul_vec``: a dense Cayley table, a formula backend
 that evaluates a normal-form product on demand (``FormulaGroup``), a
-permutation-image backend that composes images on demand, and a
-componentwise direct-product backend.  Only the table backend holds an
-n x n array.
-The permutation backend maps a composed image row back to its element
-through one sorted index of fixed-width byte keys, so products, inverses
-and tables are whole-array numpy operations at every degree.  Its images
-are stored on the moved points only, and a closure whose images would pass
-PERMUTATION_BYTE_BUDGET bytes raises OrderCapExceeded, up front from the
-order bound of the spec and again while the closure grows.
+permutation-image backend, and a componentwise direct-product backend.
+The table backend, and a permutation group whose int32 table fits one row
+block (``fits_one_block``, order <= 512), hold an n x n array; every other
+group holds none.
+A permutation group keeps its images on the moved points only, and a
+closure whose images would pass PERMUTATION_BYTE_BUDGET bytes raises
+OrderCapExceeded, up front from the order bound of the spec and again
+while the closure grows.  Up to one block it keeps its Cayley table,
+composed from its generators' columns (``composed_table``), so a product
+is one gather; past it a composed image row is mapped back to its element
+through one sorted index of fixed-width byte keys, so products and
+inverses are whole-array numpy operations at every degree, and
+``dense_table`` is composed the same way.
 Permutation elements are named in cycle notation only when a label is
 asked for.
 Conjugacy classes are computed once at build time as orbits under the
@@ -40,12 +44,13 @@ orbits of right multiplication by its generators, each labelled by its
 least member in one ``orbit_labels`` walk and kept on the subgroup; a
 subgroup given by its members adopts its generators in that walk.
 A dense Cayley table is built only where a table is the input or the
-output (a table spec, a formula kind small enough, a quotient,
-``dense_table``, and ``SubgroupHandle.as_group``, which serves the tests),
-each held to PERMUTATION_BYTE_BUDGET before it is allocated; all but a
-table spec's are filled by ``fill_table``, and a table spec is read and
-checked in row blocks, so the table is their only n x n array.  Every
-pass in row blocks is sliced by ``_kernels.row_blocks``, to one budget.
+output (a table spec, a formula or permutation kind small enough, a
+quotient, ``dense_table``, and ``SubgroupHandle.as_group``, which serves
+the tests), each held to PERMUTATION_BYTE_BUDGET before it is allocated;
+a permutation group's is composed, a table spec's is read and checked in
+row blocks, and all others are filled by ``fill_table``, so the table is
+their only n x n array.  Every pass in row blocks is sliced by
+``_kernels.row_blocks``, to one budget.
 """
 
 from __future__ import annotations
@@ -415,9 +420,10 @@ class TableGroup(FiniteGroup):
 class FormulaGroup(FiniteGroup):
     """Group whose product is a normal-form formula, evaluated on demand.
 
-    ``product(a, b)`` takes broadcastable int64 index arrays and returns the
-    index of each product, so memory stays O(order).  The inverse of x is
-    x^(order-1), so a formula needs no inverse of its own.
+    ``product(a, b)`` takes broadcastable integer index arrays, each formula
+    casting them to the dtype it computes in, and returns the index of each
+    product, so memory stays O(order).  The inverse of x is x^(order-1), so
+    a formula needs no inverse of its own.
     """
 
     def __init__(self, order: int, product, generators, labels=None, name="formula"):
@@ -426,15 +432,14 @@ class FormulaGroup(FiniteGroup):
         self._finalize()
 
     def mul_vec(self, a, b) -> np.ndarray:
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        return np.asarray(self.product(a, b), dtype=np.int32)
+        return np.asarray(self.product(np.asarray(a), np.asarray(b)), dtype=np.int32)
 
     def _compute_inverses(self) -> np.ndarray:
         return self.power_vec(np.arange(self.order, dtype=np.int32), self.order - 1)
 
 
 class PermutationGroup(FiniteGroup):
-    """Group whose elements are permutation image rows, composed on demand.
+    """Group whose elements are permutation image rows.
 
     ``images[i]`` is the image row of element i, on the points named by
     ``points`` (default 0..degree-1); ``label`` writes it in cycle notation
@@ -442,14 +447,18 @@ class PermutationGroup(FiniteGroup):
     Each row is read as one fixed-width byte key (``np.void`` of
     ``degree * 4`` bytes), and the keys are sorted once here; a composed row
     is mapped back to its element by ``np.searchsorted`` on that index, with
-    an exact equality check on the key found.  Products, inverses and tables
-    all go through that lookup, so the Cayley table is never materialized and
-    memory stays O(order * degree).  ``build_from_permutations`` keeps
+    an exact equality check on the key found; the inverses are found so.
+    While its int32 Cayley table fits one row block (``fits_one_block``) the
+    group keeps that table, composed from its generators' columns
+    (``composed_table``), and every product is one gather; past it every
+    product is looked up and memory stays O(order * degree).  ``columns``,
+    when given, holds the column x -> x*g of each generator g (a closure
+    knows them), else they are looked up.  ``build_from_permutations`` keeps
     ``images`` within ``PERMUTATION_BYTE_BUDGET`` by storing only the moved
     points.
     """
 
-    def __init__(self, images: np.ndarray, generators, points=None, name="perm"):
+    def __init__(self, images: np.ndarray, generators, points=None, name="perm", columns=None):
         images = np.ascontiguousarray(images, dtype=np.int32)
         images.flags.writeable = False
         self.images = images
@@ -463,6 +472,10 @@ class PermutationGroup(FiniteGroup):
         if (self._sorted_keys[1:] == self._sorted_keys[:-1]).any():
             raise NotAGroup("permutation images are not distinct")
         super().__init__(images.shape[0], generators, None, name)
+        self.table = None
+        if fits_one_block(self.order):
+            self.table = self._composed_table(columns)
+            self.table.flags.writeable = False
         self._finalize()
 
     def _lookup(self, rows: np.ndarray) -> np.ndarray:
@@ -473,12 +486,8 @@ class PermutationGroup(FiniteGroup):
             raise NotAGroup("a product of permutations is not an element of the group")
         return self._key_order[pos]
 
-    is_named = True
-
-    def label(self, x: int) -> str:
-        return _perm_cycle_label(self.images[x], self.points)
-
-    def mul_vec(self, a, b) -> np.ndarray:
+    def _lookup_product(self, a, b) -> np.ndarray:
+        """``mul_vec`` by composing image rows and looking each one up, in row blocks."""
         a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
         flat_a, flat_b = a.ravel(), b.ravel()
         out = np.empty(flat_a.size, dtype=np.int32)
@@ -489,11 +498,33 @@ class PermutationGroup(FiniteGroup):
             out[chunk] = self._lookup(composed)
         return out.reshape(a.shape)
 
+    def _composed_table(self, columns=None) -> np.ndarray:
+        """The Cayley table composed from the generators' columns, looked up unless given."""
+        gens = np.asarray(self.generators)
+        if columns is None:
+            columns = self._lookup_product(np.arange(self.order)[None, :], gens[:, None])
+        return composed_table(gens, columns)
+
+    is_named = True
+
+    def label(self, x: int) -> str:
+        return _perm_cycle_label(self.images[x], self.points)
+
+    def mul_vec(self, a, b) -> np.ndarray:
+        if self.table is not None:
+            return self.table[a, b]
+        return self._lookup_product(a, b)
+
     def _compute_inverses(self) -> np.ndarray:
         back = np.empty_like(self.images)
         spots = np.broadcast_to(np.arange(self.degree, dtype=np.int32), self.images.shape)
         np.put_along_axis(back, self.images, spots, axis=-1)
         return self._lookup(back)
+
+    def dense_table(self) -> np.ndarray:
+        """The kept table, else one composed afresh (``composed_table``), within the byte budget."""
+        check_image_budget(self.order, self.order, f"table rows of {self.name}")
+        return self._composed_table() if self.table is None else self.table
 
 
 def orders_modulo(G: FiniteGroup, xs, kernel: np.ndarray, steps: int, rows=0) -> np.ndarray:
@@ -798,17 +829,80 @@ def greedy_generators(table: np.ndarray) -> tuple[int, ...]:
 
 
 def fill_table(order: int, product) -> np.ndarray:
-    """The int32 Cayley table of ``product(a, b)`` over broadcast index arrays.
+    """The int32 Cayley table of ``product(a, b)`` over broadcast int32 index arrays.
 
-    Each int64 index array of a row block holds an eighth of BLOCK_BYTES,
-    so the few arrays of that size a product forms stay within about
-    BLOCK_BYTES together, and the table is the only order x order array.
+    Each int64 array of a row block holds an eighth of BLOCK_BYTES, so the
+    few arrays of that size a product forms stay within about BLOCK_BYTES
+    together, and the table is the only order x order array.
     """
     table = np.empty((order, order), dtype=np.int32)
-    idx = np.arange(order, dtype=np.int64)
+    idx = np.arange(order, dtype=np.int32)
     for rows in _kernels.row_blocks(order, 64 * order):
         table[rows] = product(idx[rows, None], idx[None, :])
     return table
+
+
+def fits_one_block(order: int) -> bool:
+    """Whether the int32 Cayley table of a group of ``order`` fits one row block (order <= 512).
+
+    A group that small keeps its table, so every product is one gather;
+    past it the table would be the only order x order array of the group.
+    """
+    return 4 * order * order <= _kernels.BLOCK_BYTES
+
+
+def composed_table(gens, columns: np.ndarray) -> np.ndarray:
+    """The int32 Cayley table of a group from the columns x -> x*g of its generators.
+
+    ``columns[i]`` is the column of ``gens[i]``, and ``gens`` generate the
+    group.  The column of y*d is the column of d read at the column of y
+    (x*y*d), so each round extends the known columns by every step d: the
+    generators and their repeated squares, one more square each round.
+    Each new column is one gather of n entries, in row blocks; the columns
+    are filled as rows and transposed in place, so the table is the only
+    n x n array.  Raises NotAGroup when ``gens`` do not generate n elements.
+    """
+    gens = np.asarray(gens, dtype=np.intp)
+    n = columns.shape[1]
+    table = np.empty((n, n), dtype=np.int32)  # row y holds the column of y until the transpose
+    table[0] = np.arange(n)
+    table[gens] = columns
+    flat = table.reshape(-1)
+    known, is_step = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    known[0] = known[gens] = is_step[0] = is_step[gens] = True
+    source = np.empty(n, dtype=np.intp)  # where each element was last met among the products
+    steps = latest = gens[gens != 0]
+    while not known.all():
+        ys = np.flatnonzero(known)
+        products = table[steps[:, None], ys].ravel()  # y*d, one row of ys per step d
+        source[products] = np.arange(products.size)
+        reached = known.copy()
+        reached[products] = True
+        found = np.flatnonzero(reached ^ known)
+        if not found.size:
+            raise NotAGroup(f"generators {tuple(gens.tolist())} do not generate all {n} elements")
+        d, y = np.divmod(source[found], ys.size)
+        at, y = steps[d] * n, ys[y]
+        for rows in _kernels.row_blocks(found.size, 16 * n):
+            table[found[rows]] = flat[at[rows, None] + table[y[rows]]]
+        known = reached
+        if latest.size:
+            squares = table[latest, latest]
+            latest = squares[~is_step[squares]]
+            is_step[latest] = True
+            steps = np.concatenate([steps, latest])
+    _transpose_in_place(table)
+    return table
+
+
+def _transpose_in_place(a: np.ndarray) -> None:
+    """Transpose a square array in place, one strip of rows and its columns at a time."""
+    n = len(a)
+    for rows in _kernels.row_blocks(n, 8 * n):
+        lo, hi = rows.start, rows.stop
+        row, col = a[lo:hi, lo:].copy(), a[lo:, lo:hi].copy()
+        a[lo:hi, lo:] = col.T
+        a[lo:, lo:hi] = row.T
 
 
 def _table_inverses(table: np.ndarray) -> np.ndarray:
@@ -960,28 +1054,38 @@ def build_from_permutations(degree: int, gens, max_order: int | None = None) -> 
 
     keys = [np.arange(points.size, dtype=np.int32).tobytes()]
     index = {keys[0]: 0}
+    products = []  # the index of x*g for every element x and every row g of gen_stack
     start = 0
     while start < len(keys):
         # the next frontier slice, each element times every generator, in BFS order
         rows = next(_kernels.row_blocks(len(keys), 4 * points.size * len(gen_imgs), start))
         frontier = np.frombuffer(b"".join(keys[rows]), dtype=np.int32)
-        composed = frontier.reshape(-1, points.size)[:, gen_stack]
-        for key in _row_keys(composed).ravel().tolist():
+        composed_keys = _row_keys(frontier.reshape(-1, points.size)[:, gen_stack]).ravel().tolist()
+        for key in composed_keys:
             if key not in index:
                 if len(keys) >= cap:
                     raise OrderCapExceeded(f"permutation closure exceeds the cap {cap}")
                 check_image_budget(len(keys) + 1, points.size, "permutation images")
                 index[key] = len(keys)
                 keys.append(key)
+        # kept while the group may still keep its table, whose columns they give
+        if products is not None and fits_one_block(len(keys)):
+            products.append(np.array(list(map(index.__getitem__, composed_keys)), dtype=np.int32))
+        else:
+            products = None
         start = rows.stop
 
-    gen_idx = []
-    for key in _row_keys(gen_stack).tolist():
+    gen_idx, firsts = [], []
+    for s, key in enumerate(_row_keys(gen_stack).tolist()):
         i = index[key]
         if i != 0 and i not in gen_idx:
             gen_idx.append(i)
+            firsts.append(s)
     stack = np.frombuffer(b"".join(keys), dtype=np.int32).reshape(len(keys), points.size)
-    return PermutationGroup(stack, gen_idx, points, name=f"perm{len(stack)}")
+    columns = None
+    if products is not None and gen_idx:  # a trivial group's identity generator is looked up
+        columns = np.concatenate(products).reshape(len(keys), len(gen_imgs))[:, firsts].T
+    return PermutationGroup(stack, gen_idx, points, name=f"perm{len(stack)}", columns=columns)
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, max_order: int | None = None) -> FiniteGroup:
@@ -1086,11 +1190,15 @@ def lower_central_series(G: FiniteGroup) -> list[SubgroupHandle]:
 
     gamma_{k+1} = [G, gamma_k] is the normal closure in G of [g, s] over the
     generators g of G and s of gamma_k: modulo that closure each s commutes
-    with all of G, so gamma_k is central there.
+    with all of G, so gamma_k is central there.  gamma_2 is the derived
+    subgroup kept on G.
     """
     series = [G.subgroup(np.arange(G.order), G.generators)]
     while series[-1].order > 1:
-        series.append(_commutator_subgroup(G, G.generators, series[-1].generators))
+        if len(series) == 1:
+            series.append(G.derived_subgroup)
+        else:
+            series.append(_commutator_subgroup(G, G.generators, series[-1].generators))
         if series[-1].order == series[-2].order:
             break
     return series

@@ -12,6 +12,7 @@ from cutlab.constructors import (
     abelian,
     construct,
     cyclic,
+    descriptor_from_dict,
     dicyclic,
     heisenberg,
     metacyclic,
@@ -243,6 +244,32 @@ def test_abelian_products_add_digits_modulo_their_factors(factors):
     assert G.mul_vec(a, b).tolist() == want.tolist()
 
 
+# each formula kind at the largest order its table budget admits (heisenberg: 23^3 <= 16384)
+BUDGET_SPECS = [
+    cyclic(16_384),
+    abelian([4, 4, 1024]),
+    metacyclic(8192, 2, 8191),
+    metacyclic(16_384, 1, 1),
+    dicyclic(4096),
+    heisenberg(23),
+]
+
+
+@pytest.mark.parametrize("spec", BUDGET_SPECS, ids=lambda s: s.describe())
+def test_int32_formula_products_match_int64(monkeypatch, spec):
+    """Formulas evaluated in int32 agree with int64 evaluation up to the largest admitted order."""
+    G = construct(spec)
+    assert type(G) is FormulaGroup
+    rng = np.random.default_rng(G.order)
+    top = np.arange(G.order - 64, G.order)  # the largest indices, paired with each other
+    a = np.concatenate([rng.integers(0, G.order, 100_000), np.repeat(top, 64)])
+    b = np.concatenate([rng.integers(0, G.order, 100_000), np.tile(top, 64)])
+    got = G.mul_vec(a.astype(np.int32), b.astype(np.int32))
+    assert got.dtype == np.int32
+    monkeypatch.setattr(constructors, "_int32", lambda a, b: (a.astype(np.int64), b.astype(np.int64)))
+    assert got.tolist() == G.mul_vec(a, b).tolist()
+
+
 def test_formula_tables_checked_against_the_byte_budget(monkeypatch):
     # cyclic(16384) has a 1 GiB int32 table, the whole budget; only the checks run here
     assert validate_spec(cyclic(16_384)) == 16_384
@@ -256,6 +283,26 @@ def test_formula_tables_checked_against_the_byte_budget(monkeypatch):
     for spec in (cyclic(101), abelian([101]), metacyclic(101, 1, 1), dicyclic(26), heisenberg(5)):
         with pytest.raises(OrderCapExceeded, match="byte budget 40000"):
             construct(spec)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1", None, [1], -1.5])
+def test_integer_lists_refuse_every_other_json_value(bad):
+    for payload in (
+        {"kind": "abelian", "factors": [2, bad]},
+        {"kind": "table", "order": 2, "table": [[0, 1], [1, bad]]},
+        {"kind": "quotient", "group": {"kind": "cyclic", "n": 4}, "normal_generators": [bad]},
+    ):
+        with pytest.raises(InvalidParameters, match="has the wrong type"):
+            descriptor_from_dict(payload)
+
+
+def test_integer_lists_accept_ints_and_the_empty_list():
+    spec = descriptor_from_dict({"kind": "table", "order": 2, "table": [[0, 1], [1, 0]]})
+    assert spec.table == ((0, 1), (1, 0))
+    spec = descriptor_from_dict(
+        {"kind": "quotient", "group": {"kind": "cyclic", "n": 4}, "normal_generators": []}
+    )
+    assert spec.normal_generators == ()
 
 
 def test_invalid_kind():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import dataclasses
 from collections import deque
 
 import numpy as np
@@ -19,6 +20,7 @@ from conftest import (
     reference_greedy_generators,
     reference_lower_central_series,
     reference_orbit_lengths,
+    sweep_specs,
     table_of,
 )
 from cutlab import _kernels, characterizations, constructors, cut_engine, group_core
@@ -379,6 +381,63 @@ def test_permutation_labels_on_demand_match_cycle_notation(spec):
     for x in range(G.order):
         expected = group_core._perm_cycle_label(G.images[x], points)
         assert G.label(x) == expected == _reference_cycle_label(full[x])
+
+
+def _permutation_facts(G):
+    """Every fact of a permutation group that its storage could change, as plain values."""
+    profile = G.profile
+    return {
+        "inverses": G.inv_vec.tolist(),
+        "classes": [
+            getattr(G.conjugacy, n).tolist() for n in ("class_of", "representatives", "inverse_class")
+        ],
+        "orders": G.element_orders.tolist(),
+        "cut": cut_engine.decide_cut(G).witnesses,
+        "oracle": cut_engine.decide_cut_bruteforce(G).witnesses,
+        "labels": [G.label(x) for x in range(G.order)],
+        "profile": dataclasses.replace(profile, sylow_subgroups={}),
+        "sylow": {q: S.members.tolist() for q, S in profile.sylow_subgroups.items()},
+        "table": G.dense_table().tolist(),
+    }
+
+
+def test_permutation_tables_answer_as_the_lookup(monkeypatch):
+    """A permutation group that keeps its composed table answers exactly as the key lookup does."""
+    specs = [s for seed in (1, 7) for s in sweep_specs(seed) if s.kind == "permutation"]
+    specs += [symmetric(d) for d in (3, 4, 5)]
+    kept = [construct(s) for s in specs]
+    want = [_permutation_facts(G) for G in kept]
+    # 4·n² > 64 bytes for every order here, so no table fits one block
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 64)
+    for spec, G, facts in zip(specs, kept, want):
+        L = construct(spec)
+        assert G.table is not None and L.table is None
+        assert np.array_equal(G.images, L.images) and G.generators == L.generators
+        assert _permutation_facts(L) == facts, spec.describe()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        symmetric(6),
+        # S4 wr C2 on 8 points, order 1152
+        permutation(8, [(1, 2, 3, 0, 4, 5, 6, 7), (1, 0, 2, 3, 4, 5, 6, 7), (4, 5, 6, 7, 0, 1, 2, 3)]),
+    ],
+    ids=lambda s: s.describe(),
+)
+def test_composed_dense_table_matches_the_lookup_fill(spec):
+    G = construct(spec)
+    assert G.table is None and G.order > 512
+    table = G.dense_table()
+    assert table.dtype == np.int32
+    assert np.array_equal(table, group_core.fill_table(G.order, G._lookup_product))
+
+
+def test_composed_table_refuses_generators_that_fall_short():
+    G = construct(symmetric(4))
+    gens = np.array(G.generators[:1])
+    with pytest.raises(NotAGroup, match="do not generate all 24 elements"):
+        group_core.composed_table(gens, G.mul_vec(np.arange(24)[None, :], gens[:, None]))
 
 
 def test_permutation_closure_computes_no_label(monkeypatch):
