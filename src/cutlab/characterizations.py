@@ -7,15 +7,20 @@ all predicates against the engine; a disagreement on an applicable group
 signals an implementation bug and is reported rather than raised.
 
 All per-element conditions are evaluated on class representatives only,
-which is equivalent because conjugate elements have conjugate powers, and
-each clause takes its powers or commutator subgroups for all of them at once.
+which is equivalent because conjugate elements have conjugate powers.  A
+clause is one whole-array expression over the classes (their element
+orders, power maps, inverse classes and [x, G]), and the prediction is
+that every flag holds.  A report's trace is formed on its first read, from
+columns that hold no group: the flags, a clause code per entry, and the
+names of G's class representatives, formed once per group.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +29,8 @@ from .errors import CenterTooLarge, HypothesisViolated, OrderCapExceeded
 from .group_core import (
     FiniteGroup,
     SubgroupHandle,
-    _is_power_of,
+    _distinct_commutator_subgroups,
     center,
-    commutator_subgroups,
     coset_minima,
     direct_product,
     prime_factors,
@@ -43,6 +47,26 @@ class TraceEntry:
     ok: bool
 
 
+class _Trace:
+    """The ``trace`` field of a report: a tuple of TraceEntry, formed on first read.
+
+    A report is given the tuple, or a function that forms it; the first read
+    calls the function and keeps its tuple.  The functions given here hold
+    arrays, ints and strings only, so a report does not keep its group alive.
+    """
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            raise AttributeError("trace")  # a required field: no default
+        trace = report.__dict__["_trace"]
+        if callable(trace):
+            trace = report.__dict__["_trace"] = trace()
+        return trace
+
+    def __set__(self, report, trace):
+        report.__dict__["_trace"] = trace if callable(trace) else tuple(trace)
+
+
 @dataclass(frozen=True)
 class TheoremReport:
     """Outcome of one characterization on one group.
@@ -50,13 +74,15 @@ class TheoremReport:
     ``predicted`` and ``agrees_with_decider`` are present exactly when the
     hypotheses hold (``applicable``).  For the product-based checks the
     agreement field compares the prediction against the decider on the
-    constructed products.
+    constructed products.  ``trace`` is a tuple of TraceEntry; the
+    characterizations pass a function forming it from their columns, which
+    runs on the first read of ``trace`` (see ``_Trace``).
     """
 
     name: str
     applicable: bool
     predicted: bool | None
-    trace: tuple[TraceEntry, ...]
+    trace: tuple[TraceEntry, ...] = _Trace()
     agrees_with_decider: bool | None = None
 
     @property
@@ -65,43 +91,97 @@ class TheoremReport:
         return self.applicable and self.agrees_with_decider is False
 
 
-def _conjunction(name: str, trace) -> TheoremReport:
-    """An applicable report predicting the cut-property iff every traced clause holds."""
-    trace = tuple(trace)
-    return TheoremReport(name, True, all(t.ok for t in trace), trace)
+class _Clause(NamedTuple):
+    """One clause over classes of G, one trace entry per flag.
+
+    The i-th entry is of the i-th class that ``classes`` marks (default:
+    class i), has the flag ``flags[i]`` and the clause text
+    ``texts[codes[i]]`` with ``values[i]`` filled in; ``codes`` and
+    ``values`` may be one int for every entry.
+    """
+
+    flags: np.ndarray
+    texts: tuple[str, ...]
+    codes: np.ndarray | int = 0
+    values: np.ndarray | int = 0
+    classes: np.ndarray | None = None
 
 
-def _power_clause(G: FiniteGroup, classes, k: int, either: bool) -> list[TraceEntry]:
-    """x^k ~ x^-1 (or x^k ~ x, when ``either``) for the representative x of each class."""
-    part, k_classes = G.conjugacy, G.power_map(k).tolist()
-    clause = f"x^{k} ~ x or x^-1" if either else f"x^{k} ~ x^-1"
-    trace = []
-    for c in classes:
-        ok = k_classes[c] == int(part.inverse_class[c]) or (either and k_classes[c] == c)
-        trace.append(TraceEntry(G.label(int(part.representatives[c])), clause, ok))
-    return trace
+def _class_names(G: FiniteGroup) -> tuple[str, ...]:
+    """The name of each class representative, by class id (kept on G, shared by the traces)."""
+    return tuple(map(G.label, G.conjugacy.representatives.tolist()))
+
+
+def _entries(head, names, clauses) -> tuple[TraceEntry, ...]:
+    """The trace of ``_conjunction``'s columns: ``head``, then one entry per flag of each clause."""
+    entries = [TraceEntry(*entry) for entry in head]
+    for flags, texts, codes, values, classes in clauses:
+        ids = range(len(flags)) if classes is None else np.flatnonzero(classes).tolist()
+        codes, values = (np.broadcast_to(a, flags.shape).tolist() for a in (codes, values))
+        for c, code, value, ok in zip(ids, codes, values, flags.tolist()):
+            entries.append(TraceEntry(names[c], texts[code].format(value), ok))
+    return tuple(entries)
+
+
+def _conjunction(name: str, head, G: FiniteGroup | None = None, clauses=()) -> TheoremReport:
+    """An applicable report predicting the cut-property iff every entry holds.
+
+    ``head`` holds the leading (subject, clause, ok) entries, and each
+    ``_Clause`` of ``clauses`` one more per class it marks.  The trace is
+    formed on first read, from these columns and G's class names.
+    """
+    names = G.fact(_class_names) if clauses else ()
+    # count_nonzero costs a fraction of ndarray.all's fixed cost on a few classes
+    holds = all(np.count_nonzero(c.flags) == len(c.flags) for c in clauses)
+    predicted = holds and all(ok for _, _, ok in head)
+    columns = partial(_entries, tuple(head), names, tuple(clauses))
+    return TheoremReport(name, True, predicted, columns)
+
+
+def _order_kinds(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The order m of each class representative, and its kind, by class id (kept on G).
+
+    The kinds are 0 (none of the others), 1 (m = 5), 2 (m = 2^a > 1),
+    3 (m = 3^b > 1), 4 (m = 7) and 5 (m = 1), read off a table by order:
+    m divides |G|, so a power of q is one of those dividing |G|.
+    """
+    kind, exponents = np.zeros(G.order + 8, dtype=np.int8), prime_factors(G.order)
+    for q in (2, 3):
+        kind[[q**a for a in range(1, exponents.get(q, 0) + 1)]] = q
+    kind[5], kind[7], kind[1] = 1, 4, 5
+    m = G.element_orders[G.conjugacy.representatives]
+    return m, kind[m]
+
+
+ODD_CLAUSES = (
+    "o(x)={} is neither 7 nor a power of 3",
+    "x^5 !~ x^-1",
+    "x^5 ~ x^-1 and admissible order",
+)
+ODD_ADMISSIBLE = np.array([False, False, False, True, True, True])  # by order kind: 3^b, 7 or 1
 
 
 def thm_odd(G: FiniteGroup) -> TheoremReport:
     """Odd-order criterion: x^5 ~ x^-1 and o(x) is 7 or a power of 3."""
     if G.order % 2 == 0:
         return TheoremReport("thm_odd", False, None, ())
-    part = G.conjugacy
-    fifth = G.power_map(5).tolist()
-    trace = []
-    for c in range(part.num_classes):
-        x = int(part.representatives[c])
-        m = G.element_order(x)
-        pow_ok = fifth[c] == int(part.inverse_class[c])
-        ord_ok = m == 7 or _is_power_of(m, 3)
-        if not ord_ok:
-            clause = f"o(x)={m} is neither 7 nor a power of 3"
-        elif not pow_ok:
-            clause = "x^5 !~ x^-1"
-        else:
-            clause = "x^5 ~ x^-1 and admissible order"
-        trace.append(TraceEntry(G.label(x), clause, pow_ok and ord_ok))
-    return _conjunction("thm_odd", trace)
+    orders, kinds = G.fact(_order_kinds)
+    # the ODD_CLAUSES text: the order fails, else x^5 fails, else both hold
+    codes = ODD_ADMISSIBLE[kinds] * (1 + (G.power_map(5) == G.conjugacy.inverse_class))
+    return _conjunction("thm_odd", (), G, [_Clause(codes == 2, ODD_CLAUSES, codes, orders)])
+
+
+EPPO_CLAUSES = (
+    "(i) o(x)=2^a and x^3 ~ x or x^-1",
+    "(ii) o(x)=7 or 3^b and x^5 ~ x^-1",
+    "(iii) o(x)=5 and x^3 ~ x^-1",
+    "o(x)={} admitted by no clause",
+)
+EPPO_CODES = np.array([3, 2, 0, 1, 1, 0])  # by order kind: the first clause admitting the order
+# by clause: which of x^3 ~ x^-1, x^3 ~ x and x^5 ~ x^-1 satisfies it
+EPPO_SUFFICES = np.array(
+    [[True, True, False], [False, False, True], [True, False, False], [False, False, False]]
+)
 
 
 def thm_solvable_eppo(G: FiniteGroup) -> TheoremReport:
@@ -109,27 +189,20 @@ def thm_solvable_eppo(G: FiniteGroup) -> TheoremReport:
     profile = G.profile
     if not (profile.is_solvable and profile.is_eppo):
         return TheoremReport("thm_solvable_eppo", False, None, ())
-    part = G.conjugacy
-    third, fifth = G.power_map(3).tolist(), G.power_map(5).tolist()
-    trace = []
-    for c in range(part.num_classes):
-        x = int(part.representatives[c])
-        m = G.element_order(x)
-        inv_c = int(part.inverse_class[c])
-        if _is_power_of(m, 2):
-            ok = third[c] in (c, inv_c)
-            clause = "(i) o(x)=2^a and x^3 ~ x or x^-1"
-        elif m == 7 or (m % 3 == 0 and _is_power_of(m, 3)):
-            ok = fifth[c] == inv_c
-            clause = "(ii) o(x)=7 or 3^b and x^5 ~ x^-1"
-        elif m == 5:
-            ok = third[c] == inv_c
-            clause = "(iii) o(x)=5 and x^3 ~ x^-1"
-        else:
-            ok = False
-            clause = f"o(x)={m} admitted by no clause"
-        trace.append(TraceEntry(G.label(x), clause, ok))
-    return _conjunction("thm_solvable_eppo", trace)
+    orders, kinds = G.fact(_order_kinds)
+    codes = EPPO_CODES[kinds]
+    cube_inverse, cube_self, fifth_inverse = EPPO_SUFFICES[codes].T
+    third, fifth, inverse = G.power_map(3), G.power_map(5), G.conjugacy.inverse_class
+    flags = (
+        ((third == inverse) & cube_inverse)
+        | ((third == np.arange(len(codes))) & cube_self)
+        | ((fifth == inverse) & fifth_inverse)
+    )
+    return _conjunction("thm_solvable_eppo", (), G, [_Clause(flags, EPPO_CLAUSES, codes, orders)])
+
+
+TWO_ELEMENTS = np.array([False, False, True, False, False, True])  # by order kind: 2^a or 1
+THREE_ELEMENTS = np.array([False, False, False, True, False, True])  # by order kind: 3^b or 1
 
 
 def thm_nilpotent(G: FiniteGroup) -> TheoremReport:
@@ -145,20 +218,22 @@ def thm_nilpotent(G: FiniteGroup) -> TheoremReport:
         return TheoremReport("thm_nilpotent", False, None, ())
     pi = set(profile.pi)
     if not pi <= {2, 3}:
-        trace = [TraceEntry("group", f"pi={sorted(pi)} not within {{2,3}}", False)]
-        return _conjunction("thm_nilpotent", trace)
+        head = [("group", f"pi={sorted(pi)} not within {{2,3}}", False)]
+        return _conjunction("thm_nilpotent", head)
     part = G.conjugacy
-    rep_orders = G.element_orders[part.representatives].tolist()
-    two, three = ([c for c, m in enumerate(rep_orders) if _is_power_of(m, p)] for p in (2, 3))
-    trace = []
+    kinds = G.fact(_order_kinds)[1]
+    two, three = TWO_ELEMENTS[kinds], THREE_ELEMENTS[kinds]
+    head, clauses = [], []
     if pi == {2, 3}:
-        real = bool(part.is_real[two].all())
-        trace.append(TraceEntry("sylow 2-subgroup", "is a real group", real))
+        head.append(("sylow 2-subgroup", "is a real group", bool(part.is_real[two].all())))
     if pi != {3}:
-        trace += _power_clause(G, two, 3, either=True)
+        third = G.power_map(3)
+        either = (third == part.inverse_class) | (third == np.arange(len(kinds)))
+        clauses.append(_Clause(either[two], ("x^3 ~ x or x^-1",), classes=two))
     if 3 in pi:
-        trace += _power_clause(G, three, 2, either=False)
-    return _conjunction("thm_nilpotent", trace)
+        squares = G.power_map(2) == part.inverse_class
+        clauses.append(_Clause(squares[three], ("x^2 ~ x^-1",), classes=three))
+    return _conjunction("thm_nilpotent", head, G, clauses)
 
 
 def _class2_applicable(G: FiniteGroup) -> bool:
@@ -170,15 +245,19 @@ def _class2_applicable(G: FiniteGroup) -> bool:
     )
 
 
-def _class_commutators(G: FiniteGroup) -> list[SubgroupHandle]:
-    """[x, G] for the representative x of each class, by class id, kept on G."""
-    return commutator_subgroups(G, G.conjugacy.representatives)
+def _class_commutators(G: FiniteGroup) -> tuple[list[SubgroupHandle], np.ndarray]:
+    """The distinct [x, G] over the class representatives x, and each class's index (kept on G)."""
+    subs, which = _distinct_commutator_subgroups(G, G.conjugacy.representatives)
+    keys = [sub.members.tobytes() for sub in subs]  # distinct rows may close to one subgroup
+    by_members = dict(zip(keys, subs))
+    slot = {key: i for i, key in enumerate(by_members)}
+    return list(by_members.values()), np.array([slot[key] for key in keys])[which]
 
 
-def _degenerate_class(G: FiniteGroup) -> list[TraceEntry]:
+def _degenerate_class(G: FiniteGroup) -> list[tuple[str, str, bool]]:
     """The trace entry admitting an abelian G (class 0 or 1) to a class-2 criterion."""
     nc = G.profile.nilpotency_class
-    return [TraceEntry("group", f"degenerate case: class {nc}", True)] if nc < 2 else []
+    return [("group", f"degenerate case: class {nc}", True)] if nc < 2 else []
 
 
 def cor_class2(G: FiniteGroup) -> TheoremReport:
@@ -191,18 +270,16 @@ def cor_class2(G: FiniteGroup) -> TheoremReport:
     """
     if not _class2_applicable(G):
         return TheoremReport("cor_class2", False, None, ())
-    trace = _degenerate_class(G)
+    head = _degenerate_class(G)
     if G.order == 1:
-        return _conjunction("cor_class2", trace)
+        return _conjunction("cor_class2", head)
     exponent = {2: 4, 3: 3}.get(G.profile.p)
     if exponent is None:
-        trace.append(TraceEntry("group", f"p={G.profile.p} not 2 or 3", False))
-        return _conjunction("cor_class2", trace)
-    reps = G.conjugacy.representatives
-    subs = G.fact(_class_commutators)
-    for x, sub, power in zip(reps.tolist(), subs, G.power_vec(reps, exponent).tolist()):
-        trace.append(TraceEntry(G.label(x), f"x^{exponent} in [x,G]", sub.contains(power)))
-    return _conjunction("cor_class2", trace)
+        return _conjunction("cor_class2", head + [("group", f"p={G.profile.p} not 2 or 3", False)])
+    subs, which = G.fact(_class_commutators)
+    powers = G.power_vec(G.conjugacy.representatives, exponent)
+    flags = np.stack([sub._mask for sub in subs])[which, powers]
+    return _conjunction("cor_class2", head, G, [_Clause(flags, (f"x^{exponent} in [x,G]",))])
 
 
 MAX_CENTER_SUBGROUPS = 1024  # larger centers are not enumerated (CenterTooLarge)
@@ -354,21 +431,43 @@ def _enumerate_subgroups(G: FiniteGroup, Z: SubgroupHandle) -> np.ndarray:
     return np.concatenate(out)
 
 
+def _central_subgroups(G: FiniteGroup, Z: SubgroupHandle, cap: int) -> np.ndarray:
+    """All subgroups of a central Z of G, a row of coset minima each (``_enumerate_subgroups``).
+
+    The subgroups are counted first (``_subgroup_count``), and past ``cap``
+    CenterTooLarge is raised before any is formed.
+    """
+    if _subgroup_count(G.element_orders[Z.members]) > cap:
+        raise CenterTooLarge(f"center has more than {cap} subgroups; raise the cap to enumerate")
+    return _enumerate_subgroups(G, Z)
+
+
+def _by_size_then_members(inside: np.ndarray) -> list[int]:
+    """The rows of ``inside`` by size, then members; a row marks a subgroup's members among Z's."""
+    members = [np.flatnonzero(row).tolist() for row in inside]
+    return sorted(range(len(members)), key=lambda i: (len(members[i]), members[i]))
+
+
 def _central_subgroup_families(
     G: FiniteGroup, Z: SubgroupHandle, cap: int
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """All subgroups of a central Z of G: sorted member arrays, and a row of coset minima each.
 
-    They are ordered by size, then by members.  The subgroups are counted
-    first (``_subgroup_count``), and past ``cap`` CenterTooLarge is raised
-    before any is formed; then ``_enumerate_subgroups`` forms each once.
+    They are ordered by size, then by members, as the central_subgroups
+    trace lists them (``_central_subgroups``).
     """
-    if _subgroup_count(G.element_orders[Z.members]) > cap:
-        raise CenterTooLarge(f"center has more than {cap} subgroups; raise the cap to enumerate")
-    minima = _enumerate_subgroups(G, Z)
-    families = [Z.members[row[Z.members] == 0] for row in minima]
-    order = sorted(range(len(families)), key=lambda i: (len(families[i]), families[i].tolist()))
-    return [families[i] for i in order], minima[order]
+    minima = _central_subgroups(G, Z, cap)
+    order = _by_size_then_members(minima[:, Z.members] == 0)
+    return [Z.members[minima[i, Z.members] == 0] for i in order], minima[order]
+
+
+def _central_entries(head, inside, flags) -> tuple[TraceEntry, ...]:
+    """The central_subgroups trace: ``head``, then each N (a row of ``inside``) by size and members."""
+    sizes, flags = inside.sum(axis=1).tolist(), flags.tolist()
+    return tuple(TraceEntry(*entry) for entry in head) + tuple(
+        TraceEntry(f"N of order {sizes[i]}", "N and G/N have cut", flags[i])
+        for i in _by_size_then_members(inside)
+    )
 
 
 def prop_class2_factor(G: FiniteGroup, mode: str = "per_element") -> TheoremReport:
@@ -380,28 +479,27 @@ def prop_class2_factor(G: FiniteGroup, mode: str = "per_element") -> TheoremRepo
     abelian center are enumerated exhaustively.  Class <= 2 puts every
     [x,G] inside the center, so N is central in both modes, and the N of
     one mode are decided together on G's own elements
-    (``central_factor_cuts``), each given by its coset minima.
+    (``central_factor_cuts``), each given by its coset minima.  The
+    central_subgroups trace lists each N by size, then members, sorted
+    when it is first read.
     """
     if mode not in ("per_element", "central_subgroups"):
         raise ValueError(f"unknown mode {mode!r}")
     name = f"prop_class2_factor[{mode}]"
     if not _class2_applicable(G):
         return TheoremReport(name, False, None, ())
-    trace = _degenerate_class(G)
+    head = _degenerate_class(G)
     if mode == "per_element":
-        reps = G.conjugacy.representatives
-        subs = G.fact(_class_commutators)
-        distinct = {sub.members.tobytes(): sub for sub in subs}
-        minima = np.stack([coset_minima(G, sub) for sub in distinct.values()])
-        ok = dict(zip(distinct, central_factor_cuts(G, minima).tolist()))
-        for x, sub in zip(reps.tolist(), subs):
-            clause = f"[x,G] (order {sub.order}) and G/[x,G] have cut"
-            trace.append(TraceEntry(G.label(x), clause, ok[sub.members.tobytes()]))
-    else:
-        families, minima = _central_subgroup_families(G, center(G), MAX_CENTER_SUBGROUPS)
-        for members, good in zip(families, central_factor_cuts(G, minima).tolist()):
-            trace.append(TraceEntry(f"N of order {len(members)}", "N and G/N have cut", good))
-    return _conjunction(name, trace)
+        subs, which = G.fact(_class_commutators)
+        cuts = central_factor_cuts(G, np.stack([coset_minima(G, sub) for sub in subs]))
+        orders = np.array([sub.order for sub in subs])[which]
+        clause = _Clause(cuts[which], ("[x,G] (order {}) and G/[x,G] have cut",), values=orders)
+        return _conjunction(name, head, G, [clause])
+    Z = center(G)
+    minima = _central_subgroups(G, Z, MAX_CENTER_SUBGROUPS)
+    cuts = central_factor_cuts(G, minima)
+    trace = partial(_central_entries, tuple(head), minima[:, Z.members] == 0, cuts)
+    return TheoremReport(name, True, bool(cuts.all()), trace)  # the head entry, if any, holds
 
 
 def remark_two_group_sum(
@@ -525,4 +623,5 @@ def verify_equivalences(G: FiniteGroup, max_order: int | None = None) -> list[Th
 def _fill_agreement(report: TheoremReport, actual: bool) -> TheoremReport:
     if not report.applicable:
         return report
-    return replace(report, agrees_with_decider=report.predicted == actual)
+    # the trace as given, so that a trace not yet read is not formed here
+    return replace(report, trace=report._trace, agrees_with_decider=report.predicted == actual)

@@ -29,9 +29,10 @@ product takes its classes and element orders from its factors instead.
 Each group fact is computed once and kept on the group (see
 ``FiniteGroup``); the brute-force oracle of ``cut_engine`` reads none of
 them, and the center is formed afresh on each call.
-Element orders come from a whole-array power walk (``orders_modulo``, which
-also gives the orders of cosets xN), cut short where p-part powering by
-square-and-multiply needs fewer products; the class of x^k for each class
+Element orders come from a whole-array power walk over the class
+representatives (``orders_modulo``, which also gives the orders of cosets
+xN), cut short where p-part powering by square-and-multiply needs fewer
+products; the class of x^k for each class
 representative is kept per k (``power_map``).  Subgroups (the
 center, the Sylow subgroups, the derived and lower central series, and
 [x, G] for many x at once) are derived lazily inside G, each as a sorted
@@ -191,8 +192,9 @@ class FiniteGroup:
     orders, the class power maps (``power_map``, kept per exponent), the
     structural profile and the derived subgroup.  A fact that another
     module computes is kept through ``fact``, keyed by the function that
-    computes it: the cut verdict of ``decide_cut``, and the [x, G] of every
-    class representative and the cube split read by the characterizations.
+    computes it: the cut verdict of ``decide_cut``, and what the
+    characterizations read (the [x, G] of every class representative, the
+    names and order kinds of the representatives, and the cube split).
     The center is formed afresh on each call.  The brute-force oracle reads
     none of these.
 
@@ -311,13 +313,18 @@ class FiniteGroup:
     def element_orders(self) -> np.ndarray:
         """Order of every element (``orders_modulo`` with N the identity).
 
-        The walk x, x^2, ... over all elements runs for the
+        Order is a class function, so only the class representatives are
+        walked, and each class's order is spread to its members through
+        ``class_of``.  The walk x, x^2, ... runs for the
         ``_p_part_products(order)`` products p-part powering needs; that
         settles every element of a small exponent, and p-part powering
         finishes the rest.
         """
-        everyone = np.arange(self.order)
-        orders = orders_modulo(self, everyone, everyone == 0, _p_part_products(self.order) + 1)
+        part = self.conjugacy
+        reps = part.representatives.astype(np.intp)  # int32 indices would cast in every gather
+        identity = np.arange(self.order) == 0
+        orders = orders_modulo(self, reps, identity, _p_part_products(self.order) + 1)
+        orders = orders[part.class_of]
         orders.flags.writeable = False
         return orders
 
@@ -831,6 +838,9 @@ def greedy_generators(table: np.ndarray) -> tuple[int, ...]:
 def fill_table(order: int, product) -> np.ndarray:
     """The int32 Cayley table of ``product(a, b)`` over broadcast int32 index arrays.
 
+    ``a`` is a column of row indices, one row block, and ``b`` is always the
+    row ``arange(order)[None, :]``.
+
     Each int64 array of a row block holds an eighth of BLOCK_BYTES, so the
     few arrays of that size a product forms stay within about BLOCK_BYTES
     together, and the table is the only order x order array.
@@ -1126,7 +1136,8 @@ def quotient(G: FiniteGroup, N: SubgroupHandle) -> FiniteGroup:
     rep_of = coset_minima(G, N)
     reps = np.flatnonzero(rep_of == np.arange(G.order))
     coset_id = np.searchsorted(reps, rep_of)
-    table = fill_table(n, lambda a, b: coset_id[G.mul_vec(reps[a], reps[b])])
+    # fill_table's column operand is always the whole row, whose representatives are reps itself
+    table = fill_table(n, lambda a, _: coset_id[G.mul_vec(reps[a], reps[None, :])])
     labels = tuple(G.label(int(r)) for r in reps)
     gens = []
     for g in G.generators:
@@ -1146,12 +1157,17 @@ def commutator_subgroups(G: FiniteGroup, xs) -> list[SubgroupHandle]:
 
     As [x, gh] = [x, g] g[x, h]g^-1, it is the normal closure of the
     commutators of x with G's generators; elements with the same such
-    commutators share one closure.
+    commutators share one closure (``_distinct_commutator_subgroups``).
     """
+    subs, which = _distinct_commutator_subgroups(G, xs)
+    return [subs[i] for i in which.tolist()]
+
+
+def _distinct_commutator_subgroups(G: FiniteGroup, xs) -> tuple[list[SubgroupHandle], np.ndarray]:
+    """One [x, G] per distinct row of commutators [x, g] over G's generators g, and each x's row."""
     rows = _commutators(G, np.asarray(xs)[:, None], np.asarray(G.generators)[None, :])
     distinct, which = np.unique(rows, axis=0, return_inverse=True)
-    subs = [subgroup_generated(G, row, normal_closure=True) for row in distinct]
-    return [subs[i] for i in which.ravel().tolist()]
+    return [subgroup_generated(G, row, normal_closure=True) for row in distinct], which.ravel()
 
 
 def _commutator_subgroup(G: FiniteGroup, xs, ys) -> SubgroupHandle:
@@ -1241,12 +1257,6 @@ def _compute_profile(G: FiniteGroup) -> StructuralProfile:
         is_real_group=real,
         sylow_subgroups=sylow,
     )
-
-
-def _is_power_of(m: int, q: int) -> bool:
-    while m % q == 0:
-        m //= q
-    return m == 1
 
 
 # ---------------------------------------------------------------------------

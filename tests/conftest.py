@@ -14,7 +14,9 @@ partition, and the generator and orbit references close sets by BFS.
 The scalar witness scan is the oracle kernel's reference: it works on the
 table and its inverses one element and one power at a time.  The label
 reference names every element of a built spec by each kind's formula,
-evaluated for all elements up front.
+evaluated for all elements up front.  The characterization references are
+the per-class loops: one trace entry and one ``label`` call per class,
+every [x, G] looked up class by class.
 """
 
 import importlib.util
@@ -26,10 +28,18 @@ import numpy as np
 import pytest
 
 from cutlab import _kernels, group_core
+from cutlab.characterizations import (
+    MAX_CENTER_SUBGROUPS,
+    TheoremReport,
+    TraceEntry,
+    _central_subgroup_families,
+    _class2_applicable,
+)
 from cutlab.cli import parse_group_spec
-from cutlab.constructors import construct, product
+from cutlab.constructors import construct, cyclic, metacyclic, product, symmetric
 from cutlab.corpus import builtin_corpus, run_corpus
-from cutlab.group_core import subgroup_generated
+from cutlab.cut_engine import central_factor_cuts
+from cutlab.group_core import center, commutator_subgroups, coset_minima, subgroup_generated
 
 SWEEPGEN = Path(__file__).parents[1] / "perfbench" / "sweepgen.py"
 
@@ -305,6 +315,18 @@ def sweep_specs(seed):
     return [parse_group_spec(item.text) for item in sweepgen.generate(seed)]
 
 
+# the benchmark's analyze requests (perfbench/workloads.py:ANALYZE_REQUESTS): the two paper
+# examples, cyclic(512), dihedral(4096) and S6
+ANALYZE_SPECS = (
+    metacyclic(12, 2, 5), metacyclic(9, 9, 4), cyclic(512), metacyclic(2048, 2, 2047), symmetric(6)
+)
+
+
+def checked_specs():
+    """Every corpus spec, the analyze specs, then the sweep streams of seeds 1 and 7."""
+    return [e.spec for e in builtin_corpus()] + list(ANALYZE_SPECS) + sweep_specs(1) + sweep_specs(7)
+
+
 def _power_word(*powers):
     """Like "a^2 b": each (symbol, exponent) with a nonzero exponent, "1" if none."""
     word = [sym if e == 1 else f"{sym}^{e}" for sym, e in powers if e]
@@ -361,3 +383,157 @@ def reference_labels(spec, G):
         full[:, G.points] = G.points[G.images]
         return [_cycle_word(row) for row in full.tolist()]
     return [str(x) for x in idx]
+
+
+# -- the characterizations' eager reference: one trace entry and one name per class --
+
+def _is_power_of(m, q):
+    while m % q == 0:
+        m //= q
+    return m == 1
+
+
+def _conjunction(name, trace):
+    """An applicable report predicting the cut-property iff every traced clause holds."""
+    trace = tuple(trace)
+    return TheoremReport(name, True, all(t.ok for t in trace), trace)
+
+
+def _power_clause(G, classes, k, either):
+    """x^k ~ x^-1 (or x^k ~ x, when ``either``) for the representative x of each class."""
+    part, k_classes = G.conjugacy, G.power_map(k).tolist()
+    clause = f"x^{k} ~ x or x^-1" if either else f"x^{k} ~ x^-1"
+    trace = []
+    for c in classes:
+        ok = k_classes[c] == int(part.inverse_class[c]) or (either and k_classes[c] == c)
+        trace.append(TraceEntry(G.label(int(part.representatives[c])), clause, ok))
+    return trace
+
+
+def reference_thm_odd(G):
+    """Odd-order criterion: x^5 ~ x^-1 and o(x) is 7 or a power of 3."""
+    if G.order % 2 == 0:
+        return TheoremReport("thm_odd", False, None, ())
+    part = G.conjugacy
+    fifth = G.power_map(5).tolist()
+    trace = []
+    for c in range(part.num_classes):
+        x = int(part.representatives[c])
+        m = G.element_order(x)
+        pow_ok = fifth[c] == int(part.inverse_class[c])
+        ord_ok = m == 7 or _is_power_of(m, 3)
+        if not ord_ok:
+            clause = f"o(x)={m} is neither 7 nor a power of 3"
+        elif not pow_ok:
+            clause = "x^5 !~ x^-1"
+        else:
+            clause = "x^5 ~ x^-1 and admissible order"
+        trace.append(TraceEntry(G.label(x), clause, pow_ok and ord_ok))
+    return _conjunction("thm_odd", trace)
+
+
+def reference_thm_solvable_eppo(G):
+    """Solvable prime-power-order criterion, three order-dependent clauses."""
+    profile = G.profile
+    if not (profile.is_solvable and profile.is_eppo):
+        return TheoremReport("thm_solvable_eppo", False, None, ())
+    part = G.conjugacy
+    third, fifth = G.power_map(3).tolist(), G.power_map(5).tolist()
+    trace = []
+    for c in range(part.num_classes):
+        x = int(part.representatives[c])
+        m = G.element_order(x)
+        inv_c = int(part.inverse_class[c])
+        if _is_power_of(m, 2):
+            ok = third[c] in (c, inv_c)
+            clause = "(i) o(x)=2^a and x^3 ~ x or x^-1"
+        elif m == 7 or (m % 3 == 0 and _is_power_of(m, 3)):
+            ok = fifth[c] == inv_c
+            clause = "(ii) o(x)=7 or 3^b and x^5 ~ x^-1"
+        elif m == 5:
+            ok = third[c] == inv_c
+            clause = "(iii) o(x)=5 and x^3 ~ x^-1"
+        else:
+            ok = False
+            clause = f"o(x)={m} admitted by no clause"
+        trace.append(TraceEntry(G.label(x), clause, ok))
+    return _conjunction("thm_solvable_eppo", trace)
+
+
+def reference_thm_nilpotent(G):
+    """Nilpotent criterion: 2-group clause, 3-group clause, or a 2x3 split."""
+    profile = G.profile
+    if not profile.is_nilpotent:
+        return TheoremReport("thm_nilpotent", False, None, ())
+    pi = set(profile.pi)
+    if not pi <= {2, 3}:
+        trace = [TraceEntry("group", f"pi={sorted(pi)} not within {{2,3}}", False)]
+        return _conjunction("thm_nilpotent", trace)
+    part = G.conjugacy
+    rep_orders = G.element_orders[part.representatives].tolist()
+    two, three = ([c for c, m in enumerate(rep_orders) if _is_power_of(m, p)] for p in (2, 3))
+    trace = []
+    if pi == {2, 3}:
+        real = bool(part.is_real[two].all())
+        trace.append(TraceEntry("sylow 2-subgroup", "is a real group", real))
+    if pi != {3}:
+        trace += _power_clause(G, two, 3, either=True)
+    if 3 in pi:
+        trace += _power_clause(G, three, 2, either=False)
+    return _conjunction("thm_nilpotent", trace)
+
+
+def _degenerate_class(G):
+    """The trace entry admitting an abelian G (class 0 or 1) to a class-2 criterion."""
+    nc = G.profile.nilpotency_class
+    return [TraceEntry("group", f"degenerate case: class {nc}", True)] if nc < 2 else []
+
+
+def reference_cor_class2(G):
+    """Power-in-commutator criterion for p-groups of class at most 2."""
+    if not _class2_applicable(G):
+        return TheoremReport("cor_class2", False, None, ())
+    trace = _degenerate_class(G)
+    if G.order == 1:
+        return _conjunction("cor_class2", trace)
+    exponent = {2: 4, 3: 3}.get(G.profile.p)
+    if exponent is None:
+        trace.append(TraceEntry("group", f"p={G.profile.p} not 2 or 3", False))
+        return _conjunction("cor_class2", trace)
+    reps = G.conjugacy.representatives
+    subs = commutator_subgroups(G, reps)
+    for x, sub, power in zip(reps.tolist(), subs, G.power_vec(reps, exponent).tolist()):
+        trace.append(TraceEntry(G.label(x), f"x^{exponent} in [x,G]", sub.contains(power)))
+    return _conjunction("cor_class2", trace)
+
+
+def reference_prop_class2_factor(G, mode="per_element"):
+    """Factor criterion for class-at-most-2 p-groups, per element or over every central N."""
+    name = f"prop_class2_factor[{mode}]"
+    if not _class2_applicable(G):
+        return TheoremReport(name, False, None, ())
+    trace = _degenerate_class(G)
+    if mode == "per_element":
+        reps = G.conjugacy.representatives
+        subs = commutator_subgroups(G, reps)
+        distinct = {sub.members.tobytes(): sub for sub in subs}
+        minima = np.stack([coset_minima(G, sub) for sub in distinct.values()])
+        ok = dict(zip(distinct, central_factor_cuts(G, minima).tolist()))
+        for x, sub in zip(reps.tolist(), subs):
+            clause = f"[x,G] (order {sub.order}) and G/[x,G] have cut"
+            trace.append(TraceEntry(G.label(x), clause, ok[sub.members.tobytes()]))
+    else:
+        families, minima = _central_subgroup_families(G, center(G), MAX_CENTER_SUBGROUPS)
+        for members, good in zip(families, central_factor_cuts(G, minima).tolist()):
+            trace.append(TraceEntry(f"N of order {len(members)}", "N and G/N have cut", good))
+    return _conjunction(name, trace)
+
+
+REFERENCE_CHARACTERIZATIONS = {
+    "thm_odd": reference_thm_odd,
+    "thm_solvable_eppo": reference_thm_solvable_eppo,
+    "thm_nilpotent": reference_thm_nilpotent,
+    "cor_class2": reference_cor_class2,
+    "prop_class2_factor[per_element]": reference_prop_class2_factor,
+    "prop_class2_factor[central_subgroups]": lambda G: reference_prop_class2_factor(G, "central_subgroups"),
+}

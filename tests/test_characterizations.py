@@ -1,9 +1,15 @@
 """Each published characterization against the decision engine."""
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import (
+    REFERENCE_CHARACTERIZATIONS,
+    checked_specs,
     reference_center,
     reference_coset_classes,
     reference_coset_minima,
@@ -590,3 +596,80 @@ def test_disagrees_is_an_applicable_report_against_the_decider(corpus_result):
     assert not TheoremReport("t", True, True, (), agrees_with_decider=True).disagrees
     assert not TheoremReport("t", True, True, ()).disagrees
     assert not TheoremReport("t", False, None, (), agrees_with_decider=False).disagrees
+
+
+CHARACTERIZATIONS = {
+    "thm_odd": thm_odd,
+    "thm_solvable_eppo": thm_solvable_eppo,
+    "thm_nilpotent": thm_nilpotent,
+    "cor_class2": cor_class2,
+    "prop_class2_factor[per_element]": prop_class2_factor,
+    "prop_class2_factor[central_subgroups]": lambda G: prop_class2_factor(G, "central_subgroups"),
+}
+
+
+def _outcome(fn, G):
+    """fn(G), or the message of the CenterTooLarge it raises."""
+    try:
+        return fn(G)
+    except CenterTooLarge as exc:
+        return str(exc)
+
+
+def test_characterizations_match_the_eager_reference():
+    """Every report equals the per-class loops' (``conftest``), its trace formed on reading.
+
+    On the corpus groups, the analyze specs and the sweep streams of seeds 1
+    and 7; the reference runs on a second copy of each group, so no kept
+    fact is shared.
+    """
+    predictions = {name: set() for name in CHARACTERIZATIONS}
+    for spec in checked_specs():
+        G, H = construct(spec), construct(spec)
+        for name, fn in CHARACTERIZATIONS.items():
+            got, want = _outcome(fn, G), _outcome(REFERENCE_CHARACTERIZATIONS[name], H)
+            assert got == want, (name, spec.describe())
+            if isinstance(got, TheoremReport):
+                assert all(type(t.ok) is bool for t in got.trace), (name, spec.describe())
+                predictions[name].add(got.predicted)
+    assert all(seen == {None, True, False} for seen in predictions.values()), predictions
+
+
+def test_verify_forms_no_trace_entry_until_a_trace_is_read(monkeypatch):
+    formed = []
+
+    class Counted(TraceEntry):
+        def __init__(self, *args):
+            formed.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(characterizations, "TraceEntry", Counted)
+    reports = verify_equivalences(construct(metacyclic(2048, 2, 2047)))  # dihedral of order 4096
+    assert formed == []
+    traces = [r.trace for r in reports]
+    assert len(formed) == sum(map(len, traces)) > 2000
+    assert all(r.trace is t for r, t in zip(reports, traces))  # formed once, then kept
+    assert len(formed) == sum(map(len, traces))
+
+
+def test_reports_do_not_keep_their_group_alive():
+    """Once its group is collected, a report still forms the trace it stood for."""
+    for spec in (heisenberg(3), abelian([2, 4]), metacyclic(2048, 2, 2047)):
+        want = verify_equivalences(construct(spec))
+        G = construct(spec)
+        reports = verify_equivalences(G)
+        group = weakref.ref(G)
+        del G
+        gc.collect()
+        assert group() is None, spec.describe()
+        assert reports == want, spec.describe()
+        assert any(r.applicable and r.trace for r in reports)
+
+
+def test_replace_keeps_a_trace_not_yet_read():
+    G = construct(heisenberg(3))
+    report = cor_class2(G)
+    agreed = dataclasses.replace(report, trace=report._trace, agrees_with_decider=True)
+    assert callable(agreed._trace) and agreed.trace == report.trace
+    assert dataclasses.replace(report, name="other").trace == report.trace
+    assert TheoremReport("t", True, True, [TraceEntry("x", "c", True)]).trace == (TraceEntry("x", "c", True),)

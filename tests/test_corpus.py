@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+from contextlib import redirect_stdout
+from io import StringIO
 
 import numpy as np
+from conftest import ANALYZE_SPECS
 
 from cutlab import characterizations, cut_engine
-from cutlab.cli import render_corpus_result
+from cutlab.cli import main, render_corpus_result
 from cutlab.corpus import (
     CorpusEntry,
     RunConfig,
@@ -151,6 +154,26 @@ def test_corpus_report_bytes_match_the_benchmark_digest(corpus_result):
         entry.pop("seconds")
     digest = hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
     assert digest == CORPUS_DIGEST
+
+
+# sha256 of every `cutlab verify` output below, recorded before the traces were formed on demand
+VERIFY_DIGEST = "77f39c7b74a7f79d7165e7dd898f78ef5da3fc1642fa7775231bcaf02ac6cab0"
+
+
+def test_verify_trace_bytes_match_the_recorded_digest(tmp_path):
+    """`verify` is the one output that prints traces: their subjects, clauses, flags and order."""
+    specs = [e.spec.to_dict() for e in builtin_corpus()] + [s.to_dict() for s in ANALYZE_SPECS]
+    path = tmp_path / "spec.json"
+    digest = hashlib.sha256()
+    for spec in specs:
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        for fmt in ("json", "text"):
+            out = StringIO()
+            with redirect_stdout(out):
+                rc = main(["verify", str(path), "--format", fmt])
+            digest.update(f"{rc}\n{out.getvalue()}".encode())
+    assert len(specs) == 142
+    assert digest.hexdigest() == VERIFY_DIGEST
 
 
 def test_remark_pairs_cube_each_factor_once(corpus_result, monkeypatch):

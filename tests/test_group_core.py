@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    checked_specs,
     count_fill_rows,
     naive_center,
     naive_classes,
@@ -20,6 +21,7 @@ from conftest import (
     reference_greedy_generators,
     reference_lower_central_series,
     reference_orbit_lengths,
+    reference_orders,
     sweep_specs,
     table_of,
 )
@@ -1100,3 +1102,14 @@ def test_validate_group_axioms_symmetric_6():
 
 def test_validate_group_axioms_large_group_sampled():
     validate_group_axioms(construct(abelian([8, 8, 8])))
+
+
+def test_element_orders_match_the_all_element_walk():
+    """Orders walked on the class representatives and spread by class, against every element's walk."""
+    kinds = set()
+    for spec in checked_specs():
+        G = construct(spec)
+        assert G.element_orders.tolist() == reference_orders(G).tolist(), spec.describe()
+        assert not G.element_orders.flags.writeable
+        kinds.add(type(G))
+    assert {FormulaGroup, PermutationGroup, TableGroup, group_core.ProductGroup} <= kinds
