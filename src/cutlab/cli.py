@@ -297,13 +297,15 @@ def _cmd_construct(args) -> int:
     spec = _load_spec(args.specfile, args.max_order)
     G = construct(spec, args.max_order)
     if args.emit_table:
-        payload = {
-            "group": spec.describe(),
-            "order": G.order,
-            "table": G.dense_table().tolist(),
-            "labels": [G.label(x) for x in range(G.order)],
-        }
-        print(json.dumps(payload, indent=2))
+        # the bytes of json.dumps(payload, indent=2), one table row at a time
+        table, out = G.dense_table(), sys.stdout
+        out.write(f'{{\n  "group": {json.dumps(spec.describe())},\n  "order": {G.order},\n')
+        out.write('  "table": [\n')
+        for x, row in enumerate(table):
+            entries = ",\n      ".join(map(str, row.tolist()))
+            out.write((",\n" if x else "") + f"    [\n      {entries}\n    ]")
+        labels = ",\n    ".join(json.dumps(G.label(x)) for x in range(G.order))
+        out.write(f'\n  ],\n  "labels": [\n    {labels}\n  ]\n}}\n')
     else:
         print(
             f"{spec.describe()}: order {G.order}, "

@@ -13,13 +13,13 @@ The five formula kinds (cyclic, abelian, metacyclic, dicyclic, heisenberg)
 each state one product formula over broadcast index arrays; the abelian
 one adds mixed-radix digits, one pass per factor that can carry.  Each
 also states one naming function, which names an element only when its
-label is asked for, so building a group computes no label.  Up to
-order 512, where the int32 Cayley table fits one row block
-(``group_core.fits_one_block``, the rule permutation groups follow too),
-it is evaluated into that table (``group_core.fill_table``); past it the
-group keeps the formula itself (``group_core.FormulaGroup``) and holds
-no order x order array.  The abelian formula gathers through intp digit
-indices and the others compute in int32 (``_int32``).
+label is asked for, so building a group computes no label.  Each is a
+``group_core.FormulaGroup``: it keeps the Cayley table its formula fills
+while that fits one row block (order <= 512, decided by
+``group_core.FiniteGroup`` for every backend) and past it holds no
+order x order array.  The abelian formula
+gathers through intp digit indices and the others compute in int32
+(``_int32``).
 Their check still refuses an order whose table would pass the byte budget,
 before anything is built, so ``dense_table`` (the oracle, ``--emit-table``)
 can always be formed.
@@ -43,13 +43,10 @@ from .errors import (
 from .group_core import (
     FiniteGroup,
     FormulaGroup,
-    TableGroup,
     build_from_permutations,
     build_from_table,
     check_image_budget,
     direct_product,
-    fill_table,
-    fits_one_block,
     max_order_cap,
     moved_points,
     permutation_images,
@@ -386,20 +383,6 @@ def _int32(a, b):
     return a.astype(np.int32, copy=False), b.astype(np.int32, copy=False)
 
 
-def _formula_group(spec, order: int, product, gens, namer) -> FiniteGroup:
-    """A formula kind's group: its Cayley table while that fits one row block, else its formula.
-
-    ``namer(x)`` names element x; it is called only when a label is asked for.
-
-    A table product is one gather, far cheaper than a formula; past one
-    block (``fits_one_block``, order 512) the table would be the only
-    order x order array of the group, so the formula is kept instead.
-    """
-    if fits_one_block(order):
-        return TableGroup(fill_table(order, product), gens, namer, name=spec.describe())
-    return FormulaGroup(order, product, gens, namer, name=spec.describe())
-
-
 def _build_cyclic(spec, cap) -> FiniteGroup:
     n = spec.n
 
@@ -410,7 +393,7 @@ def _build_cyclic(spec, cap) -> FiniteGroup:
         a, b = _int32(a, b)
         return (a + b) % n
 
-    return _formula_group(spec, n, product, (1,) if n > 1 else (0,), namer)
+    return FormulaGroup(n, product, (1,) if n > 1 else (0,), namer, spec.describe())
 
 
 def _build_abelian(spec, cap) -> FiniteGroup:
@@ -440,7 +423,7 @@ def _build_abelian(spec, cap) -> FiniteGroup:
     def namer(x):
         return "(" + ",".join(str(x // s % f) for s, f in places) + ")"
 
-    return _formula_group(spec, order, product, gens, namer)
+    return FormulaGroup(order, product, gens, namer, spec.describe())
 
 
 def _build_metacyclic(spec, cap) -> FiniteGroup:
@@ -465,7 +448,7 @@ def _build_metacyclic(spec, cap) -> FiniteGroup:
     def namer(k):
         return _ab_label(k % m, k // m)
 
-    return _formula_group(spec, order, product, gens, namer)
+    return FormulaGroup(order, product, gens, namer, spec.describe())
 
 
 def _build_dicyclic(spec, cap) -> FiniteGroup:
@@ -486,7 +469,7 @@ def _build_dicyclic(spec, cap) -> FiniteGroup:
     def namer(k):
         return _ab_label(k % two_n, k // two_n)
 
-    return _formula_group(spec, order, product, (1, two_n), namer)
+    return FormulaGroup(order, product, (1, two_n), namer, spec.describe())
 
 
 def _build_heisenberg(spec, cap) -> FiniteGroup:
@@ -504,7 +487,7 @@ def _build_heisenberg(spec, cap) -> FiniteGroup:
     def namer(k):
         return f"({k // (p * p)},{k // p % p},{k % p})"
 
-    return _formula_group(spec, order, product, (p * p, p), namer)
+    return FormulaGroup(order, product, (p * p, p), namer, spec.describe())
 
 
 def _build_symmetric(spec, cap) -> FiniteGroup:

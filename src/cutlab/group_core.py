@@ -1,24 +1,21 @@
 """Finite groups with 0-based indexed elements and eager conjugacy data.
 
 Every group is a set of element indices 0..n-1 with index 0 the identity.
-Four storage backends cover all constructions, each through one
-whole-array product ``mul_vec``: a dense Cayley table, a formula backend
-that evaluates a normal-form product on demand (``FormulaGroup``), a
-permutation-image backend, and a componentwise direct-product backend.
-The table backend, and a permutation group whose int32 table fits one row
-block (``fits_one_block``, order <= 512), hold an n x n array; every other
-group holds none.
+Four backends cover all constructions, and each states only its product
+(``_product``): a dense Cayley table, a normal-form formula
+(``FormulaGroup``), permutation images, and componentwise direct products.
+``FiniteGroup`` decides storage for all of them: a group given its table
+keeps it, any other keeps its int32 Cayley table while that fits one row
+block (``fits_one_block``, order <= 512), so a product is one gather, and
+past it holds no n x n array; a direct product keeps none.
 A permutation group keeps its images on the moved points only, and a
 closure whose images would pass PERMUTATION_BYTE_BUDGET bytes raises
 OrderCapExceeded, up front from the order bound of the spec and again
-while the closure grows.  Up to one block it keeps its Cayley table,
-composed from its generators' columns (``composed_table``), so a product
-is one gather; past it a composed image row is mapped back to its element
-through one sorted index of fixed-width byte keys, so products and
-inverses are whole-array numpy operations at every degree, and
-``dense_table`` is composed the same way.
-Permutation elements are named in cycle notation only when a label is
-asked for.
+while the closure grows.  Its table is composed from its generators'
+columns (``composed_table``); without one a composed image row is mapped
+back to its element through one sorted index of fixed-width byte keys, so
+products and inverses are whole-array numpy operations at every degree.
+Elements are named only when a label is asked for.
 Conjugacy classes are computed once at build time as orbits under the
 generators' conjugations (one cached array, also read by normal closures),
 as a class id per element; class sizes, member lists and realness are
@@ -45,12 +42,12 @@ orbits of right multiplication by its generators, each labelled by its
 least member in one ``orbit_labels`` walk and kept on the subgroup; a
 subgroup given by its members adopts its generators in that walk.
 A dense Cayley table is built only where a table is the input or the
-output (a table spec, a formula or permutation kind small enough, a
-quotient, ``dense_table``, and ``SubgroupHandle.as_group``, which serves
-the tests), each held to PERMUTATION_BYTE_BUDGET before it is allocated;
-a permutation group's is composed, a table spec's is read and checked in
-row blocks, and all others are filled by ``fill_table``, so the table is
-their only n x n array.  Every pass in row blocks is sliced by
+output (a table spec, a group small enough to keep one, a quotient,
+``dense_table``, and ``SubgroupHandle.as_group``, which serves the tests),
+each held to PERMUTATION_BYTE_BUDGET before it is allocated; a
+permutation group's is composed, a table spec's is read and checked in row
+blocks, and all others are filled by ``fill_table``, so the table is their
+only n x n array.  Every pass in row blocks is sliced by
 ``_kernels.row_blocks``, to one budget.
 """
 
@@ -181,11 +178,18 @@ class _Names(dict):
 class FiniteGroup:
     """A finite group on element indices 0..order-1 with identity 0.
 
-    Subclasses provide ``mul_vec`` and ``_compute_inverses``; everything
-    else (the scalar ``mul``, powers, orders, conjugacy, subgroups) is
-    generic, and ``ProductGroup`` overrides conjugacy and orders with factor
-    data.  Instances are immutable after construction and safe to share
-    across threads.
+    A backend states only its product ``_product`` over broadcast index
+    arrays, and its inverses (``_compute_inverses``) when it keeps no
+    table; everything else (``mul_vec``, powers, orders, conjugacy,
+    subgroups, ``dense_table``, names) is generic, and ``ProductGroup``
+    overrides conjugacy and orders with factor data.  Instances are
+    immutable after construction and safe to share across threads.
+
+    Storage is decided here.  ``table`` is the int32 Cayley table: the one
+    given (a table spec, a quotient, ``as_group``), else the one formed by
+    ``_form_table`` while it fits one row block (``fits_one_block``, order
+    <= 512), else None.  With a table every product is one gather and the
+    inverses are read off it; without one ``mul_vec`` calls ``_product``.
 
     Each group fact is computed once, on first request, and kept on the
     group.  The facts this module forms are cached attributes: the element
@@ -200,12 +204,15 @@ class FiniteGroup:
 
     ``labels`` names the elements: a sequence of names by index, or a
     function naming one index, called only when ``label`` first asks for
-    that index (default: the index itself).
+    that index (default: the index itself).  A naming function must not
+    hold the group, so that a group is never part of a reference cycle.
     """
 
     identity = 0
+    # whether a group of at most one row block keeps its table
+    keeps_table = True
 
-    def __init__(self, order: int, generators, labels=None, name: str = "group"):
+    def __init__(self, order: int, generators, labels=None, name: str = "group", table=None):
         self.order = int(order)
         self.name = name
         gens = tuple(int(g) for g in generators)
@@ -217,20 +224,12 @@ class FiniteGroup:
         self._labels = labels
         self._power_maps: dict[int, np.ndarray] = {}
         self._facts: dict = {}
-
-    # -- backend hooks -----------------------------------------------------
-
-    def mul_vec(self, a, b) -> np.ndarray:
-        """Elementwise product of broadcastable index arrays."""
-        raise NotImplementedError
-
-    def _compute_inverses(self) -> np.ndarray:
-        raise NotImplementedError
-
-    # -- finalization (run once by every constructor) ----------------------
-
-    def _finalize(self):
-        self.inv_vec = self._compute_inverses()
+        if table is None and self.keeps_table and fits_one_block(self.order):
+            table = self._form_table()
+        if table is not None:
+            table.flags.writeable = False
+        self.table = table
+        self.inv_vec = self._compute_inverses() if table is None else _table_inverses(table)
         self.inv_vec.flags.writeable = False
         if not self._generators_cover():
             raise NotAGroup(
@@ -238,7 +237,20 @@ class FiniteGroup:
                 f"{self.order} elements"
             )
         self.conjugacy = self._build_conjugacy()
-        return self
+
+    # -- backend hooks -----------------------------------------------------
+
+    def _product(self, a, b) -> np.ndarray:
+        """Elementwise product of broadcastable index arrays, without the table."""
+        raise NotImplementedError
+
+    def _compute_inverses(self) -> np.ndarray:
+        """The inverse of every element; a backend that may keep no table states its own."""
+        return _table_inverses(self.table)
+
+    def _form_table(self) -> np.ndarray:
+        """The int32 Cayley table, filled from ``_product`` (``fill_table``)."""
+        return fill_table(self.order, self._product)
 
     def _generators_cover(self) -> bool:
         return bool((_coset_labels(self, self.generators) == 0).all())
@@ -250,6 +262,12 @@ class FiniteGroup:
         return _frozen_partition(class_of, reps, class_of[self.inv_vec[reps]])
 
     # -- generic operations -------------------------------------------------
+
+    def mul_vec(self, a, b) -> np.ndarray:
+        """Elementwise product of broadcastable index arrays: a table gather, else ``_product``."""
+        if self.table is not None:
+            return self.table[a, b]
+        return self._product(a, b)
 
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_vec(a, b))
@@ -389,56 +407,39 @@ class FiniteGroup:
         return _commutator_subgroup(self, self.generators, self.generators)
 
     def dense_table(self) -> np.ndarray:
-        """Materialize the full Cayley table (rebuilt on every call, within the byte budget).
-
-        The table is filled by ``fill_table``, one broadcast ``mul_vec`` call
-        per row block.
-        """
+        """The kept Cayley table, else one formed afresh (``_form_table``) within the byte budget."""
+        if self.table is not None:
+            return self.table
         check_image_budget(self.order, self.order, f"table rows of {self.name}")
-        return fill_table(self.order, self.mul_vec)
+        return self._form_table()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, order={self.order})"
 
 
 class TableGroup(FiniteGroup):
-    """Group backed by a dense Cayley table."""
+    """Group given by its dense Cayley table: a table spec, a quotient or ``as_group``."""
 
     def __init__(self, table: np.ndarray, generators, labels=None, name="table"):
         table = np.ascontiguousarray(table, dtype=np.int32)
-        table.flags.writeable = False
-        self.table = table
-        super().__init__(table.shape[0], generators, labels, name)
-        self._finalize()
-
-    def mul_vec(self, a, b) -> np.ndarray:
-        return self.table[a, b]
-
-    def _compute_inverses(self) -> np.ndarray:
-        inv = _table_inverses(self.table)
-        if not (self.table[inv, np.arange(self.order)] == 0).all():
-            raise NotAGroup("table has one-sided inverses only")
-        return inv
-
-    def dense_table(self) -> np.ndarray:
-        return self.table
+        super().__init__(table.shape[0], generators, labels, name, table)
 
 
 class FormulaGroup(FiniteGroup):
-    """Group whose product is a normal-form formula, evaluated on demand.
+    """Group whose product is a normal-form formula.
 
     ``product(a, b)`` takes broadcastable integer index arrays, each formula
     casting them to the dtype it computes in, and returns the index of each
-    product, so memory stays O(order).  The inverse of x is x^(order-1), so
-    a formula needs no inverse of its own.
+    product.  Without a table every product is evaluated on demand, so
+    memory stays O(order), and the inverse of x is x^(order-1), so a formula
+    needs no inverse of its own.
     """
 
     def __init__(self, order: int, product, generators, labels=None, name="formula"):
         self.product = product
         super().__init__(order, generators, labels, name)
-        self._finalize()
 
-    def mul_vec(self, a, b) -> np.ndarray:
+    def _product(self, a, b) -> np.ndarray:
         return np.asarray(self.product(np.asarray(a), np.asarray(b)), dtype=np.int32)
 
     def _compute_inverses(self) -> np.ndarray:
@@ -449,20 +450,18 @@ class PermutationGroup(FiniteGroup):
     """Group whose elements are permutation image rows.
 
     ``images[i]`` is the image row of element i, on the points named by
-    ``points`` (default 0..degree-1); ``label`` writes it in cycle notation
-    of those names on demand, so building the group computes no label.
+    ``points`` (default 0..degree-1); an element is named in cycle notation
+    of those names when its label is asked for.
     Each row is read as one fixed-width byte key (``np.void`` of
-    ``degree * 4`` bytes), and the keys are sorted once here; a composed row
-    is mapped back to its element by ``np.searchsorted`` on that index, with
-    an exact equality check on the key found; the inverses are found so.
-    While its int32 Cayley table fits one row block (``fits_one_block``) the
-    group keeps that table, composed from its generators' columns
-    (``composed_table``), and every product is one gather; past it every
-    product is looked up and memory stays O(order * degree).  ``columns``,
-    when given, holds the column x -> x*g of each generator g (a closure
-    knows them), else they are looked up.  ``build_from_permutations`` keeps
-    ``images`` within ``PERMUTATION_BYTE_BUDGET`` by storing only the moved
-    points.
+    ``degree * 4`` bytes), and the keys are sorted once here; ``_product``
+    composes image rows and maps each back to its element by
+    ``np.searchsorted`` on that index, with an exact equality check on the
+    key found, so memory stays O(order * degree); the inverses are found so.
+    Its Cayley table is composed from its generators' columns
+    (``composed_table``); ``columns``, when given, holds the column x -> x*g
+    of each generator g (a closure knows them) and the table is kept, else
+    they are looked up.  ``build_from_permutations`` keeps ``images`` within
+    ``PERMUTATION_BYTE_BUDGET`` by storing only the moved points.
     """
 
     def __init__(self, images: np.ndarray, generators, points=None, name="perm", columns=None):
@@ -470,7 +469,7 @@ class PermutationGroup(FiniteGroup):
         images.flags.writeable = False
         self.images = images
         self.degree = images.shape[1]
-        self.points = np.arange(self.degree) if points is None else np.asarray(points)
+        self.points = points = np.arange(self.degree) if points is None else np.asarray(points)
         keys = _row_keys(images)
         self._key_order = np.argsort(keys, kind="stable").astype(np.int32)
         # a last key of all-0xff bytes (images of -1) sorts above every image and equals none,
@@ -478,12 +477,10 @@ class PermutationGroup(FiniteGroup):
         self._sorted_keys = np.append(keys[self._key_order], _row_keys(np.full(self.degree, -1)))
         if (self._sorted_keys[1:] == self._sorted_keys[:-1]).any():
             raise NotAGroup("permutation images are not distinct")
-        super().__init__(images.shape[0], generators, None, name)
-        self.table = None
-        if fits_one_block(self.order):
-            self.table = self._composed_table(columns)
-            self.table.flags.writeable = False
-        self._finalize()
+        table = None if columns is None else composed_table(generators, columns)
+        super().__init__(
+            images.shape[0], generators, lambda x: _perm_cycle_label(images[x], points), name, table
+        )
 
     def _lookup(self, rows: np.ndarray) -> np.ndarray:
         """Element index of each image row; NotAGroup if a row is not an element."""
@@ -493,8 +490,8 @@ class PermutationGroup(FiniteGroup):
             raise NotAGroup("a product of permutations is not an element of the group")
         return self._key_order[pos]
 
-    def _lookup_product(self, a, b) -> np.ndarray:
-        """``mul_vec`` by composing image rows and looking each one up, in row blocks."""
+    def _product(self, a, b) -> np.ndarray:
+        """Compose image rows and look each one up, in row blocks."""
         a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
         flat_a, flat_b = a.ravel(), b.ravel()
         out = np.empty(flat_a.size, dtype=np.int32)
@@ -505,33 +502,16 @@ class PermutationGroup(FiniteGroup):
             out[chunk] = self._lookup(composed)
         return out.reshape(a.shape)
 
-    def _composed_table(self, columns=None) -> np.ndarray:
-        """The Cayley table composed from the generators' columns, looked up unless given."""
+    def _form_table(self) -> np.ndarray:
+        """The Cayley table composed from the generators' columns, each looked up."""
         gens = np.asarray(self.generators)
-        if columns is None:
-            columns = self._lookup_product(np.arange(self.order)[None, :], gens[:, None])
-        return composed_table(gens, columns)
-
-    is_named = True
-
-    def label(self, x: int) -> str:
-        return _perm_cycle_label(self.images[x], self.points)
-
-    def mul_vec(self, a, b) -> np.ndarray:
-        if self.table is not None:
-            return self.table[a, b]
-        return self._lookup_product(a, b)
+        return composed_table(gens, self._product(np.arange(self.order)[None, :], gens[:, None]))
 
     def _compute_inverses(self) -> np.ndarray:
         back = np.empty_like(self.images)
         spots = np.broadcast_to(np.arange(self.degree, dtype=np.int32), self.images.shape)
         np.put_along_axis(back, self.images, spots, axis=-1)
         return self._lookup(back)
-
-    def dense_table(self) -> np.ndarray:
-        """The kept table, else one composed afresh (``composed_table``), within the byte budget."""
-        check_image_budget(self.order, self.order, f"table rows of {self.name}")
-        return self._composed_table() if self.table is None else self.table
 
 
 def orders_modulo(G: FiniteGroup, xs, kernel: np.ndarray, steps: int, rows=0) -> np.ndarray:
@@ -594,7 +574,10 @@ class ProductGroup(FiniteGroup):
     element orders follow from theirs: the class of (g, h) is the pair of
     classes, numbered c_g * k_H + c_h over the k_H classes of H (which keeps
     the ascending-smallest-member order), and o(g, h) = lcm(o(g), o(h)).
+    It keeps no table: most products serve too few calls to repay one.
     """
+
+    keeps_table = False
 
     def __init__(self, left: FiniteGroup, right: FiniteGroup, name=None):
         self.left = left
@@ -602,10 +585,14 @@ class ProductGroup(FiniteGroup):
         order = left.order * right.order
         gens = [g * right.order for g in left.generators if g != 0]
         gens += [h for h in right.generators if h != 0]
-        super().__init__(order, gens, None, name or f"{left.name}x{right.name}")
-        self._finalize()
 
-    def mul_vec(self, a, b) -> np.ndarray:
+        def namer(x):
+            a1, a2 = divmod(x, right.order)
+            return f"({left.label(a1)},{right.label(a2)})"
+
+        super().__init__(order, gens, namer, name or f"{left.name}x{right.name}")
+
+    def _product(self, a, b) -> np.ndarray:
         g, h = self._factor_indices
         return self.left.mul_vec(g[a], g[b]) * self.right.order + self.right.mul_vec(h[a], h[b])
 
@@ -639,12 +626,6 @@ class ProductGroup(FiniteGroup):
         orders = np.lcm(self.left.element_orders[a1], self.right.element_orders[a2])
         orders.flags.writeable = False
         return orders
-
-    is_named = True
-
-    def label(self, x: int) -> str:
-        a1, a2 = divmod(int(x), self.right.order)
-        return f"({self.left.label(a1)},{self.right.label(a2)})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -1267,7 +1248,7 @@ def validate_group_axioms(G: FiniteGroup) -> None:
     """Re-check identity, Latin square, inverses and associativity.
 
     Constructor-built groups satisfy these by construction; this is the
-    independent re-verification path, exact because ``_finalize`` proved that
+    independent re-verification path, exact because construction proved that
     ``G.generators`` reach all of G.  Raises NotAGroup on any violation.
     """
     idx = np.arange(G.order)

@@ -473,6 +473,40 @@ def test_construct_emit_table_roundtrip(tmp_path, capsys):
     assert "cut: true" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        cyclic(1),
+        table_spec(3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+        symmetric(4),
+        product(symmetric(3), cyclic(2)),
+        quotient_spec(metacyclic(9, 9, 4), [3]),
+        heisenberg(5),
+    ],
+    ids=lambda s: s.describe(),
+)
+def test_emit_table_writes_the_bytes_of_one_json_dump(tmp_path, capsys, spec):
+    G = construct(spec)
+    payload = {
+        "group": spec.describe(),
+        "order": G.order,
+        "table": G.dense_table().tolist(),
+        "labels": [G.label(x) for x in range(G.order)],
+    }
+    assert main(["construct", spec_file(tmp_path, spec.to_dict()), "--emit-table"]) == EXIT_OK
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_emit_table_within_a_small_address_space(tmp_path):
+    # the 16 MiB table of cyclic(2048) prints as 46 MiB of JSON, one row at a time
+    path = spec_file(tmp_path, cyclic(2048).to_dict())
+    proc = _run_under_address_limit("construct", path, "--emit-table", limit=256 << 20)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.startswith('{\n  "group": "cyclic(2048)",\n  "order": 2048,\n  "table": [\n')
+    assert proc.stdout.endswith('"g^2047"\n  ]\n}\n')
+
+
 def test_construct_summary(tmp_path, capsys):
     path = spec_file(tmp_path, {"kind": "symmetric", "degree": 4})
     assert main(["construct", path]) == EXIT_OK

@@ -1,6 +1,8 @@
 """Family constructors: relation checks and frozen structural facts."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -214,9 +216,11 @@ SIZE_PAIRS = [
 
 @pytest.mark.parametrize("small, large", SIZE_PAIRS, ids=lambda s: s.describe())
 def test_formula_groups_answer_as_the_table_groups_of_their_tables(small, large):
-    assert type(construct(small)) is TableGroup
-    F = construct(large)
-    assert type(F) is FormulaGroup and F.order > 512
+    K, F = construct(small), construct(large)
+    for G in (K, F):
+        assert type(G) is FormulaGroup and (G.table is not None) == (G.order <= 512)
+    assert np.array_equal(K.table, group_core.fill_table(K.order, K._product))
+    assert F.order > 512
     T = TableGroup(F.dense_table(), F.generators, F.labels, F.name)
     assert np.array_equal(F.inv_vec, T.inv_vec)
     for name in ("class_of", "representatives", "inverse_class"):
@@ -233,9 +237,11 @@ def test_formula_groups_answer_as_the_table_groups_of_their_tables(small, large)
     "factors", [[2] * 14, [2] * 9 + [3], [1, 2, 1, 4], [2, 4, 80], [3, 130]], ids=str
 )
 def test_abelian_products_add_digits_modulo_their_factors(factors):
-    """Digit i of a*b is (d_i(a) + d_i(b)) mod f_i, in table groups and in formula groups."""
+    """Digit i of a*b is (d_i(a) + d_i(b)) mod f_i, with the table kept and without it."""
     G = construct(abelian(factors))
-    assert (type(G) is TableGroup) == (G.order <= 512)
+    assert type(G) is FormulaGroup and (G.table is not None) == (G.order <= 512)
+    if G.table is not None:
+        assert np.array_equal(G.table, group_core.fill_table(G.order, G._product))
     rng = np.random.default_rng(G.order)
     a, b = (rng.integers(0, G.order, 20_000) for _ in range(2))
     strides = G.order // np.cumprod(factors)
@@ -369,6 +375,38 @@ def test_labels_match_the_names_formed_up_front():
         G = construct(spec)
         want = reference_labels(spec, G)
         assert [G.label(x) for x in range(G.order)] == want, spec.describe()
+        assert (G.labels is None) == (spec.kind == "table"), spec.describe()
         assert G.labels is None or list(G.labels) == want, spec.describe()
         kinds.add(spec.kind)
     assert kinds == set(constructors.KINDS)
+
+
+# one spec of every kind; cyclic(600), symmetric(6) and the product keep no table
+CYCLE_SPECS = [
+    cyclic(6),
+    cyclic(600),
+    abelian([2, 4]),
+    metacyclic(9, 9, 4),
+    dicyclic(3),
+    heisenberg(3),
+    symmetric(4),
+    symmetric(6),
+    permutation(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]),
+    table_spec(3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+    product(symmetric(3), cyclic(4)),
+    quotient_spec(cyclic(12), [3]),
+]
+
+
+@pytest.mark.parametrize("spec", CYCLE_SPECS, ids=lambda s: s.describe())
+def test_a_built_group_is_in_no_reference_cycle(spec):
+    """A group, its names formed, is freed by reference counting alone: no namer holds it."""
+    gc.disable()
+    try:
+        G = construct(spec)
+        G.label(G.order - 1)
+        ref = weakref.ref(G)
+        del G
+        assert ref() is None
+    finally:
+        gc.enable()

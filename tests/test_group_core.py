@@ -432,7 +432,7 @@ def test_composed_dense_table_matches_the_lookup_fill(spec):
     assert G.table is None and G.order > 512
     table = G.dense_table()
     assert table.dtype == np.int32
-    assert np.array_equal(table, group_core.fill_table(G.order, G._lookup_product))
+    assert np.array_equal(table, group_core.fill_table(G.order, G._product))
 
 
 def test_composed_table_refuses_generators_that_fall_short():
@@ -1040,15 +1040,16 @@ def test_quotient_has_cut_reads_the_class_partition(monkeypatch):
 
 
 def test_dense_table_checked_against_the_byte_budget(monkeypatch):
-    S4 = construct(symmetric(4))  # a permutation group: 24 x 24 int32 entries, 2304 bytes
-    C6 = construct(cyclic(6))  # a table group hands out the table it holds
-    monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 2304)
-    assert S4.dense_table().shape == (24, 24)
-    monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 2303)
-    with pytest.raises(OrderCapExceeded, match="byte budget 2303"):
-        S4.dense_table()
+    S6 = construct(symmetric(6))  # keeps no table: 720 x 720 int32 entries, 2073600 bytes
+    C6, S4 = construct(cyclic(6)), construct(symmetric(4))  # each hands out the table it keeps
+    assert S6.table is None
+    monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 2_073_600)
+    assert S6.dense_table().shape == (720, 720)
+    monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 2_073_599)
+    with pytest.raises(OrderCapExceeded, match="byte budget 2073599"):
+        S6.dense_table()
     monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 1)
-    assert C6.dense_table() is C6.table
+    assert C6.dense_table() is C6.table and S4.dense_table() is S4.table
 
 
 def test_dense_table_matches_a_row_by_row_reference():
@@ -1113,3 +1114,9 @@ def test_element_orders_match_the_all_element_walk():
         assert not G.element_orders.flags.writeable
         kinds.add(type(G))
     assert {FormulaGroup, PermutationGroup, TableGroup, group_core.ProductGroup} <= kinds
+
+
+def test_backends_state_only_their_product():
+    """Storage, whole-array products, dense tables and names are decided by FiniteGroup alone."""
+    for cls in (TableGroup, FormulaGroup, PermutationGroup, group_core.ProductGroup):
+        assert not {"mul_vec", "dense_table", "label", "is_named"} & set(vars(cls)), cls.__name__
