@@ -14,21 +14,29 @@ Group-spec files are JSON documents with a ``kind`` field::
     {"kind": "quotient",    "group": { ... }, "normal_generators": [1]}
 
 Reports are canonical JSON (fixed key order; timing is the only
-run-dependent field) or a human-readable text table.  Exit codes:
+run-dependent field) or a human-readable text table.  Each report shape
+(the analyze document, the verify list, the corpus document and the
+emitted table) has one writer that forms the bytes of
+``json.dumps(..., indent=2)``: strings through json's own C escaper, and
+each uniform list of records one column at a time.  Exit codes:
 0 analysis completed; 1 the spec names no group (``NotAGroup``: a table
 breaks a group axiom; ``NotNormal``: a quotient by a non-normal
 subgroup); 2 expectation mismatch; 64 unreadable spec file, unwritable
-report file, malformed JSON or invalid parameters; 65 order cap exceeded; 70 internal theorem
-disagreement.
+report file (a closed output pipe too), malformed JSON or invalid
+parameters; 65 order cap exceeded; 70 internal theorem disagreement.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
+import operator
+import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .characterizations import TheoremReport, verify_equivalences
@@ -71,23 +79,105 @@ def parse_group_spec(text: str, max_order: int | None = None) -> GroupSpecDescri
 
 
 # ---------------------------------------------------------------------------
-# report documents
+# JSON writers: the bytes of json.dumps(..., indent=2), formed without its
+# pure-Python encoder (json uses its C encoder only when indent is None)
 # ---------------------------------------------------------------------------
 
-def _theorem_report_dict(report: TheoremReport) -> dict:
-    return {
-        "name": report.name,
-        "applicable": report.applicable,
-        "predicted": report.predicted,
-        "agrees_with_decider": report.agrees_with_decider,
-    }
+_literal = {True: "true", False: "false", None: "null"}.__getitem__
+
+# by exact type: a bool is an int and np.float64 a float, and neither may pass as the other
+_WRITERS = {
+    str: encode_basestring_ascii,
+    bool: _literal,
+    type(None): _literal,
+    int: int.__repr__,
+    float: json.dumps,  # rare here; NaN and Infinity as json writes them
+}
 
 
-def _verify_report_dict(report: TheoremReport) -> dict:
-    """One report of ``verify --format json``: the summary fields and the full trace."""
-    trace = [{"subject": t.subject, "clause": t.clause, "ok": t.ok} for t in report.trace]
-    return {**_theorem_report_dict(report), "trace": trace}
+def _column(values) -> list[str]:
+    """Each value as json writes it: one map of one writer when it serves every type there.
 
+    Only a str, bool, None, int or float of exactly that type is written;
+    any other value raises TypeError, as ``json.dumps`` does.
+    """
+    try:
+        writers = {_WRITERS[t] for t in set(map(type, values))}
+    except KeyError as exc:
+        raise TypeError(f"Object of type {exc.args[0].__name__} is not JSON serializable") from None
+    return list(map(writers.pop(), values) if len(writers) == 1 else map(_scalar, values))
+
+
+def _scalar(v) -> str:
+    return _column((v,))[0]
+
+
+def _array(items: list[str], level: int) -> str:
+    """A JSON list at nesting ``level`` of items already written one level deeper."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return f"[{pad}{(',' + pad).join(items)}\n{'  ' * level}]"
+
+
+def _objects(keys: tuple[str, ...], columns, level: int) -> str:
+    """Objects with ``keys`` at nesting ``level``, separated as the items of a list.
+
+    The i-th object holds the i-th written value of each column.  The
+    fixed pieces between the values are laid out by slice assignment and
+    everything is joined once, with no formatting per object.
+    """
+    pad, close = "\n" + "  " * (level + 1), "\n" + "  " * level + "}"
+    seps = [f",{pad}{encode_basestring_ascii(k)}: " for k in keys]
+    opening = "{" + seps[0][1:]
+    seps = seps[1:] + [f"{close},\n{'  ' * level}{opening}"]
+    n, k = len(columns[0]), len(keys)
+    pieces = [None] * (2 * k * n)
+    for i, (column, sep) in enumerate(zip(columns, seps)):
+        pieces[2 * i :: 2 * k] = column
+        pieces[2 * i + 1 :: 2 * k] = [sep] * n
+    pieces[-1] = close
+    return opening + "".join(pieces)
+
+
+def _object(keys: tuple[str, ...], values, level: int) -> str:
+    """One JSON object at nesting ``level`` of values already written one level deeper."""
+    return _objects(keys, [[v] for v in values], level) if keys else "{}"
+
+
+def _list(keys: tuple[str, ...], columns, level: int) -> str:
+    """A JSON list at nesting ``level`` of objects with ``keys``, from written columns."""
+    return _array([_objects(keys, columns, level + 1)] if columns and columns[0] else [], level)
+
+
+def _rows(keys: tuple[str, ...], columns, level: int) -> str:
+    """``_list`` of columns of plain values (str, bool, None, int, float)."""
+    return _list(keys, [_column(c) for c in columns], level)
+
+
+def _fields(objects, names: tuple[str, ...]) -> list[list]:
+    """One column per attribute name: its value on each of ``objects``."""
+    return [list(map(operator.attrgetter(name), objects)) for name in names]
+
+
+def _value(v, level: int) -> str:
+    """Any JSON value at nesting ``level``, its dicts and lists written recursively."""
+    if type(v) is dict:
+        return _object(tuple(v), [_value(x, level + 1) for x in v.values()], level)
+    if type(v) in (list, tuple):
+        if {dict, list, tuple}.isdisjoint(map(type, v)):
+            return _array(_column(v), level)  # a table row, say: one map
+        return _array([_value(x, level + 1) for x in v], level)
+    return _scalar(v)
+
+
+_REPORT_KEYS = ("name", "applicable", "predicted", "agrees_with_decider")
+_TRACE_KEYS = ("subject", "clause", "ok")
+
+
+# ---------------------------------------------------------------------------
+# report documents
+# ---------------------------------------------------------------------------
 
 def build_report_document(
     spec: GroupSpecDescriptor,
@@ -99,7 +189,9 @@ def build_report_document(
 ) -> dict:
     """Everything one analysis run reports about one group.
 
-    The key order is the key order of the canonical JSON report.
+    The key order is the key order of the canonical JSON report.  The
+    witnesses are (element name, exponent) pairs and the theorem reports
+    the reports themselves; the JSON writer forms one object per row.
     """
     profile = G.profile
     return {
@@ -118,8 +210,8 @@ def build_report_document(
         "inverse_semi_rational": cls.inverse_semi_rational,
         "rational": cls.rational,
         "central_height": cls.central_height_label,
-        "witnesses": [{"element": G.label(x), "exponent": j} for x, j in verdict.witnesses],
-        "theorem_reports": [_theorem_report_dict(r) for r in reports],
+        "witnesses": [(G.label(x), j) for x, j in verdict.witnesses],
+        "theorem_reports": reports,
         "seconds": seconds,
     }
 
@@ -127,7 +219,13 @@ def build_report_document(
 def render_report(doc: dict, format: str = "text") -> str:
     """Serialize a report document canonically (json) or as a text table."""
     if format == "json":
-        return json.dumps(doc, indent=2)
+        reports = _fields(doc["theorem_reports"], _REPORT_KEYS)
+        rows = {
+            "witnesses": _rows(("element", "exponent"), list(zip(*doc["witnesses"])), 1),
+            "theorem_reports": _rows(_REPORT_KEYS, reports, 1),
+        }
+        values = [rows[k] if k in rows else _value(v, 1) for k, v in doc.items()]
+        return _object(tuple(doc), values, 0)
     lines = [
         f"group: {doc['group']}",
         f"order: {doc['order']}",
@@ -141,8 +239,8 @@ def render_report(doc: dict, format: str = "text") -> str:
     ]
     cut_line = f"cut: {_yn(doc['cut'])}"
     if doc["witnesses"]:
-        w = doc["witnesses"][0]
-        cut_line += f"  witness: ({w['element']}, j={w['exponent']})"
+        element, j = doc["witnesses"][0]
+        cut_line += f"  witness: ({element}, j={j})"
     lines.append(cut_line)
     lines.append(f"inverse_semi_rational: {_yn(doc['inverse_semi_rational'])}")
     lines.append(f"rational: {_yn(doc['rational'])}")
@@ -155,56 +253,63 @@ def render_report(doc: dict, format: str = "text") -> str:
     return "\n".join(lines)
 
 
-def _theorem_line(r: dict) -> str:
-    if not r["applicable"]:
-        return f"  {r['name']}: not applicable"
-    return (
-        f"  {r['name']}: predicted={_yn(r['predicted'])} "
-        f"agrees={_yn(r['agrees_with_decider'])}"
-    )
+def _theorem_line(r: TheoremReport) -> str:
+    if not r.applicable:
+        return f"  {r.name}: not applicable"
+    return f"  {r.name}: predicted={_yn(r.predicted)} agrees={_yn(r.agrees_with_decider)}"
 
 
 def _yn(flag) -> str:
     return "true" if flag else "false"
 
 
+def render_verify(reports: list[TheoremReport]) -> str:
+    """``verify --format json``: each report's summary fields and its full trace."""
+    columns = [_column(c) for c in _fields(reports, _REPORT_KEYS)]
+    traces = [_rows(_TRACE_KEYS, _fields(r.trace, _TRACE_KEYS), 2) for r in reports]
+    return _list(_REPORT_KEYS + ("trace",), [*columns, traces], 0)
+
+
+_ENTRY_KEYS = (
+    "id", "descriptor", "tags", "order", "classification", "theorem_reports",
+    "oracle_agrees", "expectation_ok", "structural_tags_ok", "pi_ok", "abelian_oracle_ok",
+    "closure_violations", "error", "seconds",
+)
+_PAIR_KEYS = ("left", "right", "product_order", "predicted_cut", "agrees")
+_PAIR_FIELDS = ("left_id", "right_id", "product_order", "predicted_cut", "agrees")
+_CORPUS_KEYS = ("tool_version", "aggregate", "entries", "remark_pairs", "total_seconds")
+
+
 def render_corpus_result(result: CorpusResult, format: str = "text") -> str:
     if format == "json":
-        payload = {
-            "tool_version": __version__,
-            "aggregate": result.aggregate,
-            "entries": [
-                {
-                    "id": r.entry_id,
-                    "descriptor": r.descriptor,
-                    "tags": list(r.tags),
-                    "order": r.order,
-                    "classification": _classification_dict(r.classification),
-                    "theorem_reports": [_theorem_report_dict(rep) for rep in r.reports],
-                    "oracle_agrees": r.oracle_agrees,
-                    "expectation_ok": r.expectation_ok,
-                    "structural_tags_ok": r.structural_tags_ok,
-                    "pi_ok": r.pi_ok,
-                    "abelian_oracle_ok": r.abelian_oracle_ok,
-                    "closure_violations": r.closure_violations,
-                    "error": r.error,
-                    "seconds": r.seconds,
-                }
-                for r in result.entries
-            ],
-            "remark_pairs": [
-                {
-                    "left": p.left_id,
-                    "right": p.right_id,
-                    "product_order": p.product_order,
-                    "predicted_cut": p.predicted_cut,
-                    "agrees": p.agrees,
-                }
-                for p in result.remark_pairs
-            ],
-            "total_seconds": result.total_seconds,
-        }
-        return json.dumps(payload, indent=2)
+        entries = [
+            (
+                _scalar(r.entry_id),
+                _value(r.descriptor, 3),
+                _value(r.tags, 3),
+                _scalar(r.order),
+                _value(_classification_dict(r.classification), 3),
+                _rows(_REPORT_KEYS, _fields(r.reports, _REPORT_KEYS), 3),
+                _scalar(r.oracle_agrees),
+                _scalar(r.expectation_ok),
+                _scalar(r.structural_tags_ok),
+                _scalar(r.pi_ok),
+                _scalar(r.abelian_oracle_ok),
+                _value(r.closure_violations, 3),
+                _scalar(r.error),
+                _scalar(r.seconds),
+            )
+            for r in result.entries
+        ]
+        pairs = _fields(result.remark_pairs, _PAIR_FIELDS)
+        values = (
+            _scalar(__version__),
+            _value(result.aggregate, 1),
+            _list(_ENTRY_KEYS, list(zip(*entries)), 1),
+            _rows(_PAIR_KEYS, pairs, 1),
+            _scalar(result.total_seconds),
+        )
+        return _object(_CORPUS_KEYS, values, 0)
     agg = result.aggregate
     lines = [
         f"corpus: {agg['groups_analyzed']} groups analyzed in {result.total_seconds:.1f}s",
@@ -282,11 +387,11 @@ def _cmd_verify(args) -> int:
     G = construct(spec, args.max_order)
     reports = verify_equivalences(G, args.max_order)
     if args.format == "json":
-        print(json.dumps([_verify_report_dict(r) for r in reports], indent=2))
+        print(render_verify(reports))
     else:
         print(f"group: {spec.describe()}  order: {G.order}")
         for r in reports:
-            print(_theorem_line(_theorem_report_dict(r)))
+            print(_theorem_line(r))
             for t in r.trace if r.applicable else ():
                 if not t.ok:
                     print(f"    fail: {t.subject}: {t.clause}")
@@ -299,13 +404,12 @@ def _cmd_construct(args) -> int:
     if args.emit_table:
         # the bytes of json.dumps(payload, indent=2), one table row at a time
         table, out = G.dense_table(), sys.stdout
-        out.write(f'{{\n  "group": {json.dumps(spec.describe())},\n  "order": {G.order},\n')
+        out.write(f'{{\n  "group": {_scalar(spec.describe())},\n  "order": {G.order},\n')
         out.write('  "table": [\n')
         for x, row in enumerate(table):
-            entries = ",\n      ".join(map(str, row.tolist()))
-            out.write((",\n" if x else "") + f"    [\n      {entries}\n    ]")
-        labels = ",\n    ".join(json.dumps(G.label(x)) for x in range(G.order))
-        out.write(f'\n  ],\n  "labels": [\n    {labels}\n  ]\n}}\n')
+            out.write((",\n    " if x else "    ") + _array(list(map(str, row.tolist())), 2))
+        labels = _array([_scalar(G.label(x)) for x in range(G.order)], 1)
+        out.write(f'\n  ],\n  "labels": {labels}\n}}\n')
     else:
         print(
             f"{spec.describe()}: order {G.order}, "
@@ -353,7 +457,9 @@ def _cmd_corpus_run(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="cutlab",
         description="Decide the cut-property of finite groups and "
@@ -394,10 +500,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the final
+        # flush at exit writes nowhere instead of failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARSE
     except ParseError as exc:
         pos = f" (at offset {exc.position})" if exc.position is not None else ""
         print(f"parse error{pos}: {exc}", file=sys.stderr)

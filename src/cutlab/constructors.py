@@ -162,6 +162,8 @@ def _to_json(value):
     if isinstance(value, GroupSpecDescriptor):
         return value.to_dict()
     if isinstance(value, tuple):
+        if set(map(type, value)) <= {int}:  # a table row, say: at C speed
+            return list(value)
         return [_to_json(v) for v in value]
     return value
 

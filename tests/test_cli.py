@@ -19,9 +19,9 @@ from cutlab.cli import (
     EXIT_OK,
     EXIT_ORDER_CAP,
     EXIT_PARSE,
-    _verify_report_dict,
     main,
     parse_group_spec,
+    render_verify,
 )
 from cutlab.constructors import (
     abelian,
@@ -592,14 +592,14 @@ def test_corpus_run_unwritable_output_exits_before_running(tmp_path):
 
 
 def test_corpus_reports_hold_plain_python_values(corpus_result):
-    # a numpy bool in a report changes its repr and makes json.dumps of verify's payload fail
+    # a numpy bool in a report changes its repr and makes verify's JSON writer fail
     checked = 0
     for entry in corpus_result.entries:
         for r in entry.reports:
             assert type(r.predicted) in (bool, type(None)), (entry.entry_id, r.name)
             assert type(r.agrees_with_decider) in (bool, type(None)), (entry.entry_id, r.name)
             assert all(type(t.ok) is bool for t in r.trace), (entry.entry_id, r.name)
-            json.dumps(_verify_report_dict(r))
+            render_verify([r])
             checked += 1
     assert checked > 500
 
