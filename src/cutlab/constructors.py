@@ -16,8 +16,8 @@ also states one naming function, which names an element only when its
 label is asked for, so building a group computes no label.  Each is a
 ``group_core.FormulaGroup``: it keeps the Cayley table its formula fills
 while that fits one row block (order <= 512, decided by
-``group_core.FiniteGroup`` for every backend) and past it holds no
-order x order array.  The abelian formula
+``group_core.FiniteGroup`` for every backend), and then drops the formula,
+and past it holds no order x order array.  The abelian formula
 gathers through intp digit indices and the others compute in int32
 (``_int32``).
 Their check still refuses an order whose table would pass the byte budget,

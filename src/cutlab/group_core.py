@@ -30,10 +30,12 @@ Element orders come from a whole-array power walk over the class
 representatives (``orders_modulo``, which also gives the orders of cosets
 xN), cut short where p-part powering by square-and-multiply needs fewer
 products; the class of x^k for each class
-representative is kept per k (``power_map``).  Subgroups (the
-center, the Sylow subgroups, the derived and lower central series, and
-[x, G] for many x at once) are derived lazily inside G, each as a sorted
-member set of G and a short generating list.  A closure still open after
+representative is kept per k (``power_map``).  Nilpotency and the class
+are read off the upper central series on the class representatives
+(``_central_height``), which closes no subgroup.  Subgroups (the center,
+the Sylow subgroups, the derived series, and [x, G] for many x at once)
+are derived lazily inside G, each as a sorted member set of G and a
+short generating list.  A closure still open after
 a few plain rounds adds every generator's powers, found by doubling, and a
 normal closure adds one outside conjugate of a generator at a time, so it
 keeps at most log2 |G| added generators; commutator subgroups are formed
@@ -430,7 +432,8 @@ class FormulaGroup(FiniteGroup):
 
     ``product(a, b)`` takes broadcastable integer index arrays, each formula
     casting them to the dtype it computes in, and returns the index of each
-    product.  Without a table every product is evaluated on demand, so
+    product.  A group that keeps its table drops the formula once the table
+    is filled.  Without a table every product is evaluated on demand, so
     memory stays O(order), and the inverse of x is x^(order-1), so a formula
     needs no inverse of its own.
     """
@@ -438,6 +441,8 @@ class FormulaGroup(FiniteGroup):
     def __init__(self, order: int, product, generators, labels=None, name="formula"):
         self.product = product
         super().__init__(order, generators, labels, name)
+        if self.table is not None:
+            self.product = None  # every product is a gather from the kept table
 
     def _product(self, a, b) -> np.ndarray:
         return np.asarray(self.product(np.asarray(a), np.asarray(b)), dtype=np.int32)
@@ -686,7 +691,19 @@ class SubgroupHandle:
 
 @dataclass(frozen=True)
 class StructuralProfile:
-    """Coarse structural facts about a group."""
+    """Coarse structural facts about a group (``_compute_profile``).
+
+    ``pi``, ``is_p_group`` and ``p`` come from the prime factors of the
+    order; ``exponent`` and ``is_eppo`` from the distinct element orders;
+    ``is_real_group`` from the class partition (every class its own inverse
+    class).  ``is_nilpotent`` and ``nilpotency_class`` are read off the
+    upper central series (``_central_height``; class 0 for the trivial
+    group, None when not nilpotent).  ``is_solvable`` is True for a
+    nilpotent group, else read off the derived series
+    (``derived_series_orders``).  ``sylow_subgroups`` holds the Sylow
+    subgroup of each prime of a nilpotent group, its q-elements; it is empty
+    otherwise.
+    """
 
     order: int
     pi: tuple[int, ...]
@@ -1188,7 +1205,9 @@ def lower_central_series(G: FiniteGroup) -> list[SubgroupHandle]:
     gamma_{k+1} = [G, gamma_k] is the normal closure in G of [g, s] over the
     generators g of G and s of gamma_k: modulo that closure each s commutes
     with all of G, so gamma_k is central there.  gamma_2 is the derived
-    subgroup kept on G.
+    subgroup kept on G.  Nothing in the package calls it: the profile reads
+    nilpotency off the upper central series (``_central_height``), and the
+    tests check that against this series.
     """
     series = [G.subgroup(np.arange(G.order), G.generators)]
     while series[-1].order > 1:
@@ -1201,6 +1220,31 @@ def lower_central_series(G: FiniteGroup) -> list[SubgroupHandle]:
     return series
 
 
+def _central_height(G: FiniteGroup) -> int | None:
+    """The length of the upper central series 1 = Z_0 <= Z_1 <= ..., or None if it stops below G.
+
+    Z_1 is the center, the singleton classes.  Past it, x is in Z_{i+1} iff
+    [x, g] is in Z_i for every generator g of G, since [x, gh] =
+    [x, g] g[x, h]g^-1 and Z_i is normal.  Each Z_i is a union of classes,
+    so the commutators of the class representatives with the generators are
+    formed once, as classes, when a second step is needed, and each step is
+    one gather and one ``all`` over them.  For a nilpotent G the length is
+    its class, the length of the lower central series (Robinson, *A Course
+    in the Theory of Groups*, section 5.1).
+    """
+    part = G.conjugacy
+    central = part.sizes == 1  # Z_1, by class
+    height, below, comm_classes = int(G.order > 1), 1, None
+    while (size := int(central.sum())) < part.num_classes:
+        if size == below:
+            return None
+        if comm_classes is None:
+            reps, gens = part.representatives[:, None], np.asarray(G.generators)[None, :]
+            comm_classes = part.class_of[_commutators(G, reps, gens)]
+        central, height, below = central[comm_classes].all(axis=1), height + 1, size
+    return height
+
+
 def _compute_profile(G: FiniteGroup) -> StructuralProfile:
     n = G.order
     pi = tuple(sorted(prime_factors(n)))
@@ -1210,12 +1254,10 @@ def _compute_profile(G: FiniteGroup) -> StructuralProfile:
     eppo = all(is_prime_power(v) for v in distinct)
     real = bool(G.conjugacy.is_real.all())
 
-    d_orders = derived_series_orders(G)
-    solvable = d_orders[-1] == 1
-
-    lcs = lower_central_series(G)
-    nilpotent = lcs[-1].order == 1
-    nilpotency_class = len(lcs) - 1 if nilpotent else None
+    nilpotency_class = _central_height(G)
+    nilpotent = nilpotency_class is not None
+    # a nilpotent group is solvable
+    solvable = nilpotent or derived_series_orders(G)[-1] == 1
 
     p_group = len(pi) <= 1
     p = pi[0] if len(pi) == 1 else None

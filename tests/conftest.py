@@ -19,6 +19,7 @@ the per-class loops: one trace entry and one ``label`` call per class,
 every [x, G] looked up class by class.
 """
 
+import functools
 import importlib.util
 import math
 import sys
@@ -306,13 +307,21 @@ def class_fact_groups():
     return [construct(e.spec) for e in builtin_corpus()] + [construct(s) for s in extra]
 
 
-def sweep_specs(seed):
-    """Every spec of one seeded benchmark sweep stream (the generator is only read)."""
+@functools.cache
+def _sweep_stream(seed):
     spec = importlib.util.spec_from_file_location("perfbench_sweepgen", SWEEPGEN)
     sweepgen = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = sweepgen  # its dataclasses look their module up there
     spec.loader.exec_module(sweepgen)
-    return [parse_group_spec(item.text) for item in sweepgen.generate(seed)]
+    return tuple(parse_group_spec(item.text) for item in sweepgen.generate(seed))
+
+
+def sweep_specs(seed):
+    """Every spec of one seeded benchmark sweep stream, generated once a session.
+
+    The generator is only read.
+    """
+    return list(_sweep_stream(seed))
 
 
 # the benchmark's analyze requests (perfbench/workloads.py:ANALYZE_REQUESTS): the two paper
@@ -325,6 +334,22 @@ ANALYZE_SPECS = (
 def checked_specs():
     """Every corpus spec, the analyze specs, then the sweep streams of seeds 1 and 7."""
     return [e.spec for e in builtin_corpus()] + list(ANALYZE_SPECS) + sweep_specs(1) + sweep_specs(7)
+
+
+# The built groups below are shared by the tests that only read them.  A test that
+# monkeypatches, or that checks how or whether a fact is computed, builds its own.
+
+@pytest.fixture(scope="session")
+def sweep_groups():
+    """Seed -> (spec, group) for every spec of its sweep stream, for seeds 1 and 7."""
+    return {seed: [(spec, construct(spec)) for spec in sweep_specs(seed)] for seed in (1, 7)}
+
+
+@pytest.fixture(scope="session")
+def checked_groups(sweep_groups):
+    """(spec, group) for every spec of ``checked_specs``, in its order."""
+    head = [e.spec for e in builtin_corpus()] + list(ANALYZE_SPECS)
+    return [(spec, construct(spec)) for spec in head] + sweep_groups[1] + sweep_groups[7]
 
 
 def _power_word(*powers):

@@ -9,7 +9,6 @@ import pytest
 
 from conftest import (
     REFERENCE_CHARACTERIZATIONS,
-    checked_specs,
     reference_center,
     reference_coset_classes,
     reference_coset_minima,
@@ -616,16 +615,16 @@ def _outcome(fn, G):
         return str(exc)
 
 
-def test_characterizations_match_the_eager_reference():
+def test_characterizations_match_the_eager_reference(checked_groups):
     """Every report equals the per-class loops' (``conftest``), its trace formed on reading.
 
     On the corpus groups, the analyze specs and the sweep streams of seeds 1
-    and 7; the reference runs on a second copy of each group, so no kept
+    and 7; the reference runs on a copy of each group built here, so no kept
     fact is shared.
     """
     predictions = {name: set() for name in CHARACTERIZATIONS}
-    for spec in checked_specs():
-        G, H = construct(spec), construct(spec)
+    for spec, G in checked_groups:
+        H = construct(spec)
         for name, fn in CHARACTERIZATIONS.items():
             got, want = _outcome(fn, G), _outcome(REFERENCE_CHARACTERIZATIONS[name], H)
             assert got == want, (name, spec.describe())

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import count_fill_rows, reference_labels, sweep_specs
+from conftest import count_fill_rows, reference_labels
 from cutlab import _kernels, constructors, group_core
 from cutlab.constructors import (
     GroupSpecDescriptor,
@@ -25,7 +25,6 @@ from cutlab.constructors import (
     table_spec,
     validate_spec,
 )
-from cutlab.corpus import builtin_corpus
 from cutlab.cut_engine import decide_cut
 from cutlab.errors import (
     InvalidMetacyclicParameters,
@@ -214,12 +213,22 @@ SIZE_PAIRS = [
 ]
 
 
+def _formula_table(spec):
+    """The Cayley table filled from the formula of ``spec``, built as a twin that keeps no table."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FormulaGroup, "keeps_table", False)
+        twin = construct(spec)
+    assert twin.table is None and twin.product is not None
+    return group_core.fill_table(twin.order, twin._product)
+
+
 @pytest.mark.parametrize("small, large", SIZE_PAIRS, ids=lambda s: s.describe())
 def test_formula_groups_answer_as_the_table_groups_of_their_tables(small, large):
     K, F = construct(small), construct(large)
     for G in (K, F):
         assert type(G) is FormulaGroup and (G.table is not None) == (G.order <= 512)
-    assert np.array_equal(K.table, group_core.fill_table(K.order, K._product))
+        assert (G.product is None) == (G.table is not None)  # a kept table drops the formula
+    assert np.array_equal(K.table, _formula_table(small))
     assert F.order > 512
     T = TableGroup(F.dense_table(), F.generators, F.labels, F.name)
     assert np.array_equal(F.inv_vec, T.inv_vec)
@@ -241,7 +250,7 @@ def test_abelian_products_add_digits_modulo_their_factors(factors):
     G = construct(abelian(factors))
     assert type(G) is FormulaGroup and (G.table is not None) == (G.order <= 512)
     if G.table is not None:
-        assert np.array_equal(G.table, group_core.fill_table(G.order, G._product))
+        assert np.array_equal(G.table, _formula_table(abelian(factors)))
     rng = np.random.default_rng(G.order)
     a, b = (rng.integers(0, G.order, 20_000) for _ in range(2))
     strides = G.order // np.cumprod(factors)
@@ -352,12 +361,6 @@ def test_permutation_check_makes_one_orbit_call(monkeypatch):
     assert len(calls) == 1
 
 
-# the benchmark's analyze requests: the two paper examples, cyclic(512), dihedral(4096) and S6
-ANALYZE_SPECS = (
-    metacyclic(12, 2, 5), metacyclic(9, 9, 4), cyclic(512), metacyclic(2048, 2, 2047), symmetric(6)
-)
-
-
 def test_formula_builders_name_no_element_until_asked(monkeypatch):
     calls = []
     real = constructors._ab_label
@@ -367,12 +370,10 @@ def test_formula_builders_name_no_element_until_asked(monkeypatch):
     assert G.label(2049) == "a b" and len(calls) == 1
 
 
-def test_labels_match_the_names_formed_up_front():
-    """Every label of the corpus groups, the sweep streams of seeds 1 and 7 and the analyze specs."""
-    specs = [e.spec for e in builtin_corpus()] + sweep_specs(1) + sweep_specs(7) + list(ANALYZE_SPECS)
+def test_labels_match_the_names_formed_up_front(checked_groups):
+    """Every label of the corpus groups, the analyze specs and the sweep streams of seeds 1 and 7."""
     kinds = set()
-    for spec in specs:
-        G = construct(spec)
+    for spec, G in checked_groups:
         want = reference_labels(spec, G)
         assert [G.label(x) for x in range(G.order)] == want, spec.describe()
         assert (G.labels is None) == (spec.kind == "table"), spec.describe()

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from conftest import (
-    checked_specs,
     count_fill_rows,
     naive_center,
     naive_classes,
@@ -883,15 +882,13 @@ def test_profile_s4_not_nilpotent():
 # -- series inside G ----------------------------------------------------------
 
 A5 = permutation(5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]])
+SERIES_STRESS_SPECS = [
+    symmetric(4), symmetric(6), A5, product(cyclic(5), symmetric(5)), metacyclic(2048, 2, 2047)
+]
 
 
 @pytest.mark.parametrize(
-    "specs",
-    [
-        [e.spec for e in builtin_corpus()],
-        [symmetric(4), symmetric(6), A5, product(cyclic(5), symmetric(5)), metacyclic(2048, 2, 2047)],
-    ],
-    ids=["corpus", "stress"],
+    "specs", [[e.spec for e in builtin_corpus()], SERIES_STRESS_SPECS], ids=["corpus", "stress"]
 )
 def test_series_match_table_group_reference(specs):
     for spec in specs:
@@ -909,6 +906,51 @@ def test_series_examples():
     assert [h.order for h in lower_central_series(construct(dicyclic(4)))] == [16, 4, 2, 1]
     assert [h.order for h in lower_central_series(construct(symmetric(4)))] == [24, 12, 12]
     assert [h.order for h in lower_central_series(construct(cyclic(1)))] == [1]
+
+
+def _series_profile(G):
+    """(nilpotent, class, solvable) read off the lower central and derived series references."""
+    lower = reference_lower_central_series(G)
+    nilpotent = len(lower[-1]) == 1
+    solvable = reference_derived_series_orders(G)[-1] == 1
+    return nilpotent, len(lower) - 1 if nilpotent else None, solvable
+
+
+@pytest.mark.parametrize("source", ["corpus", "sweep-1", "sweep-7", "stress"])
+def test_profile_matches_the_series_references(source, sweep_groups):
+    """Nilpotency and class from the upper central series, solvability only past it."""
+    if source == "corpus":
+        groups = [construct(e.spec) for e in builtin_corpus()]
+    elif source == "stress":
+        groups = [construct(s) for s in SERIES_STRESS_SPECS]
+    else:
+        groups = [G for _, G in sweep_groups[int(source[-1])]]
+    got = {}
+    for G in groups:
+        p = G.profile
+        got[G.name] = p.is_nilpotent, p.nilpotency_class, p.is_solvable
+        assert got[G.name] == _series_profile(G), G.name
+    pins = {"corpus": ("dicyclic(4)", 3), "stress": ("metacyclic(2048,2,2047)", 11)}
+    if source in pins:
+        name, nilpotency_class = pins[source]
+        assert got[name] == (True, nilpotency_class, True)
+
+
+def test_profile_closes_only_the_derived_series(monkeypatch):
+    """Nilpotency and the class close no subgroup; a group not nilpotent closes its derived series."""
+    calls = []
+    closure = group_core._closure_members
+    monkeypatch.setattr(group_core, "_closure_members", lambda *a: calls.append(a) or closure(*a))
+    dihedral = construct(metacyclic(2048, 2, 2047))
+    S6, fresh_S6 = construct(symmetric(6)), construct(symmetric(6))
+    calls.clear()
+    assert dihedral.profile.nilpotency_class == 11
+    assert calls == []
+    assert derived_series_orders(S6) == [720, 360, 360]
+    derived = len(calls)
+    calls.clear()
+    assert not fresh_S6.profile.is_solvable
+    assert len(calls) == derived > 0
 
 
 def test_subgroup_table_checked_against_the_byte_budget(monkeypatch):
@@ -1105,11 +1147,10 @@ def test_validate_group_axioms_large_group_sampled():
     validate_group_axioms(construct(abelian([8, 8, 8])))
 
 
-def test_element_orders_match_the_all_element_walk():
+def test_element_orders_match_the_all_element_walk(checked_groups):
     """Orders walked on the class representatives and spread by class, against every element's walk."""
     kinds = set()
-    for spec in checked_specs():
-        G = construct(spec)
+    for spec, G in checked_groups:
         assert G.element_orders.tolist() == reference_orders(G).tolist(), spec.describe()
         assert not G.element_orders.flags.writeable
         kinds.add(type(G))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import reference_witness_scan, sweep_specs
+from conftest import reference_witness_scan
 from cutlab._kernels import cut_witness_scan, first_bad_triple, orbit_labels
 from cutlab.constructors import (
     abelian,
@@ -234,14 +234,9 @@ def _scan_inputs(G):
     return table, np.argmax(table == 0, axis=1).astype(np.int32)
 
 
-def _sweep_groups(seed):
-    """Every group of one seeded benchmark sweep stream."""
-    return [construct(spec) for spec in sweep_specs(seed)]
-
-
-def test_cut_witness_scan_matches_the_scalar_reference():
+def test_cut_witness_scan_matches_the_scalar_reference(sweep_groups):
     """The same (elements, exponents) arrays as the one-element-at-a-time scan."""
-    groups = [construct(e.spec) for e in builtin_corpus()] + _sweep_groups(7)
+    groups = [construct(e.spec) for e in builtin_corpus()] + [G for _, G in sweep_groups[7]]
     groups += [construct(cyclic(1)), construct(cyclic(2))]
     failing = 0
     for G in groups:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import ANALYZE_SPECS, sweep_specs
+from conftest import ANALYZE_SPECS
 
 import cutlab
 from cutlab import __version__, cli
@@ -196,11 +196,10 @@ EDGE_SPECS = [
 ]
 
 
-def test_writers_match_json_dumps_on_sweep_and_edge_specs():
+def test_writers_match_json_dumps_on_sweep_and_edge_specs(sweep_groups):
     """Sweep seeds 1 and 7 with one characterization, whose trace names every class of an odd G."""
     kinds = set()
-    for spec in sweep_specs(1) + sweep_specs(7) + EDGE_SPECS:
-        G = construct(spec)
+    for spec, G in sweep_groups[1] + sweep_groups[7] + [(s, construct(s)) for s in EDGE_SPECS]:
         verdict = decide_cut(G)
         check_writers(spec, G, verdict, classify(G, verdict), [thm_odd(G)])
         kinds.add(spec.kind)
