@@ -7,8 +7,10 @@ the exhaustive power-map scan used by the brute-force cut decider.  The
 orbit kernel is Shiloach-Vishkin hooking plus pointer jumping: O(log n)
 rounds of whole-array numpy operations, whatever the cycle lengths; it
 extends a labelling it is given, one generator at a time if need be.  The
-scan is three whole-array passes over the table (classes in row blocks,
-then one order walk and one witness walk over all elements at once).
+scan reads only the table, in three whole-array passes: one order walk over
+all elements at once, which looks for the identity only at divisors of the
+order and yields the inverses, the classes in row blocks, and one witness
+walk over all elements at once.
 Every blocked pass of the package takes its rows from ``row_blocks``, one
 budget for all.
 """
@@ -98,55 +100,67 @@ def first_bad_triple(table: np.ndarray, gens):
 # brute-force cut scan over a dense table
 # ---------------------------------------------------------------------------
 
-def cut_witness_scan(table: np.ndarray, inv: np.ndarray):
+def cut_witness_scan(table: np.ndarray):
     """Exhaustive power-map scan of every element of a Cayley table.
 
     For each x (ascending) and each exponent j coprime to the order m of x
     (ascending, j = 2..m-1), tests whether x^j lies in the conjugacy class
     of x or of x^-1.  Returns (witness_elements, witness_exponents): the
-    first failing exponent per failing element.  Only ``table`` and ``inv``
-    are read, in three whole-array passes:
+    first failing exponent per failing element.  Only ``table`` is read, in
+    three whole-array passes:
 
+    - orders: one walk x, x^2, ... over all x at once, one gather per
+      exponent k; by Lagrange's theorem x^k can be 0 only when k divides n,
+      so only those k are compared with 0, and x leaves the walk there with
+      its order m and its inverse x^(m-1), the power before;
     - classes: every x is labelled by its least conjugate g*x*g^-1 over
       every g, the conjugations formed afresh in row blocks of g;
-    - orders: one walk x, x^2, ... over all x at once, until each reaches 0;
-    - witnesses: one walk x^j over all x at once; x leaves it at its first
-      coprime j whose power is labelled neither as x nor as x^-1, or when
-      j + 1 reaches m.
+    - witnesses: one walk x^j over all x at once; x^j is in the class of x
+      or of x^-1 exactly when the lesser of the labels of x^j and x^-j is
+      x's own.  x leaves at its first coprime j whose power is not, or when
+      j + 1 reaches m; the walk is compacted only at such a j.
 
     A row block holds about BLOCK_BYTES of intermediates and the walks a
     few arrays of n entries, so the table is the only order x order array.
     """
     table = np.ascontiguousarray(table, dtype=np.int32)
-    inv = np.ascontiguousarray(inv, dtype=np.int32)
     n = table.shape[0]
+    orders = np.ones(n, dtype=np.int64)
+    inv = np.zeros(n, dtype=np.int32)
+    live = y = np.arange(1, n)
+    k = 1
+    while live.size:
+        k += 1
+        before, y = y, table[y, live]
+        if n % k == 0:
+            done = y == 0
+            if done.any():
+                orders[live[done]] = k
+                inv[live[done]] = before[done]
+                keep = ~done
+                live, y = live[keep], y[keep]
+
     least = np.arange(n, dtype=np.int32)
     # each entry of a block is an int32 conjugate gathered through an int64 index
     for rows in row_blocks(n, 12 * n):
         conjugates = table[table[rows], inv[rows, None]]
         np.minimum(least, conjugates.min(axis=0), out=least)
-
-    orders = np.ones(n, dtype=np.int64)
-    live = y = np.arange(1, n)
-    k = 1
-    while live.size:
-        k += 1
-        y = table[y, live]
-        done = y == 0
-        orders[live[done]] = k
-        live, y = live[~done], y[~done]
+    pair = np.minimum(least, least[inv])
 
     exponents = np.zeros(n, dtype=np.int32)
     live = y = np.nonzero(orders > 2)[0]
-    m, own, other = orders[live], least[live], least[inv[live]]
+    m, own = orders[live], pair[live]
+    ends = set(m.tolist())  # some walk ends after exponent j only when j + 1 is in here
     j = 1
     while live.size:
         j += 1
         y = table[y, live]
-        label = least[y]
-        escaped = (label != own) & (label != other) & (np.gcd(j, m) == 1)
-        exponents[live[escaped]] = j
-        keep = ~escaped & (j + 1 < m)
-        live, y, m, own, other = live[keep], y[keep], m[keep], own[keep], other[keep]
+        miss = (pair[y] != own).nonzero()[0]
+        escaped = miss[np.gcd(j, m[miss]) == 1]
+        if escaped.size or j + 1 in ends:
+            exponents[live[escaped]] = j
+            keep = j + 1 < m
+            keep[escaped] = False
+            live, y, m, own = live[keep], y[keep], m[keep], own[keep]
     wx = np.nonzero(exponents)[0].astype(np.int32)
     return wx, exponents[wx]

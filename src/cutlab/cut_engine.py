@@ -22,10 +22,11 @@ the element orders, the coset minima kept on each N) and keeps one of its
 own there: ``decide_cut``'s verdict (``FiniteGroup.fact``), so a group is
 scanned once however often it is decided.
 ``decide_cut_bruteforce`` is the independent oracle: it reads only the
-dense table and the inverses read off it, and scans every element in
-whole-array passes (``_kernels.cut_witness_scan``): each class recomputed
-from scratch by conjugating with every element in row blocks, then one
-order walk and one witness walk over all elements.  It shares only the
+dense table, and scans every element in whole-array passes
+(``_kernels.cut_witness_scan``): one order walk over all elements, which
+looks for the identity only at divisors of |G| and yields the inverses,
+each class recomputed from scratch by conjugating with every element in
+row blocks, then one witness walk over all elements.  It shares only the
 row slicing with the fast path: no partition, element orders, generators,
 ``orbit_labels`` or ``power_vec``, and none of the facts kept on the group.
 """
@@ -212,16 +213,13 @@ def central_factor_cuts(G: FiniteGroup, minima: np.ndarray) -> np.ndarray:
 def decide_cut_bruteforce(G: FiniteGroup) -> CutVerdict:
     """Oracle path: exhaustive scan over every element, no shared caches.
 
-    Materializes the multiplication table, derives inverses from it, and
-    recomputes the conjugacy class of each element by conjugating with all
-    group elements, in the whole-array passes of ``cut_witness_scan``.
-    Witnesses are the first failing exponent per failing element in
-    ascending element order.
+    Materializes the multiplication table and hands it alone to
+    ``cut_witness_scan``, whose order walk yields every element's order and
+    inverse, and which recomputes the conjugacy class of each element by
+    conjugating with all group elements.  Witnesses are the first failing
+    exponent per failing element in ascending element order.
     """
-    table = G.dense_table()
-    blocks = _kernels.row_blocks(G.order, G.order)
-    inv = np.concatenate([np.argmax(table[rows] == 0, axis=1) for rows in blocks])
-    wx, wj = _kernels.cut_witness_scan(table, inv)
+    wx, wj = _kernels.cut_witness_scan(G.dense_table())
     witnesses = tuple(zip(wx.tolist(), wj.tolist()))
     return CutVerdict(has_cut=not witnesses, witnesses=witnesses)
 

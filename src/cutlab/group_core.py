@@ -48,9 +48,9 @@ output (a table spec, a group small enough to keep one, a quotient,
 ``dense_table``, and ``SubgroupHandle.as_group``, which serves the tests),
 each held to PERMUTATION_BYTE_BUDGET before it is allocated; a
 permutation group's is composed, a table spec's is read and checked in row
-blocks, and all others are filled by ``fill_table``, so the table is their
-only n x n array.  Every pass in row blocks is sliced by
-``_kernels.row_blocks``, to one budget.
+blocks, a direct product's is the outer sum of its factors' tables, and all
+others are filled by ``fill_table``, so the table is their only n x n array.
+Every pass in row blocks is sliced by ``_kernels.row_blocks``, to one budget.
 """
 
 from __future__ import annotations
@@ -512,6 +512,10 @@ class PermutationGroup(FiniteGroup):
         gens = np.asarray(self.generators)
         return composed_table(gens, self._product(np.arange(self.order)[None, :], gens[:, None]))
 
+    def _generators_cover(self) -> bool:
+        # a table is composed from the generators' columns, and composed_table refuses a short cover
+        return self.table is not None or super()._generators_cover()
+
     def _compute_inverses(self) -> np.ndarray:
         back = np.empty_like(self.images)
         spots = np.broadcast_to(np.arange(self.degree, dtype=np.int32), self.images.shape)
@@ -525,10 +529,11 @@ def orders_modulo(G: FiniteGroup, xs, kernel: np.ndarray, steps: int, rows=0) ->
     ``kernel`` may also stack one mask per row, and ``rows`` names the row
     each x is taken modulo.  The walk x, x^2, x^3, ... over all of ``xs`` at
     once, one ``mul_vec`` per step over the x still open, settles each x
-    with x^k in N for some k <= ``steps``.  P-part powering finishes the
-    rest: for each p^a exactly dividing |G|, y = x^(|G|/p^a) has for yN the
-    order the p-part of o(xN), so while y is not in N the order gains a
-    factor p and y is replaced by y^p.
+    with x^k in N for some k <= ``steps``; x^k is tested only when k
+    divides |G|, since o(xN) divides |G/N|, which divides |G|.  P-part
+    powering finishes the rest: for each p^a exactly dividing |G|,
+    y = x^(|G|/p^a) has for yN the order the p-part of o(xN), so while y is
+    not in N the order gains a factor p and y is replaced by y^p.
     """
     xs = np.asarray(xs)
     inside = np.atleast_2d(kernel).ravel()  # inside[at + y]: whether y is in the N of its row
@@ -536,13 +541,14 @@ def orders_modulo(G: FiniteGroup, xs, kernel: np.ndarray, steps: int, rows=0) ->
     orders = np.zeros(len(xs), dtype=np.int64)
     live, x, y = np.arange(len(xs)), xs, xs
     for k in range(1, steps + 1):
-        done = inside[at + y]
-        if done.any():
-            orders[live[done]] = k
-            keep = ~done
-            live, at, x, y = live[keep], at[keep], x[keep], y[keep]
-            if not live.size:
-                return orders
+        if G.order % k == 0:
+            done = inside[at + y]
+            if done.any():
+                orders[live[done]] = k
+                keep = ~done
+                live, at, x, y = live[keep], at[keep], x[keep], y[keep]
+                if not live.size:
+                    return orders
         if k < steps:
             y = G.mul_vec(y, x)
     orders[live] = 1
@@ -580,6 +586,8 @@ class ProductGroup(FiniteGroup):
     classes, numbered c_g * k_H + c_h over the k_H classes of H (which keeps
     the ascending-smallest-member order), and o(g, h) = lcm(o(g), o(h)).
     It keeps no table: most products serve too few calls to repay one.
+    ``dense_table`` forms one from the factors' ``dense_table``s, as their
+    outer sum.
     """
 
     keeps_table = False
@@ -600,6 +608,12 @@ class ProductGroup(FiniteGroup):
     def _product(self, a, b) -> np.ndarray:
         g, h = self._factor_indices
         return self.left.mul_vec(g[a], g[b]) * self.right.order + self.right.mul_vec(h[a], h[b])
+
+    def _form_table(self) -> np.ndarray:
+        """The Cayley table: entry ((g, h), (g', h')) is gg' * |H| + hh', one outer sum."""
+        left, right = self.left.dense_table(), self.right.dense_table()
+        table = left[:, None, :, None] * self.right.order + right[None, :, None, :]
+        return table.reshape(self.order, self.order)
 
     def _compute_inverses(self) -> np.ndarray:
         a1, a2 = self._factor_indices

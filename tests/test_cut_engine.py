@@ -226,7 +226,10 @@ def test_oracle_scan_allocates_less_than_its_table():
 
 
 def test_inverses_are_read_off_the_table_in_row_blocks():
-    """The oracle and a table group read the inverses of an order-2048 table within two blocks."""
+    """An order-2048 table group reads its inverses off the table in row blocks, within two blocks.
+
+    The oracle reads its inverses off its order walk; its whole scan stays within the same bound.
+    """
     G = _table_group(metacyclic(1024, 2, 1023))  # order 2048: a 16 MiB table, whose bool image is 4 MiB
     table = G.dense_table()
     for derive in (lambda: decide_cut_bruteforce(G).witnesses, G._compute_inverses):

@@ -37,7 +37,7 @@ from cutlab.constructors import (
     symmetric,
     table_spec,
 )
-from cutlab.corpus import builtin_corpus
+from cutlab.corpus import builtin_corpus, run_corpus
 from cutlab.errors import NotAGroup, NotAPermutation, NotNormal, OrderCapExceeded
 from cutlab.group_core import (
     FiniteGroup,
@@ -439,6 +439,50 @@ def test_composed_table_refuses_generators_that_fall_short():
     gens = np.array(G.generators[:1])
     with pytest.raises(NotAGroup, match="do not generate all 24 elements"):
         group_core.composed_table(gens, G.mul_vec(np.arange(24)[None, :], gens[:, None]))
+
+
+def test_permutation_group_refuses_columns_of_generators_that_fall_short(monkeypatch):
+    """A table composed from its generators' columns is the cover check: no second walk is made."""
+    S4 = construct(symmetric(4))
+    gens = np.array(S4.generators)
+    columns = S4.mul_vec(np.arange(24)[None, :], gens[:, None])
+    with pytest.raises(NotAGroup, match="do not generate all 24 elements"):
+        PermutationGroup(S4.images, gens[:1], S4.points, columns=columns[:1])
+    walks = []
+    labels = group_core._coset_labels
+    monkeypatch.setattr(group_core, "_coset_labels", lambda *a: walks.append(a) or labels(*a))
+    G = PermutationGroup(S4.images, gens, S4.points, columns=columns)
+    assert np.array_equal(G.table, S4.table) and walks == []
+    S6 = construct(symmetric(6))  # past one row block: no table, so the cover is walked
+    assert S6.table is None and len(walks) == 1
+
+
+def _products_match_the_product_fill(groups):
+    """Whether every ProductGroup's outer-sum table is ``fill_table`` over its product; their count."""
+    products = [G for G in groups if isinstance(G, group_core.ProductGroup)]
+    for G in products:
+        table = G.dense_table()
+        assert table.dtype == np.int32, G.name
+        assert np.array_equal(table, group_core.fill_table(G.order, G._product)), G.name
+    return len(products)
+
+
+def test_product_tables_are_the_outer_sums_of_their_factor_tables(sweep_groups, monkeypatch):
+    """Corpus and sweep products, and every product one corpus run builds, fill as ``_product`` does."""
+    corpus = [construct(e.spec) for e in builtin_corpus() if e.spec.kind == "product"]
+    assert _products_match_the_product_fill(corpus) > 0
+    for seed in (1, 7):
+        assert _products_match_the_product_fill([G for _, G in sweep_groups[seed]]) > 0
+    built = []
+    product = characterizations.direct_product
+
+    def recorded(*args):
+        built.append(product(*args))
+        return built[-1]
+
+    monkeypatch.setattr(characterizations, "direct_product", recorded)
+    pairs = len(run_corpus(builtin_corpus()).remark_pairs)
+    assert _products_match_the_product_fill(built) == len(built) > pairs > 0
 
 
 def test_permutation_closure_computes_no_label(monkeypatch):
