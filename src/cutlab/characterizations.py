@@ -11,8 +11,9 @@ which is equivalent because conjugate elements have conjugate powers.  A
 clause is one whole-array expression over the classes (their element
 orders, power maps, inverse classes and [x, G]), and the prediction is
 that every flag holds.  A report's trace is formed on its first read, from
-columns that hold no group: the flags, a clause code per entry, and the
-names of G's class representatives, formed once per group.
+columns that hold no group: the flags, a clause code per entry, and a
+holder kept on G that names G's class representatives once per group, when
+the first trace is read.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .group_core import (
     FiniteGroup,
     SubgroupHandle,
     _distinct_commutator_subgroups,
+    _Names,
     center,
     coset_minima,
     direct_product,
@@ -107,9 +109,15 @@ class _Clause(NamedTuple):
     classes: np.ndarray | None = None
 
 
-def _class_names(G: FiniteGroup) -> tuple[str, ...]:
-    """The name of each class representative, by class id (kept on G, shared by the traces)."""
-    return tuple(map(G.label, G.conjugacy.representatives.tolist()))
+def _class_names(G: FiniteGroup) -> _Names:
+    """The name of each class representative by class id, each formed on its first read.
+
+    The holder is kept on G and shared by the traces of every report of G,
+    so a representative is named once, when the first trace that names it
+    is read.  It holds G's namer (``_labels``) and representatives, never G.
+    """
+    labels, reps = G._labels, G.conjugacy.representatives.tolist()
+    return _Names(lambda c: str(reps[c]) if labels is None else labels[reps[c]])
 
 
 def _entries(head, names, clauses) -> tuple[TraceEntry, ...]:

@@ -85,9 +85,10 @@ def _power_map_witnesses(G: FiniteGroup, labels, rows, reps, orders) -> np.ndarr
     and x^-1 in H_r.
 
     The powers of all pairs are walked together, one ``mul_vec`` per exponent
-    over the ones still open; a pair leaves the walk at its first witness or
-    when j + 2 reaches m, since x^(m-1) = x^-1 never escapes (so only m > 3
-    walks at all).
+    over the ones still open; gcd(j, m) is taken only on the pairs whose
+    power left their own pair of classes.  A pair leaves the walk at its
+    first witness or when j + 2 reaches m, since x^(m-1) = x^-1 never escapes
+    (so only m > 3 walks at all).
     """
     first = np.zeros(len(reps), dtype=np.int64)
     live = (orders > 3).nonzero()[0]  # positions in reps still walking
@@ -102,10 +103,11 @@ def _power_map_witnesses(G: FiniteGroup, labels, rows, reps, orders) -> np.ndarr
     while live.size:
         j += 1
         ys = G.mul_vec(ys, xs)
-        hit = (pair[at + ys] != own) & (np.gcd(j, m) == 1)
-        if np.count_nonzero(hit) or j + 2 in ends:
+        miss = (pair[at + ys] != own).nonzero()[0]
+        hit = miss[np.gcd(j, m[miss]) == 1]
+        if hit.size or j + 2 in ends:
             first[live[hit]] = j
-            keep = ~hit & (j + 2 < m)
+            keep = (first[live] == 0) & (j + 2 < m)
             live, at, xs, ys, own, m = (a[keep] for a in (live, at, xs, ys, own, m))
     return first
 

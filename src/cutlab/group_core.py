@@ -28,9 +28,11 @@ Each group fact is computed once and kept on the group (see
 them, and the center is formed afresh on each call.
 Element orders come from a whole-array power walk over the class
 representatives (``orders_modulo``, which also gives the orders of cosets
-xN), cut short where p-part powering by square-and-multiply needs fewer
-products; the class of x^k for each class
-representative is kept per k (``power_map``).  Nilpotency and the class
+xN), cut short where p-part powering needs fewer products.  Every power is
+``power_vec``'s one-exponent square-and-multiply, whose accumulator starts
+at the lowest set bit, so x^k costs ``_power_products(k)`` products (a
+square one, x^1 none), and the walk is budgeted in those; the class of x^k
+for each class representative is kept per k (``power_map``).  Nilpotency and the class
 are read off the upper central series on the class representatives
 (``_central_height``), which closes no subgroup.  Subgroups (the center,
 the Sylow subgroups, the derived series, and [x, G] for many x at once)
@@ -104,15 +106,20 @@ def is_prime_power(n: int) -> bool:
 
 
 def _power_products(k: int) -> int:
-    """Products ``FiniteGroup.power_vec`` spends on the exponent k >= 1."""
-    return k.bit_length() - 1 + bin(k).count("1")
+    """Products ``FiniteGroup.power_vec`` spends on the exponent k >= 0.
+
+    ⌊log2 k⌋ squarings and popcount(k) - 1 multiplies, none for k <= 1.
+    """
+    return max(k.bit_length() + k.bit_count() - 2, 0)
 
 
 def _p_part_products(n: int) -> int:
     """Products p-part powering spends on an element of a group of order n.
 
     For each p^a exactly dividing n: one power x^(n/p^a), then at most a
-    powers by p.
+    powers by p, each counted in ``power_vec``'s real products
+    (``_power_products``), so a square costs one and x^(n/p^a) nothing
+    when n is a power of p.
     """
     return sum(
         _power_products(n // p**a) + a * _power_products(p)
@@ -166,7 +173,7 @@ class ConjugacyPartition:
 
 
 class _Names(dict):
-    """Element names by index, each formed by ``namer`` when first asked for, then kept."""
+    """Names by index (elements or classes), each formed by ``namer`` on first request, then kept."""
 
     def __init__(self, namer):
         super().__init__()
@@ -310,24 +317,24 @@ class FiniteGroup:
                 base = self.mul(base, base)
         return acc
 
-    def power_vec(self, xs, k) -> np.ndarray:
-        """x^k for every x of ``xs`` by square-and-multiply (Cohen, 1993, Alg. 1.4.3).
+    def power_vec(self, xs, k: int) -> np.ndarray:
+        """x^k for every x of ``xs``, one int exponent k >= 0 (ValueError below 0).
 
-        ``k`` is one exponent k >= 0 or one such exponent per element.  Each
-        bit of the largest exponent costs one squaring, and one product over
-        the elements whose exponent has it set.
+        The right-to-left binary method (Knuth, TAOCP Vol. 2, 4.6.3, Alg. A)
+        with the accumulator started at the lowest set bit: one squaring per
+        bit after the first and one product per set bit after the lowest,
+        ``_power_products(k)`` products in all.  For k <= 1 the result is a
+        fresh array, never ``xs`` itself.
         """
-        xs, k = np.asarray(xs), np.asarray(k, dtype=np.int64)
-        acc, base = np.zeros(np.broadcast_shapes(xs.shape, k.shape), dtype=xs.dtype), xs
-        for bit in range(int(k.max(initial=0)).bit_length()):
+        if k < 0:
+            raise ValueError(f"power_vec takes an exponent k >= 0, got {k}")
+        acc, xs = None, np.asarray(xs)
+        for bit in range(k.bit_length()):
             if bit:
-                base = self.mul_vec(base, base)
-            odd = (k >> bit) & 1 == 1
-            if odd.all():
-                acc = self.mul_vec(acc, base)
-            elif odd.any():
-                acc = np.where(odd, self.mul_vec(acc, base), acc)
-        return acc
+                xs = self.mul_vec(xs, xs)
+            if k >> bit & 1:
+                acc = xs if acc is None else self.mul_vec(acc, xs)
+        return np.zeros_like(xs) if k == 0 else acc.copy() if k == 1 else acc
 
     @cached_property
     def element_orders(self) -> np.ndarray:
@@ -336,9 +343,9 @@ class FiniteGroup:
         Order is a class function, so only the class representatives are
         walked, and each class's order is spread to its members through
         ``class_of``.  The walk x, x^2, ... runs for the
-        ``_p_part_products(order)`` products p-part powering needs; that
-        settles every element of a small exponent, and p-part powering
-        finishes the rest.
+        ``_p_part_products(order)`` products p-part powering needs, counted
+        in real products; that settles every element of a small exponent,
+        and p-part powering finishes the rest.
         """
         part = self.conjugacy
         reps = part.representatives.astype(np.intp)  # int32 indices would cast in every gather
@@ -355,8 +362,7 @@ class FiniteGroup:
         """The class of x^k for the representative x of each class (read-only, kept per k)."""
         classes = self._power_maps.get(k)
         if classes is None:
-            part = self.conjugacy
-            classes = part.class_of[self.power_vec(part.representatives, k)]
+            classes = self.conjugacy.class_of[self.power_vec(self.conjugacy.representatives, k)]
             classes.flags.writeable = False
             self._power_maps[k] = classes
         return classes
@@ -533,7 +539,8 @@ def orders_modulo(G: FiniteGroup, xs, kernel: np.ndarray, steps: int, rows=0) ->
     divides |G|, since o(xN) divides |G/N|, which divides |G|.  P-part
     powering finishes the rest: for each p^a exactly dividing |G|,
     y = x^(|G|/p^a) has for yN the order the p-part of o(xN), so while y is
-    not in N the order gains a factor p and y is replaced by y^p.
+    not in N the order gains a factor p and y is replaced by y^p, one
+    product for p = 2 (``power_vec``).
     """
     xs = np.asarray(xs)
     inside = np.atleast_2d(kernel).ravel()  # inside[at + y]: whether y is in the N of its row

@@ -11,8 +11,10 @@ commutator set of an element is taken over every element of G.  The
 class-fact references (normality, the center, centrality, the classes of
 G/N) conjugate and multiply by G's generators instead of reading G's class
 partition, and the generator and orbit references close sets by BFS.
-The scalar witness scan is the oracle kernel's reference: it works on the
-table and its inverses one element and one power at a time.  The label
+The per-element power is ``power_vec``'s reference: one exponent per
+element, one masked product per bit.  The scalar witness scan is the
+oracle kernel's reference: it works on the table and its inverses one
+element and one power at a time.  The label
 reference names every element of a built spec by each kind's formula,
 evaluated for all elements up front.  The characterization references are
 the per-class loops: one trace entry and one ``label`` call per class,
@@ -98,6 +100,26 @@ def reference_orders(G):
             return orders
         y = G.mul_vec(y, everyone)
         k += 1
+
+
+def reference_power_vec(G, xs, k):
+    """x^k for every x of ``xs`` by square-and-multiply (Cohen, 1993, Alg. 1.4.3).
+
+    ``k`` is one exponent k >= 0 or one such exponent per element.  Each
+    bit of the largest exponent costs one squaring, and one product over
+    the elements whose exponent has it set.
+    """
+    xs, k = np.asarray(xs), np.asarray(k, dtype=np.int64)
+    acc, base = np.zeros(np.broadcast_shapes(xs.shape, k.shape), dtype=xs.dtype), xs
+    for bit in range(int(k.max(initial=0)).bit_length()):
+        if bit:
+            base = G.mul_vec(base, base)
+        odd = (k >> bit) & 1 == 1
+        if odd.all():
+            acc = G.mul_vec(acc, base)
+        elif odd.any():
+            acc = np.where(odd, G.mul_vec(acc, base), acc)
+    return acc
 
 
 def reference_witnesses(G):

@@ -14,6 +14,7 @@ from conftest import (
     reference_coset_minima,
     reference_is_central,
     reference_is_normal,
+    reference_power_vec,
     reference_witnesses,
 )
 
@@ -361,7 +362,7 @@ def test_orders_modulo_match_cyclic_intersections(class_fact_groups):
         everyone = np.arange(G.order)
         orders = G.element_orders
         exponents = np.arange(int(orders.max()))
-        powers = G.power_vec(everyone[:, None], exponents[None, :])
+        powers = reference_power_vec(G, everyone[:, None], exponents[None, :])
         below = exponents[None, :] < orders[:, None]
         for N in _decided_normal_subgroups(G, center(G)):
             meets = (N._mask[powers] & below).sum(axis=1)
@@ -649,6 +650,19 @@ def test_verify_forms_no_trace_entry_until_a_trace_is_read(monkeypatch):
     assert len(formed) == sum(map(len, traces)) > 2000
     assert all(r.trace is t for r, t in zip(reports, traces))  # formed once, then kept
     assert len(formed) == sum(map(len, traces))
+
+
+def test_verify_forms_no_name_until_a_trace_is_read():
+    """The class representatives are named on the first trace read, once for every report of G."""
+    G = construct(metacyclic(2048, 2, 2047))  # dihedral of order 4096
+    named, namer = [], G._labels.namer
+    G._labels.namer = lambda x: named.append(x) or namer(x)
+    reports = verify_equivalences(G)
+    assert named == []
+    reports[1].trace  # thm_solvable_eppo, the first applicable report
+    assert sorted(named) == G.conjugacy.representatives.tolist()
+    traces = [r.trace for r in reports]
+    assert len(named) == G.conjugacy.num_classes and sum(map(len, traces)) > 2000
 
 
 def test_reports_do_not_keep_their_group_alive():

@@ -21,6 +21,7 @@ from conftest import (
     reference_lower_central_series,
     reference_orbit_lengths,
     reference_orders,
+    reference_power_vec,
     sweep_specs,
     table_of,
 )
@@ -528,10 +529,44 @@ def test_power_vec_matches_power(spec):
     ks = rng.integers(0, 140, size=200)
     ks[:20] = 0
     expected = [G.power(int(x), int(k)) for x, k in zip(xs, ks)]
-    assert G.power_vec(xs, ks).tolist() == expected  # one exponent per element
+    assert reference_power_vec(G, xs, ks).tolist() == expected  # one exponent per element
     for k in (0, 1, 5, 64):  # one exponent for all
         assert G.power_vec(xs, k).tolist() == [G.power(int(x), k) for x in xs]
     assert G.power_vec(7 % G.order, 3).shape == ()
+
+
+def test_power_vec_refuses_a_negative_exponent():
+    C12 = construct(cyclic(12))
+    assert C12.power(1, -1) == 11
+    for k in (-1, -2, -(10 ** 9)):
+        with pytest.raises(ValueError, match="k >= 0"):
+            C12.power_vec([1, 5], k)
+
+
+@pytest.mark.parametrize("spec", [cyclic(12), metacyclic(2048, 2, 2047)], ids=["table", "formula"])
+def test_power_vec_makes_exactly_its_counted_products(spec, monkeypatch):
+    """k = 0..70 and 4095 each cost ``_power_products(k)`` ``mul_vec`` calls, and k <= 1 none.
+
+    ``power_vec(xs, 0)`` is the identity in the shape of ``xs``, and the
+    result of k = 1 is a fresh array, so writing into it leaves ``xs`` as it was.
+    """
+    G = construct(spec)
+    assert (G.table is not None) == (spec.kind == "cyclic")
+    calls = []
+    mul_vec = G.mul_vec
+    monkeypatch.setattr(G, "mul_vec", lambda a, b: calls.append(1) or mul_vec(a, b))
+    xs = np.random.default_rng(G.order).integers(0, G.order, size=(3, 4))
+    for k in [*range(71), 4095]:
+        calls.clear()
+        got = G.power_vec(xs, k)
+        assert len(calls) == group_core._power_products(k), k
+        assert np.array_equal(got, reference_power_vec(G, xs, k)), k
+    assert group_core._power_products(4095) == 22 and group_core._power_products(1) == 0
+    assert G.power_vec(xs, 0).shape == xs.shape and not G.power_vec(xs, 0).any()
+    kept = xs.copy()
+    once = G.power_vec(xs, 1)
+    once[...] = 0
+    assert np.array_equal(xs, kept)
 
 
 def test_element_order_examples():
@@ -862,10 +897,10 @@ def test_product_class_structure_on_corpus_pairs():
             assert np.array_equal(part.representatives, reps)
             assert np.array_equal(part.inverse_class, class_of[P.inv_vec[reps]])
             orders, everyone = P.element_orders, np.arange(P.order)
-            assert (P.power_vec(everyone, orders) == 0).all()
+            assert (reference_power_vec(P, everyone, orders) == 0).all()
             for p in group_core.prime_factors(P.order):
                 divisible = orders % p == 0
-                assert (P.power_vec(everyone[divisible], orders[divisible] // p) != 0).all()
+                assert (reference_power_vec(P, everyone[divisible], orders[divisible] // p) != 0).all()
             sizes = sorted(len(m) for m in part.class_members)
             expected = sorted(
                 len(a) * len(b)
