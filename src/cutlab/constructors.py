@@ -12,11 +12,13 @@ relations are cheap to state and tests hold them as the ground truth.
 The five formula kinds (cyclic, abelian, metacyclic, dicyclic, heisenberg)
 each state one product formula over broadcast index arrays; the abelian
 one adds mixed-radix digits, one pass per factor that can carry.  Each
-also states one naming function, which names an element only when its
-label is asked for, so building a group computes no label.  Each is a
+also states its closed-form inverse, which a group past one row block
+calls once over every element, and one naming function, which names an
+element only when its label is asked for, so building a group computes
+no label.  Each is a
 ``group_core.FormulaGroup``: it keeps the Cayley table its formula fills
 while that fits one row block (order <= 512, decided by
-``group_core.FiniteGroup`` for every backend), and then drops the formula,
+``group_core.FiniteGroup`` for every backend), and then drops its formulas,
 and past it holds no order x order array.  The abelian formula
 gathers through intp digit indices and the others compute in int32
 (``_int32``).
@@ -361,16 +363,11 @@ def _check_quotient(spec, cap):
 # -- label helpers -----------------------------------------------------------
 
 def _pow_str(sym: str, e: int) -> str:
-    if e == 0:
-        return ""
-    if e == 1:
-        return sym
-    return f"{sym}^{e}"
+    return f"{sym}^{e}" if e > 1 else sym if e else ""
 
 
 def _ab_label(i: int, j: int) -> str:
-    parts = [s for s in (_pow_str("a", i), _pow_str("b", j)) if s]
-    return " ".join(parts) if parts else "1"
+    return f"{_pow_str('a', i)}{' ' if i and j else ''}{_pow_str('b', j)}" or "1"
 
 
 # -- realizations: each runs on a descriptor its kind's check accepted --------
@@ -395,7 +392,10 @@ def _build_cyclic(spec, cap) -> FiniteGroup:
         a, b = _int32(a, b)
         return (a + b) % n
 
-    return FormulaGroup(n, product, (1,) if n > 1 else (0,), namer, spec.describe())
+    def invert(a):
+        return (n - a) % n
+
+    return FormulaGroup(n, product, invert, (1,) if n > 1 else (0,), namer, spec.describe())
 
 
 def _build_abelian(spec, cap) -> FiniteGroup:
@@ -419,13 +419,20 @@ def _build_abelian(spec, cap) -> FiniteGroup:
             out -= drop * (digit[a] + digit[b] >= f)
         return out
 
+    def invert(a):
+        # digit i of a^-1 is (f_i - d_i(a)) mod f_i: -a, plus f_i * s_i where d_i(a) is not 0
+        out = -a.astype(np.intp)
+        for digit, f, drop in carries:
+            out += drop * (digit[a] > 0)
+        return out
+
     gens = strides[factors > 1].tolist()
     places = list(zip(strides.tolist(), factors.tolist()))
 
     def namer(x):
         return "(" + ",".join(str(x // s % f) for s, f in places) + ")"
 
-    return FormulaGroup(order, product, gens, namer, spec.describe())
+    return FormulaGroup(order, product, invert, gens, namer, spec.describe())
 
 
 def _build_metacyclic(spec, cap) -> FiniteGroup:
@@ -441,6 +448,11 @@ def _build_metacyclic(spec, cap) -> FiniteGroup:
         i2, j2 = b % m, b // m
         return ((j1 + j2) % n) * m + (i1 + i2 * tpow[j1]) % m
 
+    def invert(a):
+        # (a^i b^j)^-1 = a^i' b^j' with j' = -j and i' + i * t^j' = 0 (mod m)
+        i, j = a % m, (n - a // m) % n
+        return j * m + (-i * tpow[j]) % m
+
     gens = []
     if m > 1:
         gens.append(1)
@@ -450,7 +462,7 @@ def _build_metacyclic(spec, cap) -> FiniteGroup:
     def namer(k):
         return _ab_label(k % m, k // m)
 
-    return FormulaGroup(order, product, gens, namer, spec.describe())
+    return FormulaGroup(order, product, invert, gens, namer, spec.describe())
 
 
 def _build_dicyclic(spec, cap) -> FiniteGroup:
@@ -468,10 +480,15 @@ def _build_dicyclic(spec, cap) -> FiniteGroup:
         inew = np.where(jnew == 2, inew + n, inew) % two_n
         return (jnew % 2) * two_n + inew
 
+    def invert(a):
+        # (a^i)^-1 = a^-i, and (a^i b)^-1 = a^(i+n) b
+        i, j = a % two_n, a // two_n
+        return j * two_n + np.where(j == 0, -i, i + n) % two_n
+
     def namer(k):
         return _ab_label(k % two_n, k // two_n)
 
-    return FormulaGroup(order, product, (1, two_n), namer, spec.describe())
+    return FormulaGroup(order, product, invert, (1, two_n), namer, spec.describe())
 
 
 def _build_heisenberg(spec, cap) -> FiniteGroup:
@@ -486,10 +503,16 @@ def _build_heisenberg(spec, cap) -> FiniteGroup:
         y2, z2 = np.divmod(rem2, p)
         return ((x1 + x2) % p) * p * p + ((y1 + y2) % p) * p + (z1 + z2 + x1 * y2) % p
 
+    def invert(a):
+        # (x, y, z)^-1 = (-x, -y, xy - z)
+        x, rem = np.divmod(a, p * p)
+        y, z = np.divmod(rem, p)
+        return (-x % p) * p * p + (-y % p) * p + (x * y - z) % p
+
     def namer(k):
         return f"({k // (p * p)},{k // p % p},{k % p})"
 
-    return FormulaGroup(order, product, (p * p, p), namer, spec.describe())
+    return FormulaGroup(order, product, invert, (p * p, p), namer, spec.describe())
 
 
 def _build_symmetric(spec, cap) -> FiniteGroup:

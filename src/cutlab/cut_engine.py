@@ -9,7 +9,7 @@ exponent off the walk.  The same walk decides quotients G/N on G's own
 elements, without building them: it takes one row of class labels per
 scanned group, so one stacked walk decides every N of a stack at once
 (``central_factor_cuts``, and ``quotient_cuts`` for a list of normal
-subgroups, of which ``quotient_has_cut`` is the one-row call).
+subgroups).
 A central subgroup N needs only its element orders
 (``central_subgroup_has_cut``).  The walk is handed its orders (of x in
 G, or of xN from ``group_core.orders_modulo``), so it knows nothing of N.
@@ -198,18 +198,16 @@ def quotient_cuts(G: FiniteGroup, normals) -> np.ndarray:
     return _quotient_cuts(G, np.stack([coset_minima(G, N) for N in normals]))
 
 
-def quotient_has_cut(G: FiniteGroup, N: SubgroupHandle) -> bool:
-    """Whether G/N has the cut-property, decided on G's own elements (``quotient_cuts`` of one N)."""
-    return bool(quotient_cuts(G, [N])[0])
-
-
 def central_factor_cuts(G: FiniteGroup, minima: np.ndarray) -> np.ndarray:
     """Whether N and G/N both have the cut-property, for each central N given by its coset minima.
 
     One row of ``minima`` per N, holding the least member of each coset xN;
-    N is the x with minimum 0.  Every N of the stack is decided together.
+    N is the x with minimum 0.  Every N of the stack is decided together,
+    and G/N is walked only for the N that have the cut-property.
     """
-    return _central_cuts(G, minima == 0) & _quotient_cuts(G, minima)
+    ok = _central_cuts(G, minima == 0)
+    ok[ok] = _quotient_cuts(G, minima[ok])
+    return ok
 
 
 def decide_cut_bruteforce(G: FiniteGroup) -> CutVerdict:

@@ -12,9 +12,11 @@ A permutation group keeps its images on the moved points only, and a
 closure whose images would pass PERMUTATION_BYTE_BUDGET bytes raises
 OrderCapExceeded, up front from the order bound of the spec and again
 while the closure grows.  Its table is composed from its generators'
-columns (``composed_table``); without one a composed image row is mapped
-back to its element through one sorted index of fixed-width byte keys, so
-products and inverses are whole-array numpy operations at every degree.
+columns (``composed_table``); without one image rows are composed by one
+flat take and each is mapped back to its element through one sorted index
+of int64 row keys (``_point_weights``), so products and inverses are
+whole-array numpy operations at every degree.  A formula group without a
+table takes its inverses from its kind's closed-form inverse formula.
 Elements are named only when a label is asked for.
 Conjugacy classes are computed once at build time as orbits under the
 generators' conjugations (one cached array, also read by normal closures),
@@ -167,9 +169,6 @@ class ConjugacyPartition:
         real = self.inverse_class == np.arange(self.num_classes)
         real.flags.writeable = False
         return real
-
-    def class_size(self, c: int) -> int:
-        return int(self.sizes[c])
 
 
 class _Names(dict):
@@ -438,23 +437,23 @@ class FormulaGroup(FiniteGroup):
 
     ``product(a, b)`` takes broadcastable integer index arrays, each formula
     casting them to the dtype it computes in, and returns the index of each
-    product.  A group that keeps its table drops the formula once the table
-    is filled.  Without a table every product is evaluated on demand, so
-    memory stays O(order), and the inverse of x is x^(order-1), so a formula
-    needs no inverse of its own.
+    product; ``invert(a)``, its closed-form inverse, is called once over
+    every element when no table is kept.  A group that keeps its table drops
+    both formulas once the table is filled.  Without a table every product
+    is evaluated on demand, so memory stays O(order).
     """
 
-    def __init__(self, order: int, product, generators, labels=None, name="formula"):
-        self.product = product
+    def __init__(self, order: int, product, invert, generators, labels=None, name="formula"):
+        self.product, self.invert = product, invert
         super().__init__(order, generators, labels, name)
         if self.table is not None:
-            self.product = None  # every product is a gather from the kept table
+            self.product = self.invert = None  # products and inverses are read off the kept table
 
     def _product(self, a, b) -> np.ndarray:
         return np.asarray(self.product(np.asarray(a), np.asarray(b)), dtype=np.int32)
 
     def _compute_inverses(self) -> np.ndarray:
-        return self.power_vec(np.arange(self.order, dtype=np.int32), self.order - 1)
+        return np.asarray(self.invert(np.arange(self.order, dtype=np.int32)), dtype=np.int32)
 
 
 class PermutationGroup(FiniteGroup):
@@ -463,11 +462,12 @@ class PermutationGroup(FiniteGroup):
     ``images[i]`` is the image row of element i, on the points named by
     ``points`` (default 0..degree-1); an element is named in cycle notation
     of those names when its label is asked for.
-    Each row is read as one fixed-width byte key (``np.void`` of
-    ``degree * 4`` bytes), and the keys are sorted once here; ``_product``
-    composes image rows and maps each back to its element by
-    ``np.searchsorted`` on that index, with an exact equality check on the
-    key found, so memory stays O(order * degree); the inverses are found so.
+    Each row is keyed by one int64, its dot product with per-point weights
+    (``_point_weights``, wrapping), and the keys are sorted once here; the
+    weights are derived afresh while two distinct rows share a key.
+    ``_product`` composes image rows by one flat take and maps each back to
+    its element by ``np.searchsorted`` on that index, with an exact check of
+    the row found, so memory stays O(order * degree); the inverses are found so.
     Its Cayley table is composed from its generators' columns
     (``composed_table``); ``columns``, when given, holds the column x -> x*g
     of each generator g (a closure knows them) and the table is kept, else
@@ -481,13 +481,17 @@ class PermutationGroup(FiniteGroup):
         self.images = images
         self.degree = images.shape[1]
         self.points = points = np.arange(self.degree) if points is None else np.asarray(points)
-        keys = _row_keys(images)
-        self._key_order = np.argsort(keys, kind="stable").astype(np.int32)
-        # a last key of all-0xff bytes (images of -1) sorts above every image and equals none,
-        # so a searchsorted miss past the end needs no clipping
-        self._sorted_keys = np.append(keys[self._key_order], _row_keys(np.full(self.degree, -1)))
-        if (self._sorted_keys[1:] == self._sorted_keys[:-1]).any():
-            raise NotAGroup("permutation images are not distinct")
+        for salt in itertools.count():
+            self._weights = _point_weights(self.degree, salt)
+            keys = images @ self._weights
+            self._key_order = np.argsort(keys, kind="stable").astype(np.int32)
+            self._sorted_keys = keys[self._key_order]
+            ties = np.flatnonzero(self._sorted_keys[1:] == self._sorted_keys[:-1])
+            if not ties.size:
+                break
+            tied = images[self._key_order[np.union1d(ties, ties + 1)]]  # equal rows share a key
+            if len(np.unique(tied, axis=0)) < len(tied):
+                raise NotAGroup("permutation images are not distinct")
         table = None if columns is None else composed_table(generators, columns)
         super().__init__(
             images.shape[0], generators, lambda x: _perm_cycle_label(images[x], points), name, table
@@ -495,22 +499,22 @@ class PermutationGroup(FiniteGroup):
 
     def _lookup(self, rows: np.ndarray) -> np.ndarray:
         """Element index of each image row; NotAGroup if a row is not an element."""
-        keys = _row_keys(rows)
-        pos = np.searchsorted(self._sorted_keys, keys)
-        if not (self._sorted_keys[pos] == keys).all():
+        pos = np.searchsorted(self._sorted_keys, rows @ self._weights)
+        # a key above every element's sorts past the end: clipped, its row check fails
+        found = self._key_order.take(pos, mode="clip")
+        if not np.array_equal(self.images.take(found, axis=0), rows):
             raise NotAGroup("a product of permutations is not an element of the group")
-        return self._key_order[pos]
+        return found
 
     def _product(self, a, b) -> np.ndarray:
-        """Compose image rows and look each one up, in row blocks."""
+        """Compose image rows by one flat take and look each one up, in row blocks."""
         a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
         flat_a, flat_b = a.ravel(), b.ravel()
         out = np.empty(flat_a.size, dtype=np.int32)
         for chunk in _kernels.row_blocks(out.size, 4 * self.degree):
-            ia, ib = flat_a[chunk], flat_b[chunk]
-            # row r of the chunk is images[a][images[b]]
-            composed = self.images[ia][np.arange(ia.size)[:, None], self.images[ib]]
-            out[chunk] = self._lookup(composed)
+            # row r of the chunk is images[a][images[b]], read at a * degree + images[b]
+            at = self.images.take(flat_b[chunk], axis=0) + (flat_a[chunk] * self.degree)[:, None]
+            out[chunk] = self._lookup(self.images.ravel().take(at))
         return out.reshape(a.shape)
 
     def _form_table(self) -> np.ndarray:
@@ -580,9 +584,22 @@ def _frozen_partition(class_of, reps, inverse_class) -> ConjugacyPartition:
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One fixed-width byte key per int32 image row."""
+    """One fixed-width byte key per int32 image row, the dict key of ``build_from_permutations``."""
     rows = np.ascontiguousarray(rows, dtype=np.int32)
     return rows.view(np.dtype((np.void, 4 * rows.shape[-1]))).reshape(rows.shape[:-1])
+
+
+def _point_weights(degree: int, salt: int = 0) -> np.ndarray:
+    """One int64 weight per point: splitmix64's output ``salt * degree`` plus the point's index.
+
+    An image row's key is its dot product with these weights, wrapping
+    (``PermutationGroup``); a fixed mixer keeps every key the same from run to run.
+    """
+    z = np.arange(salt * degree + 1, (salt + 1) * degree + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return (z ^ z >> np.uint64(31)).view(np.int64)
 
 
 class ProductGroup(FiniteGroup):
@@ -692,9 +709,6 @@ class SubgroupHandle:
             gens, minima = self.closed_from, _coset_labels(G, self.closed_from)
         minima.flags.writeable = False
         return gens, minima
-
-    def contains(self, x: int) -> bool:
-        return bool(self._mask[x])
 
     def as_group(self, name=None) -> TableGroup:
         """Re-index the members as a standalone group of their own (a dense table)."""

@@ -18,7 +18,8 @@ element and one power at a time.  The label
 reference names every element of a built spec by each kind's formula,
 evaluated for all elements up front.  The characterization references are
 the per-class loops: one trace entry and one ``label`` call per class,
-every [x, G] looked up class by class.
+every [x, G] looked up class by class.  The class size, membership and
+one-quotient helpers stand in for methods that only the tests called.
 """
 
 import functools
@@ -41,7 +42,7 @@ from cutlab.characterizations import (
 from cutlab.cli import parse_group_spec
 from cutlab.constructors import construct, cyclic, metacyclic, product, symmetric
 from cutlab.corpus import builtin_corpus, run_corpus
-from cutlab.cut_engine import central_factor_cuts
+from cutlab.cut_engine import central_factor_cuts, quotient_cuts
 from cutlab.group_core import center, commutator_subgroups, coset_minima, subgroup_generated
 
 SWEEPGEN = Path(__file__).parents[1] / "perfbench" / "sweepgen.py"
@@ -57,6 +58,21 @@ def count_fill_rows(monkeypatch, module):
 
     monkeypatch.setattr(module, "fill_table", recorded)
     return rows
+
+
+def class_size(part, c):
+    """The size of class c of a conjugacy partition, counted from its ``class_of``."""
+    return int(np.count_nonzero(part.class_of == c))
+
+
+def contains(sub, x):
+    """Whether x is a member of the subgroup handle ``sub``, read off its member array."""
+    return bool((sub.members == x).any())
+
+
+def quotient_has_cut(G, N):
+    """Whether G/N has the cut-property, decided on G's own elements: ``quotient_cuts`` of one N."""
+    return bool(quotient_cuts(G, [N])[0])
 
 
 def table_of(G):
@@ -550,7 +566,7 @@ def reference_cor_class2(G):
     reps = G.conjugacy.representatives
     subs = commutator_subgroups(G, reps)
     for x, sub, power in zip(reps.tolist(), subs, G.power_vec(reps, exponent).tolist()):
-        trace.append(TraceEntry(G.label(x), f"x^{exponent} in [x,G]", sub.contains(power)))
+        trace.append(TraceEntry(G.label(x), f"x^{exponent} in [x,G]", contains(sub, power)))
     return _conjunction("cor_class2", trace)
 
 

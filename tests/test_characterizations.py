@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     REFERENCE_CHARACTERIZATIONS,
+    quotient_has_cut,
     reference_center,
     reference_coset_classes,
     reference_coset_minima,
@@ -49,7 +50,6 @@ from cutlab.cut_engine import (
     central_factor_cuts,
     central_subgroup_has_cut,
     decide_cut,
-    quotient_has_cut,
 )
 from cutlab.errors import CenterTooLarge, HypothesisViolated
 from cutlab.group_core import (

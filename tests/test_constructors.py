@@ -242,6 +242,57 @@ def test_formula_groups_answer_as_the_table_groups_of_their_tables(small, large)
     assert sylow[0] == sylow[1]
 
 
+# the edge cases of each inverse formula: order 1, a trivial cyclic part, an int8-digit overflow
+INVERSE_EDGE_SPECS = [
+    cyclic(1),
+    metacyclic(1, 3, 0),
+    abelian([128, 2]),
+    abelian([1, 4, 1]),
+    dicyclic(1),
+    heisenberg(3),
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [s for pair in SIZE_PAIRS for s in pair] + [abelian([2] * 12)] + INVERSE_EDGE_SPECS,
+    ids=lambda s: s.describe(),
+)
+def test_formula_inverses_are_the_powers_to_the_order_less_one(spec):
+    """Each kind's inverse formula gives x^(n-1) for every x of a twin that keeps no table."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FormulaGroup, "keeps_table", False)
+        twin = construct(spec)
+    assert twin.table is None and twin.invert is not None
+    everyone = np.arange(twin.order)
+    assert twin.inv_vec.dtype == np.int32
+    assert twin.inv_vec.tolist() == twin.power_vec(everyone, twin.order - 1).tolist()
+    assert not twin.mul_vec(everyone, twin.inv_vec).any()
+
+
+def _listed_pow_str(sym, e):
+    """The element-name helpers as they were: a power as a list of cases."""
+    if e == 0:
+        return ""
+    if e == 1:
+        return sym
+    return f"{sym}^{e}"
+
+
+def _listed_ab_label(i, j):
+    parts = [s for s in (_listed_pow_str("a", i), _listed_pow_str("b", j)) if s]
+    return " ".join(parts) if parts else "1"
+
+
+def test_formula_names_are_the_listed_names():
+    pairs = [(i, j) for i in range(6) for j in range(6)]
+    assert [constructors._ab_label(i, j) for i, j in pairs] == [_listed_ab_label(i, j) for i, j in pairs]
+    for sym in ("a", "b", "g"):
+        assert [constructors._pow_str(sym, e) for e in range(6)] == [
+            _listed_pow_str(sym, e) for e in range(6)
+        ]
+
+
 @pytest.mark.parametrize(
     "factors", [[2] * 14, [2] * 9 + [3], [1, 2, 1, 4], [2, 4, 80], [3, 130]], ids=str
 )

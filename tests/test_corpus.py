@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 from io import StringIO
 
 import numpy as np
-from conftest import ANALYZE_SPECS
+from conftest import ANALYZE_SPECS, quotient_has_cut
 
 from cutlab import characterizations, cut_engine
 from cutlab.cli import main, render_corpus_result
@@ -19,7 +19,7 @@ from cutlab.corpus import (
     run_corpus,
 )
 from cutlab.constructors import construct, cyclic, metacyclic
-from cutlab.cut_engine import central_subgroup_has_cut, quotient_has_cut
+from cutlab.cut_engine import central_subgroup_has_cut
 from cutlab.group_core import FiniteGroup, center
 
 

@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    class_size,
+    contains,
     count_fill_rows,
     naive_center,
     naive_classes,
     naive_cut,
     naive_order,
+    quotient_has_cut,
     reference_commutator_sets,
     reference_coset_minima,
     reference_derived_series_orders,
@@ -85,7 +88,7 @@ def test_table_c3_rows():
     )
     G = build_from_table(3, table)
     assert G.conjugacy.num_classes == 3
-    assert all(G.conjugacy.class_size(c) == 1 for c in range(3))
+    assert all(class_size(G.conjugacy, c) == 1 for c in range(3))
 
 
 def test_table_identity_relabeled_to_zero():
@@ -345,6 +348,77 @@ def test_permutation_group_rejects_images_that_are_not_a_group():
         PermutationGroup(np.array([[0, 1, 2], [1, 0, 2], [1, 0, 2]]), (1,))
 
 
+def _iterated_wreath_of_c2(levels):
+    """C2 wr ... wr C2 on 2^levels points, of order 2^(2^levels - 1).
+
+    Generator k swaps the two halves of the points 0..2^(k+1)-1.
+    """
+    degree = 2**levels
+    gens = []
+    for k in range(levels):
+        half = 2**k
+        gens.append(list(range(half, 2 * half)) + list(range(half)) + list(range(2 * half, degree)))
+    return permutation(degree, gens)
+
+
+def _products_found_by_their_bytes(G, a, b):
+    """images[a][images[b]] for each pair, each row found in a dict of every element's row bytes."""
+    index = {row.tobytes(): x for x, row in enumerate(G.images)}
+    composed = np.take_along_axis(G.images[a], G.images[b], axis=1)
+    return [index[row.tobytes()] for row in composed]
+
+
+@pytest.mark.parametrize(
+    "spec", [symmetric(6), symmetric(8), _iterated_wreath_of_c2(4)], ids=lambda s: s.describe()
+)
+def test_permutation_products_are_the_composed_rows_found_by_their_bytes(spec):
+    G = construct(spec)
+    assert G.table is None and G.order in (720, 40_320, 32_768)
+    rng = np.random.default_rng(G.order)
+    a, b = (rng.integers(0, G.order, 4000) for _ in range(2))
+    assert G.mul_vec(a, b).tolist() == _products_found_by_their_bytes(G, a, b)
+    # every element times every generator, and times its inverse
+    everyone = np.repeat(np.arange(G.order), len(G.generators))
+    gens = np.tile(G.generators, G.order)
+    assert G.mul_vec(everyone, gens).tolist() == _products_found_by_their_bytes(G, everyone, gens)
+    assert not any(_products_found_by_their_bytes(G, np.arange(G.order), G.inv_vec))
+
+
+def test_permutation_lookup_refuses_every_row_that_is_no_element():
+    C4 = construct(permutation(4, [(1, 2, 3, 0)]))
+    S4 = construct(symmetric(4))
+    members = {row.tobytes() for row in C4.images}
+    found = 0
+    for row in S4.images:
+        if row.tobytes() in members:
+            found += C4.images[C4._lookup(row[None])[0]].tobytes() == row.tobytes()
+        else:
+            with pytest.raises(NotAGroup, match="not an element"):
+                C4._lookup(row[None])
+    assert found == 4
+
+
+def test_permutation_keys_shared_by_distinct_rows_derive_new_weights(monkeypatch):
+    """Weights under which every row has one key are derived afresh: no raise, no wrong element."""
+    derived = []
+    weights = group_core._point_weights
+
+    def colliding_first(degree, salt=0):
+        derived.append(salt)
+        # every permutation row has the same sum, so unit weights give every row one key
+        return np.ones(degree, dtype=np.int64) if salt == 0 else weights(degree, salt)
+
+    monkeypatch.setattr(group_core, "_point_weights", colliding_first)
+    G = construct(symmetric(6))
+    assert derived == [0, 1] and G.table is None
+    rng = np.random.default_rng(6)
+    a, b = (rng.integers(0, G.order, 2000) for _ in range(2))
+    assert G.mul_vec(a, b).tolist() == _products_found_by_their_bytes(G, a, b)
+    # equal rows still raise, wherever they sit among the rows of one key
+    with pytest.raises(NotAGroup, match="not distinct"):
+        PermutationGroup(np.array([[0, 1, 2], [1, 0, 2], [0, 2, 1], [1, 0, 2]]), (1, 2))
+
+
 def test_permutation_labels_name_the_original_points():
     G = build_from_permutations(7, [(0, 3, 2, 5, 4, 1, 6), (0, 3, 2, 1, 4, 5, 6)])
     assert G.degree == 3
@@ -602,7 +676,7 @@ def test_conjugacy_matches_naive_on_samples():
 
 def test_conjugacy_class_sizes_s3():
     G = construct(metacyclic(3, 2, 2))
-    assert sorted(G.conjugacy.class_size(c) for c in range(3)) == [1, 2, 3]
+    assert sorted(class_size(G.conjugacy, c) for c in range(3)) == [1, 2, 3]
 
 
 def test_conjugacy_m81_class_of_b():
@@ -619,7 +693,7 @@ def test_class_equation_and_inverse_involution():
     for spec in (metacyclic(5, 4, 2), dicyclic(2), heisenberg(3), symmetric(4)):
         G = construct(spec)
         part = G.conjugacy
-        sizes = [part.class_size(c) for c in range(part.num_classes)]
+        sizes = [class_size(part, c) for c in range(part.num_classes)]
         assert sum(sizes) == G.order
         assert all(G.order % s == 0 for s in sizes)
         inv_cls = part.inverse_class
@@ -703,7 +777,7 @@ def test_center_is_union_of_singleton_classes():
 def test_subgroup_generated_examples():
     G = construct(metacyclic(9, 9, 4))
     trivial = subgroup_generated(G, [])
-    assert trivial.order == 1 and trivial.contains(0)
+    assert trivial.order == 1 and contains(trivial, 0)
     H = subgroup_generated(G, [3])  # a^3 is central
     assert H.order == 3 and H.is_normal
     S4 = construct(symmetric(4))
@@ -1157,7 +1231,7 @@ def test_quotient_has_cut_reads_the_class_partition(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "conj_perm", refuse)
     monkeypatch.setattr(FiniteGroup, "generator_conjugations", property(refuse))
     monkeypatch.setattr(_kernels, "orbit_labels", refuse)
-    assert [cut_engine.quotient_has_cut(G, N) for G, N in pairs] == want
+    assert [quotient_has_cut(G, N) for G, N in pairs] == want
 
 
 def test_dense_table_checked_against_the_byte_budget(monkeypatch):
