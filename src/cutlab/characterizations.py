@@ -456,19 +456,6 @@ def _by_size_then_members(inside: np.ndarray) -> list[int]:
     return sorted(range(len(members)), key=lambda i: (len(members[i]), members[i]))
 
 
-def _central_subgroup_families(
-    G: FiniteGroup, Z: SubgroupHandle, cap: int
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """All subgroups of a central Z of G: sorted member arrays, and a row of coset minima each.
-
-    They are ordered by size, then by members, as the central_subgroups
-    trace lists them (``_central_subgroups``).
-    """
-    minima = _central_subgroups(G, Z, cap)
-    order = _by_size_then_members(minima[:, Z.members] == 0)
-    return [Z.members[minima[i, Z.members] == 0] for i in order], minima[order]
-
-
 def _central_entries(head, inside, flags) -> tuple[TraceEntry, ...]:
     """The central_subgroups trace: ``head``, then each N (a row of ``inside``) by size and members."""
     sizes, flags = inside.sum(axis=1).tolist(), flags.tolist()

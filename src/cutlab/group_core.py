@@ -20,8 +20,8 @@ table takes its inverses from its kind's closed-form inverse formula.
 Elements are named only when a label is asked for.
 Conjugacy classes are computed once at build time as orbits under the
 generators' conjugations (one cached array, also read by normal closures),
-as a class id per element; class sizes, member lists and realness are
-built on demand.  Every class fact is read off that partition: the center
+as a class id per element; class sizes and realness are built on
+demand.  Every class fact is read off that partition: the center
 is the singleton classes, a subgroup is normal iff it is a union of
 classes, and a class is real iff it is its own inverse class.  A direct
 product takes its classes and element orders from its factors instead.
@@ -135,8 +135,8 @@ class ConjugacyPartition:
 
     Class ids are assigned by ascending smallest member, so the identity
     class is always id 0 and ``representatives[c]`` is the least element
-    of class c.  The class sizes, the per-class member arrays and the
-    realness of each class are built on first access.  Equal only to itself.
+    of class c.  The class sizes and the realness of each class are built
+    on first access.  Equal only to itself.
     """
 
     class_of: np.ndarray
@@ -153,15 +153,6 @@ class ConjugacyPartition:
         sizes = np.bincount(self.class_of, minlength=self.num_classes)
         sizes.flags.writeable = False
         return sizes
-
-    @cached_property
-    def class_members(self) -> tuple[np.ndarray, ...]:
-        """Sorted member array of each class, by class id."""
-        by_class = np.argsort(self.class_of, kind="stable").astype(np.int32)
-        members = tuple(np.split(by_class, np.cumsum(self.sizes)[:-1]))
-        for arr in members:
-            arr.flags.writeable = False
-        return members
 
     @cached_property
     def is_real(self) -> np.ndarray:
@@ -283,17 +274,9 @@ class FiniteGroup:
     def inverse(self, x: int) -> int:
         return int(self.inv_vec[x])
 
-    def lmul_perm(self, g: int) -> np.ndarray:
-        """Permutation x -> g*x."""
-        return self.mul_vec(g, np.arange(self.order))
-
     def rmul_perm(self, g: int) -> np.ndarray:
         """Permutation x -> x*g."""
         return self.mul_vec(np.arange(self.order), g)
-
-    def conj_perm(self, g: int) -> np.ndarray:
-        """Permutation x -> g*x*g^-1."""
-        return self.mul_vec(self.lmul_perm(g), int(self.inv_vec[g]))
 
     @cached_property
     def generator_conjugations(self) -> np.ndarray:
@@ -411,7 +394,7 @@ class FiniteGroup:
     @cached_property
     def derived_subgroup(self) -> "SubgroupHandle":
         """[G, G], the normal closure of the commutators of G's generators."""
-        return _commutator_subgroup(self, self.generators, self.generators)
+        return _commutator_subgroup(self, self.generators)
 
     def dense_table(self) -> np.ndarray:
         """The kept Cayley table, else one formed afresh (``_form_table``) within the byte budget."""
@@ -1203,13 +1186,14 @@ def _distinct_commutator_subgroups(G: FiniteGroup, xs) -> tuple[list[SubgroupHan
     return [subgroup_generated(G, row, normal_closure=True) for row in distinct], which.ravel()
 
 
-def _commutator_subgroup(G: FiniteGroup, xs, ys) -> SubgroupHandle:
-    """The normal closure in G of [x, y] for x in ``xs`` and y in ``ys``.
+def _commutator_subgroup(G: FiniteGroup, gens) -> SubgroupHandle:
+    """The normal closure in G of [x, y] for x and y in ``gens``.
 
     Conjugate commutators have the same normal closure, so it is seeded with
     one class representative of G per class the commutators meet.
     """
-    comms = _commutators(G, np.asarray(xs)[:, None], np.asarray(ys)[None, :])
+    gens = np.asarray(gens)
+    comms = _commutators(G, gens[:, None], gens[None, :])
     part = G.conjugacy
     seeds = part.representatives[np.unique(part.class_of[comms])]
     return subgroup_generated(G, seeds, normal_closure=True)
@@ -1231,28 +1215,7 @@ def derived_series_orders(G: FiniteGroup) -> list[int]:
         orders.append(D.order)
         if D.order in (1, orders[-2]):
             return orders
-        D = _commutator_subgroup(G, D.generators, D.generators)
-
-
-def lower_central_series(G: FiniteGroup) -> list[SubgroupHandle]:
-    """G = gamma_1 >= gamma_2 >= ..., stopping at 1 or at stabilization.
-
-    gamma_{k+1} = [G, gamma_k] is the normal closure in G of [g, s] over the
-    generators g of G and s of gamma_k: modulo that closure each s commutes
-    with all of G, so gamma_k is central there.  gamma_2 is the derived
-    subgroup kept on G.  Nothing in the package calls it: the profile reads
-    nilpotency off the upper central series (``_central_height``), and the
-    tests check that against this series.
-    """
-    series = [G.subgroup(np.arange(G.order), G.generators)]
-    while series[-1].order > 1:
-        if len(series) == 1:
-            series.append(G.derived_subgroup)
-        else:
-            series.append(_commutator_subgroup(G, G.generators, series[-1].generators))
-        if series[-1].order == series[-2].order:
-            break
-    return series
+        D = _commutator_subgroup(G, D.generators)
 
 
 def _central_height(G: FiniteGroup) -> int | None:
@@ -1329,6 +1292,6 @@ def validate_group_axioms(G: FiniteGroup) -> None:
     ``G.generators`` reach all of G.  Raises NotAGroup on any violation.
     """
     idx = np.arange(G.order)
-    if not (np.array_equal(G.lmul_perm(0), idx) and np.array_equal(G.rmul_perm(0), idx)):
+    if not (np.array_equal(G.mul_vec(0, idx), idx) and np.array_equal(G.rmul_perm(0), idx)):
         raise NotAGroup("index 0 is not a two-sided identity")
     _check_group_table(G.dense_table(), G.generators)

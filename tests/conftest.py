@@ -18,8 +18,9 @@ element and one power at a time.  The label
 reference names every element of a built spec by each kind's formula,
 evaluated for all elements up front.  The characterization references are
 the per-class loops: one trace entry and one ``label`` call per class,
-every [x, G] looked up class by class.  The class size, membership and
-one-quotient helpers stand in for methods that only the tests called.
+every [x, G] looked up class by class.  The class size, class member,
+membership, conjugation, one-quotient and central-family helpers stand in
+for definitions that only the tests called.
 """
 
 import functools
@@ -36,7 +37,8 @@ from cutlab.characterizations import (
     MAX_CENTER_SUBGROUPS,
     TheoremReport,
     TraceEntry,
-    _central_subgroup_families,
+    _by_size_then_members,
+    _central_subgroups,
     _class2_applicable,
 )
 from cutlab.cli import parse_group_spec
@@ -65,6 +67,17 @@ def class_size(part, c):
     return int(np.count_nonzero(part.class_of == c))
 
 
+def class_members(part):
+    """The sorted member array of each class of a conjugacy partition, by class id."""
+    by_class = np.argsort(part.class_of, kind="stable").astype(np.int32)
+    return tuple(np.split(by_class, np.cumsum(part.sizes)[:-1]))
+
+
+def conj_perm(G, g):
+    """The permutation x -> g*x*g^-1 of G's elements."""
+    return G.mul_vec(G.mul_vec(g, np.arange(G.order)), int(G.inv_vec[g]))
+
+
 def contains(sub, x):
     """Whether x is a member of the subgroup handle ``sub``, read off its member array."""
     return bool((sub.members == x).any())
@@ -73,6 +86,17 @@ def contains(sub, x):
 def quotient_has_cut(G, N):
     """Whether G/N has the cut-property, decided on G's own elements: ``quotient_cuts`` of one N."""
     return bool(quotient_cuts(G, [N])[0])
+
+
+def central_subgroup_families(G, Z, cap):
+    """All subgroups of a central Z of G: sorted member arrays, and a row of coset minima each.
+
+    They are ordered by size, then by members, as the central_subgroups
+    trace lists them.
+    """
+    minima = _central_subgroups(G, Z, cap)
+    order = _by_size_then_members(minima[:, Z.members] == 0)
+    return [Z.members[minima[i, Z.members] == 0] for i in order], minima[order]
 
 
 def table_of(G):
@@ -217,7 +241,7 @@ def reference_lower_central_series(G):
     series = [np.arange(G.order)]
     while len(series[-1]) > 1:
         hs = series[-1]
-        comms = {int(c) for g in G.generators for c in G.mul_vec(G.conj_perm(g)[hs], G.inv_vec[hs])}
+        comms = {int(c) for g in G.generators for c in G.mul_vec(conj_perm(G, g)[hs], G.inv_vec[hs])}
         series.append(subgroup_generated(G, comms, normal_closure=True).members)
         if len(series[-1]) == len(series[-2]):
             break
@@ -272,14 +296,14 @@ def reference_is_normal(G, members):
     """Whether ``members`` is closed under conjugation by every generator of G."""
     mask = np.zeros(G.order, dtype=bool)
     mask[members] = True
-    return all(mask[G.conj_perm(g)[members]].all() for g in G.generators)
+    return all(mask[conj_perm(G, g)[members]].all() for g in G.generators)
 
 
 def reference_center(G):
     """The elements x with g*x == x*g for every generator g, ascending."""
-    mask = np.ones(G.order, dtype=bool)
+    mask, everyone = np.ones(G.order, dtype=bool), np.arange(G.order)
     for g in G.generators:
-        mask &= G.lmul_perm(g) == G.rmul_perm(g)
+        mask &= G.mul_vec(g, everyone) == G.rmul_perm(g)
     return np.nonzero(mask)[0]
 
 
@@ -291,7 +315,7 @@ def reference_is_central(G, members):
 
 def reference_coset_classes(G, reps, coset_id):
     """The class of each coset in G/N: its orbit under conjugation by G's generators."""
-    perms = np.stack([coset_id[G.conj_perm(g)[reps]] for g in G.generators])
+    perms = np.stack([coset_id[conj_perm(G, g)[reps]] for g in G.generators])
     return _kernels.orbit_labels(perms)
 
 
@@ -586,7 +610,7 @@ def reference_prop_class2_factor(G, mode="per_element"):
             clause = f"[x,G] (order {sub.order}) and G/[x,G] have cut"
             trace.append(TraceEntry(G.label(x), clause, ok[sub.members.tobytes()]))
     else:
-        families, minima = _central_subgroup_families(G, center(G), MAX_CENTER_SUBGROUPS)
+        families, minima = central_subgroup_families(G, center(G), MAX_CENTER_SUBGROUPS)
         for members, good in zip(families, central_factor_cuts(G, minima).tolist()):
             trace.append(TraceEntry(f"N of order {len(members)}", "N and G/N have cut", good))
     return _conjunction(name, trace)

@@ -9,6 +9,8 @@ import pytest
 
 from conftest import (
     REFERENCE_CHARACTERIZATIONS,
+    central_subgroup_families,
+    class_members,
     quotient_has_cut,
     reference_center,
     reference_coset_classes,
@@ -23,7 +25,6 @@ from cutlab import characterizations, group_core
 from cutlab.characterizations import (
     TheoremReport,
     TraceEntry,
-    _central_subgroup_families,
     _class2_applicable,
     _subgroup_count,
     cor_class2,
@@ -306,9 +307,9 @@ def test_central_subgroup_walk_matches_reference(center_reference_walks):
     for G, Z, want in center_reference_walks:
         if want is None:
             with pytest.raises(CenterTooLarge):
-                _central_subgroup_families(G, Z, 1024)
+                central_subgroup_families(G, Z, 1024)
             continue
-        got = _central_subgroup_families(G, Z, 1024)[0]
+        got = central_subgroup_families(G, Z, 1024)[0]
         assert [a.tolist() for a in got] == [Z.members[b].tolist() for b in want], G.name
 
 
@@ -318,7 +319,7 @@ def _decided_normal_subgroups(G, Z):
     if _class2_applicable(G):
         subs += commutator_subgroups(G, G.conjugacy.representatives)
         try:
-            families = _central_subgroup_families(G, Z, 1024)[0]
+            families = central_subgroup_families(G, Z, 1024)[0]
         except CenterTooLarge:
             families = []
         subs += [G.subgroup(m) for m in families]
@@ -383,7 +384,7 @@ def test_in_place_verdicts_match_table_groups():
     groups = [construct(e.spec) for e in builtin_corpus()]
     S4 = construct(symmetric(4))
     V4 = S4.subgroup(
-        [0] + [int(x) for m in S4.conjugacy.class_members if len(m) == 3 for x in m]
+        [0] + [int(x) for m in class_members(S4.conjugacy) if len(m) == 3 for x in m]
     )
     assert V4.order == 4 and V4.is_normal
     outcomes = {"N": set(), "G/N": set(), "non-central": 0}
@@ -411,9 +412,9 @@ def test_in_place_verdicts_match_table_groups():
 
 def test_central_subgroup_walk_cap_boundary():
     A = construct(abelian([2] * 5))
-    assert len(_central_subgroup_families(A, center(A), 374)[0]) == 374
+    assert len(central_subgroup_families(A, center(A), 374)[0]) == 374
     with pytest.raises(CenterTooLarge):
-        _central_subgroup_families(A, center(A), 373)
+        central_subgroup_families(A, center(A), 373)
 
 
 def test_subgroup_count_matches_the_reference_walk(center_reference_walks):
@@ -448,7 +449,7 @@ def test_central_walk_forms_few_products_on_a_large_cyclic_center(monkeypatch):
     formed = []
     mul_vec = G.mul_vec
     monkeypatch.setattr(G, "mul_vec", lambda a, b: formed.append(np.broadcast(a, b).size) or mul_vec(a, b))
-    families, _ = _central_subgroup_families(G, Z, 1024)
+    families, _ = central_subgroup_families(G, Z, 1024)
     assert len(families) == 10
     assert sum(formed) < Z.order**2 // 4
 
@@ -461,7 +462,7 @@ def test_stacked_factor_cuts_match_the_references():
     outcomes, checked = set(), 0
     for G in groups:
         try:
-            families, minima = _central_subgroup_families(G, center(G), 1024)
+            families, minima = central_subgroup_families(G, center(G), 1024)
         except CenterTooLarge:
             continue
         got = central_factor_cuts(G, minima)

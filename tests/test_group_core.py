@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from conftest import (
+    central_subgroup_families,
+    class_members,
     class_size,
+    conj_perm,
     contains,
     count_fill_rows,
     naive_center,
@@ -56,7 +59,6 @@ from cutlab.group_core import (
     derived_series_orders,
     direct_product,
     greedy_generators,
-    lower_central_series,
     quotient,
     subgroup_generated,
     validate_group_axioms,
@@ -664,10 +666,9 @@ def test_conjugacy_matches_naive_on_samples():
     for spec in (metacyclic(3, 2, 2), metacyclic(9, 9, 4), dicyclic(4), symmetric(4)):
         G = construct(spec)
         part = G.conjugacy
-        assert "class_members" not in vars(part)  # built on first access
-        members = part.class_members
+        members = class_members(part)
         for c, m in enumerate(members):
-            assert list(m) == sorted(m) and not m.flags.writeable
+            assert list(m) == sorted(m)
             assert (part.class_of[m] == c).all() and m[0] == part.representatives[c]
         ours = sorted(tuple(int(v) for v in m) for m in members)
         naive = sorted(tuple(sorted(c)) for c in naive_classes(table_of(G)))
@@ -682,7 +683,7 @@ def test_conjugacy_class_sizes_s3():
 def test_conjugacy_m81_class_of_b():
     G = construct(metacyclic(9, 9, 4))
     b = 9
-    members = G.conjugacy.class_members[int(G.conjugacy.class_of[b])]
+    members = class_members(G.conjugacy)[int(G.conjugacy.class_of[b])]
     assert sorted(G.label(int(m)) for m in members) == ["a^3 b", "a^6 b", "b"]
     b2 = G.mul(b, b)
     inv_b = G.inverse(b)
@@ -698,9 +699,10 @@ def test_class_equation_and_inverse_involution():
         assert all(G.order % s == 0 for s in sizes)
         inv_cls = part.inverse_class
         assert np.array_equal(inv_cls[inv_cls], np.arange(part.num_classes))
+        members = class_members(part)
         for c in range(part.num_classes):
-            mapped = sorted(int(G.inverse(int(x))) for x in part.class_members[c])
-            assert mapped == list(part.class_members[int(inv_cls[c])])
+            mapped = sorted(int(G.inverse(int(x))) for x in members[c])
+            assert mapped == list(members[int(inv_cls[c])])
 
 
 def test_conjugation_equivariance():
@@ -724,7 +726,7 @@ def test_partition_realness_and_generator_conjugations(class_fact_groups):
         conj = G.generator_conjugations
         assert conj.shape == (len(G.generators), G.order)
         for row, g in zip(conj, G.generators):
-            assert np.array_equal(row, G.conj_perm(g)), G.name
+            assert np.array_equal(row, conj_perm(G, g)), G.name
         assert not part.is_real.flags.writeable and not conj.flags.writeable
 
 
@@ -769,7 +771,7 @@ def test_center_is_union_of_singleton_classes():
     for spec in (dicyclic(4), metacyclic(9, 9, 4), symmetric(3)):
         G = construct(spec)
         singles = sorted(
-            int(m[0]) for m in G.conjugacy.class_members if len(m) == 1
+            int(m[0]) for m in class_members(G.conjugacy) if len(m) == 1
         )
         assert singles == list(center(G).members)
 
@@ -957,13 +959,14 @@ def test_product_class_structure_on_corpus_pairs():
     from cutlab.corpus import builtin_corpus
 
     groups = [construct(e.spec) for e in builtin_corpus()]
+    members = [class_members(G.conjugacy) for G in groups]
     pairs = 0
     for i, G in enumerate(groups):
-        for H in groups[i:]:
+        for j, H in enumerate(groups[i:], i):
             if G.order * H.order > 512:
                 continue
             P = direct_product(G, H)
-            labels = _kernels.orbit_labels(np.stack([P.conj_perm(g) for g in P.generators]))
+            labels = _kernels.orbit_labels(np.stack([conj_perm(P, g) for g in P.generators]))
             reps = np.unique(labels)
             class_of = np.searchsorted(reps, labels)
             part = P.conjugacy
@@ -975,12 +978,8 @@ def test_product_class_structure_on_corpus_pairs():
             for p in group_core.prime_factors(P.order):
                 divisible = orders % p == 0
                 assert (reference_power_vec(P, everyone[divisible], orders[divisible] // p) != 0).all()
-            sizes = sorted(len(m) for m in part.class_members)
-            expected = sorted(
-                len(a) * len(b)
-                for a in G.conjugacy.class_members
-                for b in H.conjugacy.class_members
-            )
+            sizes = sorted(len(m) for m in class_members(part))
+            expected = sorted(len(a) * len(b) for a in members[i] for b in members[j])
             assert sizes == expected
             pairs += 1
     assert pairs > 1000
@@ -1047,8 +1046,6 @@ def test_series_match_table_group_reference(specs):
     for spec in specs:
         G = construct(spec)
         assert derived_series_orders(G) == reference_derived_series_orders(G), G.name
-        got = [h.members.tolist() for h in lower_central_series(G)]
-        assert got == [m.tolist() for m in reference_lower_central_series(G)], G.name
 
 
 def test_series_examples():
@@ -1056,9 +1053,12 @@ def test_series_examples():
     assert derived_series_orders(construct(A5)) == [60, 60]  # perfect, not solvable
     assert derived_series_orders(construct(product(cyclic(5), symmetric(5)))) == [600, 60, 60]
     assert derived_series_orders(construct(metacyclic(2048, 2, 2047))) == [4096, 1024, 1]
-    assert [h.order for h in lower_central_series(construct(dicyclic(4)))] == [16, 4, 2, 1]
-    assert [h.order for h in lower_central_series(construct(symmetric(4)))] == [24, 12, 12]
-    assert [h.order for h in lower_central_series(construct(cyclic(1)))] == [1]
+    for spec, orders, nilpotency_class in (
+        (dicyclic(4), [16, 4, 2, 1], 3), (symmetric(4), [24, 12, 12], None), (cyclic(1), [1], 0)
+    ):
+        G = construct(spec)
+        assert [len(m) for m in reference_lower_central_series(G)] == orders, G.name
+        assert G.profile.nilpotency_class == nilpotency_class, G.name
 
 
 def _series_profile(G):
@@ -1118,7 +1118,7 @@ def test_subgroup_table_checked_against_the_byte_budget(monkeypatch):
 
 def test_quotient_table_checked_against_the_byte_budget(monkeypatch):
     S4 = construct(symmetric(4))
-    V4 = S4.subgroup([0] + [int(x) for m in S4.conjugacy.class_members if len(m) == 3 for x in m])
+    V4 = S4.subgroup([0] + [int(x) for m in class_members(S4.conjugacy) if len(m) == 3 for x in m])
     assert V4.order == 4 and V4.is_normal  # S4/V4 has 6 x 6 int32 entries: 144 bytes
     monkeypatch.setattr(group_core, "PERMUTATION_BYTE_BUDGET", 144)
     assert quotient(S4, V4).order == 6
@@ -1129,7 +1129,7 @@ def test_quotient_table_checked_against_the_byte_budget(monkeypatch):
 
 def test_quotient_and_subgroup_tables_row_blocks(monkeypatch):
     S4 = construct(symmetric(4))
-    V4 = S4.subgroup([0] + [int(x) for m in S4.conjugacy.class_members if len(m) == 3 for x in m])
+    V4 = S4.subgroup([0] + [int(x) for m in class_members(S4.conjugacy) if len(m) == 3 for x in m])
     A4 = S4.derived_subgroup
     reps, coset_id = np.unique(reference_coset_minima(S4, V4), return_inverse=True)
     members = A4.members
@@ -1147,7 +1147,7 @@ def test_quotient_and_subgroup_tables_row_blocks(monkeypatch):
 
 def _central_subgroups_and_cuts(spec):
     G = construct(spec)
-    families, minima = characterizations._central_subgroup_families(G, center(G), 1024)
+    families, minima = central_subgroup_families(G, center(G), 1024)
     return np.concatenate(families), minima, cut_engine.central_factor_cuts(G, minima)
 
 
@@ -1218,7 +1218,7 @@ def test_blocked_passes_match_at_one_row_per_block(monkeypatch, name):
 def test_quotient_has_cut_reads_the_class_partition(monkeypatch):
     # G/N is decided from G's classes: no conjugation by generators, no orbit kernel
     S4 = construct(symmetric(4))
-    V4 = S4.subgroup([0] + [int(x) for m in S4.conjugacy.class_members if len(m) == 3 for x in m])
+    V4 = S4.subgroup([0] + [int(x) for m in class_members(S4.conjugacy) if len(m) == 3 for x in m])
     pairs = [(S4, V4), (S4, S4.derived_subgroup)]
     for spec in (metacyclic(9, 9, 4), heisenberg(3), product(cyclic(5), symmetric(4))):
         G = construct(spec)
@@ -1228,7 +1228,6 @@ def test_quotient_has_cut_reads_the_class_partition(monkeypatch):
     def refuse(*args):
         raise AssertionError("quotient_has_cut recomputed a class fact")
 
-    monkeypatch.setattr(FiniteGroup, "conj_perm", refuse)
     monkeypatch.setattr(FiniteGroup, "generator_conjugations", property(refuse))
     monkeypatch.setattr(_kernels, "orbit_labels", refuse)
     assert [quotient_has_cut(G, N) for G, N in pairs] == want
@@ -1272,7 +1271,7 @@ def test_greedy_generators_and_orbit_lengths_match_bfs_references(class_fact_gro
     for G in class_fact_groups:
         table = G.dense_table()
         assert greedy_generators(table) == reference_greedy_generators(table), G.name
-        perms = [G.conj_perm(g) for g in G.generators]
+        perms = [conj_perm(G, g) for g in G.generators]
         stacks = [[p] for p in perms] + [perms]
         want = [reference_orbit_lengths(stack) for stack in stacks]
         assert constructors._orbit_lengths(perms) == want, G.name

@@ -5,7 +5,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from conftest import class_size
+from conftest import class_members, class_size
 
 from cutlab.constructors import (
     abelian,
@@ -78,7 +78,7 @@ def test_inverse_class_is_involution(spec):
     part = G.conjugacy
     k = part.num_classes
     assert np.array_equal(part.inverse_class[part.inverse_class], np.arange(k))
-    singles = sorted(int(m[0]) for m in part.class_members if len(m) == 1)
+    singles = sorted(int(m[0]) for m in class_members(part) if len(m) == 1)
     assert singles == list(center(G).members)
 
 
