@@ -32,6 +32,7 @@ from .group_core import (
     SubgroupHandle,
     _distinct_commutator_subgroups,
     _Names,
+    _unit_generators,
     center,
     coset_minima,
     direct_product,
@@ -331,46 +332,18 @@ def _subgroup_count(orders: np.ndarray) -> int:
     return total
 
 
-def _primitive_root(g: int, q: int, phi: int) -> bool:
-    """Whether g has order phi = |(Z/q)^x| modulo q."""
-    return all(pow(g, phi // r, q) != 1 for r in prime_factors(phi))
-
-
-def _unit_generators(e: int) -> list[int]:
-    """Generators of (Z/e)^x, each lifted by CRT from one prime power p^a of e.
-
-    For p = 2 they are -1 (when 4 | p^a) and 5 (when 8 | p^a); for odd p,
-    the least primitive root modulo p^a.
-    """
-    gens = []
-    for p, a in prime_factors(e).items():
-        q, rest = p**a, e // p**a
-        if p == 2:
-            local = [u for u, least in ((q - 1, 4), (5, 8)) if q >= least]
-        else:
-            phi = q - q // p
-            local = [next(g for g in range(2, q) if _primitive_root(g, q, phi))]
-        gens += [1 + rest * ((u - 1) * pow(rest, -1, q) % q) for u in local]
-    return gens
-
-
 def _least_generators(G: FiniteGroup, Z: SubgroupHandle) -> np.ndarray:
     """The least generator of each nontrivial cyclic subgroup of an abelian Z, ascending.
 
     The generators of <z> are the z^u for the units u modulo the exponent e
     of Z, so they are z's orbit under the power maps z -> z^u of the
-    generators u of (Z/e)^x.  These maps commute, so the least member of an
-    orbit is taken one map at a time, each by pointer doubling along its
-    cycles.
+    generators u of (Z/e)^x, and the least member of each orbit comes from
+    one ``orbit_labels`` call over those maps as permutations of Z.
     """
     members = Z.members
     e = int(np.lcm.reduce(G.element_orders[members]))
-    least = np.arange(len(members))
-    for u in _unit_generators(e):
-        step = np.searchsorted(members, G.power_vec(members, u))
-        for _ in range(e.bit_length()):
-            least = np.minimum(least, least[step])
-            step = step[step]
+    steps = [np.searchsorted(members, G.power_vec(members, u)) for u in _unit_generators(e)]
+    least = _kernels.orbit_labels(np.reshape(steps, (-1, len(members))))
     return members[np.unique(least)[1:]]
 
 

@@ -247,7 +247,7 @@ def builtin_corpus() -> list[CorpusEntry]:
 def _closure_violations(G: FiniteGroup, has_cut: bool) -> list[str]:
     """Quotient/centre closure: normal subgroups our analyses construct.
 
-    Every quotient is decided in one stacked walk (``quotient_cuts``).
+    Every quotient is decided in one stacked test (``quotient_cuts``).
     """
     if not has_cut:
         return []

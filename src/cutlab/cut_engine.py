@@ -5,22 +5,24 @@ exponent j coprime to the order of x, x^j is conjugate to x or to x^-1.
 ``decide_cut`` scans class representatives using the eagerly built
 conjugacy partition, walking the powers of all of them at once with one
 whole-array product per exponent, and reads each one's first witness
-exponent off the walk.  The same walk decides quotients G/N on G's own
-elements, without building them: it takes one row of class labels per
-scanned group, so one stacked walk decides every N of a stack at once
-(``central_factor_cuts``, and ``quotient_cuts`` for a list of normal
-subgroups).
-A central subgroup N needs only its element orders
-(``central_subgroup_has_cut``).  The walk is handed its orders (of x in
-G, or of xN from ``group_core.orders_modulo``), so it knows nothing of N.
+exponent off the walk.  A quotient G/N needs no walk and no coset order:
+the good exponents of xN form a subgroup of (Z/m)^x, onto which
+(Z/|G|)^x maps, so G/N has the cut-property exactly when every generator
+u of (Z/|G|)^x (``group_core._unit_generators``) keeps each x^u N in the
+class of xN or of x^-1 N.  That is one gather per u on G's own elements,
+without building G/N, so one stacked test decides every N of a stack at
+once (``central_factor_cuts``, and ``quotient_cuts`` for a list of normal
+subgroups).  A central subgroup N needs only its element orders
+(``central_subgroup_has_cut``).
 Every class fact comes from G's partition: the class of xN in G/N
 (labelled by its least element, the least coset minimum over x's class),
 the centrality of N and realness are read off it, with no conjugation by
 generators.
 The fast path reads the facts kept on the group (the class partition,
-the element orders, the coset minima kept on each N) and keeps one of its
-own there: ``decide_cut``'s verdict (``FiniteGroup.fact``), so a group is
-scanned once however often it is decided.
+the element orders, the class power maps, the coset minima kept on each
+N) and keeps one of its own there: ``decide_cut``'s verdict
+(``FiniteGroup.fact``), so a group is scanned once however often it is
+decided.
 ``decide_cut_bruteforce`` is the independent oracle: it reads only the
 dense table, and scans every element in whole-array passes
 (``_kernels.cut_witness_scan``): one order walk over all elements, which
@@ -42,9 +44,8 @@ from .errors import HypothesisViolated
 from .group_core import (
     FiniteGroup,
     SubgroupHandle,
-    _p_part_products,
+    _unit_generators,
     coset_minima,
-    orders_modulo,
 )
 
 
@@ -72,43 +73,39 @@ class Classification:
     central_height_label: int | None
 
 
-def _power_map_witnesses(G: FiniteGroup, labels, rows, reps, orders) -> np.ndarray:
-    """The first witness exponent of each (row, representative) pair, 0 where it has none.
+def _power_map_witnesses(G: FiniteGroup, reps, orders) -> np.ndarray:
+    """The first witness exponent of each representative x of ``reps``, 0 where it has none.
 
-    Each row of ``labels`` is one scanned group H given on G's elements: G
-    itself or a quotient G/N, which is never built, so one walk decides many
-    quotients at once.  ``labels[r, y]`` is the class in H_r of y (of yN for
-    a quotient); the pair (``rows[i]``, ``reps[i]``) names an element x of G
-    whose class is scanned in H_r, and ``orders[i]`` is its order m in H_r
-    (of xN for a quotient).  For each pair the entry is the first exponent j
-    in 2..m-1 coprime to m whose power x^j lands outside the classes of x
-    and x^-1 in H_r.
+    ``orders[i]`` is the order m of ``reps[i]``.  The entry is the first
+    exponent j in 2..m-1 coprime to m whose power x^j lands outside the
+    classes of x and x^-1.
 
-    The powers of all pairs are walked together, one ``mul_vec`` per exponent
-    over the ones still open; gcd(j, m) is taken only on the pairs whose
-    power left their own pair of classes.  A pair leaves the walk at its
-    first witness or when j + 2 reaches m, since x^(m-1) = x^-1 never escapes
-    (so only m > 3 walks at all).
+    The powers of all representatives are walked together, one ``mul_vec``
+    per exponent over the ones still open; gcd(j, m) is taken only on those
+    whose power left their own pair of classes.  A representative leaves the
+    walk at its first witness or when j + 2 reaches m, since x^(m-1) = x^-1
+    never escapes (so only m > 3 walks at all).
     """
     first = np.zeros(len(reps), dtype=np.int64)
     live = (orders > 3).nonzero()[0]  # positions in reps still walking
     if not live.size:
         return first
     # the lesser of the classes of y and y^-1: equal for y and x exactly when y ~ x or y ~ x^-1
-    pair = np.minimum(labels, labels[:, G.inv_vec]).ravel()
-    at, xs = rows[live] * G.order, reps[live]  # pair[at + y] is the entry of y in the pair's row
-    ys, own, m = xs, pair[at + xs], orders[live]
+    class_of = G.conjugacy.class_of
+    pair = np.minimum(class_of, class_of[G.inv_vec])
+    xs = reps[live]
+    ys, own, m = xs, pair[xs], orders[live]
     ends = set(m.tolist())  # some walk may end after exponent j only when j + 2 is in here
     j = 1
     while live.size:
         j += 1
         ys = G.mul_vec(ys, xs)
-        miss = (pair[at + ys] != own).nonzero()[0]
+        miss = (pair[ys] != own).nonzero()[0]
         hit = miss[np.gcd(j, m[miss]) == 1]
         if hit.size or j + 2 in ends:
             first[live[hit]] = j
             keep = (first[live] == 0) & (j + 2 < m)
-            live, at, xs, ys, own, m = (a[keep] for a in (live, at, xs, ys, own, m))
+            live, xs, ys, own, m = (a[keep] for a in (live, xs, ys, own, m))
     return first
 
 
@@ -128,8 +125,7 @@ def _scan_classes(G: FiniteGroup) -> CutVerdict:
     """``decide_cut``'s one walk over G's class representatives."""
     part = G.conjugacy
     reps = part.representatives
-    rows = np.zeros(len(reps), dtype=np.int64)
-    first = _power_map_witnesses(G, part.class_of[None], rows, reps, G.element_orders[reps])
+    first = _power_map_witnesses(G, reps, G.element_orders[reps])
     failing = first.nonzero()[0]
     witnesses = tuple(zip(reps[failing].tolist(), first[failing].tolist()))
     return CutVerdict(has_cut=not witnesses, witnesses=witnesses)
@@ -176,25 +172,32 @@ def _quotient_labels(G: FiniteGroup, minima: np.ndarray) -> np.ndarray:
 def _quotient_cuts(G: FiniteGroup, minima: np.ndarray) -> np.ndarray:
     """Whether G/N has the cut-property, for each normal N given by its row of coset minima.
 
-    The classes of G/N are read off G's classes (``_quotient_labels``), each
-    labelled by its least element, the coset name ``quotient`` would give
-    the least coset of that class, so its representatives are the x whose
-    label is x.  The orders of xN and the witnesses of every N of a row
-    block come from one order walk and one ``_power_map_witnesses`` walk;
-    a block (``_kernels.row_blocks``) holds about ``BLOCK_BYTES`` of labels.
+    For xN of order m, the j in (Z/m)^x with x^j N conjugate to xN or to
+    x^-1 N form a subgroup S (if x^j ~ x^(±1) and x^k ~ x^(±1), then
+    x^(jk) ~ x^(±k) ~ x^(±1)), and (Z/|G|)^x maps onto (Z/m)^x, so S is all
+    of (Z/m)^x exactly when it holds every generator u of (Z/|G|)^x
+    (``_unit_generators``).  So G/N has the cut-property exactly when, for
+    every x and u, x^u N lies in the class of xN or of x^-1 N: no order of
+    xN is formed and no exponent walked.  The classes of G/N are read off
+    G's classes (``_quotient_labels``), and the lesser of the labels of x
+    and x^-1 is constant on G's classes, so it is compared only at G's
+    representatives x and at the representative of the class of x^u
+    (``power_map``).  A row block (``_kernels.row_blocks``) holds about
+    ``BLOCK_BYTES`` of labels.
     """
     ok = np.ones(len(minima), dtype=bool)
+    reps = G.conjugacy.representatives
+    images = [reps[G.power_map(u)] for u in _unit_generators(G.order)]
     for block in _kernels.row_blocks(len(minima), 8 * G.order):
         labels = _quotient_labels(G, minima[block])
-        rows, reps = (labels == np.arange(G.order)).nonzero()
-        orders = orders_modulo(G, reps, minima[block] == 0, _p_part_products(G.order) + 1, rows)
-        first = _power_map_witnesses(G, labels, rows, reps, orders)
-        ok[block.start + rows[first.nonzero()[0]]] = False
+        pair = np.minimum(labels, labels[:, G.inv_vec])
+        for xu in images:
+            ok[block] &= (pair[:, xu] == pair[:, reps]).all(axis=1)
     return ok
 
 
 def quotient_cuts(G: FiniteGroup, normals) -> np.ndarray:
-    """Whether G/N has the cut-property, for each normal N of ``normals``, in one stacked walk."""
+    """Whether G/N has the cut-property, for each normal N of ``normals``, in one stacked test."""
     return _quotient_cuts(G, np.stack([coset_minima(G, N) for N in normals]))
 
 
@@ -203,7 +206,7 @@ def central_factor_cuts(G: FiniteGroup, minima: np.ndarray) -> np.ndarray:
 
     One row of ``minima`` per N, holding the least member of each coset xN;
     N is the x with minimum 0.  Every N of the stack is decided together,
-    and G/N is walked only for the N that have the cut-property.
+    and G/N is tested only for the N that have the cut-property.
     """
     ok = _central_cuts(G, minima == 0)
     ok[ok] = _quotient_cuts(G, minima[ok])

@@ -29,8 +29,10 @@ Each group fact is computed once and kept on the group (see
 ``FiniteGroup``); the brute-force oracle of ``cut_engine`` reads none of
 them, and the center is formed afresh on each call.
 Element orders come from a whole-array power walk over the class
-representatives (``orders_modulo``, which also gives the orders of cosets
-xN), cut short where p-part powering needs fewer products.  Every power is
+representatives (``_orders``), cut short where p-part powering needs
+fewer products.  The generators of (Z/n)^x (``_unit_generators``, lifted
+by CRT from primitive roots) sit beside ``prime_factors``; ``cut_engine``
+decides quotients with them.  Every power is
 ``power_vec``'s one-exponent square-and-multiply, whose accumulator starts
 at the lowest set bit, so x^k costs ``_power_products(k)`` products (a
 square one, x^1 none), and the walk is budgeted in those; the class of x^k
@@ -100,6 +102,31 @@ def prime_factors(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _primitive_root(g: int, q: int, phi: int) -> bool:
+    """Whether g has order phi = |(Z/q)^x| modulo q."""
+    return all(pow(g, phi // r, q) != 1 for r in prime_factors(phi))
+
+
+def _unit_generators(e: int) -> list[int]:
+    """Generators of (Z/e)^x, each lifted by CRT from one prime power p^a of e.
+
+    For p = 2 they are -1 (when 4 | p^a) and 5 (when 8 | p^a); for odd p,
+    the least primitive root modulo p^a (Ireland and Rosen, *A Classical
+    Introduction to Modern Number Theory*, ch. 4).  Reduced modulo any m
+    dividing e, they generate (Z/m)^x, since (Z/e)^x maps onto it.
+    """
+    gens = []
+    for p, a in prime_factors(e).items():
+        q, rest = p**a, e // p**a
+        if p == 2:
+            local = [u for u, least in ((q - 1, 4), (5, 8)) if q >= least]
+        else:
+            phi = q - q // p
+            local = [next(g for g in range(2, q) if _primitive_root(g, q, phi))]
+        gens += [1 + rest * ((u - 1) * pow(rest, -1, q) % q) for u in local]
+    return gens
 
 
 def is_prime_power(n: int) -> bool:
@@ -320,7 +347,7 @@ class FiniteGroup:
 
     @cached_property
     def element_orders(self) -> np.ndarray:
-        """Order of every element (``orders_modulo`` with N the identity).
+        """Order of every element (``_orders``).
 
         Order is a class function, so only the class representatives are
         walked, and each class's order is spread to its members through
@@ -331,8 +358,7 @@ class FiniteGroup:
         """
         part = self.conjugacy
         reps = part.representatives.astype(np.intp)  # int32 indices would cast in every gather
-        identity = np.arange(self.order) == 0
-        orders = orders_modulo(self, reps, identity, _p_part_products(self.order) + 1)
+        orders = _orders(self, reps, _p_part_products(self.order) + 1)
         orders = orders[part.class_of]
         orders.flags.writeable = False
         return orders
@@ -516,41 +542,36 @@ class PermutationGroup(FiniteGroup):
         return self._lookup(back)
 
 
-def orders_modulo(G: FiniteGroup, xs, kernel: np.ndarray, steps: int, rows=0) -> np.ndarray:
-    """Order of xN for each x of ``xs``, where N is the member mask ``kernel``.
+def _orders(G: FiniteGroup, xs, steps: int) -> np.ndarray:
+    """Order of each x of ``xs``.
 
-    ``kernel`` may also stack one mask per row, and ``rows`` names the row
-    each x is taken modulo.  The walk x, x^2, x^3, ... over all of ``xs`` at
-    once, one ``mul_vec`` per step over the x still open, settles each x
-    with x^k in N for some k <= ``steps``; x^k is tested only when k
-    divides |G|, since o(xN) divides |G/N|, which divides |G|.  P-part
-    powering finishes the rest: for each p^a exactly dividing |G|,
-    y = x^(|G|/p^a) has for yN the order the p-part of o(xN), so while y is
-    not in N the order gains a factor p and y is replaced by y^p, one
-    product for p = 2 (``power_vec``).
+    The walk x, x^2, x^3, ... over all of ``xs`` at once, one ``mul_vec``
+    per step over the x still open, settles each x with x^k = 1 for some
+    k <= ``steps``; x^k is tested only when k divides |G|.  P-part powering
+    finishes the rest: for each p^a exactly dividing |G|, y = x^(|G|/p^a)
+    has order the p-part of o(x), so while y is not the identity the order
+    gains a factor p and y is replaced by y^p, one product for p = 2
+    (``power_vec``).
     """
-    xs = np.asarray(xs)
-    inside = np.atleast_2d(kernel).ravel()  # inside[at + y]: whether y is in the N of its row
-    at = np.broadcast_to(rows, xs.shape) * G.order
     orders = np.zeros(len(xs), dtype=np.int64)
     live, x, y = np.arange(len(xs)), xs, xs
     for k in range(1, steps + 1):
         if G.order % k == 0:
-            done = inside[at + y]
+            done = y == 0
             if done.any():
                 orders[live[done]] = k
                 keep = ~done
-                live, at, x, y = live[keep], at[keep], x[keep], y[keep]
+                live, x, y = live[keep], x[keep], y[keep]
                 if not live.size:
                     return orders
         if k < steps:
             y = G.mul_vec(y, x)
     orders[live] = 1
     for p, a in prime_factors(G.order).items():
-        open_, at_p, y = live, at, G.power_vec(x, G.order // p**a)
+        open_, y = live, G.power_vec(x, G.order // p**a)
         while True:
-            keep = ~inside[at_p + y]
-            open_, at_p, y = open_[keep], at_p[keep], y[keep]
+            keep = y != 0
+            open_, y = open_[keep], y[keep]
             if not open_.size:
                 break
             orders[open_] *= p
@@ -944,7 +965,8 @@ def build_from_table(n: int, table, max_order: int | None = None) -> FiniteGroup
     NotAGroup naming the offending cell or triple on any axiom violation.
     ``table`` (an array or a sequence of rows) is read into one int32 table
     in row blocks, and every check runs in row blocks, so the int32 table is
-    the only n x n array.
+    the only n x n array; a block that is not n integers per row (floats,
+    bools, objects, ragged rows) is refused, not converted.
     """
     cap = max_order if max_order is not None else max_order_cap()
     if n < 1:
@@ -961,7 +983,12 @@ def build_from_table(n: int, table, max_order: int | None = None) -> FiniteGroup
     out = np.empty((n, n), dtype=np.int32)
     row_id, col_id = np.empty(n, dtype=bool), np.ones(n, dtype=bool)
     for rows in _kernels.row_blocks(n, 8 * n):
-        block = np.asarray(table[rows], dtype=np.int64)
+        try:
+            block = np.asarray(table[rows])
+        except ValueError:  # ragged rows
+            block = None
+        if block is None or block.dtype.kind not in "iu" or block.shape != (rows.stop - rows.start, n):
+            raise NotAGroup(f"table rows from row {rows.start} are not rows of {n} integers")
         bad = (block < 0) | (block >= n)
         if bad.any():
             r, c = np.argwhere(bad)[0]

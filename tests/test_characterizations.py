@@ -356,9 +356,13 @@ def test_class_facts_match_generator_references(class_fact_groups):
     assert seen[False] > 0 and seen[True] > 0
 
 
-def test_orders_modulo_match_cyclic_intersections(class_fact_groups):
-    """|xN| = |<x>| / |<x> ∩ N|, counted on x^0..x^(o(x)-1), for every decided normal N."""
-    checked = 0
+def test_quotient_cuts_match_an_all_exponent_scan_of_coset_orders(class_fact_groups):
+    """For every decided normal N, G/N scanned over every j coprime to |xN| agrees with quotient_cuts.
+
+    |xN| = |<x>| / |<x> ∩ N|, counted on x^0..x^(o(x)-1); x^j is read off
+    that reference power table and the classes of G/N off ``_quotient_labels``.
+    """
+    verdicts = []
     for G in class_fact_groups:
         everyone = np.arange(G.order)
         orders = G.element_orders
@@ -367,10 +371,15 @@ def test_orders_modulo_match_cyclic_intersections(class_fact_groups):
         below = exponents[None, :] < orders[:, None]
         for N in _decided_normal_subgroups(G, center(G)):
             meets = (N._mask[powers] & below).sum(axis=1)
-            got = group_core.orders_modulo(G, everyone, N._mask, G.order // N.order)
-            assert got.tolist() == (orders // meets).tolist(), (G.name, N.order)
-            checked += 1
-    assert checked > 2000
+            coset_orders = orders // meets
+            labels = _quotient_labels(G, coset_minima(G, N))
+            pair = np.minimum(labels, labels[G.inv_vec])
+            coprime = np.gcd(exponents[None, :], coset_orders[:, None]) == 1
+            scanned = exponents[None, :] < coset_orders[:, None]
+            escapes = (pair[powers] != pair[:, None]) & coprime & scanned
+            assert quotient_has_cut(G, N) == (not escapes.any()), (G.name, N.order)
+            verdicts.append(not escapes.any())
+    assert len(verdicts) > 2000 and set(verdicts) == {True, False}
 
 
 def test_in_place_verdicts_match_table_groups():
@@ -455,7 +464,7 @@ def test_central_walk_forms_few_products_on_a_large_cyclic_center(monkeypatch):
 
 
 def test_stacked_factor_cuts_match_the_references():
-    """Each row of one stacked walk is the reference N-cut and G/N-cut of its N."""
+    """Each row of one stacked call is the reference N-cut and G/N-cut of its N."""
     groups = [construct(e.spec) for e in builtin_corpus()]
     groups = [G for G in groups if _class2_applicable(G)]
     groups += [construct(cyclic(512)), construct(metacyclic(9, 9, 4))]

@@ -212,7 +212,7 @@ def test_remark_pairs_check_each_factor_once(corpus_result, monkeypatch):
 
 
 def test_closure_violations_decide_every_quotient_in_one_walk(monkeypatch):
-    """The same violations, in the same order, as one quotient_has_cut call per N; one stacked walk."""
+    """The same violations, in the same order, as one quotient_has_cut call per N; one stacked call."""
     walks = []
     stacked = cut_engine._quotient_cuts
 

@@ -14,7 +14,7 @@ from conftest import (
     table_of,
 )
 from cutlab import _kernels, cut_engine, group_core
-from cutlab.characterizations import verify_equivalences
+from cutlab.characterizations import _enumerate_subgroups, verify_equivalences
 from cutlab.constructors import (
     abelian,
     construct,
@@ -25,8 +25,16 @@ from cutlab.constructors import (
     product,
     symmetric,
 )
-from cutlab.cut_engine import CutVerdict, classify, decide_cut, decide_cut_bruteforce
-from cutlab.group_core import FiniteGroup, ProductGroup, TableGroup
+from cutlab.corpus import builtin_corpus
+from cutlab.cut_engine import (
+    CutVerdict,
+    central_factor_cuts,
+    classify,
+    decide_cut,
+    decide_cut_bruteforce,
+    quotient_cuts,
+)
+from cutlab.group_core import FiniteGroup, ProductGroup, TableGroup, center, quotient
 
 
 def test_decide_cut_paper_positive():
@@ -182,15 +190,15 @@ def test_decide_cut_keeps_its_verdict():
 def test_one_group_walks_its_own_classes_once(monkeypatch):
     """decide_cut, classify and verify_equivalences on one group scan its classes in one walk.
 
-    Every other walk is over a quotient of G (its class labels are other
-    arrays) or over another group (a p6 product).
+    Every other walk is over another group (a p6 product); no quotient is
+    walked at all.
     """
     walks = []
     walk = cut_engine._power_map_witnesses
 
-    def counting(G, labels, *args):
-        walks.append((G, np.shares_memory(labels, G.conjugacy.class_of)))
-        return walk(G, labels, *args)
+    def counting(G, *args):
+        walks.append(G)
+        return walk(G, *args)
 
     monkeypatch.setattr(cut_engine, "_power_map_witnesses", counting)
     for spec in (dicyclic(2), metacyclic(9, 9, 4), heisenberg(3), symmetric(4), abelian([2, 4])):
@@ -200,7 +208,7 @@ def test_one_group_walks_its_own_classes_once(monkeypatch):
         classify(G, verdict)
         verify_equivalences(G)
         assert decide_cut(G) is verdict
-        assert sum(H is G and own for H, own in walks) == 1, spec.describe()
+        assert sum(H is G for H in walks) == 1, spec.describe()
         walks.clear()
 
 
@@ -268,7 +276,7 @@ def test_alternating_5_nonsolvable():
     """A5: every element has prime-power order, yet no solvable-case
     characterization applies; the decider still settles it (not cut,
     witness on an order-5 class at exponent 2)."""
-    from cutlab.characterizations import verify_equivalences
+    from cutlab.characterizations import _enumerate_subgroups, verify_equivalences
     from cutlab.constructors import permutation
 
     A5 = construct(permutation(5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]))
@@ -325,7 +333,7 @@ def test_witnesses_and_orders_match_reference_on_stress_groups(spec):
     assert np.array_equal(G.element_orders, expected)
     # p-part powering alone, on every element
     everyone = np.arange(G.order)
-    assert np.array_equal(group_core.orders_modulo(G, everyone, everyone == 0, 0), expected)
+    assert np.array_equal(group_core._orders(G, everyone, 0), expected)
 
 
 def test_walk_stops_before_the_inverse_exponent():
@@ -338,3 +346,43 @@ def test_walk_stops_before_the_inverse_exponent():
     G.mul_vec = lambda a, b: products.append(1) or real(a, b)
     assert decide_cut(G).has_cut
     assert len(products) == 3
+
+
+def test_unit_generator_criterion_is_the_verdict_for_the_trivial_quotient(checked_groups):
+    """G/1, every coset minimum its own element, passes the unit-generator test iff G has cut."""
+    for spec, G in checked_groups:
+        ok = cut_engine._quotient_cuts(G, np.arange(G.order)[None])
+        assert ok.tolist() == [decide_cut(G).has_cut], spec.describe()
+
+
+def test_quotient_cuts_match_built_quotients(checked_groups):
+    """G/Z(G) and G/G' decided on G's elements agree with deciding them as groups, |G| <= 512."""
+    verdicts = []
+    for spec, G in checked_groups:
+        if G.order <= 512:
+            normals = [center(G), G.derived_subgroup]
+            want = [decide_cut(quotient(G, N)).has_cut for N in normals]
+            assert quotient_cuts(G, normals).tolist() == want, spec.describe()
+            verdicts += want
+    assert len(verdicts) == 1318 and set(verdicts) == {True, False}
+
+
+def test_quotients_walk_nothing(monkeypatch):
+    """With G's verdict and element orders formed, its quotients need no order or witness walk."""
+    decided = []
+    for entry in builtin_corpus():
+        G, twin = construct(entry.spec), construct(entry.spec)
+        decide_cut(G)
+        G.element_orders
+        normals, minima = [center(G), G.derived_subgroup], _enumerate_subgroups(G, center(G))
+        want = quotient_cuts(twin, normals), central_factor_cuts(twin, minima)
+        decided.append((G, normals, minima, want))
+
+    def refuse(*args):
+        raise AssertionError("a quotient was walked")
+
+    monkeypatch.setattr(cut_engine, "_power_map_witnesses", refuse)
+    monkeypatch.setattr(group_core, "_orders", refuse)
+    for G, normals, minima, (quotients, factors) in decided:
+        assert np.array_equal(quotient_cuts(G, normals), quotients), G.name
+        assert np.array_equal(central_factor_cuts(G, minima), factors), G.name

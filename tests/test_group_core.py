@@ -198,6 +198,31 @@ def test_table_faults_are_named_first_in_any_block_size(monkeypatch, one_row):
     assert np.array_equal(G.table, _cyclic_table(1000))
 
 
+def test_table_blocks_must_hold_integer_rows(monkeypatch):
+    """A float, bool, ragged or wrongly wide block is refused, naming the block's first row."""
+    for table in ([[0, 1.7], [1, 0]], [[0, 1], [1]], [[False, True], [True, False]]):
+        with pytest.raises(NotAGroup, match="^table rows from row 0 are not rows of 2 integers$"):
+            build_from_table(2, table)
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 16 * 6)  # two rows of order 6 per block
+    table = _cyclic_table(6).tolist()
+    table[5] = table[5][:5]
+    with pytest.raises(NotAGroup, match="^table rows from row 4 are not rows of 6 integers$"):
+        build_from_table(6, table)
+    assert build_from_table(6, _cyclic_table(6).tolist()).order == 6
+
+
+def test_unit_generators_generate_the_unit_group():
+    """Their closure under multiplication mod n has phi(n) members, each generator a unit."""
+    for n in [*range(1, 513), 1800, 4096, 16384]:
+        gens = group_core._unit_generators(n)
+        assert all(math.gcd(u, n) == 1 for u in gens), n
+        units = frontier = {1 % n}
+        while frontier:
+            frontier = {v * u % n for v in frontier for u in gens} - units
+            units = units | frontier
+        assert len(units) == sum(math.gcd(k, n) == 1 for k in range(n)), n
+
+
 def test_an_order_1024_table_spec_builds_within_twice_its_table():
     """The int32 table is the only order x order array: the checks and the read run in row blocks."""
     dihedral = construct(metacyclic(512, 2, 511)).dense_table()
