@@ -491,26 +491,15 @@ def remark_two_group_sum(
 
     h_self, h_inv = H.fact(_split_nonreal)
     k_self, k_inv = K.fact(_split_nonreal)
-    trace = []
-    predicted_failure = False
-    if h_self and k_inv:
-        predicted_failure = True
-        trace.append(
-            TraceEntry(
-                f"(h,k)=({H.label(h_self[0])},{K.label(k_inv[0])})",
-                "non-real pair: h^3 ~ h and k^3 ~ k^-1",
-                True,
-            )
+    trace = [
+        TraceEntry(f"(h,k)=({H.label(hs[0])},{K.label(ks[0])})", f"non-real pair: {how}", True)
+        for hs, ks, how in (
+            (h_self, k_inv, "h^3 ~ h and k^3 ~ k^-1"),
+            (h_inv, k_self, "h^3 ~ h^-1 and k^3 ~ k"),
         )
-    if k_self and h_inv:
-        predicted_failure = True
-        trace.append(
-            TraceEntry(
-                f"(h,k)=({H.label(h_inv[0])},{K.label(k_self[0])})",
-                "non-real pair: h^3 ~ h^-1 and k^3 ~ k",
-                True,
-            )
-        )
+        if hs and ks
+    ]
+    predicted_failure = bool(trace)
     if not predicted_failure:
         trace.append(TraceEntry("pairs", "no qualifying non-real pair exists", True))
     actual = decide_cut(direct_product(H, K, max_order)).has_cut

@@ -28,15 +28,15 @@ product takes its classes and element orders from its factors instead.
 Each group fact is computed once and kept on the group (see
 ``FiniteGroup``); the brute-force oracle of ``cut_engine`` reads none of
 them, and the center is formed afresh on each call.
-Element orders come from a whole-array power walk over the class
-representatives (``_orders``), cut short where p-part powering needs
-fewer products.  The generators of (Z/n)^x (``_unit_generators``, lifted
-by CRT from primitive roots) sit beside ``prime_factors``; ``cut_engine``
-decides quotients with them.  Every power is
-``power_vec``'s one-exponent square-and-multiply, whose accumulator starts
-at the lowest set bit, so x^k costs ``_power_products(k)`` products (a
-square one, x^1 none), and the walk is budgeted in those; the class of x^k
-for each class representative is kept per k (``power_map``).  Nilpotency and the class
+Every power is ``power_vec``'s one-exponent square-and-multiply, whose
+accumulator starts at the lowest set bit, so x^k costs floor(log2 k) +
+popcount(k) - 1 products (a square one, x^1 none); the class of x^k for
+each class representative is kept per k (``power_map``).  Element orders
+are read off the maps of the primes of |G|, one ``power_map(p)`` per prime
+and otherwise gathers over class ids (``element_orders``).  The
+generators of (Z/n)^x (``_unit_generators``, lifted by CRT from primitive
+roots) sit beside ``prime_factors``; ``cut_engine`` decides quotients with
+them.  Nilpotency and the class
 are read off the upper central series on the class representatives
 (``_central_height``), which closes no subgroup.  Subgroups (the center,
 the Sylow subgroups, the derived series, and [x, G] for many x at once)
@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -132,28 +133,6 @@ def _unit_generators(e: int) -> list[int]:
 def is_prime_power(n: int) -> bool:
     """True for 1 and for p^k, k >= 1."""
     return len(prime_factors(n)) <= 1
-
-
-def _power_products(k: int) -> int:
-    """Products ``FiniteGroup.power_vec`` spends on the exponent k >= 0.
-
-    ⌊log2 k⌋ squarings and popcount(k) - 1 multiplies, none for k <= 1.
-    """
-    return max(k.bit_length() + k.bit_count() - 2, 0)
-
-
-def _p_part_products(n: int) -> int:
-    """Products p-part powering spends on an element of a group of order n.
-
-    For each p^a exactly dividing n: one power x^(n/p^a), then at most a
-    powers by p, each counted in ``power_vec``'s real products
-    (``_power_products``), so a square costs one and x^(n/p^a) nothing
-    when n is a power of p.
-    """
-    return sum(
-        _power_products(n // p**a) + a * _power_products(p)
-        for p, a in prime_factors(n).items()
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,12 +274,6 @@ class FiniteGroup:
             return self.table[a, b]
         return self._product(a, b)
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul_vec(a, b))
-
-    def inverse(self, x: int) -> int:
-        return int(self.inv_vec[x])
-
     def rmul_perm(self, g: int) -> np.ndarray:
         """Permutation x -> x*g."""
         return self.mul_vec(np.arange(self.order), g)
@@ -314,27 +287,22 @@ class FiniteGroup:
         return perms
 
     def power(self, x: int, k: int) -> int:
-        """x^k by square-and-multiply; k may be zero or negative."""
-        if k < 0:
-            x, k = int(self.inv_vec[x]), -k
-        acc, base = 0, int(x)
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            k >>= 1
-            if k:
-                base = self.mul(base, base)
-        return acc
+        """x^k; k may be zero or negative (``power_vec`` of x, or of x^-1)."""
+        k = operator.index(k)
+        return int(self.power_vec(x if k >= 0 else self.inv_vec[x], abs(k)))
 
     def power_vec(self, xs, k: int) -> np.ndarray:
-        """x^k for every x of ``xs``, one int exponent k >= 0 (ValueError below 0).
+        """x^k for every x of ``xs``, one integer exponent k >= 0 (ValueError below 0).
 
-        The right-to-left binary method (Knuth, TAOCP Vol. 2, 4.6.3, Alg. A)
-        with the accumulator started at the lowest set bit: one squaring per
-        bit after the first and one product per set bit after the lowest,
-        ``_power_products(k)`` products in all.  For k <= 1 the result is a
-        fresh array, never ``xs`` itself.
+        ``k`` may be any integer type (``operator.index``; a float raises
+        TypeError).  The right-to-left binary method (Knuth, TAOCP Vol. 2,
+        4.6.3, Alg. A) with the accumulator started at the lowest set bit:
+        one squaring per bit after the first and one product per set bit
+        after the lowest, floor(log2 k) + popcount(k) - 1 products in all,
+        none for k <= 1.  For k <= 1 the result is a fresh array, never
+        ``xs`` itself.
         """
+        k = operator.index(k)
         if k < 0:
             raise ValueError(f"power_vec takes an exponent k >= 0, got {k}")
         acc, xs = None, np.asarray(xs)
@@ -347,18 +315,29 @@ class FiniteGroup:
 
     @cached_property
     def element_orders(self) -> np.ndarray:
-        """Order of every element (``_orders``).
+        """Order of every element, read off the class power maps of the primes of |G|.
 
-        Order is a class function, so only the class representatives are
-        walked, and each class's order is spread to its members through
-        ``class_of``.  The walk x, x^2, ... runs for the
-        ``_p_part_products(order)`` products p-part powering needs, counted
-        in real products; that settles every element of a small exponent,
-        and p-part powering finishes the rest.
+        For p^a exactly dividing |G|, the p-part of o(x) is the order of
+        y = x^(|G|/p^a): p^t for the least t with y^(p^t) = 1.  As
+        (gxg^-1)^q = g x^q g^-1, the class of x^q is a function of the class
+        of x (``power_map(q)``), and class 0 is the identity alone; so the
+        class of y and of its p-th powers are gathers over class ids.  Each
+        prime p costs one ``power_map(p)``, kept on G, and no other product
+        is made.  Each class's order is spread to its members through
+        ``class_of``.
         """
         part = self.conjugacy
-        reps = part.representatives.astype(np.intp)  # int32 indices would cast in every gather
-        orders = _orders(self, reps, _p_part_products(self.order) + 1)
+        factors = prime_factors(self.order)
+        orders = np.ones(part.num_classes, dtype=np.int64)
+        for p, a in factors.items():
+            c = np.arange(part.num_classes)  # the class of x, then of x^(|G|/p^a)
+            for q, b in factors.items():
+                if q != p:
+                    for _ in range(b):
+                        c = self.power_map(q)[c]
+            for _ in range(a):
+                orders[c != 0] *= p
+                c = self.power_map(p)[c]
         orders = orders[part.class_of]
         orders.flags.writeable = False
         return orders
@@ -384,13 +363,6 @@ class FiniteGroup:
         if compute not in self._facts:
             self._facts[compute] = compute(self)
         return self._facts[compute]
-
-    @property
-    def labels(self) -> tuple[str, ...] | None:
-        """Every element's name by index, or None when the index is the name."""
-        if isinstance(self._labels, _Names):
-            self._labels = tuple(self._labels[x] for x in range(self.order))
-        return self._labels
 
     @property
     def is_named(self) -> bool:
@@ -477,14 +449,13 @@ class PermutationGroup(FiniteGroup):
     ``_product`` composes image rows by one flat take and maps each back to
     its element by ``np.searchsorted`` on that index, with an exact check of
     the row found, so memory stays O(order * degree); the inverses are found so.
-    Its Cayley table is composed from its generators' columns
-    (``composed_table``); ``columns``, when given, holds the column x -> x*g
-    of each generator g (a closure knows them) and the table is kept, else
-    they are looked up.  ``build_from_permutations`` keeps ``images`` within
-    ``PERMUTATION_BYTE_BUDGET`` by storing only the moved points.
+    Its Cayley table is composed (``composed_table``) from its generators'
+    columns x -> x*g, each found by ``_product``.  ``build_from_permutations``
+    keeps ``images`` within ``PERMUTATION_BYTE_BUDGET`` by storing only the
+    moved points.
     """
 
-    def __init__(self, images: np.ndarray, generators, points=None, name="perm", columns=None):
+    def __init__(self, images: np.ndarray, generators, points=None, name="perm"):
         images = np.ascontiguousarray(images, dtype=np.int32)
         images.flags.writeable = False
         self.images = images
@@ -501,9 +472,8 @@ class PermutationGroup(FiniteGroup):
             tied = images[self._key_order[np.union1d(ties, ties + 1)]]  # equal rows share a key
             if len(np.unique(tied, axis=0)) < len(tied):
                 raise NotAGroup("permutation images are not distinct")
-        table = None if columns is None else composed_table(generators, columns)
         super().__init__(
-            images.shape[0], generators, lambda x: _perm_cycle_label(images[x], points), name, table
+            images.shape[0], generators, lambda x: _perm_cycle_label(images[x], points), name
         )
 
     def _lookup(self, rows: np.ndarray) -> np.ndarray:
@@ -540,43 +510,6 @@ class PermutationGroup(FiniteGroup):
         spots = np.broadcast_to(np.arange(self.degree, dtype=np.int32), self.images.shape)
         np.put_along_axis(back, self.images, spots, axis=-1)
         return self._lookup(back)
-
-
-def _orders(G: FiniteGroup, xs, steps: int) -> np.ndarray:
-    """Order of each x of ``xs``.
-
-    The walk x, x^2, x^3, ... over all of ``xs`` at once, one ``mul_vec``
-    per step over the x still open, settles each x with x^k = 1 for some
-    k <= ``steps``; x^k is tested only when k divides |G|.  P-part powering
-    finishes the rest: for each p^a exactly dividing |G|, y = x^(|G|/p^a)
-    has order the p-part of o(x), so while y is not the identity the order
-    gains a factor p and y is replaced by y^p, one product for p = 2
-    (``power_vec``).
-    """
-    orders = np.zeros(len(xs), dtype=np.int64)
-    live, x, y = np.arange(len(xs)), xs, xs
-    for k in range(1, steps + 1):
-        if G.order % k == 0:
-            done = y == 0
-            if done.any():
-                orders[live[done]] = k
-                keep = ~done
-                live, x, y = live[keep], x[keep], y[keep]
-                if not live.size:
-                    return orders
-        if k < steps:
-            y = G.mul_vec(y, x)
-    orders[live] = 1
-    for p, a in prime_factors(G.order).items():
-        open_, y = live, G.power_vec(x, G.order // p**a)
-        while True:
-            keep = y != 0
-            open_, y = open_[keep], y[keep]
-            if not open_.size:
-                break
-            orders[open_] *= p
-            y = G.power_vec(y, p)
-    return orders
 
 
 def _frozen_partition(class_of, reps, inverse_class) -> ConjugacyPartition:
@@ -1107,38 +1040,26 @@ def build_from_permutations(degree: int, gens, max_order: int | None = None) -> 
 
     keys = [np.arange(points.size, dtype=np.int32).tobytes()]
     index = {keys[0]: 0}
-    products = []  # the index of x*g for every element x and every row g of gen_stack
     start = 0
     while start < len(keys):
         # the next frontier slice, each element times every generator, in BFS order
         rows = next(_kernels.row_blocks(len(keys), 4 * points.size * len(gen_imgs), start))
         frontier = np.frombuffer(b"".join(keys[rows]), dtype=np.int32)
-        composed_keys = _row_keys(frontier.reshape(-1, points.size)[:, gen_stack]).ravel().tolist()
-        for key in composed_keys:
+        for key in _row_keys(frontier.reshape(-1, points.size)[:, gen_stack]).ravel().tolist():
             if key not in index:
                 if len(keys) >= cap:
                     raise OrderCapExceeded(f"permutation closure exceeds the cap {cap}")
                 check_image_budget(len(keys) + 1, points.size, "permutation images")
                 index[key] = len(keys)
                 keys.append(key)
-        # kept while the group may still keep its table, whose columns they give
-        if products is not None and fits_one_block(len(keys)):
-            products.append(np.array(list(map(index.__getitem__, composed_keys)), dtype=np.int32))
-        else:
-            products = None
         start = rows.stop
 
-    gen_idx, firsts = [], []
-    for s, key in enumerate(_row_keys(gen_stack).tolist()):
-        i = index[key]
+    gen_idx = []
+    for i in map(index.__getitem__, _row_keys(gen_stack).tolist()):
         if i != 0 and i not in gen_idx:
             gen_idx.append(i)
-            firsts.append(s)
     stack = np.frombuffer(b"".join(keys), dtype=np.int32).reshape(len(keys), points.size)
-    columns = None
-    if products is not None and gen_idx:  # a trivial group's identity generator is looked up
-        columns = np.concatenate(products).reshape(len(keys), len(gen_imgs))[:, firsts].T
-    return PermutationGroup(stack, gen_idx, points, name=f"perm{len(stack)}", columns=columns)
+    return PermutationGroup(stack, gen_idx, points, name=f"perm{len(stack)}")
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, max_order: int | None = None) -> FiniteGroup:

@@ -1,10 +1,11 @@
 """Shared fixtures and the independent naive oracles used to freeze values.
 
 The naive helpers work on a raw Python list-of-lists multiplication table
-and use nothing from the package beyond ``mul`` to extract that table, so
-they stay independent of the code paths they check.  The reference walks
-below work on a built group through ``mul`` and ``mul_vec`` only, one power
-at a time, for groups too large for a Python table.  The series references
+and use nothing from the package beyond ``mul_vec`` (through ``mul``) to
+extract that table, so they stay independent of the code paths they
+check.  The reference walks below work on a built group through
+``mul_vec`` only, one power at a time, for groups too large for a Python
+table.  The series references
 take a separate path: each derived term is rebuilt as a table group of its
 own, and each [G, H] comes from generator-member commutators.  The
 commutator set of an element is taken over every element of G.  The
@@ -19,8 +20,9 @@ reference names every element of a built spec by each kind's formula,
 evaluated for all elements up front.  The characterization references are
 the per-class loops: one trace entry and one ``label`` call per class,
 every [x, G] looked up class by class.  The class size, class member,
-membership, conjugation, one-quotient and central-family helpers stand in
-for definitions that only the tests called.
+membership, conjugation, one-quotient and central-family helpers, the
+scalar product, inverse and label list, and the product count of one power
+stand in for definitions that only the tests called.
 """
 
 import functools
@@ -99,8 +101,31 @@ def central_subgroup_families(G, Z, cap):
     return [Z.members[minima[i, Z.members] == 0] for i in order], minima[order]
 
 
+def mul(G, a, b):
+    """The product a*b of two elements of G, as an int."""
+    return int(G.mul_vec(a, b))
+
+
+def inverse(G, x):
+    """The inverse of the element x of G, as an int."""
+    return int(G.inv_vec[x])
+
+
+def all_labels(G):
+    """Every element's name by index, or None when G names its elements by their index."""
+    return tuple(G.label(x) for x in range(G.order)) if G.is_named else None
+
+
+def _power_products(k):
+    """Products ``FiniteGroup.power_vec`` spends on the exponent k >= 0.
+
+    floor(log2 k) squarings and popcount(k) - 1 multiplies, none for k <= 1.
+    """
+    return max(k.bit_length() + k.bit_count() - 2, 0)
+
+
 def table_of(G):
-    return [[G.mul(i, j) for j in range(G.order)] for i in range(G.order)]
+    return [[mul(G, i, j) for j in range(G.order)] for i in range(G.order)]
 
 
 def naive_inv(t):
@@ -175,7 +200,7 @@ def reference_witnesses(G):
     for c, x in enumerate(part.representatives.tolist()):
         m, y = int(orders[x]), x
         for j in range(2, m):
-            y = G.mul(y, x)
+            y = mul(G, y, x)
             if math.gcd(j, m) == 1 and part.class_of[y] not in (c, part.inverse_class[c]):
                 witnesses.append((x, j))
                 break
@@ -223,7 +248,7 @@ def reference_derived_series_orders(G):
     """
     orders, D = [G.order], G
     while D.order > 1:
-        comms = {D.mul(D.mul(g, h), D.inverse(D.mul(h, g))) for g in D.generators for h in D.generators}
+        comms = {mul(D, mul(D, g, h), inverse(D, mul(D, h, g))) for g in D.generators for h in D.generators}
         sub = subgroup_generated(D, comms, normal_closure=True)
         orders.append(sub.order)
         if sub.order == D.order:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    all_labels,
+    inverse,
     naive_cut,
     reference_orders,
     reference_witness_scan,
@@ -98,7 +100,7 @@ def test_witnesses_are_lexicographically_first_per_representative():
             cls = G.conjugacy.class_of[G.power(x, jj)]
             assert cls in (
                 G.conjugacy.class_of[x],
-                G.conjugacy.class_of[G.inverse(x)],
+                G.conjugacy.class_of[inverse(G, x)],
             )
 
 
@@ -215,7 +217,7 @@ def test_one_group_walks_its_own_classes_once(monkeypatch):
 def _table_group(spec):
     """The table group of a formula spec's own table (past order 512 the spec keeps its formula)."""
     F = construct(spec)
-    return TableGroup(F.dense_table(), F.generators, F.labels, F.name)
+    return TableGroup(F.dense_table(), F.generators, all_labels(F), F.name)
 
 
 def test_oracle_scan_allocates_less_than_its_table():
@@ -321,19 +323,15 @@ def test_witnesses_and_orders_match_reference_on_corpus_and_remark_products(corp
         metacyclic(2048, 2, 2047),  # dihedral of order 4096
         symmetric(6),
         abelian([2, 4, 8, 16]),
-        abelian([6, 6, 6]),  # not a p-group, exponent 6: the walk settles every order
-        cyclic(1800),  # not a p-group, exponent 1800: p-part powering finishes the walk
+        abelian([6, 6, 6]),  # not a p-group, exponent 6
+        cyclic(1800),  # not a p-group, exponent 1800: two primes squared, one cubed
         product(cyclic(5), symmetric(5)),  # witnesses settle while later representatives walk on
     ],
 )
 def test_witnesses_and_orders_match_reference_on_stress_groups(spec):
     G = construct(spec)
     assert decide_cut(G).witnesses == reference_witnesses(G)
-    expected = reference_orders(G)
-    assert np.array_equal(G.element_orders, expected)
-    # p-part powering alone, on every element
-    everyone = np.arange(G.order)
-    assert np.array_equal(group_core._orders(G, everyone, 0), expected)
+    assert np.array_equal(G.element_orders, reference_orders(G))
 
 
 def test_walk_stops_before_the_inverse_exponent():
@@ -368,21 +366,20 @@ def test_quotient_cuts_match_built_quotients(checked_groups):
 
 
 def test_quotients_walk_nothing(monkeypatch):
-    """With G's verdict and element orders formed, its quotients need no order or witness walk."""
+    """With G's verdict and element orders formed, its quotients need no witness walk and no new orders."""
     decided = []
     for entry in builtin_corpus():
         G, twin = construct(entry.spec), construct(entry.spec)
         decide_cut(G)
-        G.element_orders
         normals, minima = [center(G), G.derived_subgroup], _enumerate_subgroups(G, center(G))
         want = quotient_cuts(twin, normals), central_factor_cuts(twin, minima)
-        decided.append((G, normals, minima, want))
+        decided.append((G, G.element_orders, normals, minima, want))
 
     def refuse(*args):
         raise AssertionError("a quotient was walked")
 
     monkeypatch.setattr(cut_engine, "_power_map_witnesses", refuse)
-    monkeypatch.setattr(group_core, "_orders", refuse)
-    for G, normals, minima, (quotients, factors) in decided:
+    for G, orders, normals, minima, (quotients, factors) in decided:
         assert np.array_equal(quotient_cuts(G, normals), quotients), G.name
         assert np.array_equal(central_factor_cuts(G, minima), factors), G.name
+        assert G.element_orders is orders, G.name

@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 
 from conftest import (
+    _power_products,
     central_subgroup_families,
     class_members,
     class_size,
     conj_perm,
     contains,
     count_fill_rows,
+    inverse,
+    mul,
     naive_center,
     naive_classes,
     naive_cut,
@@ -76,7 +79,7 @@ def test_table_trivial_group():
 def test_table_c2():
     G = build_from_table(2, [[0, 1], [1, 0]])
     assert G.order == 2
-    assert G.mul(1, 1) == 0
+    assert mul(G, 1, 1) == 0
 
 
 def test_table_c3_rows():
@@ -99,7 +102,7 @@ def test_table_identity_relabeled_to_zero():
     relabel = [1, 0, 2]
     moved = [[relabel[base[relabel[i]][relabel[j]]] for j in range(3)] for i in range(3)]
     G = build_from_table(3, moved)
-    assert G.mul(0, 2) == 2 and G.mul(2, 0) == 2
+    assert mul(G, 0, 2) == 2 and mul(G, 2, 0) == 2
 
 
 def test_table_rejects_bad_latin_square():
@@ -342,7 +345,7 @@ def test_permutation_backend_matches_reference_composition(degree):
     )
     assert np.array_equal(G.mul_vec(a, b), expect)
     for x, y in rng.integers(0, G.order, size=(20, 2)):
-        assert G.mul(int(x), int(y)) == expect[x, y]
+        assert mul(G, int(x), int(y)) == expect[x, y]
     # inv_vec is a two-sided inverse
     everyone = np.arange(G.order)
     assert (G.mul_vec(everyone, G.inv_vec) == 0).all()
@@ -543,17 +546,16 @@ def test_composed_table_refuses_generators_that_fall_short():
         group_core.composed_table(gens, G.mul_vec(np.arange(24)[None, :], gens[:, None]))
 
 
-def test_permutation_group_refuses_columns_of_generators_that_fall_short(monkeypatch):
-    """A table composed from its generators' columns is the cover check: no second walk is made."""
+def test_permutation_group_table_is_its_cover_check(monkeypatch):
+    """A table composed from its generators' looked-up columns is the cover check: no second walk is made."""
     S4 = construct(symmetric(4))
     gens = np.array(S4.generators)
-    columns = S4.mul_vec(np.arange(24)[None, :], gens[:, None])
     with pytest.raises(NotAGroup, match="do not generate all 24 elements"):
-        PermutationGroup(S4.images, gens[:1], S4.points, columns=columns[:1])
+        PermutationGroup(S4.images, gens[:1], S4.points)
     walks = []
     labels = group_core._coset_labels
     monkeypatch.setattr(group_core, "_coset_labels", lambda *a: walks.append(a) or labels(*a))
-    G = PermutationGroup(S4.images, gens, S4.points, columns=columns)
+    G = PermutationGroup(S4.images, gens, S4.points)
     assert np.array_equal(G.table, S4.table) and walks == []
     S6 = construct(symmetric(6))  # past one row block: no table, so the cover is walked
     assert S6.table is None and len(walks) == 1
@@ -660,14 +662,59 @@ def test_power_vec_makes_exactly_its_counted_products(spec, monkeypatch):
     for k in [*range(71), 4095]:
         calls.clear()
         got = G.power_vec(xs, k)
-        assert len(calls) == group_core._power_products(k), k
+        assert len(calls) == _power_products(k), k
         assert np.array_equal(got, reference_power_vec(G, xs, k)), k
-    assert group_core._power_products(4095) == 22 and group_core._power_products(1) == 0
+    assert _power_products(4095) == 22 and _power_products(1) == 0
     assert G.power_vec(xs, 0).shape == xs.shape and not G.power_vec(xs, 0).any()
     kept = xs.copy()
     once = G.power_vec(xs, 1)
     once[...] = 0
     assert np.array_equal(xs, kept)
+
+
+def test_numpy_integer_exponents_power_like_python_ints():
+    """``power``, ``power_vec`` and ``power_map`` read a numpy integer exponent as its int; a float is refused."""
+    for spec in (cyclic(12), metacyclic(2048, 2, 2047), symmetric(6)):
+        G, twin = construct(spec), construct(spec)
+        xs = np.arange(0, G.order, 7)
+        for k in (0, 1, 3, 5, 7, 64):
+            for np_k in (np.int64(k), np.int32(k), np.uint8(k)):
+                assert np.array_equal(G.power_vec(xs, np_k), twin.power_vec(xs, k)), (spec.kind, k)
+                assert np.array_equal(G.power_map(np_k), twin.power_map(k)), (spec.kind, k)
+                assert G.power(5, np_k) == twin.power(5, k), (spec.kind, k)
+            assert G.power(5, np.int64(-k)) == twin.power(5, -k), (spec.kind, k)
+        with pytest.raises(TypeError):
+            G.power_vec(xs, 2.0)
+        with pytest.raises(TypeError):
+            G.power(1, 2.0)
+        with pytest.raises(ValueError, match="k >= 0"):
+            G.power_vec(xs, np.int64(-1))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: construct(cyclic(12)),
+        lambda: construct(heisenberg(5)),
+        lambda: construct(cyclic(2048)),
+        lambda: construct(metacyclic(2048, 2, 2047)),  # dihedral of order 4096
+        lambda: construct(symmetric(6)),
+        lambda: quotient(D := construct(dicyclic(6)), center(D)),
+    ],
+    ids=["cyclic12", "heisenberg5", "cyclic2048", "dihedral4096", "S6", "quotient"],
+)
+def test_element_orders_cost_one_power_map_per_prime(make, monkeypatch):
+    """``element_orders`` makes the products of one ``power_map(p)`` per prime p of |G| and no other."""
+    G = make()
+    assert not G._power_maps
+    calls = []
+    mul_vec = G.mul_vec
+    monkeypatch.setattr(G, "mul_vec", lambda a, b: calls.append(1) or mul_vec(a, b))
+    orders = G.element_orders
+    primes = group_core.prime_factors(G.order)
+    assert len(calls) == sum(_power_products(p) for p in primes), G.name
+    assert set(G._power_maps) == set(primes), G.name
+    assert np.array_equal(orders, reference_orders(G)), G.name
 
 
 def test_element_order_examples():
@@ -710,8 +757,8 @@ def test_conjugacy_m81_class_of_b():
     b = 9
     members = class_members(G.conjugacy)[int(G.conjugacy.class_of[b])]
     assert sorted(G.label(int(m)) for m in members) == ["a^3 b", "a^6 b", "b"]
-    b2 = G.mul(b, b)
-    inv_b = G.inverse(b)
+    b2 = mul(G, b, b)
+    inv_b = inverse(G, b)
     assert G.conjugacy.class_of[b2] != G.conjugacy.class_of[inv_b]
 
 
@@ -726,7 +773,7 @@ def test_class_equation_and_inverse_involution():
         assert np.array_equal(inv_cls[inv_cls], np.arange(part.num_classes))
         members = class_members(part)
         for c in range(part.num_classes):
-            mapped = sorted(int(G.inverse(int(x))) for x in members[c])
+            mapped = sorted(int(inverse(G, int(x))) for x in members[c])
             assert mapped == list(members[int(inv_cls[c])])
 
 
@@ -736,7 +783,7 @@ def test_conjugation_equivariance():
     for _ in range(50):
         x, g = map(int, rng.integers(0, G.order, 2))
         j = int(rng.integers(-5, 9))
-        conj = G.mul(G.mul(g, x), G.inverse(g))
+        conj = mul(G, mul(G, g, x), inverse(G, g))
         assert (
             G.conjugacy.class_of[G.power(conj, j)]
             == G.conjugacy.class_of[G.power(x, j)]
@@ -821,9 +868,9 @@ def test_subgroup_lagrange_and_closure():
         members = set(int(v) for v in H.members)
         assert 0 in members
         for a in members:
-            assert int(G.inverse(a)) in members
+            assert int(inverse(G, a)) in members
             for b in members:
-                assert G.mul(a, b) in members
+                assert mul(G, a, b) in members
 
 
 def _reference_normal_closure(G, seeds):
@@ -1048,7 +1095,7 @@ def test_profile_sylow_decomposition():
     assert total == G.order
     for x in p.sylow_subgroups[2].members:
         for y in p.sylow_subgroups[3].members:
-            assert G.mul(int(x), int(y)) == G.mul(int(y), int(x))
+            assert mul(G, int(x), int(y)) == mul(G, int(y), int(x))
 
 
 def test_profile_s4_not_nilpotent():
