@@ -32,6 +32,7 @@ from .group_core import (
     SubgroupHandle,
     _distinct_commutator_subgroups,
     _Names,
+    _namer_of,
     _unit_generators,
     center,
     coset_minima,
@@ -115,10 +116,9 @@ def _class_names(G: FiniteGroup) -> _Names:
 
     The holder is kept on G and shared by the traces of every report of G,
     so a representative is named once, when the first trace that names it
-    is read.  It holds G's namer (``_labels``) and representatives, never G.
+    is read.  Its namer (``_namer_of``) holds G's names and representatives, never G.
     """
-    labels, reps = G._labels, G.conjugacy.representatives.tolist()
-    return _Names(lambda c: str(reps[c]) if labels is None else labels[reps[c]])
+    return _Names(_namer_of(G, G.conjugacy.representatives.tolist()))
 
 
 def _entries(head, names, clauses) -> tuple[TraceEntry, ...]:

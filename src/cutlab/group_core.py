@@ -2,7 +2,8 @@
 
 Every group is a set of element indices 0..n-1 with index 0 the identity.
 Four backends cover all constructions, and each states only its product
-(``_product``): a dense Cayley table, a normal-form formula
+(``_product``) and its inverses (``_compute_inverses``): a dense Cayley
+table, which reads its inverses off the table, a normal-form formula
 (``FormulaGroup``), permutation images, and componentwise direct products.
 ``FiniteGroup`` decides storage for all of them: a group given its table
 keeps it, any other keeps its int32 Cayley table while that fits one row
@@ -12,12 +13,13 @@ A permutation group keeps its images on the moved points only, and a
 closure whose images would pass PERMUTATION_BYTE_BUDGET bytes raises
 OrderCapExceeded, up front from the order bound of the spec and again
 while the closure grows.  Its table is composed from its generators'
-columns (``composed_table``); without one image rows are composed by one
+rows (``composed_table``); without one image rows are composed by one
 flat take and each is mapped back to its element through one sorted index
 of int64 row keys (``_point_weights``), so products and inverses are
-whole-array numpy operations at every degree.  A formula group without a
-table takes its inverses from its kind's closed-form inverse formula.
-Elements are named only when a label is asked for.
+whole-array numpy operations at every degree.  A formula group takes its
+inverses from its kind's closed-form inverse formula, a direct product
+from its factors'.  Elements are named only when a label is asked for,
+those of a quotient or a subgroup's group too (``_namer_of``).
 Conjugacy classes are computed once at build time as orbits under the
 generators' conjugations (one cached array, also read by normal closures),
 as a class id per element; class sizes and realness are built on
@@ -180,21 +182,32 @@ class _Names(dict):
         return name
 
 
+def _namer_of(G: "FiniteGroup", elements):
+    """A namer of index i as G's element ``elements[i]``, formed on request.
+
+    It holds G's names and ``elements``, never G; an element of a group that
+    names by index is named by its index in G.
+    """
+    names = G._labels
+    return lambda i: str(int(elements[i])) if names is None else names[int(elements[i])]
+
+
 class FiniteGroup:
     """A finite group on element indices 0..order-1 with identity 0.
 
     A backend states only its product ``_product`` over broadcast index
-    arrays, and its inverses (``_compute_inverses``) when it keeps no
-    table; everything else (``mul_vec``, powers, orders, conjugacy,
-    subgroups, ``dense_table``, names) is generic, and ``ProductGroup``
-    overrides conjugacy and orders with factor data.  Instances are
-    immutable after construction and safe to share across threads.
+    arrays and its inverses (``_compute_inverses``, O(order)); a group given
+    its table reads them off it.  Everything else (``mul_vec``, powers,
+    orders, conjugacy, subgroups, ``dense_table``, names) is generic, and
+    ``ProductGroup`` overrides conjugacy and orders with factor data.
+    Instances are immutable after construction and safe to share across
+    threads.
 
     Storage is decided here.  ``table`` is the int32 Cayley table: the one
     given (a table spec, a quotient, ``as_group``), else the one formed by
     ``_form_table`` while it fits one row block (``fits_one_block``, order
-    <= 512), else None.  With a table every product is one gather and the
-    inverses are read off it; without one ``mul_vec`` calls ``_product``.
+    <= 512), else None.  With a table every product is one gather; without
+    one ``mul_vec`` calls ``_product``.
 
     Each group fact is computed once, on first request, and kept on the
     group.  The facts this module forms are cached attributes: the element
@@ -207,10 +220,11 @@ class FiniteGroup:
     The center is formed afresh on each call.  The brute-force oracle reads
     none of these.
 
-    ``labels`` names the elements: a sequence of names by index, or a
-    function naming one index, called only when ``label`` first asks for
-    that index (default: the index itself).  A naming function must not
-    hold the group, so that a group is never part of a reference cycle.
+    ``labels`` names the elements: a function naming one index, called
+    only when ``label`` first asks for that index, or None to name each
+    element by its index.  A naming function must not hold the group, so
+    that a group is never part of a reference cycle; a quotient or a
+    subgroup's group names its elements through ``_namer_of``.
     """
 
     identity = 0
@@ -222,11 +236,7 @@ class FiniteGroup:
         self.name = name
         gens = tuple(int(g) for g in generators)
         self.generators = gens if gens else (0,)
-        if callable(labels):
-            labels = _Names(labels)
-        elif labels is not None:
-            labels = tuple(labels)
-        self._labels = labels
+        self._labels = None if labels is None else _Names(labels)
         self._power_maps: dict[int, np.ndarray] = {}
         self._facts: dict = {}
         if table is None and self.keeps_table and fits_one_block(self.order):
@@ -234,7 +244,7 @@ class FiniteGroup:
         if table is not None:
             table.flags.writeable = False
         self.table = table
-        self.inv_vec = self._compute_inverses() if table is None else _table_inverses(table)
+        self.inv_vec = self._compute_inverses()
         self.inv_vec.flags.writeable = False
         if not self._generators_cover():
             raise NotAGroup(
@@ -250,7 +260,7 @@ class FiniteGroup:
         raise NotImplementedError
 
     def _compute_inverses(self) -> np.ndarray:
-        """The inverse of every element; a backend that may keep no table states its own."""
+        """The inverse of every element, read off the given table; every other backend states its own."""
         return _table_inverses(self.table)
 
     def _form_table(self) -> np.ndarray:
@@ -346,7 +356,8 @@ class FiniteGroup:
         return int(self.element_orders[x])
 
     def power_map(self, k: int) -> np.ndarray:
-        """The class of x^k for the representative x of each class (read-only, kept per k)."""
+        """The class of x^k for the representative x of each class (read-only, kept per int k)."""
+        k = operator.index(k)
         classes = self._power_maps.get(k)
         if classes is None:
             classes = self.conjugacy.class_of[self.power_vec(self.conjugacy.representatives, k)]
@@ -419,16 +430,16 @@ class FormulaGroup(FiniteGroup):
     ``product(a, b)`` takes broadcastable integer index arrays, each formula
     casting them to the dtype it computes in, and returns the index of each
     product; ``invert(a)``, its closed-form inverse, is called once over
-    every element when no table is kept.  A group that keeps its table drops
-    both formulas once the table is filled.  Without a table every product
-    is evaluated on demand, so memory stays O(order).
+    every element.  A group that keeps its table drops both formulas once
+    the table is filled and the inverses found.  Without a table every
+    product is evaluated on demand, so memory stays O(order).
     """
 
     def __init__(self, order: int, product, invert, generators, labels=None, name="formula"):
         self.product, self.invert = product, invert
         super().__init__(order, generators, labels, name)
         if self.table is not None:
-            self.product = self.invert = None  # products and inverses are read off the kept table
+            self.product = self.invert = None  # the kept table answers every product from here on
 
     def _product(self, a, b) -> np.ndarray:
         return np.asarray(self.product(np.asarray(a), np.asarray(b)), dtype=np.int32)
@@ -450,7 +461,7 @@ class PermutationGroup(FiniteGroup):
     its element by ``np.searchsorted`` on that index, with an exact check of
     the row found, so memory stays O(order * degree); the inverses are found so.
     Its Cayley table is composed (``composed_table``) from its generators'
-    columns x -> x*g, each found by ``_product``.  ``build_from_permutations``
+    rows x -> g*x, each found by ``_product``.  ``build_from_permutations``
     keeps ``images`` within ``PERMUTATION_BYTE_BUDGET`` by storing only the
     moved points.
     """
@@ -497,12 +508,12 @@ class PermutationGroup(FiniteGroup):
         return out.reshape(a.shape)
 
     def _form_table(self) -> np.ndarray:
-        """The Cayley table composed from the generators' columns, each looked up."""
+        """The Cayley table composed from the generators' rows, each looked up."""
         gens = np.asarray(self.generators)
-        return composed_table(gens, self._product(np.arange(self.order)[None, :], gens[:, None]))
+        return composed_table(gens, self._product(gens[:, None], np.arange(self.order)[None, :]))
 
     def _generators_cover(self) -> bool:
-        # a table is composed from the generators' columns, and composed_table refuses a short cover
+        # a table is composed from the generators' rows, and composed_table refuses a short cover
         return self.table is not None or super()._generators_cover()
 
     def _compute_inverses(self) -> np.ndarray:
@@ -655,9 +666,7 @@ class SubgroupHandle:
         table = fill_table(
             self.order, lambda a, b: np.searchsorted(members, mul_vec(members[a], members[b]))
         )
-        labels = None
-        if self.parent.is_named:
-            labels = tuple(self.parent.label(int(m)) for m in members)
+        labels = _namer_of(self.parent, members) if self.parent.is_named else None
         return TableGroup(table, greedy_generators(table), labels, name)
 
 
@@ -831,22 +840,21 @@ def fits_one_block(order: int) -> bool:
     return 4 * order * order <= _kernels.BLOCK_BYTES
 
 
-def composed_table(gens, columns: np.ndarray) -> np.ndarray:
-    """The int32 Cayley table of a group from the columns x -> x*g of its generators.
+def composed_table(gens, rows: np.ndarray) -> np.ndarray:
+    """The int32 Cayley table of a group from the rows x -> g*x of its generators.
 
-    ``columns[i]`` is the column of ``gens[i]``, and ``gens`` generate the
-    group.  The column of y*d is the column of d read at the column of y
-    (x*y*d), so each round extends the known columns by every step d: the
-    generators and their repeated squares, one more square each round.
-    Each new column is one gather of n entries, in row blocks; the columns
-    are filled as rows and transposed in place, so the table is the only
-    n x n array.  Raises NotAGroup when ``gens`` do not generate n elements.
+    ``rows[i]`` is the row of ``gens[i]``, and ``gens`` generate the group.
+    The row of d*y is the row of d read at the row of y (d*y*x), so each
+    round extends the known rows by every step d: the generators and their
+    repeated squares, one more square each round.  Each new row is one
+    gather of n entries, in row blocks, so the table is the only n x n
+    array.  Raises NotAGroup when ``gens`` do not generate n elements.
     """
     gens = np.asarray(gens, dtype=np.intp)
-    n = columns.shape[1]
-    table = np.empty((n, n), dtype=np.int32)  # row y holds the column of y until the transpose
+    n = rows.shape[1]
+    table = np.empty((n, n), dtype=np.int32)
     table[0] = np.arange(n)
-    table[gens] = columns
+    table[gens] = rows
     flat = table.reshape(-1)
     known, is_step = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     known[0] = known[gens] = is_step[0] = is_step[gens] = True
@@ -854,7 +862,7 @@ def composed_table(gens, columns: np.ndarray) -> np.ndarray:
     steps = latest = gens[gens != 0]
     while not known.all():
         ys = np.flatnonzero(known)
-        products = table[steps[:, None], ys].ravel()  # y*d, one row of ys per step d
+        products = table[steps[:, None], ys].ravel()  # d*y, one row of ys per step d
         source[products] = np.arange(products.size)
         reached = known.copy()
         reached[products] = True
@@ -863,26 +871,15 @@ def composed_table(gens, columns: np.ndarray) -> np.ndarray:
             raise NotAGroup(f"generators {tuple(gens.tolist())} do not generate all {n} elements")
         d, y = np.divmod(source[found], ys.size)
         at, y = steps[d] * n, ys[y]
-        for rows in _kernels.row_blocks(found.size, 16 * n):
-            table[found[rows]] = flat[at[rows, None] + table[y[rows]]]
+        for block in _kernels.row_blocks(found.size, 16 * n):
+            table[found[block]] = flat[at[block, None] + table[y[block]]]
         known = reached
         if latest.size:
             squares = table[latest, latest]
             latest = squares[~is_step[squares]]
             is_step[latest] = True
             steps = np.concatenate([steps, latest])
-    _transpose_in_place(table)
     return table
-
-
-def _transpose_in_place(a: np.ndarray) -> None:
-    """Transpose a square array in place, one strip of rows and its columns at a time."""
-    n = len(a)
-    for rows in _kernels.row_blocks(n, 8 * n):
-        lo, hi = rows.start, rows.stop
-        row, col = a[lo:hi, lo:].copy(), a[lo:, lo:hi].copy()
-        a[lo:hi, lo:] = col.T
-        a[lo:, lo:hi] = row.T
 
 
 def _table_inverses(table: np.ndarray) -> np.ndarray:
@@ -1102,13 +1099,12 @@ def quotient(G: FiniteGroup, N: SubgroupHandle) -> FiniteGroup:
     coset_id = np.searchsorted(reps, rep_of)
     # fill_table's column operand is always the whole row, whose representatives are reps itself
     table = fill_table(n, lambda a, _: coset_id[G.mul_vec(reps[a], reps[None, :])])
-    labels = tuple(G.label(int(r)) for r in reps)
     gens = []
     for g in G.generators:
         c = int(coset_id[g])
         if c != 0 and c not in gens:
             gens.append(c)
-    return TableGroup(table, gens, labels, name=f"{G.name}/N{N.order}")
+    return TableGroup(table, gens, _namer_of(G, reps), name=f"{G.name}/N{N.order}")
 
 
 def _commutators(G: FiniteGroup, xs, ys) -> np.ndarray:

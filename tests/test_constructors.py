@@ -230,7 +230,7 @@ def test_formula_groups_answer_as_the_table_groups_of_their_tables(small, large)
         assert (G.product is None) == (G.table is not None)  # a kept table drops the formula
     assert np.array_equal(K.table, _formula_table(small))
     assert F.order > 512
-    T = TableGroup(F.dense_table(), F.generators, all_labels(F), F.name)
+    T = TableGroup(F.dense_table(), F.generators, F.label, F.name)
     assert np.array_equal(F.inv_vec, T.inv_vec)
     for name in ("class_of", "representatives", "inverse_class"):
         assert np.array_equal(getattr(F.conjugacy, name), getattr(T.conjugacy, name)), name
@@ -453,7 +453,10 @@ CYCLE_SPECS = [
 
 @pytest.mark.parametrize("spec", CYCLE_SPECS, ids=lambda s: s.describe())
 def test_a_built_group_is_in_no_reference_cycle(spec):
-    """A group, its names formed, is freed by reference counting alone: no namer holds it."""
+    """A group, its names formed, is freed by reference counting alone: no namer holds it.
+
+    So is the group of its whole self as a subgroup (``as_group``), and it holds no parent.
+    """
     gc.disable()
     try:
         G = construct(spec)
@@ -461,5 +464,11 @@ def test_a_built_group_is_in_no_reference_cycle(spec):
         ref = weakref.ref(G)
         del G
         assert ref() is None
+        G = construct(spec)
+        H = G.subgroup(np.arange(G.order)).as_group()
+        H.label(H.order - 1)
+        refs = weakref.ref(G), weakref.ref(H)
+        del G, H
+        assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()

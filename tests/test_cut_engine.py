@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from conftest import (
-    all_labels,
     inverse,
     naive_cut,
     reference_orders,
@@ -217,7 +216,7 @@ def test_one_group_walks_its_own_classes_once(monkeypatch):
 def _table_group(spec):
     """The table group of a formula spec's own table (past order 512 the spec keeps its formula)."""
     F = construct(spec)
-    return TableGroup(F.dense_table(), F.generators, all_labels(F), F.name)
+    return TableGroup(F.dense_table(), F.generators, F.label, F.name)
 
 
 def test_oracle_scan_allocates_less_than_its_table():

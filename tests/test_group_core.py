@@ -10,7 +10,9 @@ import pytest
 
 from conftest import (
     _power_products,
+    all_labels,
     central_subgroup_families,
+    checked_specs,
     class_members,
     class_size,
     conj_perm,
@@ -543,7 +545,7 @@ def test_composed_table_refuses_generators_that_fall_short():
     G = construct(symmetric(4))
     gens = np.array(G.generators[:1])
     with pytest.raises(NotAGroup, match="do not generate all 24 elements"):
-        group_core.composed_table(gens, G.mul_vec(np.arange(24)[None, :], gens[:, None]))
+        group_core.composed_table(gens, G.mul_vec(gens[:, None], np.arange(24)[None, :]))
 
 
 def test_permutation_group_table_is_its_cover_check(monkeypatch):
@@ -689,6 +691,19 @@ def test_numpy_integer_exponents_power_like_python_ints():
             G.power(1, 2.0)
         with pytest.raises(ValueError, match="k >= 0"):
             G.power_vec(xs, np.int64(-1))
+
+
+def test_power_map_reads_its_exponent_before_its_kept_maps():
+    """A float exponent is refused whether or not an equal int's map is kept; maps are kept under ints."""
+    G = construct(cyclic(12))
+    with pytest.raises(TypeError):
+        G.power_map(2.0)
+    two = G.power_map(2)
+    with pytest.raises(TypeError):
+        G.power_map(2.0)
+    assert G.power_map(np.int64(2)) is two
+    assert G.power_map(np.int64(5)) is G.power_map(5)
+    assert set(G._power_maps) == {2, 5} and all(type(k) is int for k in G._power_maps)
 
 
 @pytest.mark.parametrize(
@@ -997,6 +1012,20 @@ def test_quotient_rejects_non_normal():
     assert flip.order == 2 and not flip.is_normal
     with pytest.raises(NotNormal):
         quotient(S3, flip)
+
+
+@pytest.mark.parametrize("spec", [dicyclic(6), symmetric(4)], ids=lambda s: s.describe())
+def test_quotients_and_subgroup_groups_name_nothing_while_built(spec):
+    """G/N and N as a group name no element of a named G until a label is read; then as G names them."""
+    G = construct(spec)
+    named, namer = [], G._labels.namer
+    G._labels.namer = lambda x: named.append(x) or namer(x)
+    N = G.derived_subgroup
+    Q, H = quotient(G, N), N.as_group()
+    assert named == [] and Q.is_named and H.is_named
+    reps = np.flatnonzero(coset_minima(G, N) == np.arange(G.order))
+    assert all_labels(Q) == tuple(G.label(int(r)) for r in reps)
+    assert all_labels(H) == tuple(G.label(int(m)) for m in N.members)
 
 
 def test_an_empty_generating_set_is_the_identity():
@@ -1379,6 +1408,28 @@ def test_element_orders_match_the_all_element_walk(checked_groups):
         assert not G.element_orders.flags.writeable
         kinds.add(type(G))
     assert {FormulaGroup, PermutationGroup, TableGroup, group_core.ProductGroup} <= kinds
+
+
+def test_every_backend_not_given_a_table_states_its_inverses(monkeypatch):
+    """Formula, permutation and product groups build without reading inverses off a table.
+
+    Every spec of ``checked_specs`` that holds no table or quotient builds
+    with ``_table_inverses`` refused, and its inverses are those the table gives.
+    """
+
+    def given_a_table(spec):
+        return spec.kind in ("table", "quotient") or any(map(given_a_table, spec.parts or ()))
+
+    def refuse(table):
+        raise AssertionError("inverses read off a table")
+
+    specs = [spec for spec in checked_specs() if not given_a_table(spec)]
+    monkeypatch.setattr(group_core, "_table_inverses", refuse)
+    groups = [construct(spec) for spec in specs]
+    monkeypatch.undo()
+    assert {FormulaGroup, PermutationGroup, group_core.ProductGroup} == set(map(type, groups))
+    for spec, G in zip(specs, groups):
+        assert np.array_equal(G.inv_vec, group_core._table_inverses(G.dense_table())), spec.describe()
 
 
 def test_backends_state_only_their_product():

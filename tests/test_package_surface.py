@@ -45,3 +45,32 @@ def test_every_definition_is_used_or_public():
         and not (node.name.startswith("__") and node.name.endswith("__"))
     ]
     assert unused == []
+
+
+def test_only_group_core_reads_what_a_group_keeps_privately():
+    """No module but group_core reads an attribute a FiniteGroup class sets on self with a leading underscore."""
+    classes, private = {"FiniteGroup"}, set()
+    for node in ast.parse((PACKAGE / "group_core.py").read_text()).body:
+        if isinstance(node, ast.ClassDef) and (
+            node.name in classes or any(isinstance(b, ast.Name) and b.id in classes for b in node.bases)
+        ):
+            classes.add(node.name)
+            private.update(
+                sub.attr
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute)
+                and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "self"
+                and sub.attr.startswith("_")
+            )
+    assert {"TableGroup", "FormulaGroup", "PermutationGroup", "ProductGroup"} < classes
+    assert {"_labels", "_power_maps", "_facts"} <= private
+    readers = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "group_core.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert readers == []
