@@ -33,7 +33,7 @@ from .group_core import (
     _distinct_commutator_subgroups,
     _Names,
     _namer_of,
-    _unit_generators,
+    _small_units,
     center,
     coset_minima,
     direct_product,
@@ -336,14 +336,15 @@ def _least_generators(G: FiniteGroup, Z: SubgroupHandle) -> np.ndarray:
     """The least generator of each nontrivial cyclic subgroup of an abelian Z, ascending.
 
     The generators of <z> are the z^u for the units u modulo the exponent e
-    of Z, so they are z's orbit under the power maps z -> z^u of the
-    generators u of (Z/e)^x, and the least member of each orbit comes from
-    one ``orbit_labels`` call over those maps as permutations of Z.
+    of Z, so they are z's orbit under inversion and the power maps z -> z^u
+    of the units u of ``_small_units(e)``, which generate (Z/e)^x with -1,
+    and the least member of each orbit comes from one ``orbit_labels`` call
+    over those maps as permutations of Z.
     """
     members = Z.members
     e = int(np.lcm.reduce(G.element_orders[members]))
-    steps = [np.searchsorted(members, G.power_vec(members, u)) for u in _unit_generators(e)]
-    least = _kernels.orbit_labels(np.reshape(steps, (-1, len(members))))
+    images = [G.inv_vec[members]] + [G.power_vec(members, u) for u in _small_units(e)]
+    least = _kernels.orbit_labels(np.searchsorted(members, np.stack(images)))
     return members[np.unique(least)[1:]]
 
 

@@ -2,14 +2,18 @@
 
 A group has the cut-property exactly when, for every element x and every
 exponent j coprime to the order of x, x^j is conjugate to x or to x^-1.
-``decide_cut`` scans class representatives using the eagerly built
-conjugacy partition, walking the powers of all of them at once with one
-whole-array product per exponent, and reads each one's first witness
-exponent off the walk.  A quotient G/N needs no walk and no coset order:
-the good exponents of xN form a subgroup of (Z/m)^x, onto which
-(Z/|G|)^x maps, so G/N has the cut-property exactly when every generator
-u of (Z/|G|)^x (``group_core._unit_generators``) keeps each x^u N in the
-class of xN or of x^-1 N.  That is one gather per u on G's own elements,
+For x of order m, the good exponents j (x^j conjugate to x or to x^-1)
+form a subgroup of (Z/m)^x that holds -1, so they are all of (Z/m)^x
+exactly when they hold the least units that generate it with -1
+(``group_core._small_units``, ascending primes).  ``decide_cut`` scans
+class representatives using the eagerly built conjugacy partition,
+walking the powers of all of them at once with one whole-array product
+per exponent, each only up to the largest of those units for its own
+order, and reads each one's first witness exponent off the walk.  A
+quotient G/N needs no walk and no coset order: (Z/|G|)^x maps onto the
+units modulo the order of xN, so G/N has the cut-property exactly when
+every unit u of ``_small_units(|G|)`` keeps each x^u N in the class of
+xN or of x^-1 N.  That is one gather per u on G's own elements,
 without building G/N, so one stacked test decides every N of a stack at
 once (``central_factor_cuts``, and ``quotient_cuts`` for a list of normal
 subgroups).  A central subgroup N needs only its element orders
@@ -44,7 +48,7 @@ from .errors import HypothesisViolated
 from .group_core import (
     FiniteGroup,
     SubgroupHandle,
-    _unit_generators,
+    _small_units,
     coset_minima,
 )
 
@@ -80,31 +84,37 @@ def _power_map_witnesses(G: FiniteGroup, reps, orders) -> np.ndarray:
     exponent j in 2..m-1 coprime to m whose power x^j lands outside the
     classes of x and x^-1.
 
-    The powers of all representatives are walked together, one ``mul_vec``
-    per exponent over the ones still open; gcd(j, m) is taken only on those
-    whose power left their own pair of classes.  A representative leaves the
-    walk at its first witness or when j + 2 reaches m, since x^(m-1) = x^-1
-    never escapes (so only m > 3 walks at all).
+    The good j of x form a subgroup of (Z/m)^x that holds -1, so if it holds
+    every unit of ``_small_units(m)`` it is all of (Z/m)^x, and otherwise
+    one of them is a witness, so the first witness is at most the largest
+    of them, h(m).  So x walks j = 2..h(m) and leaves at its first witness
+    or at h(m) (orders dividing 4 or 6 walk not at all), and every witness
+    is the one a walk to m - 1 would meet first.  h is formed once per
+    distinct order.  The powers of all representatives are walked together,
+    one ``mul_vec`` per exponent over the ones still open; gcd(j, m) is
+    taken only on those whose power left their own pair of classes.
     """
     first = np.zeros(len(reps), dtype=np.int64)
-    live = (orders > 3).nonzero()[0]  # positions in reps still walking
+    horizon = np.bincount(orders)  # nonzero at each order m present, then set to h(m) there
+    seen = horizon.nonzero()[0]
+    horizon[seen] = [max(_small_units(m), default=1) for m in seen.tolist()]
+    live = (horizon[orders] > 1).nonzero()[0]  # positions in reps still walking
     if not live.size:
         return first
     # the lesser of the classes of y and y^-1: equal for y and x exactly when y ~ x or y ~ x^-1
-    class_of = G.conjugacy.class_of
-    pair = np.minimum(class_of, class_of[G.inv_vec])
+    pair = np.minimum(G.conjugacy.class_of, G.conjugacy.class_of[G.inv_vec])
     xs = reps[live]
     ys, own, m = xs, pair[xs], orders[live]
-    ends = set(m.tolist())  # some walk may end after exponent j only when j + 2 is in here
+    ends = set(horizon[seen].tolist())  # some walk may end after exponent j only when j is in here
     j = 1
     while live.size:
         j += 1
         ys = G.mul_vec(ys, xs)
         miss = (pair[ys] != own).nonzero()[0]
         hit = miss[np.gcd(j, m[miss]) == 1]
-        if hit.size or j + 2 in ends:
+        if hit.size or j in ends:
             first[live[hit]] = j
-            keep = (first[live] == 0) & (j + 2 < m)
+            keep = (first[live] == 0) & (j < horizon[m])
             live, xs, ys, own, m = (a[keep] for a in (live, xs, ys, own, m))
     return first
 
@@ -123,8 +133,7 @@ def decide_cut(G: FiniteGroup) -> CutVerdict:
 
 def _scan_classes(G: FiniteGroup) -> CutVerdict:
     """``decide_cut``'s one walk over G's class representatives."""
-    part = G.conjugacy
-    reps = part.representatives
+    reps = G.conjugacy.representatives
     first = _power_map_witnesses(G, reps, G.element_orders[reps])
     failing = first.nonzero()[0]
     witnesses = tuple(zip(reps[failing].tolist(), first[failing].tolist()))
@@ -174,20 +183,22 @@ def _quotient_cuts(G: FiniteGroup, minima: np.ndarray) -> np.ndarray:
 
     For xN of order m, the j in (Z/m)^x with x^j N conjugate to xN or to
     x^-1 N form a subgroup S (if x^j ~ x^(±1) and x^k ~ x^(±1), then
-    x^(jk) ~ x^(±k) ~ x^(±1)), and (Z/|G|)^x maps onto (Z/m)^x, so S is all
-    of (Z/m)^x exactly when it holds every generator u of (Z/|G|)^x
-    (``_unit_generators``).  So G/N has the cut-property exactly when, for
-    every x and u, x^u N lies in the class of xN or of x^-1 N: no order of
-    xN is formed and no exponent walked.  The classes of G/N are read off
-    G's classes (``_quotient_labels``), and the lesser of the labels of x
-    and x^-1 is constant on G's classes, so it is compared only at G's
-    representatives x and at the representative of the class of x^u
+    x^(jk) ~ x^(±k) ~ x^(±1)) that holds -1, and (Z/|G|)^x maps onto
+    (Z/m)^x, so S is all of (Z/m)^x exactly when it holds every unit u of
+    ``_small_units(|G|)``, which generate (Z/|G|)^x with -1.  -1 needs no
+    test, since the pair label of x and x^-1 is the same.  So G/N has the
+    cut-property exactly when, for every x and u, x^u N lies in the class
+    of xN or of x^-1 N: no order of xN is formed and no exponent walked.
+    The classes of G/N are read off G's classes (``_quotient_labels``), and
+    the lesser of the labels of x and x^-1 is constant on G's classes, so
+    it is compared only at G's representatives x and at the representative
+    of the class of x^u
     (``power_map``).  A row block (``_kernels.row_blocks``) holds about
     ``BLOCK_BYTES`` of labels.
     """
     ok = np.ones(len(minima), dtype=bool)
     reps = G.conjugacy.representatives
-    images = [reps[G.power_map(u)] for u in _unit_generators(G.order)]
+    images = [reps[G.power_map(u)] for u in _small_units(G.order)]
     for block in _kernels.row_blocks(len(minima), 8 * G.order):
         labels = _quotient_labels(G, minima[block])
         pair = np.minimum(labels, labels[:, G.inv_vec])

@@ -35,11 +35,11 @@ accumulator starts at the lowest set bit, so x^k costs floor(log2 k) +
 popcount(k) - 1 products (a square one, x^1 none); the class of x^k for
 each class representative is kept per k (``power_map``).  Element orders
 are read off the maps of the primes of |G|, one ``power_map(p)`` per prime
-and otherwise gathers over class ids (``element_orders``).  The
-generators of (Z/n)^x (``_unit_generators``, lifted by CRT from primitive
-roots) sit beside ``prime_factors``; ``cut_engine`` decides quotients with
-them.  Nilpotency and the class
-are read off the upper central series on the class representatives
+and otherwise gathers over class ids (``element_orders``).  The least
+units that generate (Z/n)^x together with -1 (``_small_units``, each a
+small prime) sit beside ``prime_factors``; ``cut_engine`` bounds its power
+walk and decides quotients with them.  Nilpotency and the class are read
+off the upper central series on the class representatives
 (``_central_height``), which closes no subgroup.  Subgroups (the center,
 the Sylow subgroups, the derived series, and [x, G] for many x at once)
 are derived lazily inside G, each as a sorted member set of G and a
@@ -68,7 +68,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -107,34 +107,28 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-def _primitive_root(g: int, q: int, phi: int) -> bool:
-    """Whether g has order phi = |(Z/q)^x| modulo q."""
-    return all(pow(g, phi // r, q) != 1 for r in prime_factors(phi))
+@lru_cache(maxsize=None)
+def _small_units(m: int) -> tuple[int, ...]:
+    """The units u >= 2 mod m, ascending, that -1 and the smaller units do not generate.
 
-
-def _unit_generators(e: int) -> list[int]:
-    """Generators of (Z/e)^x, each lifted by CRT from one prime power p^a of e.
-
-    For p = 2 they are -1 (when 4 | p^a) and 5 (when 8 | p^a); for odd p,
-    the least primitive root modulo p^a (Ireland and Rosen, *A Classical
-    Introduction to Modern Number Theory*, ch. 4).  Reduced modulo any m
-    dividing e, they generate (Z/m)^x, since (Z/e)^x maps onto it.
+    Greedy: the next u is the least unit outside the subgroup of (Z/m)^x
+    that -1 and the units before it generate, until that subgroup is all
+    of (Z/m)^x.  So with -1 they generate (Z/m)^x, and each is a prime
+    below m - 1, since the factors of a composite unit are smaller units.
+    None for m dividing 4 or 6; (3,) for 2^a >= 8, (5, 7) for 24.  The
+    subgroup is closed in numpy: about 8 ms at m = 65536, once per m.
     """
-    gens = []
-    for p, a in prime_factors(e).items():
-        q, rest = p**a, e // p**a
-        if p == 2:
-            local = [u for u, least in ((q - 1, 4), (5, 8)) if q >= least]
-        else:
-            phi = q - q // p
-            local = [next(g for g in range(2, q) if _primitive_root(g, q, phi))]
-        gens += [1 + rest * ((u - 1) * pow(rest, -1, q) % q) for u in local]
-    return gens
-
-
-def is_prime_power(n: int) -> bool:
-    """True for 1 and for p^k, k >= 1."""
-    return len(prime_factors(n)) <= 1
+    coprime = np.gcd(np.arange(m), m) == 1
+    inside = np.isin(np.arange(m), (1 % m, m - 1))
+    kept = []
+    while (outside := coprime & ~inside).any():
+        u = int(outside.argmax())
+        steps = [1]  # u^k for each k below the least k with u^k inside
+        while not inside[steps[-1] * u % m]:
+            steps.append(steps[-1] * u % m)
+        inside[np.multiply.outer(inside.nonzero()[0], steps) % m] = True
+        kept.append(u)
+    return tuple(kept)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1193,7 +1187,7 @@ def _compute_profile(G: FiniteGroup) -> StructuralProfile:
     orders = G.element_orders
     distinct = [int(v) for v in np.unique(orders)]
     exponent = math.lcm(*distinct) if distinct else 1
-    eppo = all(is_prime_power(v) for v in distinct)
+    eppo = all(len(prime_factors(v)) <= 1 for v in distinct)  # every order 1 or a prime power
     real = bool(G.conjugacy.is_real.all())
 
     nilpotency_class = _central_height(G)

@@ -187,6 +187,18 @@ def test_analyze_json_is_canonical(tmp_path, capsys):
     assert first["descriptor"] == {"kind": "heisenberg", "p": 3}
 
 
+@pytest.mark.parametrize(
+    "text", ['{"kind":"cyclic","n":4,"colour":"red"}', '{"kind":"cyclic","n":5,"n":4}']
+)
+def test_unknown_fields_are_ignored_and_the_last_duplicate_wins(tmp_path, capsys, text):
+    path = tmp_path / "group.json"
+    path.write_text(text)
+    assert main(["analyze", str(path), "--format", "json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["group"] == "cyclic(4)"
+    assert doc["descriptor"] == {"kind": "cyclic", "n": 4}
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

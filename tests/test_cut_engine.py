@@ -333,16 +333,21 @@ def test_witnesses_and_orders_match_reference_on_stress_groups(spec):
     assert np.array_equal(G.element_orders, reference_orders(G))
 
 
-def test_walk_stops_before_the_inverse_exponent():
-    # x^(m-1) = x^-1 never escapes; in C6 only the two elements of order 6 walk,
-    # over j = 2, 3, 4
-    G = construct(cyclic(6))
-    G.element_orders
-    products = []
-    real = G.mul_vec
-    G.mul_vec = lambda a, b: products.append(1) or real(a, b)
-    assert decide_cut(G).has_cut
-    assert len(products) == 3
+def test_walk_stops_at_the_largest_small_unit():
+    """Each representative of order m walks j = 2..h(m), h(m) the largest of ``_small_units(m)``.
+
+    Both groups are cut.  In C6 nothing walks, since -1 alone generates
+    (Z/6)^x.  In SD16 the elements of order 8 walk j = 2, 3 (h(8) = 3),
+    where a walk up to j = m - 2 made 5 products.
+    """
+    for spec, products_made in ((cyclic(6), 0), (metacyclic(8, 2, 3), 2)):
+        G = construct(spec)
+        G.element_orders
+        products = []
+        real = G.mul_vec
+        G.mul_vec = lambda a, b: products.append(1) or real(a, b)
+        assert decide_cut(G).has_cut
+        assert len(products) == products_made, spec.describe()
 
 
 def test_unit_generator_criterion_is_the_verdict_for_the_trivial_quotient(checked_groups):

@@ -2,6 +2,8 @@
 
 import math
 
+from conftest import reference_witnesses
+
 from cutlab.characterizations import verify_equivalences
 from cutlab.constructors import construct, metacyclic
 from cutlab.corpus import _pi_ok
@@ -28,13 +30,17 @@ def metacyclic_family(max_order):
 
 
 def test_metacyclic_family_to_order_64_agrees_everywhere():
-    """409 presentations, 50 of them cut: decider, oracle and characterizations agree, the prime sets hold."""
+    """409 presentations, 50 of them cut: decider, oracle and characterizations agree, the prime sets hold.
+
+    The decider's witnesses are also those of a walk over every exponent.
+    """
     family = metacyclic_family(64)
     cut, disagreements = 0, []
     for m, n, r in family:
         G = construct(metacyclic(m, n, r))
         verdict = decide_cut(G)
         assert verdict.has_cut == decide_cut_bruteforce(G).has_cut, (m, n, r)
+        assert verdict.witnesses == reference_witnesses(G), (m, n, r)
         assert _pi_ok(G, classify(G, verdict)), (m, n, r)
         disagreements += [(m, n, r, rep.name) for rep in verify_equivalences(G) if rep.disagrees]
         cut += verdict.has_cut

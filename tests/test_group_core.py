@@ -216,15 +216,17 @@ def test_table_blocks_must_hold_integer_rows(monkeypatch):
     assert build_from_table(6, _cyclic_table(6).tolist()).order == 6
 
 
-def test_unit_generators_generate_the_unit_group():
-    """Their closure under multiplication mod n has phi(n) members, each generator a unit."""
+def test_small_units_are_primes_that_generate_the_unit_group_with_minus_one():
+    """Each is a prime unit outside the subgroup -1 and the earlier ones generate; all give phi(n)."""
     for n in [*range(1, 513), 1800, 4096, 16384]:
-        gens = group_core._unit_generators(n)
-        assert all(math.gcd(u, n) == 1 for u in gens), n
-        units = frontier = {1 % n}
-        while frontier:
-            frontier = {v * u % n for v in frontier for u in gens} - units
-            units = units | frontier
+        units = {1 % n, -1 % n}
+        for u in group_core._small_units(n):
+            assert math.gcd(u, n) == 1 and u not in units, (n, u)
+            assert u > 1 and all(u % d for d in range(2, math.isqrt(u) + 1)), (n, u)
+            frontier = {v * u % n for v in units}
+            while frontier:
+                units = units | frontier
+                frontier = {v * u % n for v in frontier} - units
         assert len(units) == sum(math.gcd(k, n) == 1 for k in range(n)), n
 
 
