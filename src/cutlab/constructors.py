@@ -9,8 +9,11 @@ described, its one parameter check and its builder.  JSON reading
 Presentation-style families (metacyclic, dicyclic) are realized by exact
 normal-form multiplication rather than coset enumeration; the defining
 relations are cheap to state and tests hold them as the ground truth.
+The two share Hölder's formula (``_metacyclic``) for
+<a, b | a^m = 1, b^n = a^s, b a b^-1 = a^t>: metacyclic(m, n, r) is
+s = 0 and t = r^-1 (mod m), dicyclic(k) is m = 2k, n = 2, t = -1 and s = k.
 The five formula kinds (cyclic, abelian, metacyclic, dicyclic, heisenberg)
-each state one product formula over broadcast index arrays; the abelian
+so state four product formulas over broadcast index arrays; the abelian
 one adds mixed-radix digits, one pass per factor that can carry.  Each
 also states its closed-form inverse, which a group past one row block
 calls once over every element, and one naming function, which names an
@@ -376,8 +379,8 @@ def _int32(a, b):
     """Index arrays as int32, in which the formulas' arithmetic runs fastest.
 
     A formula kind's table must fit the byte budget, so its order is at most
-    16384 and its largest intermediate, i*t^j < m^2 (metacyclic), stays
-    below 2^28.
+    16384 and its largest intermediate, i2*t^j1 < m^2 in Hölder's formula,
+    stays below 2^28; that formula's ``fold`` index stays below 2mn.
     """
     return a.astype(np.int32, copy=False), b.astype(np.int32, copy=False)
 
@@ -435,60 +438,33 @@ def _build_abelian(spec, cap) -> FiniteGroup:
     return FormulaGroup(order, product, invert, gens, namer, spec.describe())
 
 
-def _build_metacyclic(spec, cap) -> FiniteGroup:
-    m, n, r = spec.m, spec.n, spec.r
+def _metacyclic(m: int, n: int, t: int, s: int, name: str) -> FiniteGroup:
+    """Hölder's metacyclic group <a, b | a^m = 1, b^n = a^s, b a b^-1 = a^t>, of order mn.
+
+    Its elements are the normal forms a^i b^j at index i + m*j; the caller
+    ensures t^n = 1 and s*(t - 1) = 0 (mod m), so a^s is central.
+    """
     order = m * n
-    # b a b^-1 = a^t with t*r = 1 (mod m) realizes the relation b^-1 a b = a^r
-    t = pow(r, -1, m) if m > 1 else 0
-    tpow = np.array([pow(t, j, m) if m > 1 else 0 for j in range(n)], dtype=np.int32)
+    tpow = np.array([pow(t, j, m) for j in range(n)], dtype=np.int32)
+    lift = np.array([0] + [-s] * (n - 1), dtype=np.int32)  # -s*t^j' = -s (mod m) where j' != 0
+    twist = np.repeat(tpow, m)  # t^j at the index of a^i b^j
+    # fold[i + m*j] for j < 2n is the index of a^i b^j: past j = n, b^n = a^s rolls row j - n by s
+    rows = np.arange(order, dtype=np.int32).reshape(n, m)
+    fold = np.concatenate([rows, np.concatenate([rows[:, s:], rows[:, :s]], axis=1)]).ravel()
 
     def product(a, b):
         a, b = _int32(a, b)
-        i1, j1 = a % m, a // m
-        i2, j2 = b % m, b // m
-        return ((j1 + j2) % n) * m + (i1 + i2 * tpow[j1]) % m
+        i1, i2 = a % m, b % m
+        # a^i1 b^j1 a^i2 b^j2 = a^(i1 + i2*t^j1) b^(j1 + j2), at m*(j1 + j2) + that power of a
+        return fold[(a - i1) + (b - i2) + (i1 + i2 * twist[a]) % m]
 
     def invert(a):
-        # (a^i b^j)^-1 = a^i' b^j' with j' = -j and i' + i * t^j' = 0 (mod m)
+        # (a^i b^j)^-1 = a^(-(i + s*[j != 0]) * t^j') b^j' with j' = -j (mod n)
         i, j = a % m, (n - a // m) % n
-        return j * m + (-i * tpow[j]) % m
+        return j * m + (lift[j] - i * tpow[j]) % m
 
-    gens = []
-    if m > 1:
-        gens.append(1)
-    if n > 1:
-        gens.append(m)
-
-    def namer(k):
-        return _ab_label(k % m, k // m)
-
-    return FormulaGroup(order, product, invert, gens, namer, spec.describe())
-
-
-def _build_dicyclic(spec, cap) -> FiniteGroup:
-    n = spec.n
-    order = 4 * n
-    two_n = 2 * n
-
-    def product(a, b):
-        a, b = _int32(a, b)
-        i1, j1 = a % two_n, a // two_n
-        i2, j2 = b % two_n, b // two_n
-        # j1 = 0: a^(i1+i2) b^j2 ; j1 = 1: b a^i2 = a^-i2 b, and b^2 = a^n
-        inew = np.where(j1 == 0, i1 + i2, i1 - i2)
-        jnew = j1 + j2
-        inew = np.where(jnew == 2, inew + n, inew) % two_n
-        return (jnew % 2) * two_n + inew
-
-    def invert(a):
-        # (a^i)^-1 = a^-i, and (a^i b)^-1 = a^(i+n) b
-        i, j = a % two_n, a // two_n
-        return j * two_n + np.where(j == 0, -i, i + n) % two_n
-
-    def namer(k):
-        return _ab_label(k % two_n, k // two_n)
-
-    return FormulaGroup(order, product, invert, (1, two_n), namer, spec.describe())
+    gens = [g for g, k in ((1, m), (m, n)) if k > 1]
+    return FormulaGroup(order, product, invert, gens, lambda k: _ab_label(k % m, k // m), name)
 
 
 def _build_heisenberg(spec, cap) -> FiniteGroup:
@@ -555,10 +531,15 @@ KINDS: dict[str, Kind] = {
         (("m", int), ("n", int), ("r", int)),
         lambda s: f"metacyclic({s.m},{s.n},{s.r})",
         _check_metacyclic,
-        _build_metacyclic,
+        # b a b^-1 = a^t with t*r = 1 (mod m) realizes the relation b^-1 a b = a^r
+        lambda s, cap: _metacyclic(s.m, s.n, pow(s.r, -1, s.m), 0, s.describe()),
     ),
     "dicyclic": Kind(
-        (("n", int),), lambda s: f"dicyclic({s.n})", _check_dicyclic, _build_dicyclic
+        (("n", int),),
+        lambda s: f"dicyclic({s.n})",
+        _check_dicyclic,
+        # a of order 2n, b^2 = a^n and b a b^-1 = a^-1
+        lambda s, cap: _metacyclic(2 * s.n, 2, 2 * s.n - 1, s.n, s.describe()),
     ),
     "heisenberg": Kind(
         (("p", int),), lambda s: f"heisenberg({s.p})", _check_heisenberg, _build_heisenberg

@@ -56,7 +56,7 @@ def test_metacyclic_relations(m, n, r):
     lhs = mul(G, mul(G, inverse(G, b), a), b)
     assert lhs == G.power(a, r)
     # a^m = 1 and b^n = 1 in the split presentation
-    assert G.power(a, m) == 0
+    assert G.element_order(a) == m
     assert G.power(b, n) == 0
 
 
@@ -102,6 +102,21 @@ def test_dicyclic_relations():
         assert G.element_order(a) == 2 * n
         assert mul(G, b, b) == G.power(a, n)
         assert mul(G, mul(G, inverse(G, b), a), b) == inverse(G, a)
+
+
+@pytest.mark.parametrize("m, n, t, s", [(8, 2, 7, 4), (9, 3, 4, 3)])
+def test_non_split_metacyclic_relations(m, n, t, s):
+    """Hölder's relations with b^n = a^s, s != 0: Q16 = (8, 2, 7, 4) and an order-27 group."""
+    G = constructors._metacyclic(m, n, t, s, "holder")
+    assert G.order == m * n
+    a, b = 1, m
+    assert G.element_order(a) == m
+    assert G.power(b, n) == G.power(a, s)
+    assert mul(G, mul(G, b, a), inverse(G, b)) == G.power(a, t)
+    x = np.arange(G.order)
+    assert not G.mul_vec(x, G.inv_vec).any()
+    if (m, n) == (8, 2):
+        assert int((G.element_orders == 2).sum()) == 1
 
 
 def test_dicyclic_2_is_quaternion():
