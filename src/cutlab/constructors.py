@@ -13,8 +13,8 @@ The two share Hölder's formula (``_metacyclic``) for
 <a, b | a^m = 1, b^n = a^s, b a b^-1 = a^t>: metacyclic(m, n, r) is
 s = 0 and t = r^-1 (mod m), dicyclic(k) is m = 2k, n = 2, t = -1 and s = k.
 The five formula kinds (cyclic, abelian, metacyclic, dicyclic, heisenberg)
-so state four product formulas over broadcast index arrays; the abelian
-one adds mixed-radix digits, one pass per factor that can carry.  Each
+state four product formulas, metacyclic and dicyclic sharing one, over
+broadcast index arrays; the abelian one adds mixed-radix digits, one pass per factor that can carry.  Each
 also states its closed-form inverse, which a group past one row block
 calls once over every element, and one naming function, which names an
 element only when its label is asked for, so building a group computes
@@ -442,7 +442,7 @@ def _metacyclic(m: int, n: int, t: int, s: int, name: str) -> FiniteGroup:
     """Hölder's metacyclic group <a, b | a^m = 1, b^n = a^s, b a b^-1 = a^t>, of order mn.
 
     Its elements are the normal forms a^i b^j at index i + m*j; the caller
-    ensures t^n = 1 and s*(t - 1) = 0 (mod m), so a^s is central.
+    ensures 0 <= s < m, t^n = 1 and s*(t - 1) = 0 (mod m), so a^s is central.
     """
     order = m * n
     tpow = np.array([pow(t, j, m) for j in range(n)], dtype=np.int32)
