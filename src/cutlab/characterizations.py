@@ -30,12 +30,10 @@ from .errors import CenterTooLarge, HypothesisViolated, OrderCapExceeded
 from .group_core import (
     FiniteGroup,
     SubgroupHandle,
-    _distinct_commutator_subgroups,
     _Names,
     _namer_of,
     _small_units,
     center,
-    coset_minima,
     direct_product,
     prime_factors,
 )
@@ -246,21 +244,34 @@ def thm_nilpotent(G: FiniteGroup) -> TheoremReport:
 
 
 def _class2_applicable(G: FiniteGroup) -> bool:
-    profile = G.profile
-    return (
-        profile.is_p_group
-        and profile.nilpotency_class is not None
-        and profile.nilpotency_class <= 2
-    )
+    nc = G.profile.nilpotency_class
+    return G.profile.is_p_group and nc is not None and nc <= 2
 
 
-def _class_commutators(G: FiniteGroup) -> tuple[list[SubgroupHandle], np.ndarray]:
-    """The distinct [x, G] over the class representatives x, and each class's index (kept on G)."""
-    subs, which = _distinct_commutator_subgroups(G, G.conjugacy.representatives)
-    keys = [sub.members.tobytes() for sub in subs]  # distinct rows may close to one subgroup
-    by_members = dict(zip(keys, subs))
-    slot = {key: i for i, key in enumerate(by_members)}
-    return list(by_members.values()), np.array([slot[key] for key in keys])[which]
+def _commutator_factor_cuts(G: FiniteGroup) -> np.ndarray:
+    """Whether [x, G] and G/[x, G] have the cut-property, for each class representative x.
+
+    Under class <= 2, g -> [x, g] is a homomorphism into the center, so
+    [x, G] is the set {[x, g] : g in G} = x·Cl(x^-1) = x·Cl(x)^-1, of order
+    |Cl(x)|: one product over G's elements forms it for every class at
+    once, with no closure.  Classes with the same members share one N,
+    found among the classes of each size; the least member of each coset
+    gN is the least of g·N, one product per N, and every N is decided in
+    one stacked call (``central_factor_cuts``).
+    """
+    (by_class, starts), sizes = G.conjugacy.members, G.conjugacy.sizes
+    # x·Cl(x)^-1 for each class in turn
+    comms = G.mul_vec(np.repeat(G.conjugacy.representatives, sizes), G.inv_vec[by_class])
+    which, minima, everyone = np.empty_like(sizes), [], np.arange(G.order)[:, None]
+    for size in np.unique(sizes).tolist():
+        classes = np.flatnonzero(sizes == size)
+        rows = np.sort(comms[starts[classes, None] + np.arange(size)], axis=1)
+        # one bytes key per row: a 1-D np.unique costs a fraction of np.unique(axis=0)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * size))).ravel()
+        _, first, slot = np.unique(keys, return_index=True, return_inverse=True)
+        which[classes] = slot + len(minima)
+        minima += [G.mul_vec(everyone, N).min(axis=1) for N in rows[first]]
+    return central_factor_cuts(G, np.stack(minima))[which]
 
 
 def _degenerate_class(G: FiniteGroup) -> list[tuple[str, str, bool]]:
@@ -275,7 +286,9 @@ def cor_class2(G: FiniteGroup) -> TheoremReport:
     The class-1 (abelian) case is admitted as the degenerate form: every
     [x,G] is trivial and the condition reduces to the exponent condition.
     Under class <= 2, g -> [x,g] is a homomorphism into the center, so the
-    commutator set of x is already the subgroup [x,G].
+    commutator set x·Cl(x^-1) of x is already the subgroup [x,G], and
+    x^e lies in it exactly when x^(e-1) ~ x^-1: the clause compares
+    ``power_map(e - 1)`` with the inverse classes, and no [x,G] is formed.
     """
     if not _class2_applicable(G):
         return TheoremReport("cor_class2", False, None, ())
@@ -285,9 +298,8 @@ def cor_class2(G: FiniteGroup) -> TheoremReport:
     exponent = {2: 4, 3: 3}.get(G.profile.p)
     if exponent is None:
         return _conjunction("cor_class2", head + [("group", f"p={G.profile.p} not 2 or 3", False)])
-    subs, which = G.fact(_class_commutators)
-    powers = G.power_vec(G.conjugacy.representatives, exponent)
-    flags = np.stack([sub._mask for sub in subs])[which, powers]
+    # x^e lies in [x,G] = x·Cl(x^-1) exactly when x^(e-1) ~ x^-1
+    flags = G.power_map(exponent - 1) == G.conjugacy.inverse_class
     return _conjunction("cor_class2", head, G, [_Clause(flags, (f"x^{exponent} in [x,G]",))])
 
 
@@ -443,9 +455,11 @@ def prop_class2_factor(G: FiniteGroup, mode: str = "per_element") -> TheoremRepo
     """Factor criterion for class-at-most-2 p-groups.
 
     ``per_element``: every [x,G] and every G/[x,G] must have the
-    cut-property.  ``central_subgroups``: every subgroup N of the center
-    (all of them normal) and every G/N must have it; the subgroups of the
-    abelian center are enumerated exhaustively.  Class <= 2 puts every
+    cut-property; [x,G] is x·Cl(x^-1), read off the class partition with
+    no closure (``_commutator_factor_cuts``).  ``central_subgroups``:
+    every subgroup N of the center (all of them normal) and every G/N must
+    have it; the subgroups of the abelian center are enumerated
+    exhaustively.  Class <= 2 puts every
     [x,G] inside the center, so N is central in both modes, and the N of
     one mode are decided together on G's own elements
     (``central_factor_cuts``), each given by its coset minima.  The
@@ -459,10 +473,8 @@ def prop_class2_factor(G: FiniteGroup, mode: str = "per_element") -> TheoremRepo
         return TheoremReport(name, False, None, ())
     head = _degenerate_class(G)
     if mode == "per_element":
-        subs, which = G.fact(_class_commutators)
-        cuts = central_factor_cuts(G, np.stack([coset_minima(G, sub) for sub in subs]))
-        orders = np.array([sub.order for sub in subs])[which]
-        clause = _Clause(cuts[which], ("[x,G] (order {}) and G/[x,G] have cut",), values=orders)
+        cuts = _commutator_factor_cuts(G)
+        clause = _Clause(cuts, ("[x,G] (order {}) and G/[x,G] have cut",), values=G.conjugacy.sizes)
         return _conjunction(name, head, G, [clause])
     Z = center(G)
     minima = _central_subgroups(G, Z, MAX_CENTER_SUBGROUPS)

@@ -171,11 +171,8 @@ def _quotient_labels(G: FiniteGroup, minima: np.ndarray) -> np.ndarray:
     so its least element is the least coset minimum over the class of x in
     G.
     """
-    part = G.conjugacy
-    by_class = np.argsort(part.class_of, kind="stable")
-    starts = np.cumsum(part.sizes) - part.sizes
-    least = np.minimum.reduceat(minima[..., by_class], starts, axis=-1)
-    return least[..., part.class_of]
+    by_class, starts = G.conjugacy.members
+    return np.minimum.reduceat(minima[..., by_class], starts, axis=-1)[..., G.conjugacy.class_of]
 
 
 def _quotient_cuts(G: FiniteGroup, minima: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ from its factors'.  Elements are named only when a label is asked for,
 those of a quotient or a subgroup's group too (``_namer_of``).
 Conjugacy classes are computed once at build time as orbits under the
 generators' conjugations (one cached array, also read by normal closures),
-as a class id per element; class sizes and realness are built on
-demand.  Every class fact is read off that partition: the center
+as a class id per element; class sizes, members and realness are built
+on demand.  Every class fact is read off that partition: the center
 is the singleton classes, a subgroup is normal iff it is a union of
 classes, and a class is real iff it is its own inverse class.  A direct
 product takes its classes and element orders from its factors instead.
@@ -137,8 +137,9 @@ class ConjugacyPartition:
 
     Class ids are assigned by ascending smallest member, so the identity
     class is always id 0 and ``representatives[c]`` is the least element
-    of class c.  The class sizes and the realness of each class are built
-    on first access.  Equal only to itself.
+    of class c.  The class sizes, the members of each class and the
+    realness of each class are built on first access.  Equal only to
+    itself.
     """
 
     class_of: np.ndarray
@@ -155,6 +156,17 @@ class ConjugacyPartition:
         sizes = np.bincount(self.class_of, minlength=self.num_classes)
         sizes.flags.writeable = False
         return sizes
+
+    @cached_property
+    def members(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every element by class id, each class ascending, and where each class starts in it.
+
+        Class c is ``by_class[starts[c]:starts[c] + sizes[c]]``.
+        """
+        by_class = np.argsort(self.class_of, kind="stable")
+        starts = np.cumsum(self.sizes) - self.sizes
+        by_class.flags.writeable = starts.flags.writeable = False
+        return by_class, starts
 
     @cached_property
     def is_real(self) -> np.ndarray:
@@ -209,8 +221,9 @@ class FiniteGroup:
     structural profile and the derived subgroup.  A fact that another
     module computes is kept through ``fact``, keyed by the function that
     computes it: the cut verdict of ``decide_cut``, and what the
-    characterizations read (the [x, G] of every class representative, the
-    names and order kinds of the representatives, and the cube split).
+    characterizations read (the names and order kinds of the class
+    representatives, and the cube split).  The class-2 criteria keep no
+    [x, G]: they read it off the class partition each time.
     The center is formed afresh on each call.  The brute-force oracle reads
     none of these.
 
@@ -1111,17 +1124,12 @@ def commutator_subgroups(G: FiniteGroup, xs) -> list[SubgroupHandle]:
 
     As [x, gh] = [x, g] g[x, h]g^-1, it is the normal closure of the
     commutators of x with G's generators; elements with the same such
-    commutators share one closure (``_distinct_commutator_subgroups``).
+    commutators share one closure.
     """
-    subs, which = _distinct_commutator_subgroups(G, xs)
-    return [subs[i] for i in which.tolist()]
-
-
-def _distinct_commutator_subgroups(G: FiniteGroup, xs) -> tuple[list[SubgroupHandle], np.ndarray]:
-    """One [x, G] per distinct row of commutators [x, g] over G's generators g, and each x's row."""
     rows = _commutators(G, np.asarray(xs)[:, None], np.asarray(G.generators)[None, :])
     distinct, which = np.unique(rows, axis=0, return_inverse=True)
-    return [subgroup_generated(G, row, normal_closure=True) for row in distinct], which.ravel()
+    subs = [subgroup_generated(G, row, normal_closure=True) for row in distinct]
+    return [subs[i] for i in which.ravel().tolist()]
 
 
 def _commutator_subgroup(G: FiniteGroup, gens) -> SubgroupHandle:

@@ -202,8 +202,8 @@ def test_cor_class2_examples():
     assert not r.applicable
 
 
-def test_cor_class2_closes_each_distinct_commutator_row_once(monkeypatch):
-    # every [x, G] of an abelian group is trivial: one normal closure for all 256 classes
+def test_cor_class2_closes_no_subgroup(monkeypatch):
+    # x^4 in [x, G] = x·Cl(x^-1) is read off the power map of 3: no [x, G] is formed
     G = construct(abelian([2] * 8))
     assert G.profile.nilpotency_class == 1  # the series are closed before counting
     calls = []
@@ -211,14 +211,13 @@ def test_cor_class2_closes_each_distinct_commutator_row_once(monkeypatch):
     monkeypatch.setattr(group_core, "subgroup_generated", lambda *a, **k: calls.append(a) or closure(*a, **k))
     r = cor_class2(G)
     assert r.applicable and r.predicted
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
-def test_class2_criteria_close_each_commutator_row_once_between_them(monkeypatch):
-    """cor_class2 and prop_class2_factor[per_element] share one [x, G] family.
+def test_class2_criteria_close_no_subgroup(monkeypatch):
+    """cor_class2 and prop_class2_factor[per_element] read [x, G] off the class partition.
 
-    Over the class-2 corpus groups, each distinct row of commutators [x, g]
-    (x a class representative, g a generator of G) is closed once.
+    Over the class-2 corpus groups, neither criterion closes a subgroup.
     """
     groups = [construct(e.spec) for e in builtin_corpus()]
     groups = [G for G in groups if _class2_applicable(G) and G.order > 1]
@@ -226,14 +225,58 @@ def test_class2_criteria_close_each_commutator_row_once_between_them(monkeypatch
     closure = group_core.subgroup_generated
     monkeypatch.setattr(group_core, "subgroup_generated", lambda *a, **k: calls.append(a) or closure(*a, **k))
     for G in groups:
-        reps, gens = G.conjugacy.representatives, np.asarray(G.generators)
-        xg = G.mul_vec(reps[:, None], gens[None, :])
-        rows = G.mul_vec(G.mul_vec(xg, G.inv_vec[reps][:, None]), G.inv_vec[gens][None, :])
         calls.clear()
         cor_class2(G)
         prop_class2_factor(G, "per_element")
-        assert len(calls) == len(np.unique(rows, axis=0)), G.name
+        assert len(calls) == 0, G.name
     assert len(groups) > 50 and not all(G.is_abelian for G in groups)
+
+
+def _class_commutator_sets(G):
+    """x·Cl(x^-1) for each class representative x of G, ascending."""
+    members = class_members(G.conjugacy)
+    inverse = G.conjugacy.inverse_class.tolist()
+    return [
+        np.sort(G.mul_vec(x, np.asarray(members[inverse[c]])))
+        for c, x in enumerate(G.conjugacy.representatives.tolist())
+    ]
+
+
+def test_class2_commutator_set_is_the_subgroup():
+    """Under class <= 2, x·Cl(x^-1) is [x, G], of order |Cl(x)|.
+
+    Over every class representative of the class-<=2 corpus groups,
+    heisenberg(p) for p in 3, 5, 7, 11, and the split and non-split
+    metacyclic groups of order <= 64, against the normal closures of
+    ``commutator_subgroups``.
+    """
+    from test_families import non_split_groups, split_groups
+
+    groups = [construct(e.spec) for e in builtin_corpus()]
+    groups += [construct(heisenberg(p)) for p in (3, 5, 7, 11)]
+    groups += [G for family in (split_groups, non_split_groups) for _, G in family(64)]
+    checked = nonabelian = 0
+    for G in filter(_class2_applicable, groups):
+        subs = commutator_subgroups(G, G.conjugacy.representatives)
+        for sub, got, size in zip(subs, _class_commutator_sets(G), G.conjugacy.sizes.tolist()):
+            assert got.tolist() == sub.members.tolist(), G.name
+            assert len(got) == size
+            checked += 1
+        nonabelian += not G.is_abelian
+    assert checked > 10000 and nonabelian > 60
+
+
+def test_class_commutator_set_is_smaller_past_class_2():
+    """In D16 (class 3) the commutator set of a is {1, a^2}, but [a, G] = <a^2> has order 4."""
+    G = construct(metacyclic(8, 2, 7))
+    assert G.profile.nilpotency_class == 3 and not _class2_applicable(G)
+    a = G.generators[0]
+    assert G.element_order(a) == 8
+    c = int(G.conjugacy.class_of[a])
+    assert _class_commutator_sets(G)[c].tolist() == [0, G.power(a, 2)]
+    sub = commutator_subgroups(G, [a])[0]
+    assert sub.order == 4
+    assert sub.members.tolist() == sorted(G.power(a, k) for k in (0, 2, 4, 6))
 
 
 def test_prop_class2_factor_examples():

@@ -819,6 +819,16 @@ def test_partition_realness_and_generator_conjugations(class_fact_groups):
         assert not part.is_real.flags.writeable and not conj.flags.writeable
 
 
+def test_partition_members_list_each_class_ascending(class_fact_groups):
+    for G in class_fact_groups:
+        part = G.conjugacy
+        by_class, starts = part.members
+        for c in range(part.num_classes):
+            want = np.flatnonzero(part.class_of == c).tolist()
+            assert by_class[starts[c]:starts[c] + part.sizes[c]].tolist() == want, G.name
+        assert not by_class.flags.writeable and not starts.flags.writeable
+
+
 def test_power_map_is_the_class_of_each_representative_power(class_fact_groups):
     for G in class_fact_groups:
         part = G.conjugacy
